@@ -102,9 +102,15 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
             data[name].append(value)
     if not data[target]:
         raise DataFormatError("file contains a header but no data rows")
-    loss = np.array(data[target])
-    fac = np.column_stack([np.array(data[name]) for name in factors])
-    return JointSample(loss, fac, loss_name=target, factor_names=tuple(factors))
+    table = np.column_stack([np.array(data[name]) for name in wanted])
+    bad = ~np.isfinite(table)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"cell is not finite at (row {r + 1}, col {wanted[c]}): {float(table[r, c])!r}",
+            row=int(r) + 1, column=wanted[c],
+        )
+    return JointSample(table[:, 0], table[:, 1:], loss_name=target, factor_names=tuple(factors))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,14 @@ def _retained_rows(sample: JointSample) -> np.ndarray:
     return np.flatnonzero(sample.weights > 0)
 
 
+def _group(rows: np.ndarray, inverse: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """``rows[inverse == i]`` for every group i, in one stable sort."""
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse, minlength=n_groups))
+    return np.split(rows[order], ends[:-1])
+
+
 def partition_discrete(sample: JointSample) -> ScenarioPartition:
     """One scenario per distinct factor vector, in lexicographic label order.
 
@@ -121,8 +129,7 @@ def partition_discrete(sample: JointSample) -> ScenarioPartition:
     facs = sample.factors[rows]
     uniq, inverse = np.unique(facs, axis=0, return_inverse=True)
     scenarios = []
-    for i in range(uniq.shape[0]):
-        members = rows[inverse == i]
+    for i, members in enumerate(_group(rows, inverse, uniq.shape[0])):
         weight = float(sample.weights[members].sum())
         label = tuple(uniq[i]) if uniq.shape[1] > 1 else float(uniq[i, 0])
         scenarios.append(Scenario(label, members, weight))
@@ -155,8 +162,7 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
         codes[:, j] = np.searchsorted(edges[j], sample.factors[rows, j], side="left")
     uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
     scenarios = []
-    for i in range(uniq.shape[0]):
-        members = rows[inverse == i]
+    for i, members in enumerate(_group(rows, inverse, uniq.shape[0])):
         weight = float(sample.weights[members].sum())
         if weight <= 0:
             continue

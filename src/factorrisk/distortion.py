@@ -11,6 +11,13 @@ where s_k collects the scenario survivals 1 - F_i(x_(k)).  The survival
 profile is piecewise constant between support points, so the sum equals
 the Choquet integral with no quadrature error.
 
+Every built-in distortion has the form outer(sum_i w_i f_i(s_i)).  The
+engine (``core._sweep``) evaluates it at all m breakpoints in O(T log T)
+time and O(T) memory for T atoms: each atom changes one scenario's term
+once, and a cumulative sum, restarted from an exact row every block,
+carries the profile.  A user callable from :func:`psi_custom` is evaluated
+on dense survival rows instead, a bounded chunk of breakpoints at a time.
+
 Built-in distortions cover the distorted/averaged conditional VaR and ES
 families; composition helpers evaluate the same measures through their
 per-scenario closed forms, giving an independent route used by the tests.
@@ -25,107 +32,116 @@ import numpy as np
 
 from . import scalar
 from .conditioning import LevelMap, VarBox, box_mask
-from .core import ConditionalLawFamily, JointSample, StepCDF, round_significant
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
+                   _sweep, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 CONDITION_A_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ScenarioDistortion:
+@dataclass(frozen=True, eq=False)
+class ScenarioDistortion(ScenarioFunctional):
     """Monotone functional on per-scenario survival vectors.
 
     ``apply`` evaluates the functional on a batch: ``V`` is an (m, n)
     matrix of survival vectors, ``pi`` the scenario weights, and the result
-    has length m.  Evaluation must be reentrant; the engine may batch
-    breakpoints in any order and reduces in fixed order.
+    has length m.  Built-ins are ``outer(sum_i w_i term(v_i, a_i))`` (see
+    :class:`~factorrisk.core.ScenarioFunctional`); a custom ``func`` must
+    be reentrant, as the engine may call it on chunks of breakpoints.
     """
-
-    kind: str
-    levels: LevelMap | None = None
-    lam: scalar.DistortionFunction | None = None
-    p: float | None = None
-    q: float | None = None
-    subset: tuple[int, ...] | None = None
-    func: Callable | None = None
-    vectorized: bool = False
-
-    def apply(self, V: np.ndarray, pi: np.ndarray, labels=None) -> np.ndarray:
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        pi = np.asarray(pi, dtype=float)
-        n = pi.size
-        if V.shape[1] != n:
-            raise ValidationError("survival matrix width must equal the number of scenarios")
-        if self.kind == "mean":
-            return V @ pi
-        if self.kind == "lambda_of_var":
-            g = self.levels.resolve(n, labels)
-            if np.any(g <= 0) or np.any(g > 1):
-                raise ValidationError("VaR scenario levels must lie in (0, 1]")
-            return self.lam((V > (1.0 - g)) @ pi)
-        if self.kind == "mean_of_var":
-            g = self.levels.resolve(n, labels)
-            if np.any(g <= 0) or np.any(g > 1):
-                raise ValidationError("VaR scenario levels must lie in (0, 1]")
-            return (V > (1.0 - g)) @ pi
-        if self.kind == "mean_of_es":
-            g = self.levels.resolve(n, labels)
-            if np.any(g >= 1) or np.any(g < 0):
-                raise ValidationError("ES scenario levels must lie in [0, 1)")
-            tail = 1.0 - g
-            return (np.minimum(V, tail) / tail) @ pi
-        if self.kind == "es_on_box":
-            idx = np.asarray(self.subset, dtype=np.int64)
-            if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
-                raise ValidationError("scenario subset out of range")
-            mass = pi[idx].sum()
-            tail = 1.0 - self.p
-            return (np.minimum(V[:, idx], tail) / tail) @ pi[idx] / mass
-        if self.kind == "indicator_var_var":
-            prob = (V > (1.0 - self.p)) @ pi
-            return np.where(prob > 1.0 - self.q, 1.0, 0.0)
-        if self.kind == "custom":
-            if self.vectorized:
-                return np.asarray(self.func(V, pi), dtype=float)
-            return np.array([float(self.func(v, pi)) for v in V])
-        raise ValidationError(f"unknown scenario distortion kind {self.kind!r}")
 
     def __call__(self, v, pi, labels=None) -> float:
         return float(self.apply(np.atleast_2d(v), pi, labels)[0])
 
 
+def _survival(v, a):
+    return v
+
+
+def _exceeds(v, t):
+    """One scenario's VaR term: the survival exceeds the tail mass t."""
+    return v > t
+
+
+def _capped(v, t):
+    """One scenario's ES term at tail mass t: min(v, t) / t."""
+    return np.minimum(v, t) / t
+
+
+def _pi_weighted(tails=None, cut=None):
+    """resolve: weights pi, per-scenario tail masses ``tails(n, labels)``."""
+    def resolve(pi, labels):
+        return Resolved(pi, np.zeros(pi.size) if tails is None else tails(pi.size, labels), cut)
+    return resolve
+
+
+def _var_levels(levels: LevelMap, n: int, labels) -> np.ndarray:
+    g = levels.resolve(n, labels)
+    if np.any(g <= 0) or np.any(g > 1):
+        raise ValidationError("VaR scenario levels must lie in (0, 1]")
+    return g
+
+
+def _es_levels(levels: LevelMap, n: int, labels) -> np.ndarray:
+    g = levels.resolve(n, labels)
+    if np.any(g >= 1) or np.any(g < 0):
+        raise ValidationError("ES scenario levels must lie in [0, 1)")
+    return g
+
+
+def _var_tails(levels):
+    levels = LevelMap.of(levels)
+    return lambda n, labels: 1.0 - _var_levels(levels, n, labels)
+
+
+def _es_tails(levels):
+    levels = LevelMap.of(levels)
+    return lambda n, labels: 1.0 - _es_levels(levels, n, labels)
+
+
 def psi_mean() -> ScenarioDistortion:
     """psi(v) = sum_i pi_i v_i; the conditional-expectation mixture."""
-    return ScenarioDistortion("mean")
+    return ScenarioDistortion(_survival, _pi_weighted())
 
 
 def psi_lambda_of_var(lam: scalar.DistortionFunction, levels) -> ScenarioDistortion:
     """Distorted conditional VaR: rho = rho_Lambda(VaR_{g(W)}(X | W))."""
-    return ScenarioDistortion("lambda_of_var", levels=LevelMap.of(levels), lam=lam)
+    cut = 1.0 - lam.level if lam.kind == "var_level" else None
+    return ScenarioDistortion(_exceeds, _pi_weighted(_var_tails(levels), cut),
+                              lambda s, cut: lam(s))
 
 
 def psi_mean_of_var(levels) -> ScenarioDistortion:
     """Average conditional VaR: rho = E[VaR_{g(W)}(X | W)]."""
-    return ScenarioDistortion("mean_of_var", levels=LevelMap.of(levels))
+    return ScenarioDistortion(_exceeds, _pi_weighted(_var_tails(levels)))
 
 
 def psi_mean_of_es(levels) -> ScenarioDistortion:
     """Average conditional ES: rho = E[ES_{g(W)}(X | W)]."""
-    return ScenarioDistortion("mean_of_es", levels=LevelMap.of(levels))
+    return ScenarioDistortion(_capped, _pi_weighted(_es_tails(levels)))
 
 
 def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
     """Conditional ES on a scenario subevent: rho = ES_p(X | W in B)."""
     if not 0 <= p < 1:
         raise ValidationError("ES level must lie in [0, 1)")
-    return ScenarioDistortion("es_on_box", p=float(p), subset=tuple(int(i) for i in subset))
+    idx = np.unique(np.asarray(tuple(int(i) for i in subset), dtype=np.int64))
+
+    def resolve(pi, labels):
+        if idx.size == 0 or idx[0] < 0 or idx[-1] >= pi.size:
+            raise ValidationError("scenario subset out of range")
+        w = np.zeros(pi.size)
+        w[idx] = pi[idx] / pi[idx].sum()
+        return Resolved(w, np.full(pi.size, 1.0 - p))
+    return ScenarioDistortion(_capped, resolve)
 
 
 def psi_indicator_var_var(p: float, q: float) -> ScenarioDistortion:
     """The 0/1 distortion whose Choquet integral is VaR_q(VaR_p(X | W))."""
     if not 0 < p < 1 or not 0 < q <= 1:
         raise ValidationError("indicator levels need p in (0,1) and q in (0,1]")
-    return ScenarioDistortion("indicator_var_var", p=float(p), q=float(q))
+    tails = _pi_weighted(lambda n, labels: np.full(n, 1.0 - p), 1.0 - q)
+    return ScenarioDistortion(_exceeds, tails, lambda s, cut: np.where(s > cut, 1.0, 0.0))
 
 
 def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
@@ -135,7 +151,7 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     Monotonicity is sampled on ``check_pairs`` random ordered pairs; a pass
     is evidence, not proof.
     """
-    psi = ScenarioDistortion("custom", func=func, vectorized=vectorized)
+    psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = np.random.default_rng(seed)
     n = int(n_scenarios)
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
@@ -166,8 +182,7 @@ def choquet_factor(family: ConditionalLawFamily, psi: ScenarioDistortion) -> flo
     xs = family.merged_support()
     if xs.size == 1:
         return float(xs[0])
-    surv = 1.0 - family.cdf_matrix(xs[:-1])
-    vals = psi.apply(surv, family.pis, family.labels)
+    vals = _sweep(family, psi, xs[:-1])
     return float(xs[0] + vals @ np.diff(xs))
 
 
@@ -176,20 +191,17 @@ def compose_var_distortion(family: ConditionalLawFamily, levels,
     """rho_Lambda of the discrete law of per-scenario VaR_{g_i}(X | i).
 
     Closed-form route for the ``lambda_of_var`` distortion; agrees with
-    :func:`choquet_factor` exactly on discrete families.
+    :func:`choquet_factor` on discrete families except at exact probability
+    ties, where a float cumsum landing ulps under a level takes the next atom.
     """
-    g = LevelMap.of(levels).resolve(family.n_scenarios, family.labels)
-    if np.any(g <= 0) or np.any(g > 1):
-        raise ValidationError("VaR scenario levels must lie in (0, 1]")
+    g = _var_levels(LevelMap.of(levels), family.n_scenarios, family.labels)
     vars_ = np.array([scalar.var(law, gi) for law, gi in zip(family.laws, g)])
     return scalar.distortion_rho(StepCDF.from_values(vars_, family.pis), lam)
 
 
 def compose_es_mean(family: ConditionalLawFamily, levels) -> float:
     """E[ES_{g(W)}(X | W)] via per-scenario expected shortfalls."""
-    g = LevelMap.of(levels).resolve(family.n_scenarios, family.labels)
-    if np.any(g >= 1):
-        raise ValidationError("ES scenario levels must lie in [0, 1)")
+    g = _es_levels(LevelMap.of(levels), family.n_scenarios, family.labels)
     return float(sum(pi * scalar.es(law, gi)
                      for pi, law, gi in zip(family.pis, family.laws, g)))
 

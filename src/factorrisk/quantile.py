@@ -10,6 +10,13 @@ componentwise nondecreasing, so the infimum is attained at a support
 breakpoint and the scan is exact.  The acceptance region generalizes the
 classical left quantile (one scenario, D = [p, 1]) and covers VaR-of-VaR,
 worst-scenario VaR, and the CoVaR family through conditioning events.
+
+Built-in predicates accept when a weighted count of scenarios with
+F_i(x) >= p reaches a level; the engine (``core._sweep``) tracks that
+count over all m support points in O(T log T) time and O(T) memory, and
+decides counts within rounding of the level by the dense row formula, so
+the result equals the dense scan's bit for bit.  A user predicate from
+:func:`pred_custom` sees dense CDF rows, a bounded chunk at a time.
 """
 
 from __future__ import annotations
@@ -21,13 +28,14 @@ import numpy as np
 
 from . import scalar
 from .conditioning import VarBox, box_mask, tail_box
-from .core import ConditionalLawFamily, JointSample, round_significant
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
+                   _sweep, round_significant)
 from .distortion import conditional_cdf
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
-@dataclass(frozen=True)
-class IncreasingSetPredicate:
+@dataclass(frozen=True, eq=False)
+class IncreasingSetPredicate(ScenarioFunctional):
     """Upward-closed acceptance test on scenario CDF profiles.
 
     ``apply`` is batched: ``U`` is an (m, n) matrix of CDF profiles and the
@@ -36,43 +44,24 @@ class IncreasingSetPredicate:
     predicates are spot-checked for it at construction.
     """
 
-    kind: str
-    p: float | None = None
-    q: float | None = None
-    scenario: object = None
-    func: Callable | None = None
-    vectorized: bool = False
+    survival = False
+    result_type = bool
 
-    def apply(self, U: np.ndarray, pi: np.ndarray, labels=None) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        pi = np.asarray(pi, dtype=float)
-        n = pi.size
-        if U.shape[1] != n:
-            raise ValidationError("CDF matrix width must equal the number of scenarios")
-        if self.kind == "var_of_var":
-            return (U >= self.p) @ pi >= self.q
-        if self.kind == "esssup_var":
-            return np.all(U >= self.p, axis=1)
-        if self.kind == "single_scenario":
-            idx = self._scenario_index(labels, n)
-            return U[:, idx] >= self.p
-        if self.kind == "custom":
-            if self.vectorized:
-                return np.asarray(self.func(U, pi), dtype=bool)
-            return np.array([bool(self.func(u, pi)) for u in U])
-        raise ValidationError(f"unknown predicate kind {self.kind!r}")
 
-    def _scenario_index(self, labels, n: int) -> int:
-        if isinstance(self.scenario, (int, np.integer)):
-            idx = int(self.scenario)
-            if not 0 <= idx < n:
-                raise ValidationError(f"scenario index {idx} out of range")
-            return idx
-        if labels is None:
-            raise ValidationError("label-addressed predicate needs scenario labels")
-        if self.scenario in labels:
-            return labels.index(self.scenario)
-        raise ValidationError(f"scenario label {self.scenario!r} not found")
+def _reached(u, p):
+    return u >= p
+
+
+def _at_least(s, cut):
+    return s >= cut
+
+
+def _counting(p, weights, cut):
+    """resolve: accept once sum_i weights_i [F_i >= p] >= cut."""
+    def resolve(pi, labels):
+        w = weights(pi, labels)
+        return Resolved(w, np.full(pi.size, p), cut(pi))
+    return IncreasingSetPredicate(_reached, resolve, _at_least)
 
 
 def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
@@ -82,27 +71,47 @@ def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
     """
     if not 0 < p < 1 or not 0 < q <= 1:
         raise ValidationError("var_of_var needs p in (0,1) and q in (0,1]")
-    return IncreasingSetPredicate("var_of_var", p=float(p), q=float(q))
+    # the float sum of all weights may land under q = 1; every scenario
+    # still makes total weight, so the all-ones profile is accepted
+    return _counting(float(p), lambda pi, labels: pi, lambda pi: min(float(q), pi.sum()))
 
 
 def pred_esssup_var(p: float) -> IncreasingSetPredicate:
     """Accept once every scenario has F_i(x) >= p: esssup VaR_p(X | W)."""
     if not 0 < p < 1:
         raise ValidationError("esssup_var needs p in (0,1)")
-    return IncreasingSetPredicate("esssup_var", p=float(p))
+    return _counting(float(p), lambda pi, labels: np.ones(pi.size), lambda pi: float(pi.size))
 
 
 def pred_single_scenario(scenario, p: float) -> IncreasingSetPredicate:
     """Accept on one scenario's CDF alone: VaR_p(X | scenario)."""
     if not 0 < p <= 1:
         raise ValidationError("single_scenario needs p in (0,1]")
-    return IncreasingSetPredicate("single_scenario", p=float(p), scenario=scenario)
+
+    def weights(pi, labels):
+        w = np.zeros(pi.size)
+        w[_scenario_index(scenario, labels, pi.size)] = 1.0
+        return w
+    return _counting(float(p), weights, lambda pi: 1.0)
+
+
+def _scenario_index(scenario, labels, n: int) -> int:
+    if isinstance(scenario, (int, np.integer)):
+        idx = int(scenario)
+        if not 0 <= idx < n:
+            raise ValidationError(f"scenario index {idx} out of range")
+        return idx
+    if labels is None:
+        raise ValidationError("label-addressed predicate needs scenario labels")
+    if scenario in labels:
+        return labels.index(scenario)
+    raise ValidationError(f"scenario label {scenario!r} not found")
 
 
 def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
                 check_pairs: int = 1000, seed: int = 0) -> IncreasingSetPredicate:
     """Wrap a user predicate, spot-checking upward closure and the poles."""
-    pred = IncreasingSetPredicate("custom", func=func, vectorized=vectorized)
+    pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n = int(n_scenarios)
     pi = np.full(n, 1.0 / n)
     if pred.apply(np.zeros((1, n)), pi)[0]:
@@ -126,8 +135,7 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
     there and the predicate accepts the all-ones profile).
     """
     xs = family.merged_support()
-    accepted = pred.apply(family.cdf_matrix(xs), family.pis, family.labels)
-    hits = np.flatnonzero(accepted)
+    hits = np.flatnonzero(_sweep(family, pred, xs))
     if hits.size == 0:
         raise ValidationError("predicate rejected the all-ones profile")
     return float(xs[hits[0]])
@@ -163,8 +171,6 @@ def _equal_event_cdf(sample: JointSample, alpha):
         raise ValidationError("alpha must match the factor dimension")
     if np.any(alpha <= 0) or np.any(alpha >= 1):
         raise ValidationError("alpha levels must lie in (0, 1)")
-    from .core import StepCDF
-
     rows = np.flatnonzero(sample.weights > 0)
     point = np.empty(sample.n_factors)
     for j in range(sample.n_factors):

@@ -11,6 +11,11 @@ and an optimal allocation gives each interval of the support entirely to
 the agents attaining the minimum there (ties split equally).  Allocations
 are piecewise linear with slopes in [0, 1] summing to one, anchored at
 h_i(0) = 0, so the sum of the parts is exactly the identity.
+
+Each agent's integrand row comes from the same engine as
+:func:`~factorrisk.distortion.choquet_factor` (``core._sweep``), evaluated
+on the support of X: O(T log T) time and O(T) memory per built-in agent,
+bounded chunks of dense rows for a custom one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionalLawFamily, StepCDF
+from .core import ConditionalLawFamily, StepCDF, _sweep
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -103,14 +108,9 @@ def _check_mixture(x_law: StepCDF, family: ConditionalLawFamily):
 def integrand_matrix(x_law: StepCDF, agents) -> np.ndarray:
     """psi_i evaluated on every support interval; shape (n_agents, m-1)."""
     xs = x_law.support
-    rows = []
-    for psi, family in agents:
-        if xs.size == 1:
-            rows.append(np.zeros(0))
-            continue
-        surv = 1.0 - family.cdf_matrix(xs[:-1])
-        rows.append(psi.apply(surv, family.pis, family.labels))
-    return np.vstack(rows) if xs.size > 1 else np.zeros((len(agents), 0))
+    if xs.size == 1:
+        return np.zeros((len(agents), 0))
+    return np.vstack([_sweep(family, psi, xs[:-1]) for psi, family in agents])
 
 
 def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAllocation]:

@@ -186,6 +186,21 @@ class TestMainExitCodes:
                    "--measure", "mean-es", "--p", "0.5"])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("cells, row, col", [
+        (("1,0", "nan,1", "3,0"), 2, "X"),
+        (("1,0", "2,1", "3,-inf", "4,inf"), 3, "W"),
+    ])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cells, row, col):
+        path = tmp_path / "bad.csv"
+        path.write_text("X,W\n" + "\n".join(cells) + "\n")
+        rc = main(["measure", "--data", str(path), "--target", "X",
+                   "--measure", "mean-es", "--p", "0.5"])
+        assert rc == EXIT_DATA
+        assert f"(row {row}, col {col})" in capsys.readouterr().err
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(path, target="X")
+        assert (exc.value.row, exc.value.column) == (row, col)
+
     def test_numeric_rejection(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         path = tmp_path / "cont.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from factorrisk import conditioning
 from factorrisk import (
     EmptyEventError,
     JointSample,
@@ -12,6 +13,7 @@ from factorrisk import (
     tail_box,
     var_box_event,
 )
+from conftest import random_discrete_dist
 
 
 class TestPartitionDiscrete:
@@ -84,6 +86,49 @@ class TestQuantileBoxes:
         counted = sum(sc.rows.size for sc in part.scenarios)
         assert counted == 60
         assert sum(sc.weight for sc in part.scenarios) == pytest.approx(1.0, abs=1e-12)
+
+
+def _scan_group(rows, inverse, n_groups):
+    """The grouping as one full scan per scenario (the former loop)."""
+    return [rows[inverse == i] for i in range(n_groups)]
+
+
+def _same_partition_as_scan(build, sample):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditioning, "_group", _scan_group)
+        scanned = build(sample)
+    grouped = build(sample)
+    assert grouped.n_scenarios == scanned.n_scenarios
+    for a, b in zip(grouped.scenarios, scanned.scenarios):
+        assert a.label == b.label
+        assert np.array_equal(a.rows, b.rows)
+        assert a.weight == b.weight
+
+
+class TestGroupingEqualsScan:
+    """One stable sort gives every scenario the rows, label and weight of a
+    per-scenario scan, bit for bit."""
+
+    def test_fixtures(self, d1_sample):
+        rng = np.random.default_rng(4)
+        samples = [d1_sample] + [random_discrete_dist(rng).to_sample() for _ in range(20)]
+        samples.append(JointSample(rng.normal(size=300), rng.normal(size=(300, 2)),
+                                   rng.random(300) * (rng.random(300) > 0.2)))
+        for sample in samples:
+            _same_partition_as_scan(partition_discrete, sample)
+            for bins in (1, 2, 3):
+                _same_partition_as_scan(lambda s: partition_quantile_boxes(s, bins), sample)
+
+    def test_large_discrete_sample(self):
+        rng = np.random.default_rng(5)
+        T = 200_000
+        w1 = (rng.integers(0, 2000, T) - 1000) / 100
+        w2 = rng.integers(0, 8, T) - 3.5
+        weights = rng.random(T) * (rng.random(T) > 0.01)
+        sample = JointSample(rng.normal(size=T), np.column_stack([w1, w2]), weights)
+        one = JointSample(sample.loss, w1, weights)
+        _same_partition_as_scan(partition_discrete, one)
+        _same_partition_as_scan(lambda s: partition_quantile_boxes(s, 16), sample)
 
 
 class TestVarBoxEvent:

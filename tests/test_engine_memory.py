@@ -1,0 +1,78 @@
+"""Memory bounds of the evaluation engine at scale.
+
+At T = 5e4 rows and n = 512 quantile boxes the dense (support x scenarios)
+matrix alone is 205 MB; the built-in engine must stay in O(T) memory, and a
+custom callable in a bounded number of dense chunks.  Peaks are measured
+with tracemalloc, which numpy reports its buffers to.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from factorrisk import (
+    GaussianFactorSpec,
+    choquet_factor,
+    compose_es_mean,
+    from_sample,
+    inf_convolution,
+    partition_quantile_boxes,
+    pred_var_of_var,
+    psi_custom,
+    psi_indicator_var_var,
+    psi_mean_of_es,
+    quantile_factor,
+    simulate,
+)
+from factorrisk.core import DENSE_CHUNK_BYTES
+
+T = 50_000
+BINS = 8  # 8 ** 3 = 512 boxes, all occupied at this size
+BUILT_IN_LIMIT = 50 * 2**20
+
+
+@pytest.fixture(scope="module")
+def wide_family():
+    spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
+    sample = simulate(0.1, (1.0, -0.5, 0.3), 0.8, spec, n=T, seed=7)
+    family = from_sample(sample, partition_quantile_boxes(sample, BINS))
+    assert family.n_scenarios == BINS ** 3
+    return family
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _es_mean(V, pi):
+    return (np.minimum(V, 0.1) / 0.1) @ pi
+
+
+class TestPeakMemory:
+    def test_choquet_mean_of_es(self, wide_family):
+        _, peak = traced_peak(choquet_factor, wide_family, psi_mean_of_es(0.9))
+        assert peak < BUILT_IN_LIMIT
+
+    def test_quantile_var_of_var(self, wide_family):
+        _, peak = traced_peak(quantile_factor, wide_family, pred_var_of_var(0.95, 0.5))
+        assert peak < BUILT_IN_LIMIT
+
+    def test_inf_convolution(self, wide_family):
+        agents = [(psi_indicator_var_var(0.95, 0.5), wide_family),
+                  (psi_mean_of_es(0.9), wide_family)]
+        _, peak = traced_peak(inf_convolution, wide_family.mixture(), agents)
+        assert peak < BUILT_IN_LIMIT
+
+    def test_custom_callable_runs_in_chunks(self, wide_family):
+        m = wide_family.merged_support().size
+        assert m * wide_family.n_scenarios * 8 >= 8 * DENSE_CHUNK_BYTES
+        psi = psi_custom(_es_mean, wide_family.n_scenarios, vectorized=True)
+        value, peak = traced_peak(choquet_factor, wide_family, psi)
+        assert peak < 2 * DENSE_CHUNK_BYTES
+        assert value == pytest.approx(compose_es_mean(wide_family, 0.9), abs=1e-12)
