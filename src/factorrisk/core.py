@@ -544,6 +544,13 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid) -> np.nda
     steps = steps[:n_blocks * block].reshape(n_blocks, block)
     steps[:, 0] = 0.0
     s = (np.cumsum(steps, axis=1) + anchors[:, None]).ravel()[:G]
+    # where every term is zero the dense sum is exactly 0; the swept sum may
+    # keep a residue of a few ulps, which a steep outer map (ES near level 1
+    # divides by 1 - q) would blow up. The count of nonzero terms is exact.
+    live = (contrib != 0).astype(float) - (before != 0)
+    n_live = np.count_nonzero(before[starts]) + np.cumsum(np.bincount(at, weights=live,
+                                                                      minlength=G + 1)[:G])
+    s[n_live == 0] = 0.0
     out = fn.finish(s, r)
     if r.cut is None:
         return out
