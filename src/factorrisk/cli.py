@@ -128,7 +128,6 @@ class MeasureRequest:
     beta: tuple[float, ...] | None = None
     bins: int | None = None
     weights: tuple[float, ...] | None = None
-    output_format: str = "json"
     custom_psi: object = None
 
 
@@ -458,7 +457,6 @@ def _dispatch(args) -> int:
             beta=_floats(args.beta) if args.beta else None,
             bins=args.bins,
             weights=_floats(args.weights) if args.weights else None,
-            output_format=args.fmt,
         )
         report = run(request)
         if args.fmt == "csv":

@@ -157,12 +157,17 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
         cuts = [scalar.var(cdf, k / bins_per_factor) for k in range(1, bins_per_factor)]
         edges.append(np.unique(cuts))
     codes = np.zeros((rows.size, n_fac), dtype=np.int64)
+    rank = np.zeros(rows.size, dtype=np.int64)
     for j in range(n_fac):
         # interval index: 0 for w <= e_1, k for e_k < w <= e_{k+1}, top above
         codes[:, j] = np.searchsorted(edges[j], sample.factors[rows, j], side="left")
-    uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
+        # lexicographic rank of the codes so far: a mixed-radix key whose
+        # previous rank stays below the row count, so it cannot overflow
+        _, rank = np.unique(rank * (edges[j].size + 1) + codes[:, j], return_inverse=True)
+    uniq = np.empty((rank.max() + 1, n_fac), dtype=np.int64)
+    uniq[rank] = codes
     scenarios = []
-    for i, members in enumerate(_group(rows, inverse, uniq.shape[0])):
+    for i, members in enumerate(_group(rows, rank, uniq.shape[0])):
         weight = float(sample.weights[members].sum())
         if weight <= 0:
             continue

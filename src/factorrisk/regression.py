@@ -11,7 +11,8 @@ plain benchmark is VaR_p(beta0 + beta . W + sigma * eps), and the grid
 statistic diff = rho(X, W) / rho(X) - 1 measures the percentage change of
 the factor measure against the plain quantile.  All randomness is driven
 by seeds derived deterministically from a master seed and the grid row, so
-serial and parallel evaluations agree bit for bit.
+repeated evaluations agree bit for bit.  Grids and matching-q searches
+build the law of beta . W once per call and read every q from it.
 """
 
 from __future__ import annotations
@@ -250,9 +251,16 @@ def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
     """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
     if not 0 < p < 1 or not 0 < q < 1:
         raise ValidationError("levels p and q must lie in (0, 1)")
-    index = factor_sample.factors @ fit.beta
-    factor_var = scalar.var(StepCDF.from_values(index, factor_sample.weights), q)
-    return fit.beta0 + factor_var + fit.sigma * norm_inv(p)
+    return _rho(fit, _index_law(fit, factor_sample), p, q)
+
+
+def _index_law(fit: RegressionFit, factor_sample: JointSample) -> StepCDF:
+    """The weighted law of the factor index beta . W."""
+    return StepCDF.from_values(factor_sample.factors @ fit.beta, factor_sample.weights)
+
+
+def _rho(fit: RegressionFit, index_law: StepCDF, p: float, q: float) -> float:
+    return fit.beta0 + scalar.var(index_law, q) + fit.sigma * norm_inv(p)
 
 
 def _row_rng(master_seed: int, row_index: int):
@@ -332,9 +340,9 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
 
     The plain VaR is computed once per p row with a seed derived from
     (master_seed, row index), so each row shares one benchmark and diff is
-    exactly nondecreasing in q whenever the benchmark is positive.  Cells
-    are independent and may be evaluated concurrently; output order is
-    fixed p-major regardless of schedule.
+    exactly nondecreasing in q whenever the benchmark is positive.  The law
+    of the factor index is built once per call, so each cell costs one
+    ``searchsorted``; output order is p-major.
     """
     p_values = np.asarray(list(p_values), dtype=float)
     q_values = np.asarray(list(q_values), dtype=float)
@@ -342,13 +350,19 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
         raise ValidationError("level lists must be nonempty")
     if np.any((p_values <= 0) | (p_values >= 1)) or np.any((q_values <= 0) | (q_values >= 1)):
         raise ValidationError("levels must lie in (0, 1)")
+    index_law = _index_law(fit, data)
+    # the empirical benchmark draws nothing, so one loss law serves every row
+    loss_law = StepCDF.from_values(data.loss, data.weights) if plain_mode == "empirical" else None
     rows_p, rows_q, rf, rp = [], [], [], []
     for i, p in enumerate(p_values):
-        plain = plain_var(fit, data, float(p), plain_mode, master_seed, i, mc_draws)
+        if loss_law is None:
+            plain = plain_var(fit, data, float(p), plain_mode, master_seed, i, mc_draws)
+        else:
+            plain = scalar.var(loss_law, float(p))
         for q in q_values:
             rows_p.append(float(p))
             rows_q.append(float(q))
-            rf.append(gaussian_rho(fit, data, float(p), float(q)))
+            rf.append(_rho(fit, index_law, float(p), float(q)))
             rp.append(plain)
     rf = np.array(rf)
     rp = np.array(rp)
@@ -369,9 +383,10 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     plain = plain_var(fit, data, p, plain_mode, master_seed, 0)
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
+    index_law = _index_law(fit, data)
 
     def diff_at(q: float) -> float:
-        return gaussian_rho(fit, data, p, q) / plain - 1.0
+        return _rho(fit, index_law, p, q) / plain - 1.0
 
     lo, hi = 1e-9, 1.0 - 1e-9
     d_lo, d_hi = diff_at(lo), diff_at(hi)

@@ -121,7 +121,7 @@ def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAlloc
     and the equal-tie-split optimal allocation.
     """
     agents = _check_agents(agents)
-    for _, family in agents:
+    for family in {id(family): family for _, family in agents}.values():
         _check_mixture(x_law, family)
     xs = x_law.support
     vals = integrand_matrix(x_law, agents)

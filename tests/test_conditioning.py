@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from factorrisk import conditioning
+from factorrisk import StepCDF, conditioning, var
 from factorrisk import (
     EmptyEventError,
     JointSample,
@@ -184,3 +186,49 @@ class TestLevelMap:
             LevelMap.of(1.5)
         with pytest.raises(ValidationError):
             LevelMap.of([0.5, -0.1])
+
+
+def _boxes_by_unique_rows(sample, bins):
+    """Quantile boxes grouped by np.unique over code rows (the former route),
+    and the number of intervals of each factor."""
+    rows = np.flatnonzero(sample.weights > 0)
+    edges, codes = [], []
+    for j in range(sample.n_factors):
+        col = sample.factors[rows, j]
+        cdf = StepCDF.from_values(col, sample.weights[rows])
+        edges.append(np.unique([var(cdf, k / bins) for k in range(1, bins)]))
+        codes.append(np.searchsorted(edges[j], col, side="left"))
+    uniq, inverse = np.unique(np.column_stack(codes), axis=0, return_inverse=True)
+    out = []
+    for i in range(uniq.shape[0]):
+        members = rows[inverse.reshape(-1) == i]
+        weight = float(sample.weights[members].sum())
+        if weight > 0:
+            label = "*".join(conditioning._interval_label(edges[j], uniq[i, j])
+                             for j in range(sample.n_factors))
+            out.append((label, members, weight))
+    return out, [e.size + 1 for e in edges]
+
+
+class TestBoxKeyEqualsRowUnique:
+    """One integer key per box groups rows as np.unique(axis=0) did."""
+
+    @pytest.mark.parametrize("n_fac, bins, T, tied", [(1, 8, 3000, True), (3, 8, 3000, True),
+                                                      (7, 4, 3000, True), (11, 60, 400, False)])
+    def test_same_grouping(self, n_fac, bins, T, tied):
+        rng = np.random.default_rng(n_fac)
+        factors = rng.normal(size=(T, n_fac))
+        if tied:
+            factors[:, 0] = rng.integers(0, 5, T)  # ties collapse some cuts
+        weights = rng.random(T) * (rng.random(T) > 0.1)
+        sample = JointSample(rng.normal(size=T), factors, weights)
+        part = partition_quantile_boxes(sample, bins)
+        expected, radices = _boxes_by_unique_rows(sample, bins)
+        if not tied:
+            # a single mixed-radix key over all factors would overflow int64
+            assert math.prod(radices) > 2 ** 63
+        assert part.n_scenarios == len(expected)
+        for sc, (label, members, weight) in zip(part.scenarios, expected):
+            assert sc.label == label
+            assert np.array_equal(sc.rows, members)
+            assert sc.weight == weight

@@ -259,3 +259,85 @@ class TestFindMatchingQ:
         fit = ols_fit(sample)
         with pytest.raises(ValidationError, match="diff"):
             find_matching_q(fit, sample, 0.95, master_seed=1)
+
+
+def _reference_grid(fit, data, p_values, q_values, mode, seed):
+    """The grid cell by cell: one plain_var per p row, one gaussian_rho per cell."""
+    rf, rp = [], []
+    for i, p in enumerate(p_values):
+        plain = plain_var(fit, data, p, mode, seed, i)
+        for q in q_values:
+            rf.append(gaussian_rho(fit, data, p, q))
+            rp.append(plain)
+    return np.array(rf), np.array(rp)
+
+
+def _reference_matching_q(fit, data, p, seed, tol, max_iter=60):
+    """Bisection that re-evaluates gaussian_rho at every step."""
+    plain = plain_var(fit, data, p, "model", seed, 0)
+
+    def diff_at(q):
+        return gaussian_rho(fit, data, p, q) / plain - 1.0
+
+    lo, hi = 1e-9, 1.0 - 1e-9
+    d_lo = diff_at(lo)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        d_mid = diff_at(mid)
+        if abs(d_mid) <= tol:
+            return mid
+        if (d_mid < 0) == (d_lo < 0):
+            lo, d_lo = mid, d_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _gaussian_sample():
+    spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
+    return simulate(0.5, [1.0, -0.5, 0.25], 0.8, spec, 4000, seed=61)
+
+
+def _weighted_sample():
+    data = _gaussian_sample()
+    weights = np.random.default_rng(62).random(data.n_rows)
+    return JointSample(data.loss, data.factors, weights)
+
+
+def _tied_sample():
+    # integer factors and coefficients: many rows share one index value
+    spec = DiscreteFactorSpec(np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]], float))
+    return simulate(1.0, [2.0, 2.0], 0.5, spec, 3000, seed=63)
+
+
+SAMPLES = [_gaussian_sample, _weighted_sample, _tied_sample]
+
+
+class TestIndexLawBuiltOnce:
+    P = [0.9, 0.95, 0.975, 0.99]
+    Q = [0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
+
+    @pytest.mark.parametrize("make", SAMPLES)
+    @pytest.mark.parametrize("mode", ["model", "empirical"])
+    def test_grid_equals_cell_by_cell_route(self, make, mode):
+        data = make()
+        fit = ols_fit(data)
+        grid = diff_grid(fit, data, self.P, self.Q, plain_mode=mode, master_seed=7)
+        rf, rp = _reference_grid(fit, data, self.P, self.Q, mode, 7)
+        assert np.array_equal(grid.rho_factor, rf)
+        assert np.array_equal(grid.rho_plain, rp)
+
+    @pytest.mark.parametrize("make", SAMPLES)
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_matching_q_equals_stepwise_route(self, make, tol):
+        data = make()
+        fit = ols_fit(data)
+        q0 = find_matching_q(fit, data, 0.95, master_seed=8, tol=tol)
+        assert q0 == _reference_matching_q(fit, data, 0.95, 8, tol)
+
+    def test_grid_rejects_out_of_range_level(self):
+        data = _gaussian_sample()
+        fit = ols_fit(data)
+        for p_values, q_values in (([0.9, 1.0], [0.5]), ([0.9], [0.0, 0.5])):
+            with pytest.raises(ValidationError, match="levels"):
+                diff_grid(fit, data, p_values, q_values)

@@ -15,7 +15,7 @@ from factorrisk import (
     pred_var_of_var,
 )
 from factorrisk.oracles import sharing_sweep_oracle
-from conftest import random_sharing_fixture
+from conftest import random_sharing_fixture, transform_family
 
 
 def mean_es_value_direct(x_law, families, levels):
@@ -73,6 +73,26 @@ class TestInfConvolutionD1:
         bad_law = StepCDF.from_values([0.0, 1.0])
         with pytest.raises(ValidationError):
             inf_convolution(bad_law, [(psi_mean_of_es(0.5), d1_family)])
+
+    def test_shared_family_checked_once(self, d1_family, monkeypatch):
+        x_law = d1_family.mixture()
+        builds = []
+        real = ConditionalLawFamily.mixture
+
+        def counting(family):
+            builds.append(family)
+            return real(family)
+
+        monkeypatch.setattr(ConditionalLawFamily, "mixture", counting)
+        psi = psi_mean_of_es(0.5)
+        inf_convolution(x_law, [(psi, d1_family), (psi, d1_family)])
+        assert builds == [d1_family]
+
+    def test_second_family_mismatch_rejected(self, d1_family):
+        shifted = transform_family(d1_family, lambda x: x + 1.0)
+        psi = psi_mean_of_es(0.5)
+        with pytest.raises(ValidationError, match="marginal"):
+            inf_convolution(d1_family.mixture(), [(psi, d1_family), (psi, shifted)])
 
 
 class TestAllocationInvariants:
