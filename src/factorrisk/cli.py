@@ -57,52 +57,39 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
 
     ``target`` names the loss column; ``factors`` defaults to every other
     non-skipped column.  Decimal points only; malformed cells are rejected
-    with 1-based data-row and column coordinates.
+    with 1-based data-row and column coordinates.  The wanted columns are
+    parsed in C by one ``np.loadtxt`` when the file's bytes allow it, and
+    by a per-cell loop otherwise; see :func:`_read_table`.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataFormatError("empty file: a header row is required")
-    header = [name.strip() for name in rows[0]]
     skip = tuple(skip)
-    for name in skip:
-        if name not in header:
-            raise DataFormatError(f"skip column {name!r} not in header", column=name)
-    if target not in header:
-        raise DataFormatError(f"target column {target!r} not in header", column=target)
-    if factors is None:
-        factors = [name for name in header if name != target and name not in skip]
-    else:
-        factors = list(factors)
-        for name in factors:
+
+    def select(header):
+        if header is None:
+            raise DataFormatError("empty file: a header row is required")
+        for name in skip:
             if name not in header:
-                raise DataFormatError(f"factor column {name!r} not in header", column=name)
-    if not factors:
-        raise DataFormatError("no factor columns left after selection")
-    wanted = [target] + factors
-    col_idx = {name: header.index(name) for name in wanted}
-    data = {name: [] for name in wanted}
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"ragged row: expected {len(header)} cells, got {len(row)} (row {r})", row=r
-            )
-        for name in wanted:
-            cell = row[col_idx[name]].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"cell is not numeric at (row {r}, col {name}): {cell!r}",
-                    row=r, column=name,
-                ) from None
-            data[name].append(value)
-    if not data[target]:
+                raise DataFormatError(f"skip column {name!r} not in header", column=name)
+        if target not in header:
+            raise DataFormatError(f"target column {target!r} not in header", column=target)
+        if factors is None:
+            chosen = [name for name in header if name != target and name not in skip]
+        else:
+            chosen = list(factors)
+            for name in chosen:
+                if name not in header:
+                    raise DataFormatError(f"factor column {name!r} not in header", column=name)
+        if not chosen:
+            raise DataFormatError("no factor columns left after selection")
+        return [target] + chosen
+
+    wanted, table = _read_table(
+        path, select, "ragged row: expected {expected} cells, got {got} (row {row})",
+        "cell is not numeric at (row {row}, col {col}): {cell!r}")
+    if not table.shape[0]:
         raise DataFormatError("file contains a header but no data rows")
-    table = np.column_stack([np.array(data[name]) for name in wanted])
     bad = ~np.isfinite(table)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -110,7 +97,96 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
             f"cell is not finite at (row {r + 1}, col {wanted[c]}): {float(table[r, c])!r}",
             row=int(r) + 1, column=wanted[c],
         )
-    return JointSample(table[:, 0], table[:, 1:], loss_name=target, factor_names=tuple(factors))
+    return JointSample(table[:, 0], table[:, 1:], loss_name=target,
+                       factor_names=tuple(wanted[1:]))
+
+
+def _read_table(path: Path, select, ragged: str, not_numeric: str):
+    """The names ``select(header)`` picks and their float columns, one row
+    per data line.
+
+    ``select`` gets the stripped header names (None for an empty file) and
+    returns the wanted names; a repeated name means its first column.
+    When the file is plain (see :func:`_plain_rows`) one ``np.loadtxt`` with
+    ``comments=None`` parses the wanted columns.  Otherwise, or when that
+    raises, gives another row count or a non-finite value, the per-cell
+    loop parses the file as ``csv.reader`` splits it.  The loop is the only
+    place that rejects a row or a cell, with the ``ragged`` and
+    ``not_numeric`` messages, so both routes report the same error.  Where
+    both parse a file they give the same bits: ``np.loadtxt`` rejects some
+    cells that ``float`` takes (``1_0``), which the loop then reads, and no
+    cell is known that it takes and ``float`` rejects.
+    """
+    raw = path.read_bytes()
+    n_rows = _plain_rows(raw)
+    if n_rows:
+        header = [name.strip() for name in raw[:raw.find(b"\n")].decode("ascii").split(",")]
+        wanted = select(header)
+        table = _loadtxt(path, [header.index(name) for name in wanted], n_rows)
+        if table is not None:
+            return wanted, table
+    values = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        header = None if header is None else [name.strip() for name in header]
+        wanted = select(header)
+        cols = [header.index(name) for name in wanted]
+        for r, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise DataFormatError(ragged.format(expected=len(header), got=len(row), row=r),
+                                      row=r)
+            for name, j in zip(wanted, cols):
+                cell = row[j].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DataFormatError(not_numeric.format(row=r, col=name, cell=cell),
+                                          row=r, column=name) from None
+    return wanted, np.array(values).reshape(-1, len(wanted))
+
+
+def _plain_rows(raw: bytes) -> int | None:
+    """The number of data lines of a plain file, else None (so 0 or None
+    both send a file to the per-cell loop).
+
+    A file is plain when ``csv.reader`` would split each of its lines at
+    every comma: it is ASCII, holds no quote or NUL byte, no CR outside a
+    CRLF line end and no blank line, and every line has as many commas as
+    the header.
+    """
+    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None
+        raw = raw.replace(b"\r\n", b"\n")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    # commas before each line end, then per line
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    if (np.diff(ends, prepend=-1) == 1).any() or (commas != commas[0]).any():
+        return None
+    return ends.size - 1
+
+
+def _loadtxt(path: Path, cols: list[int], n_rows: int):
+    """The ``cols`` of a plain file's data lines, or None where the
+    per-cell loop must decide."""
+    try:
+        # the file is read again: np.loadtxt reads a path in large blocks,
+        # but a list of lines one str at a time, slower and larger
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, usecols=cols,
+                           ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    # the row count also catches a file changed between the two reads;
+    # non-finite values go through the loop, so float() alone decides them
+    if table.shape[0] != n_rows or not np.isfinite(table).all():
+        return None
+    return table
 
 
 @dataclass(frozen=True)
@@ -232,6 +308,19 @@ def _fmt9(v: float) -> str:
     return f"{v:.9g}"
 
 
+# rows per %-format in _csv_lines: bounds the Python floats alive at once
+_CHUNK_ROWS = 2**16
+
+
+def _csv_lines(header, table: np.ndarray) -> str:
+    """``header`` and the rows of ``table`` at 9 significant digits, as
+    ``csv.writer`` writes them (CRLF line ends), one %-format per chunk."""
+    line = ",".join(["%.9g"] * table.shape[1]) + "\r\n"
+    chunks = (table[i:i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS))
+    return ",".join(header) + "\r\n" + "".join(
+        (line * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks)
+
+
 def write_grid(grid: regression.DiffGrid, target) -> None:
     """Emit a Diff grid as long-format CSV at 9 significant digits."""
     close = False
@@ -251,34 +340,35 @@ def write_grid(grid: regression.DiffGrid, target) -> None:
 
 def read_grid(path) -> regression.DiffGrid:
     """Parse a Diff grid written by :func:`write_grid`."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(h.strip() for h in rows[0]) != GRID_HEADER:
-        raise DataFormatError(f"expected header {','.join(GRID_HEADER)}")
-    cols = {name: [] for name in GRID_HEADER}
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(GRID_HEADER):
-            raise DataFormatError(f"ragged row (row {r})", row=r)
-        for name, cell in zip(GRID_HEADER, row):
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                raise DataFormatError(f"cell is not numeric at (row {r}, col {name})",
-                                      row=r, column=name) from None
-    p = np.array(cols["p"])
-    q = np.array(cols["q"])
-    p_values = _unique_in_order(p)
-    q_values = _unique_in_order(q)
-    return regression.DiffGrid(p_values, q_values, p, q, np.array(cols["rho_factor"]),
-                               np.array(cols["rho_plain"]), np.array(cols["diff"]))
+    def select(header):
+        if header is None or tuple(header) != GRID_HEADER:
+            raise DataFormatError(f"expected header {','.join(GRID_HEADER)}")
+        return list(GRID_HEADER)
+
+    _, table = _read_table(Path(path), select, "ragged row (row {row})",
+                           "cell is not numeric at (row {row}, col {col})")
+    p, q, rho_factor, rho_plain, diff = table.T
+    return regression.DiffGrid(_unique_in_order(p), _unique_in_order(q), p, q, rho_factor,
+                               rho_plain, diff)
 
 
 def _unique_in_order(values: np.ndarray) -> np.ndarray:
-    seen: list[float] = []
-    for v in values:
-        if v not in seen:
-            seen.append(float(v))
-    return np.array(seen)
+    uniq, first = np.unique(values, return_index=True)
+    return uniq[np.argsort(first)]
+
+
+def _json_floats(values: np.ndarray, depth: int) -> str:
+    """``json.dumps(values.tolist(), indent=2)`` nested ``depth`` levels
+    deep, built by joins; non-finite values are spelled as JSON does."""
+    if not len(values):
+        return "[]"
+    if values.ndim > 1:
+        items = [_json_floats(row, depth + 1) for row in values]
+    else:
+        spell = float.__repr__ if np.isfinite(values).all() else json.dumps
+        items = map(spell, values.tolist())
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def _fmt_coef(v: float) -> str:
@@ -513,13 +603,11 @@ def _dispatch(args) -> int:
         agents = [_agent_spec(tok.strip(), sample) for tok in tokens]
         x_law = from_sample(sample, conditioning.partition_discrete(sample)).mixture()
         value, allocation = sharing.inf_convolution(x_law, agents)
-        payload = {
-            "value": value,
-            "agents": tokens,
-            "breakpoints": [float(v) for v in allocation.breakpoints],
-            "slopes": [[float(v) for v in row] for row in allocation.slopes],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
+        # json.dumps(..., indent=2) of the whole payload, with the arrays
+        # (one float per support point and agent) written by joins
+        head = json.dumps({"value": value, "agents": tokens}, indent=2)
+        _emit(head[:-2] + ',\n  "breakpoints": ' + _json_floats(allocation.breakpoints, 1)
+              + ',\n  "slopes": ' + _json_floats(allocation.slopes, 1) + "\n}", args.output)
         return EXIT_OK
 
     if args.command == "simulate":
@@ -532,13 +620,8 @@ def _dispatch(args) -> int:
             dim = len(beta)
             spec = regression.GaussianFactorSpec(np.zeros(dim), np.eye(dim))
         sample = regression.simulate(args.beta0, beta, args.sigma, spec, args.n, args.seed)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([sample.loss_name, *sample.factor_names])
-        for i in range(sample.n_rows):
-            writer.writerow([_fmt9(sample.loss[i]),
-                             *(_fmt9(v) for v in sample.factors[i])])
-        _emit(buf.getvalue(), args.output)
+        table = np.column_stack([sample.loss, sample.factors])
+        _emit(_csv_lines([sample.loss_name, *sample.factor_names], table), args.output)
         return EXIT_OK
 
     raise UsageError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -114,7 +114,9 @@ def _retained_rows(sample: JointSample) -> np.ndarray:
 def _group(rows: np.ndarray, inverse: np.ndarray, n_groups: int) -> list[np.ndarray]:
     """``rows[inverse == i]`` for every group i, in one stable sort."""
     inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
+    # numpy sorts 16-bit keys stably by radix, about 6x faster than int64 keys
+    key = inverse.astype(np.uint16) if n_groups <= 2**16 else inverse
+    order = np.argsort(key, kind="stable")
     ends = np.cumsum(np.bincount(inverse, minlength=n_groups))
     return np.split(rows[order], ends[:-1])
 
@@ -124,12 +126,29 @@ def partition_discrete(sample: JointSample) -> ScenarioPartition:
 
     Rows with zero weight are not retained; a factor value seen only on
     zero-weight rows therefore contributes no scenario.
+
+    Rows are ranked by folding one column at a time into a mixed-radix
+    int64 key (previous rank times the column's distinct-value count plus
+    the value's code), re-ranked with a 1-D ``np.unique``, in place of
+    ``np.unique(..., axis=0)`` on the rows.  Where a column holds both -0.0
+    and 0.0, which of them labels the scenario is the choice of that
+    row sort, so such samples still take it.
     """
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
-    uniq, inverse = np.unique(facs, axis=0, return_inverse=True)
+    zero, negative = facs == 0, np.signbit(facs)
+    if ((zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)).any():
+        uniq, rank = np.unique(facs, axis=0, return_inverse=True)
+    else:
+        rank = None
+        for col in facs.T:
+            values, codes = np.unique(col, return_inverse=True)
+            rank = codes if rank is None else np.unique(rank * values.size + codes,
+                                                        return_inverse=True)[1]
+        uniq = np.empty((rank.max() + 1, facs.shape[1]))
+        uniq[rank] = facs
     scenarios = []
-    for i, members in enumerate(_group(rows, inverse, uniq.shape[0])):
+    for i, members in enumerate(_group(rows, rank, uniq.shape[0])):
         weight = float(sample.weights[members].sum())
         label = tuple(uniq[i]) if uniq.shape[1] > 1 else float(uniq[i, 0])
         scenarios.append(Scenario(label, members, weight))

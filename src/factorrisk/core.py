@@ -73,7 +73,7 @@ def _as_1d(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     return arr
 
@@ -96,9 +96,9 @@ class StepCDF:
         cum = _as_1d(self.cum, "cum")
         if support.shape != cum.shape:
             raise ValidationError("support and cum must have equal length")
-        if support.size > 1 and not np.all(np.diff(support) > 0):
+        if not (support[1:] > support[:-1]).all():
             raise ValidationError("support must be strictly increasing")
-        if cum[0] <= 0 or (cum.size > 1 and not np.all(np.diff(cum) > 0)):
+        if cum[0] <= 0 or not (cum[1:] > cum[:-1]).all():
             raise ValidationError("cum must be strictly increasing and positive")
         if abs(cum[-1] - 1.0) > PROB_TOL:
             raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {cum[-1]!r}")
@@ -339,8 +339,11 @@ class ScenarioPartition:
         scenarios = tuple(self.scenarios)
         if not scenarios:
             raise ValidationError("partition must contain at least one scenario")
-        all_rows = np.concatenate([s.rows for s in scenarios])
-        if np.unique(all_rows).size != all_rows.size:
+        # a sort, not np.unique (a hash table in numpy 2.4) or a bincount,
+        # whose memory would grow with the largest index; out-of-range
+        # indices are rejected where the rows meet a sample (from_sample)
+        all_rows = np.sort(np.concatenate([s.rows for s in scenarios]))
+        if (all_rows[1:] == all_rows[:-1]).any():
             raise ValidationError("scenario row sets must be pairwise disjoint")
         total = sum(s.weight for s in scenarios)
         if abs(total - 1.0) > PROB_TOL:
@@ -420,22 +423,75 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
     ``pi_i`` is the summed normalized row weight of scenario i; a scenario
     whose rows all carry zero weight is rejected.  The partition must cover
     the sample's positive-weight rows so the pi's sum to one.
+
+    Every law equals ``StepCDF.from_values`` of its scenario's rows bit for
+    bit.  The laws are built in batches of consecutive scenarios, one pass
+    per batch (see :func:`_batch_laws`); a batch holds up to
+    ``_BATCH_ROWS`` rows, so that many small scenarios share one pass and
+    its arrays stay cache-sized.
     """
-    pis = []
+    scenarios = partition.scenarios
+    sizes = [s.rows.size for s in scenarios]
+    pis, laws = [], []
+    first = 0
+    while first < len(scenarios):
+        last, n_rows = first + 1, sizes[first]
+        while last < len(scenarios) and n_rows + sizes[last] <= _BATCH_ROWS:
+            n_rows += sizes[last]
+            last += 1
+        batch_pis, batch_laws = _batch_laws(sample, scenarios[first:last])
+        pis.append(batch_pis)
+        laws += batch_laws
+        first = last
+    return ConditionalLawFamily(np.concatenate(pis), tuple(laws),
+                                tuple(s.label for s in scenarios))
+
+
+# rows per batch of from_sample: 128 KB per float64 array, so a batch's
+# arrays stay in cache; larger batches were no faster and took more memory
+_BATCH_ROWS = 2**14
+
+
+def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
+    """The ``pi_i`` (each scenario's ``w.sum()``) and the laws
+    ``StepCDF.from_values`` of each of ``scenarios``, in one pass.
+
+    Each scenario's losses are argsorted as ``np.unique`` sorts them (so
+    equal losses keep the same representative, down to the sign of a
+    zero), and one ``bincount`` sums every atom's mass in row order, as
+    ``np.add.at`` does.  Only the argsort, the ``sum`` and the ``cumsum``
+    for ``cum`` run per scenario, since their bits depend on that grouping.
+    """
+    rows = np.concatenate([s.rows for s in scenarios])
+    if rows.min() < 0 or rows.max() >= sample.n_rows:
+        raise ValidationError("partition indices out of range for sample")
+    bounds = np.cumsum([0] + [s.rows.size for s in scenarios]).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    w = sample.weights[rows]
+    pis = np.array([w[a:b].sum() for a, b in spans])
+    empty = np.flatnonzero(pis <= 0)
+    if empty.size:
+        label = scenarios[empty[0]].label
+        raise ValidationError(f"scenario {label!r} is empty after weight normalization")
+    x = sample.loss[rows]
+    order = np.concatenate([a + x[a:b].argsort() for a, b in spans])
+    x = x[order]
+    new = np.empty(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    new[bounds[:-1]] = True
+    atom_of_sorted = np.cumsum(new) - 1
+    atom = np.empty_like(atom_of_sorted)
+    atom[order] = atom_of_sorted
+    masses = np.bincount(atom, weights=w / np.repeat(pis, np.diff(bounds)))
+    keep = masses > MIN_ATOM_MASS
+    support, masses = x[new][keep], masses[keep]
+    ends = np.cumsum(np.add.reduceat(keep, atom_of_sorted[bounds[:-1]], dtype=np.int64))
     laws = []
-    labels = []
-    for scen in partition.scenarios:
-        rows = scen.rows
-        if rows.min() < 0 or rows.max() >= sample.n_rows:
-            raise ValidationError("partition indices out of range for sample")
-        w = sample.weights[rows]
-        total = w.sum()
-        if total <= 0:
-            raise ValidationError(f"scenario {scen.label!r} is empty after weight normalization")
-        pis.append(total)
-        laws.append(StepCDF.from_values(sample.loss[rows], w))
-        labels.append(scen.label)
-    return ConditionalLawFamily(np.array(pis), tuple(laws), tuple(labels))
+    for a, b in zip([0] + ends[:-1].tolist(), ends.tolist()):
+        cum = masses[a:b].cumsum()
+        # cumsum drift over many atoms is rescaled away, keeping cum[-1] == 1
+        laws.append(StepCDF(support[a:b], cum / cum[-1]))
+    return pis, laws
 
 
 def marginal(dist: DiscreteJointDistribution) -> StepCDF:
