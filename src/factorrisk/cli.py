@@ -223,15 +223,10 @@ def _partition(sample: JointSample, bins: int | None):
 
 
 def _box(request: MeasureRequest, sample: JointSample) -> conditioning.VarBox:
-    alpha = np.asarray(request.alpha, dtype=float)
-    if alpha.size == 1 and sample.n_factors > 1:
-        alpha = np.full(sample.n_factors, alpha[0])
+    alpha = conditioning.broadcast_levels(request.alpha, sample.n_factors)
     if request.beta is None:
-        return conditioning.tail_box(alpha, sample.n_factors)
-    beta = np.asarray(request.beta, dtype=float)
-    if beta.size == 1 and sample.n_factors > 1:
-        beta = np.full(sample.n_factors, beta[0])
-    return conditioning.VarBox(alpha, beta)
+        return conditioning.tail_box(alpha)
+    return conditioning.VarBox(alpha, conditioning.broadcast_levels(request.beta, sample.n_factors))
 
 
 def run(request: MeasureRequest) -> dict:
@@ -474,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _agent_spec(token: str, sample: JointSample):
+def _agent_spec(token: str, sample: JointSample, families: dict):
     head, _, column = token.partition("@")
     name, _, param_text = head.partition(":")
     params = {}
@@ -486,15 +481,9 @@ def _agent_spec(token: str, sample: JointSample):
             params[key.strip()] = float(val)
         except ValueError:
             raise UsageError(f"bad agent parameter {item!r}") from None
-    if column:
-        if sample.factor_names is None or column not in sample.factor_names:
-            raise UsageError(f"agent factor column {column!r} not in data")
-        j = sample.factor_names.index(column)
-        sub = JointSample(sample.loss, sample.factors[:, j], sample.weights,
-                          loss_name=sample.loss_name, factor_names=(column,))
-    else:
-        sub = sample
-    family = from_sample(sub, conditioning.partition_discrete(sub))
+    if column and (sample.factor_names is None or column not in sample.factor_names):
+        raise UsageError(f"agent factor column {column!r} not in data")
+    family = _column_family(sample, column, families)
     if "p" not in params:
         raise UsageError(f"agent spec {token!r} needs p=<level>")
     if name == "var-var":
@@ -506,6 +495,20 @@ def _agent_spec(token: str, sample: JointSample):
     else:
         raise UsageError(f"unknown agent measure {name!r}; use var-var, mean-es, mean-var")
     return psi, family
+
+
+def _column_family(sample: JointSample, column: str, families: dict):
+    """The family of ``sample`` by the factor ``column`` ("": every factor),
+    built once per ``families``.  A column's family comes from its own
+    sample, whose renormalized weights may differ in the last bit."""
+    if column not in families:
+        sub = sample
+        if column:
+            j = sample.factor_names.index(column)
+            sub = JointSample(sample.loss, sample.factors[:, j], sample.weights,
+                              loss_name=sample.loss_name, factor_names=(column,))
+        families[column] = from_sample(sub, conditioning.partition_discrete(sub))
+    return families[column]
 
 
 def main(argv=None) -> int:
@@ -600,8 +603,9 @@ def _dispatch(args) -> int:
         tokens = [tok for tok in args.agents.split(";") if tok.strip()]
         if not tokens:
             raise UsageError("at least one agent spec is required")
-        agents = [_agent_spec(tok.strip(), sample) for tok in tokens]
-        x_law = from_sample(sample, conditioning.partition_discrete(sample)).mixture()
+        families = {}
+        agents = [_agent_spec(tok.strip(), sample, families) for tok in tokens]
+        x_law = _column_family(sample, "", families).mixture()
         value, allocation = sharing.inf_convolution(x_law, agents)
         # json.dumps(..., indent=2) of the whole payload, with the arrays
         # (one float per support point and agent) written by joins

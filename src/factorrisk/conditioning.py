@@ -230,9 +230,13 @@ def var_box_event(sample: JointSample, box: VarBox) -> JointSample:
     return sample.subsample(mask)
 
 
+def broadcast_levels(levels, n_factors: int | None = None) -> np.ndarray:
+    """``levels`` as a vector; a single level is repeated for each of ``n_factors``."""
+    levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    return np.full(n_factors, levels[0]) if n_factors and levels.size == 1 else levels
+
+
 def tail_box(alpha, n_factors: int | None = None) -> VarBox:
     """The upper-tail box [alpha, 1]: the event W >= VaR_alpha(W)."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if n_factors is not None and alpha.size == 1 and n_factors > 1:
-        alpha = np.full(n_factors, alpha[0])
+    alpha = broadcast_levels(alpha, n_factors)
     return VarBox(alpha, np.ones_like(alpha))

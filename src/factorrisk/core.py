@@ -34,7 +34,7 @@ MIN_ATOM_MASS = 1e-15
 SIGNIFICANT_DIGITS = 12
 # Working-set budget of one chunk of dense profile rows (user callables);
 # the profile matrix of a chunk takes an eighth of it, leaving room for
-# the lookup arrays and the callable's own temporaries.
+# its transposed copy and the callable's own temporaries.
 DENSE_CHUNK_BYTES = 16 * 2**20
 # The swept sum restarts from an exact dense row every max(n, this) grid rows.
 MIN_SWEEP_BLOCK = 256
@@ -564,7 +564,12 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid) -> np.nda
     rows (the dense formula is monotone along the grid).  So jump decisions
     equal the dense formula's bit for bit, and continuous values agree to
     a few ulps.  A user callable sees dense rows, in chunks of
-    DENSE_CHUNK_BYTES / 8.
+    DENSE_CHUNK_BYTES / 8.  Each F_i is a step function along the grid, so
+    a chunk is one exact row at its first grid point, after which scenario
+    i keeps its value until its next atom sets its own cum from the atom's
+    row on.  Laid out one scenario per row, the chunk is a sequence of
+    constant runs, which one ``np.repeat`` writes; each value is a copy of
+    a cum (or of 1 - cum), so the rows equal the per-cell lookup bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
     pis, labels, n, G = family.pis, family.labels, family.n_scenarios, grid.size
@@ -576,6 +581,8 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid) -> np.nda
     key = scen * (G + 1) + at  # nondecreasing: scenario-major, laws sorted
     offsets = np.arange(n) * (G + 1)
 
+    y = 1.0 - cum if fn.survival else cum
+
     def rows(ks: np.ndarray) -> np.ndarray:
         """Exact profile rows at grid indices ``ks``; shape (len(ks), n)."""
         pos = np.searchsorted(key, (offsets[:, None] + ks[None, :]).ravel(), side="right") - 1
@@ -585,14 +592,27 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid) -> np.nda
 
     if fn.func is not None:
         step = max(1, DENSE_CHUNK_BYTES // (64 * n))
-        return np.concatenate([fn.apply(rows(np.arange(k, min(k + step, G))), pis, labels)
-                               for k in range(0, G, step)])
+        live = np.flatnonzero(at < G)
+        live = live[np.argsort(at[live] // step, kind="stable")]  # key order per chunk
+        bounds = np.searchsorted(at[live] // step, np.arange(-(-G // step) + 1))
+        out = []
+        for j, k in enumerate(range(0, G, step)):
+            c = min(step, G - k)
+            atoms = live[bounds[j]:bounds[j + 1]]
+            # the chunk's transpose, one scenario per row, is a run of the
+            # exact anchor value and then one run per atom from the atom's
+            # row on; of atoms sharing a row, the last gets the row
+            ins = np.searchsorted(scen[atoms], np.arange(n))
+            values = np.insert(y[atoms], ins, rows(np.array([k]))[0])
+            begin = np.insert(scen[atoms] * c + at[atoms] - k, ins, np.arange(n) * c)
+            runs = np.repeat(values, np.diff(begin, append=n * c)).reshape(n, c)
+            out.append(fn.apply(np.ascontiguousarray(runs.T), pis, labels))
+        return np.concatenate(out)
 
     r = fn.resolve(pis, labels)
     block = max(n, MIN_SWEEP_BLOCK)
     n_blocks = -(-G // block)
     anchors = fn.row_sums(rows(np.arange(n_blocks) * block), r)
-    y = 1.0 - cum if fn.survival else cum
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)
     before[starts] = r.w * fn.term(np.full(n, 1.0 if fn.survival else 0.0), r.a)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import scalar
-from .conditioning import VarBox, box_mask, tail_box
+from .conditioning import VarBox, box_mask, broadcast_levels, tail_box
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
                    _sweep, round_significant)
 from .distortion import conditional_cdf
@@ -164,9 +164,7 @@ def _equal_event_cdf(sample: JointSample, alpha):
     Only defined when the componentwise quantile point carries positive
     mass; otherwise the event is null and a distinct error is raised.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.size == 1 and sample.n_factors > 1:
-        alpha = np.full(sample.n_factors, alpha[0])
+    alpha = broadcast_levels(alpha, sample.n_factors)
     if alpha.size != sample.n_factors:
         raise ValidationError("alpha must match the factor dimension")
     if np.any(alpha <= 0) or np.any(alpha >= 1):

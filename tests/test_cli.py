@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from factorrisk import DataFormatError, GaussianFactorSpec, ols_fit, simulate
+from factorrisk import (
+    DataFormatError,
+    GaussianFactorSpec,
+    from_sample,
+    inf_convolution,
+    ols_fit,
+    partition_discrete,
+    simulate,
+)
+from factorrisk import cli
 from factorrisk.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -11,6 +20,7 @@ from factorrisk.cli import (
     EXIT_USAGE,
     MeasureRequest,
     UsageError,
+    _agent_spec,
     main,
     read_csv,
     read_grid,
@@ -274,3 +284,44 @@ class TestRegressionReport:
         text = regression_report(fit)
         umd_row = [line for line in text.splitlines() if line.startswith("UMD")][0]
         assert "e-05" in umd_row
+
+
+class TestShareFamilies:
+    """``share`` builds one conditional family per distinct agent column."""
+
+    TOKENS = ["var-var:p=0.9,q=0.5@W2", "mean-es:p=0.8@W2", "mean-var:p=0.7"]
+
+    @pytest.fixture
+    def tied_csv(self, tmp_path):
+        rng = np.random.default_rng(4)
+        T = 777  # weights 1/777, renormalized again in each column's sample
+        X = np.round(3 * rng.standard_normal(T), 1)
+        rows = zip(X.tolist(), rng.integers(0, 5, T).tolist(), rng.integers(0, 3, T).tolist())
+        path = tmp_path / "tied.csv"
+        path.write_text("X,W1,W2\n" + "".join(f"{x!r},{a},{b}\n" for x, a, b in rows))
+        return str(path)
+
+    def _per_agent_report(self, path):
+        """The report with a family built per agent and once more for the marginal."""
+        sample = read_csv(path, "X")
+        agents = [_agent_spec(tok, sample, {}) for tok in self.TOKENS]
+        x_law = from_sample(sample, partition_discrete(sample)).mixture()
+        value, allocation = inf_convolution(x_law, agents)
+        payload = {"value": value, "agents": self.TOKENS,
+                   "breakpoints": allocation.breakpoints.tolist(),
+                   "slopes": allocation.slopes.tolist()}
+        return json.dumps(payload, indent=2) + "\n"
+
+    def test_one_family_per_column(self, tied_csv, monkeypatch, capsys):
+        built = []
+        real = cli.from_sample
+        monkeypatch.setattr(cli, "from_sample",
+                            lambda sample, part: built.append(sample.factor_names)
+                            or real(sample, part))
+        rc = main(["share", "--data", tied_csv, "--target", "X",
+                   "--agents", ";".join(self.TOKENS)])
+        assert rc == EXIT_OK
+        assert built == [("W2",), ("W1", "W2")]  # the marginal reuses the "" family
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+        assert out == self._per_agent_report(tied_csv)

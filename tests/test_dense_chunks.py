@@ -1,0 +1,157 @@
+"""The dense profile rows a custom callable receives from ``core._sweep``.
+
+A user callable sees whole profile matrices, one chunk of consecutive grid
+rows at a time.  Every matrix it receives, stacked in order, must equal
+``1 - family.cdf_matrix(grid)`` for a scenario distortion and
+``family.cdf_matrix(grid)`` for an acceptance predicate, element for
+element, and be C-contiguous, so that a callable's bits do not depend on
+how the rows were built.
+
+The grids cover the merged support, a coarse subset of it (several atoms
+of one scenario on one grid row) and points below, between and above all
+atoms.  Chunks of 1 to 4 rows (``DENSE_CHUNK_BYTES`` patched) and the
+default size are covered; in the hand-built family some scenarios have
+their first atom several rows after a chunk's first row, and some have no
+atom at all inside a chunk.
+"""
+
+import numpy as np
+import pytest
+
+from factorrisk import (
+    ConditionalLawFamily,
+    GaussianFactorSpec,
+    JointSample,
+    StepCDF,
+    from_sample,
+    partition_quantile_boxes,
+    pred_custom,
+    psi_custom,
+    simulate,
+)
+from factorrisk import core
+from factorrisk.core import _sweep
+
+
+def _law(support, masses):
+    cum = np.cumsum(masses) / np.sum(masses)
+    return StepCDF(np.asarray(support, dtype=float), cum)
+
+
+@pytest.fixture(scope="module")
+def gapped_family():
+    laws = [
+        _law(np.arange(1.0, 9.0), [1, 2, 1, 3, 1, 1, 2, 1]),
+        _law([5.5, 9.0, 30.0], [2, 1, 1]),   # first atom late on the grid
+        _law([0.25], [1]),                    # one atom below every other
+        _law([2.5, 2.6, 2.7, 2.8, 20.0, 21.0], [1, 1, 1, 1, 3, 1]),  # a cluster
+        _law([-3.0, 40.0], [1, 3]),
+    ]
+    return ConditionalLawFamily(np.array([0.3, 0.2, 0.1, 0.25, 0.15]), tuple(laws))
+
+
+def _boxes(n, decimals):
+    """64 quantile boxes of a weighted sample whose rounded losses tie."""
+    spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
+    base = simulate(0.1, (1.0, -0.5, 0.3), 0.8, spec, n=n, seed=11)
+    weights = np.random.default_rng(3).integers(0, 4, base.n_rows).astype(float)
+    sample = JointSample(np.round(base.loss, decimals), base.factors, weights)
+    family = from_sample(sample, partition_quantile_boxes(sample, 4))
+    assert family.n_scenarios == 64
+    return family
+
+
+@pytest.fixture(scope="module")
+def box_family():
+    return _boxes(6000, 2)
+
+
+def _grids(family):
+    support = family.merged_support()
+    mids = (support[1:] + support[:-1]) / 2
+    return {
+        "support": support,
+        "coarse": support[::7],
+        "off-atom": np.concatenate([[support[0] - 1.0], mids[::3], [support[-1] + 1.0]]),
+    }
+
+
+def _recorded(family, make, fn_of, grid, vectorized):
+    """(a copy of every matrix the callable received, in order; the output)."""
+    seen = []
+
+    def record(Y, pi):
+        Y = np.asarray(Y)
+        assert Y.flags.c_contiguous
+        seen.append(np.array(Y, ndmin=2))
+        return fn_of(Y, pi)
+
+    fn = make(record, family.n_scenarios, vectorized=vectorized)
+    seen.clear()  # the constructor's spot checks
+    return seen, _sweep(family, fn, grid)
+
+
+def _mean(Y, pi):
+    return np.asarray(Y) @ pi
+
+
+def _half_at_median(F, pi):
+    return (np.asarray(F) >= 0.5) @ pi >= 0.5
+
+
+def _chunk_rows(monkeypatch, family, rows):
+    if rows is not None:
+        monkeypatch.setattr(core, "DENSE_CHUNK_BYTES", rows * 64 * family.n_scenarios)
+    return max(1, core.DENSE_CHUNK_BYTES // (64 * family.n_scenarios))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("grid_name", ["support", "coarse", "off-atom"])
+@pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
+class TestProfileRows:
+    def test_distortion_sees_survival_rows(self, request, monkeypatch, family_name,
+                                           grid_name, rows):
+        family = request.getfixturevalue(family_name)
+        grid = _grids(family)[grid_name]
+        step = _chunk_rows(monkeypatch, family, rows)
+        seen, out = _recorded(family, psi_custom, _mean, grid, vectorized=True)
+        assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
+        assert np.array_equal(np.vstack(seen), 1.0 - family.cdf_matrix(grid))
+        assert out.shape == (grid.size,)
+
+    def test_predicate_sees_cdf_rows(self, request, monkeypatch, family_name,
+                                     grid_name, rows):
+        family = request.getfixturevalue(family_name)
+        grid = _grids(family)[grid_name]
+        step = _chunk_rows(monkeypatch, family, rows)
+        seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
+        assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
+        assert np.array_equal(np.vstack(seen), family.cdf_matrix(grid))
+        assert out.dtype == bool and out.shape == (grid.size,)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_row_callable_sees_survival_rows(gapped_family, monkeypatch, rows):
+    grid = _grids(gapped_family)["coarse"]
+    _chunk_rows(monkeypatch, gapped_family, rows)
+    seen, out = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=False)
+    expected = 1.0 - gapped_family.cdf_matrix(grid)
+    assert np.array_equal(np.vstack(seen), expected)
+    assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
+
+
+def test_default_chunks_split_a_long_grid():
+    family = _boxes(30_000, 4)
+    grid = family.merged_support()
+    step = max(1, core.DENSE_CHUNK_BYTES // (64 * family.n_scenarios))
+    assert grid.size > 2 * step  # several full chunks at the default size
+    seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
+    assert len(seen) == -(-grid.size // step)
+    assert np.array_equal(np.vstack(seen), 1.0 - family.cdf_matrix(grid))
+
+
+def test_single_point_grids(gapped_family):
+    for x in (-10.0, 2.65, 100.0):
+        grid = np.array([x])
+        seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
+        assert np.array_equal(np.vstack(seen), 1.0 - gapped_family.cdf_matrix(grid))
