@@ -27,9 +27,10 @@ from typing import Callable
 import numpy as np
 
 from . import scalar
-from .conditioning import VarBox, box_mask, broadcast_levels, tail_box
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _sweep, round_significant)
+from .conditioning import (VarBox, _column_cdf, _retained_rows, box_mask, broadcast_levels,
+                           tail_box)
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _sweep,
+                   round_significant)
 from .distortion import conditional_cdf
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
@@ -169,11 +170,10 @@ def _equal_event_cdf(sample: JointSample, alpha):
         raise ValidationError("alpha must match the factor dimension")
     if np.any(alpha <= 0) or np.any(alpha >= 1):
         raise ValidationError("alpha levels must lie in (0, 1)")
-    rows = np.flatnonzero(sample.weights > 0)
+    rows = _retained_rows(sample)
     point = np.empty(sample.n_factors)
     for j in range(sample.n_factors):
-        col_cdf = StepCDF.from_values(sample.factors[rows, j], sample.weights[rows])
-        point[j] = scalar.var(col_cdf, float(alpha[j]))
+        point[j] = scalar.var(_column_cdf(sample, j, rows), float(alpha[j]))
     point = round_significant(point)
     mask = np.all(sample.factors == point, axis=1) & (sample.weights > 0)
     if not mask.any():

@@ -13,6 +13,8 @@ the factor measure against the plain quantile.  All randomness is driven
 by seeds derived deterministically from a master seed and the grid row, so
 repeated evaluations agree bit for bit.  Grids and matching-q searches
 build the law of beta . W once per call and read every q from it.
+scipy is imported inside ``ols_fit``, its only user, so importing the
+package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats as sstats
 
 from .core import JointSample, StepCDF
 from . import scalar
@@ -83,6 +83,9 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     degrees-of-freedom corrected divisor T - N - 1.  Rank deficiency is
     rejected with the offending column names.
     """
+    from scipy import linalg as sla
+    from scipy import special
+
     y, W, names = _design(data, target, factors)
     T, n_fac = W.shape
     if T <= n_fac + 1:
@@ -108,8 +111,8 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     stderr = sigma * np.sqrt(xtx_inv_diag)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(stderr > 0, coef / stderr, np.nan)
-    pvalue = np.where(np.isfinite(tstat), 2.0 * sstats.t.sf(np.abs(tstat), dof), np.nan)
-    tcrit = float(sstats.t.ppf(0.975, dof))
+    pvalue = np.where(np.isfinite(tstat), 2.0 * special.stdtr(dof, -np.abs(tstat)), np.nan)
+    tcrit = float(special.stdtrit(dof, 0.975))
     ci95 = np.column_stack([coef - tcrit * stderr, coef + tcrit * stderr])
     # residuals at ingestion-rounding scale carry no directional information
     resid_norm = np.linalg.norm(residuals)

@@ -14,8 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import ConditionalLawFamily, StepCDF
-from .errors import ValidationError
+from factorrisk import ConditionalLawFamily, StepCDF, ValidationError
 
 DEFAULT_GRID_POINTS = 10**5
 

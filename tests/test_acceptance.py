@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import factorrisk as fr
-from factorrisk.oracles import (
+from oracles import (
     choquet_riemann_oracle,
     grids_to_family,
     hl_bruteforce_oracle,

@@ -13,7 +13,7 @@ from factorrisk import (
     es_tail_density,
     hl_bound,
 )
-from factorrisk.oracles import grids_to_family, hl_bruteforce_oracle
+from oracles import grids_to_family, hl_bruteforce_oracle
 from conftest import family_of, random_discrete_dist, random_joint_pair, scenario_laws, transform_family
 
 

@@ -23,7 +23,7 @@ from factorrisk import (
     tail_box,
     var_distortion,
 )
-from factorrisk.oracles import choquet_riemann_oracle
+from oracles import choquet_riemann_oracle
 from conftest import (
     family_of,
     random_discrete_dist,

@@ -50,8 +50,8 @@ from factorrisk import (
 )
 from factorrisk import core
 from factorrisk.core import PROB_TOL
-from factorrisk.oracles import choquet_riemann_oracle, oracle_tolerance
 from factorrisk.sharing import integrand_matrix
+from oracles import choquet_riemann_oracle, oracle_tolerance
 
 # exact-tie fractions, and levels reaching towards 1
 SPECIAL_LEVELS = (0.25, 0.5, 0.75, 1 / 3, 2 / 3, 1 / 9, 0.9, 0.99, 1 - 1e-9, 1 - 1e-12)

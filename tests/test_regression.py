@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import factorrisk
 from factorrisk import (
     DiscreteFactorSpec,
     GaussianFactorSpec,
@@ -121,6 +127,55 @@ class TestOlsFit:
         fit = ols_fit(sample, target="RI", factors=("RF", "DEF"))
         assert fit.names == ("const", "RF", "DEF")
         assert fit.beta[0] == pytest.approx(1.0, abs=0.01)
+
+    def test_zero_residual_fit_has_nan_inference(self):
+        fit = ols_fit(JointSample(np.zeros(10), np.arange(10.0)))
+        assert not fit.residuals.any()
+        assert np.all(fit.stderr == 0)
+        assert np.isnan(fit.tstat).all() and np.isnan(fit.pvalue).all()
+
+
+class TestOlsInferenceMatchesStudentT:
+    """The p-values and 95% intervals equal the ``scipy.stats.t`` route bit for bit."""
+
+    @pytest.mark.parametrize("rows, n_fac, noise", [
+        (3, 1, 1.0),          # dof = 1
+        (300, 3, 1.0),
+        (300_000, 1, 1.0),
+        (1_000, 2, 1e-6),     # |t| ~ 1e7: the p-value underflows to 0
+    ])
+    def test_bit_equal_to_scipy_stats(self, rows, n_fac, noise):
+        rng = np.random.default_rng(rows)
+        W = rng.standard_normal((rows, n_fac))
+        fit = ols_fit(JointSample(0.3 + W.sum(axis=1) + noise * rng.standard_normal(rows), W))
+        assert fit.dof == rows - n_fac - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tstat = np.where(fit.stderr > 0, fit.coef / fit.stderr, np.nan)
+        pvalue = np.where(np.isfinite(tstat), 2.0 * stats.t.sf(np.abs(tstat), fit.dof), np.nan)
+        tcrit = float(stats.t.ppf(0.975, fit.dof))
+        ci95 = np.column_stack([fit.coef - tcrit * fit.stderr, fit.coef + tcrit * fit.stderr])
+        assert np.array_equal(fit.tstat, tstat, equal_nan=True)
+        assert np.array_equal(fit.pvalue, pvalue, equal_nan=True)
+        assert np.array_equal(fit.ci95, ci95, equal_nan=True)
+        if noise < 1e-3:
+            assert np.all(fit.pvalue[1:] == 0.0)
+
+
+def test_package_import_loads_no_scipy():
+    """Importing the package and its CLI loads numpy only; ``ols_fit`` loads
+    scipy's linear algebra and special functions, never ``scipy.stats``."""
+    code = (
+        "import sys, numpy as np, factorrisk, factorrisk.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "factorrisk.ols_fit(factorrisk.JointSample(np.arange(5.0) ** 2, np.arange(5.0)))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(factorrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout.splitlines()
+    assert out == ["[]", "False"]
 
 
 class TestSimulate:

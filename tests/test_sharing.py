@@ -14,7 +14,7 @@ from factorrisk import (
     quantile_factor,
     pred_var_of_var,
 )
-from factorrisk.oracles import sharing_sweep_oracle
+from oracles import sharing_sweep_oracle
 from conftest import random_sharing_fixture, transform_family
 
 
