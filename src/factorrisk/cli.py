@@ -222,6 +222,18 @@ def _partition(sample: JointSample, bins: int | None):
     return conditioning.partition_quantile_boxes(sample, bins)
 
 
+def _partition_warnings(sample: JointSample, partition, bins: int | None) -> list[str]:
+    """Degenerate inputs, read off the partition in O(n) for n scenarios:
+    quantile cuts merged by ties, and scenarios of a single row."""
+    warnings = [f"factor {name!r}: ties merge its {bins - 1} quantile cuts into {cuts.size}"
+                for name, cuts in zip(sample.factor_names, partition.cuts or ())
+                if cuts.size < bins - 1]
+    single = np.count_nonzero(np.diff(partition.offsets) == 1)
+    if single:
+        warnings.append(f"{single} of {partition.n_scenarios} scenarios hold a single row")
+    return warnings
+
+
 def _box(request: MeasureRequest, sample: JointSample) -> conditioning.VarBox:
     alpha = conditioning.broadcast_levels(request.alpha, sample.n_factors)
     if request.beta is None:
@@ -254,6 +266,7 @@ def run(request: MeasureRequest) -> dict:
         partition = _partition(sample, request.bins)
         family = from_sample(sample, partition)
         n_scenarios = family.n_scenarios
+        warnings += _partition_warnings(sample, partition, request.bins)
         if name == "var-var":
             value = quantile.quantile_factor(family, quantile.pred_var_of_var(request.p, request.q))
         elif name == "esssup-var":

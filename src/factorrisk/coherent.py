@@ -43,9 +43,8 @@ class DensityFamily:
         if not members:
             raise ValidationError("density family must contain at least one member")
         for member in members:
-            for law in member.laws:
-                if law.support[0] < 0:
-                    raise ValidationError("density values must be nonnegative")
+            if member.support.min() < 0:
+                raise ValidationError("density values must be nonnegative")
             total = float(member.pis @ member.scenario_means())
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise ValidationError(
@@ -116,13 +115,10 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     if not 0 <= p < 1:
         raise ValidationError("ES level must lie in [0, 1)")
     if p == 0:
-        laws = tuple(StepCDF(np.array([1.0]), np.array([1.0])) for _ in family.laws)
+        law = StepCDF(np.array([1.0]), np.array([1.0]))
     else:
-        laws = tuple(
-            StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
-            for _ in family.laws
-        )
-    return ConditionalLawFamily(family.pis.copy(), laws, family.labels)
+        law = StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
+    return ConditionalLawFamily(family.pis.copy(), (law,) * family.n_scenarios, family.labels)
 
 
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",

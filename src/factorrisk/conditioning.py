@@ -11,11 +11,13 @@ kernel smoothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import scalar
-from .core import JointSample, Scenario, ScenarioPartition, StepCDF
+from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums,
+                   _stable_argsort)
 from .errors import EmptyEventError, ValidationError
 
 
@@ -61,9 +63,8 @@ class LevelMap:
     by_label: dict | None = None
 
     def __post_init__(self):
-        given = sum(x is not None for x in (self.constant, self.values, self.by_label))
-        if given != 1:
-            raise ValidationError("provide exactly one of constant, values, by_label")
+        _exactly_one(constant=self.constant is not None, values=self.values is not None,
+                     by_label=self.by_label is not None)
         if self.constant is not None:
             self._check(self.constant)
         if self.values is not None:
@@ -111,14 +112,33 @@ def _retained_rows(sample: JointSample) -> np.ndarray:
     return np.flatnonzero(sample.weights > 0)
 
 
-def _group(rows: np.ndarray, inverse: np.ndarray, n_groups: int) -> list[np.ndarray]:
-    """``rows[inverse == i]`` for every group i, in one stable sort."""
-    inverse = inverse.reshape(-1)
-    # numpy sorts 16-bit keys stably by radix, about 6x faster than int64 keys
-    key = inverse.astype(np.uint16) if n_groups <= 2**16 else inverse
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(inverse, minlength=n_groups))
-    return np.split(rows[order], ends[:-1])
+def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of ``key`` in [0, size), which lists the groups in
+    key order and each group's positions in order, and the offsets of the
+    nonempty groups in it."""
+    counts = np.bincount(key, minlength=size)
+    return _stable_argsort(key, size), np.concatenate(([0], np.cumsum(counts[counts > 0])))
+
+
+def _cells(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by their vector of per-column codes, cells in
+    lexicographic order (see :func:`_group`).
+
+    The codes fold into one mixed-radix int64 key, first column most
+    significant.  Where the next column would overflow it, and where the
+    key ends above 2**16, it is re-ranked to 0..k-1 by a 1-D ``np.unique``,
+    which keeps its order.
+    """
+    key, size = np.zeros(codes[0].size, dtype=np.int64), 1
+    for column, radix in zip(codes, radices):
+        if size * radix > 2**63:
+            uniq, key = np.unique(key, return_inverse=True)
+            size = uniq.size
+        key, size = key * radix + column, size * radix
+    if size > 2**16:
+        uniq, key = np.unique(key, return_inverse=True)
+        size = uniq.size
+    return _group(key, size)
 
 
 def partition_discrete(sample: JointSample) -> ScenarioPartition:
@@ -127,32 +147,32 @@ def partition_discrete(sample: JointSample) -> ScenarioPartition:
     Rows with zero weight are not retained; a factor value seen only on
     zero-weight rows therefore contributes no scenario.
 
-    Rows are ranked by folding one column at a time into a mixed-radix
-    int64 key (previous rank times the column's distinct-value count plus
-    the value's code), re-ranked with a 1-D ``np.unique``, in place of
+    Each column's values are coded by a 1-D ``np.unique`` and the codes
+    grouped as one mixed-radix key (:func:`_cells`), in place of
     ``np.unique(..., axis=0)`` on the rows.  Where a column holds both -0.0
-    and 0.0, which of them labels the scenario is the choice of that
-    row sort, so such samples still take it.
+    and 0.0, which of them labels the scenario is the choice of that row
+    sort, so such samples still take it.
     """
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
     zero, negative = facs == 0, np.signbit(facs)
     if ((zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)).any():
         uniq, rank = np.unique(facs, axis=0, return_inverse=True)
+        order, offsets = _group(rank.reshape(-1), uniq.shape[0])
     else:
-        rank = None
-        for col in facs.T:
-            values, codes = np.unique(col, return_inverse=True)
-            rank = codes if rank is None else np.unique(rank * values.size + codes,
-                                                        return_inverse=True)[1]
-        uniq = np.empty((rank.max() + 1, facs.shape[1]))
-        uniq[rank] = facs
-    scenarios = []
-    for i, members in enumerate(_group(rows, rank, uniq.shape[0])):
-        weight = float(sample.weights[members].sum())
-        label = tuple(uniq[i]) if uniq.shape[1] > 1 else float(uniq[i, 0])
-        scenarios.append(Scenario(label, members, weight))
-    return ScenarioPartition(tuple(scenarios))
+        columns = [np.unique(col, return_inverse=True) for col in facs.T]
+        order, offsets = _cells([codes for _, codes in columns],
+                                [values.size for values, _ in columns])
+        uniq = facs[order[offsets[:-1]]]  # members of a cell hold equal bits
+
+    members = rows[order]
+    return ScenarioPartition._from_flat(members, offsets,
+                                        _segment_sums(sample.weights[members], offsets),
+                                        partial(_value_labels, uniq))
+
+
+def _value_labels(uniq: np.ndarray) -> tuple:
+    return tuple(map(tuple, uniq)) if uniq.shape[1] > 1 else tuple(uniq[:, 0].tolist())
 
 
 def _column_cdf(sample: JointSample, j: int, rows: np.ndarray) -> StepCDF:
@@ -165,34 +185,32 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     Each factor column is cut at its empirical left quantiles at levels
     k / bins, k = 1..bins-1, into left-open right-closed intervals (the
     lowest interval absorbs everything below).  Empty boxes are dropped.
+    Ties can merge cuts, which the partition's ``cuts`` show.  A box's
+    interval codes form one mixed-radix key (:func:`_cells`), and its label
+    string is built from them when the labels are first read.
     """
     if bins_per_factor < 1:
         raise ValidationError("bins_per_factor must be >= 1")
     rows = _retained_rows(sample)
-    n_fac = sample.n_factors
-    edges = []
-    for j in range(n_fac):
+    cuts = []
+    for j in range(sample.n_factors):
         cdf = _column_cdf(sample, j, rows)
-        cuts = [scalar.var(cdf, k / bins_per_factor) for k in range(1, bins_per_factor)]
-        edges.append(np.unique(cuts))
-    codes = np.zeros((rows.size, n_fac), dtype=np.int64)
-    rank = np.zeros(rows.size, dtype=np.int64)
-    for j in range(n_fac):
-        # interval index: 0 for w <= e_1, k for e_k < w <= e_{k+1}, top above
-        codes[:, j] = np.searchsorted(edges[j], sample.factors[rows, j], side="left")
-        # lexicographic rank of the codes so far: a mixed-radix key whose
-        # previous rank stays below the row count, so it cannot overflow
-        _, rank = np.unique(rank * (edges[j].size + 1) + codes[:, j], return_inverse=True)
-    uniq = np.empty((rank.max() + 1, n_fac), dtype=np.int64)
-    uniq[rank] = codes
-    scenarios = []
-    for i, members in enumerate(_group(rows, rank, uniq.shape[0])):
-        weight = float(sample.weights[members].sum())
-        if weight <= 0:
-            continue
-        label = "*".join(_interval_label(edges[j], uniq[i, j]) for j in range(n_fac))
-        scenarios.append(Scenario(label, members, weight))
-    return ScenarioPartition(tuple(scenarios))
+        cuts.append(np.unique([scalar.var(cdf, k / bins_per_factor)
+                               for k in range(1, bins_per_factor)]))
+    # interval index: 0 for w <= e_1, k for e_k < w <= e_{k+1}, top above
+    codes = [np.searchsorted(e, sample.factors[rows, j], side="left") for j, e in enumerate(cuts)]
+    order, offsets = _cells(codes, [e.size + 1 for e in cuts])
+    box_codes = [c[order[offsets[:-1]]] for c in codes]
+    members = rows[order]
+    return ScenarioPartition._from_flat(members, offsets,
+                                        _segment_sums(sample.weights[members], offsets),
+                                        partial(_box_labels, cuts, box_codes), tuple(cuts))
+
+
+def _box_labels(cuts: list[np.ndarray], box_codes: list[np.ndarray]) -> tuple[str, ...]:
+    names = [np.array([_interval_label(e, k) for k in range(e.size + 1)], dtype=object)[c]
+             for e, c in zip(cuts, box_codes)]
+    return tuple(map("*".join, zip(*names)))
 
 
 def _interval_label(cuts: np.ndarray, code: int) -> str:

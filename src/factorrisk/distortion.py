@@ -33,7 +33,7 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, VarBox, box_mask
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _sweep, round_significant)
+                   _merged_grid, _sweep, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -179,10 +179,10 @@ def choquet_factor(family: ConditionalLawFamily, psi: ScenarioDistortion) -> flo
     Exact for discrete laws: survivals are evaluated at the merged support
     breakpoints only, where the integrand is piecewise constant.
     """
-    xs = family.merged_support()
+    xs, at = _merged_grid(family)
     if xs.size == 1:
         return float(xs[0])
-    vals = _sweep(family, psi, xs[:-1])
+    vals = _sweep(family, psi, xs[:-1], at)
     return float(xs[0] + vals @ np.diff(xs))
 
 

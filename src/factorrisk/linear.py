@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import box_mask, tail_box
-from .core import ConditionalLawFamily, JointSample
+from .core import ConditionalLawFamily, JointSample, _exactly_one
 from .distortion import conditional_cdf
 from .errors import EmptyEventError, ValidationError
 
@@ -34,9 +34,8 @@ class ScenarioWeighting:
     physical: bool = False
 
     def __post_init__(self):
-        given = (self.values is not None) + (self.by_label is not None) + bool(self.physical)
-        if given != 1:
-            raise ValidationError("provide exactly one of values, by_label, physical")
+        _exactly_one(values=self.values is not None, by_label=self.by_label is not None,
+                     physical=bool(self.physical))
         if self.values is not None:
             vals = np.asarray(self.values, dtype=float)
             if vals.ndim != 1 or vals.size == 0:

@@ -29,8 +29,8 @@ import numpy as np
 from . import scalar
 from .conditioning import (VarBox, _column_cdf, _retained_rows, box_mask, broadcast_levels,
                            tail_box)
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _sweep,
-                   round_significant)
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional,
+                   _merged_grid, _sweep, round_significant)
 from .distortion import conditional_cdf
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
@@ -135,8 +135,8 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
     Acceptance at the largest support point is guaranteed (all CDFs are 1
     there and the predicate accepts the all-ones profile).
     """
-    xs = family.merged_support()
-    hits = np.flatnonzero(_sweep(family, pred, xs))
+    xs, at = _merged_grid(family)
+    hits = np.flatnonzero(_sweep(family, pred, xs, at))
     if hits.size == 0:
         raise ValidationError("predicate rejected the all-ones profile")
     return float(xs[hits[0]])

@@ -1,0 +1,128 @@
+"""Per-scenario reference builds of partitions and conditional families.
+
+These are the package's former routes, kept as a test reference for the flat
+layout: one ``Scenario`` per partition cell (one ``np.split`` of a stable
+sort), and one ``StepCDF`` per law, built in batches of consecutive scenarios
+with a per-scenario argsort, ``sum`` and ``cumsum``.  Their results go
+through the public constructors ``ScenarioPartition(scenarios)`` and
+``ConditionalLawFamily(pis, laws, labels)``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPartition, StepCDF,
+                        ValidationError, scalar)
+from factorrisk.conditioning import _interval_label
+from factorrisk.core import MIN_ATOM_MASS
+
+BATCH_ROWS = 2**14
+
+
+def _retained_rows(sample: JointSample) -> np.ndarray:
+    return np.flatnonzero(sample.weights > 0)
+
+
+def group(rows: np.ndarray, inverse: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """``rows[inverse == i]`` for every group i, in one stable sort."""
+    inverse = inverse.reshape(-1)
+    key = inverse.astype(np.uint16) if n_groups <= 2**16 else inverse
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(inverse, minlength=n_groups))
+    return np.split(rows[order], ends[:-1])
+
+
+def partition_discrete(sample: JointSample) -> ScenarioPartition:
+    rows = _retained_rows(sample)
+    facs = sample.factors[rows]
+    zero, negative = facs == 0, np.signbit(facs)
+    if ((zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)).any():
+        uniq, rank = np.unique(facs, axis=0, return_inverse=True)
+    else:
+        rank = None
+        for col in facs.T:
+            values, codes = np.unique(col, return_inverse=True)
+            rank = codes if rank is None else np.unique(rank * values.size + codes,
+                                                        return_inverse=True)[1]
+        uniq = np.empty((rank.max() + 1, facs.shape[1]))
+        uniq[rank] = facs
+    scenarios = []
+    for i, members in enumerate(group(rows, rank, uniq.shape[0])):
+        weight = float(sample.weights[members].sum())
+        label = tuple(uniq[i]) if uniq.shape[1] > 1 else float(uniq[i, 0])
+        scenarios.append(Scenario(label, members, weight))
+    return ScenarioPartition(tuple(scenarios))
+
+
+def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> ScenarioPartition:
+    rows = _retained_rows(sample)
+    n_fac = sample.n_factors
+    edges = []
+    for j in range(n_fac):
+        cdf = StepCDF.from_values(sample.factors[rows, j], sample.weights[rows])
+        cuts = [scalar.var(cdf, k / bins_per_factor) for k in range(1, bins_per_factor)]
+        edges.append(np.unique(cuts))
+    codes = np.zeros((rows.size, n_fac), dtype=np.int64)
+    rank = np.zeros(rows.size, dtype=np.int64)
+    for j in range(n_fac):
+        codes[:, j] = np.searchsorted(edges[j], sample.factors[rows, j], side="left")
+        _, rank = np.unique(rank * (edges[j].size + 1) + codes[:, j], return_inverse=True)
+    uniq = np.empty((rank.max() + 1, n_fac), dtype=np.int64)
+    uniq[rank] = codes
+    scenarios = []
+    for i, members in enumerate(group(rows, rank, uniq.shape[0])):
+        weight = float(sample.weights[members].sum())
+        label = "*".join(_interval_label(edges[j], uniq[i, j]) for j in range(n_fac))
+        scenarios.append(Scenario(label, members, weight))
+    return ScenarioPartition(tuple(scenarios))
+
+
+def from_sample(sample: JointSample, partition: ScenarioPartition) -> ConditionalLawFamily:
+    scenarios = partition.scenarios
+    sizes = [s.rows.size for s in scenarios]
+    pis, laws = [], []
+    first = 0
+    while first < len(scenarios):
+        last, n_rows = first + 1, sizes[first]
+        while last < len(scenarios) and n_rows + sizes[last] <= BATCH_ROWS:
+            n_rows += sizes[last]
+            last += 1
+        batch_pis, batch_laws = _batch_laws(sample, scenarios[first:last])
+        pis.append(batch_pis)
+        laws += batch_laws
+        first = last
+    return ConditionalLawFamily(np.concatenate(pis), tuple(laws),
+                                tuple(s.label for s in scenarios))
+
+
+def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
+    rows = np.concatenate([s.rows for s in scenarios])
+    if rows.min() < 0 or rows.max() >= sample.n_rows:
+        raise ValidationError("partition indices out of range for sample")
+    bounds = np.cumsum([0] + [s.rows.size for s in scenarios]).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    w = sample.weights[rows]
+    pis = np.array([w[a:b].sum() for a, b in spans])
+    empty = np.flatnonzero(pis <= 0)
+    if empty.size:
+        label = scenarios[empty[0]].label
+        raise ValidationError(f"scenario {label!r} is empty after weight normalization")
+    x = sample.loss[rows]
+    order = np.concatenate([a + x[a:b].argsort() for a, b in spans])
+    x = x[order]
+    new = np.empty(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    new[bounds[:-1]] = True
+    atom_of_sorted = np.cumsum(new) - 1
+    atom = np.empty_like(atom_of_sorted)
+    atom[order] = atom_of_sorted
+    masses = np.bincount(atom, weights=w / np.repeat(pis, np.diff(bounds)))
+    keep = masses > MIN_ATOM_MASS
+    support, masses = x[new][keep], masses[keep]
+    ends = np.cumsum(np.add.reduceat(keep, atom_of_sorted[bounds[:-1]], dtype=np.int64))
+    laws = []
+    for a, b in zip([0] + ends[:-1].tolist(), ends.tolist()):
+        cum = masses[a:b].cumsum()
+        laws.append(StepCDF(support[a:b], cum / cum[-1]))
+    return pis, laws

@@ -325,3 +325,41 @@ class TestShareFamilies:
         out = capsys.readouterr().out
         monkeypatch.undo()
         assert out == self._per_agent_report(tied_csv)
+
+
+class TestWarnings:
+    """The report warns of quantile cuts merged by ties and of single-row scenarios."""
+
+    @pytest.fixture
+    def report(self, tmp_path, capsys):
+        def warnings_of(rows, **params):
+            path = tmp_path / "data.csv"
+            path.write_text("X,W1,W2\n" + "".join(f"{x},{a},{b}\n" for x, a, b in rows))
+            argv = ["measure", "--data", str(path), "--target", "X", "--measure", "var-var",
+                    "--p", "0.5", "--q", "0.5"]
+            for key, value in params.items():
+                argv += [f"--{key}", str(value)]
+            assert main(argv) == EXIT_OK
+            return json.loads(capsys.readouterr().out)["warnings"]
+        return warnings_of
+
+    def test_clean_files_have_no_warnings(self, report):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal(400).tolist()
+        discrete = rng.integers(0, 4, (400, 2)).tolist()
+        assert report((x, a, b) for x, (a, b) in zip(X, discrete)) == []
+        continuous = rng.standard_normal((400, 2)).tolist()
+        assert report(((x, a, b) for x, (a, b) in zip(X, continuous)), bins=3) == []
+
+    def test_ties_merge_quantile_cuts(self, report):
+        rng = np.random.default_rng(2)
+        # W2 is 1 on 90% of rows: its cuts at levels 1/4, 1/2 and 3/4 are all 1
+        rows = zip(rng.standard_normal(400).tolist(), rng.standard_normal(400).tolist(),
+                   (rng.random(400) < 0.9).astype(int).tolist())
+        assert report(rows, bins=4) == ["factor 'W2': ties merge its 3 quantile cuts into 1"]
+
+    def test_single_row_scenarios_are_counted(self, report):
+        rows = [(1, 0, 0), (2, 0, 0), (3, 1, 0), (4, 2, 0), (5, 2, 1), (6, 2, 1)]
+        assert report(rows) == ["2 of 4 scenarios hold a single row"]
+        assert report([(x, x, -x) for x in range(5)], bins=5) == [
+            "5 of 5 scenarios hold a single row"]

@@ -90,9 +90,10 @@ class TestQuantileBoxes:
         assert sum(sc.weight for sc in part.scenarios) == pytest.approx(1.0, abs=1e-12)
 
 
-def _scan_group(rows, inverse, n_groups):
+def _scan_group(key, size):
     """The grouping as one full scan per scenario (the former loop)."""
-    return [rows[inverse == i] for i in range(n_groups)]
+    groups = [g for g in (np.flatnonzero(key == i) for i in range(size)) if g.size]
+    return np.concatenate(groups), np.cumsum([0] + [g.size for g in groups])
 
 
 def _same_partition_as_scan(build, sample):
@@ -180,6 +181,13 @@ class TestLevelMap:
     def test_missing_label_rejected(self):
         with pytest.raises(ValidationError):
             LevelMap.of({0.0: 0.1}).resolve(2, labels=(0.0, 1.0))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"constant": 0.0, "values": [0.5]},
+                                        {"constant": 0.5, "values": [0.5], "by_label": {}}])
+    def test_exactly_one_form(self, kwargs):
+        with pytest.raises(ValidationError) as exc:
+            LevelMap(**kwargs)
+        assert str(exc.value) == "provide exactly one of constant, values, by_label"
 
     def test_domain(self):
         with pytest.raises(ValidationError):

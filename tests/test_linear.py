@@ -45,6 +45,13 @@ class TestWeightingValidation:
         with pytest.raises(ValidationError):
             linear_factor(d1_family, [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("kwargs", [{}, {"values": [1.0], "physical": True},
+                                        {"values": [1.0], "by_label": {0.0: 1.0}}])
+    def test_exactly_one_form(self, kwargs):
+        with pytest.raises(ValidationError) as exc:
+            ScenarioWeighting(**kwargs)
+        assert str(exc.value) == "provide exactly one of values, by_label, physical"
+
 
 class TestAdditivity:
     def test_exactly_additive_on_shared_partitions(self):
