@@ -16,8 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import scalar
-from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums,
-                   _stable_argsort)
+from .core import JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums
 from .errors import EmptyEventError, ValidationError
 
 
@@ -117,7 +116,9 @@ def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     key order and each group's positions in order, and the offsets of the
     nonempty groups in it."""
     counts = np.bincount(key, minlength=size)
-    return _stable_argsort(key, size), np.concatenate(([0], np.cumsum(counts[counts > 0])))
+    # numpy sorts 16-bit keys stably by radix, about 6x faster than int64 keys
+    order = np.argsort(key.astype(np.uint16) if size <= 2**16 else key, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(counts[counts > 0])))
 
 
 def _cells(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, np.ndarray]:

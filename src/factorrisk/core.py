@@ -528,12 +528,14 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
     the sample's positive-weight rows so the pi's sum to one.
 
     Every law equals ``StepCDF.from_values`` of its scenario's rows bit for
-    bit, with no per-scenario object: the losses are sorted within each
-    scenario as ``np.unique`` sorts them (:func:`_atoms`), one
-    ``bincount`` sums every atom's mass in row order, as ``np.add.at``
-    does, and each scenario's ``sum`` of weights and ``cumsum`` of masses
-    run together with those of every scenario of its length
-    (:func:`_segment_sums`, :func:`_segment_cumsums`).
+    bit, with no per-scenario object.  Each scenario's ``sum`` of weights
+    and ``cumsum`` of masses run together with those of every scenario of
+    its length (:func:`_segment_sums`, :func:`_segment_cumsums`).  The
+    atoms are found in batches of consecutive scenarios of up to
+    ``_BATCH_ROWS`` rows (:func:`_batches`), so that the per-row arrays stay
+    cache-sized: the losses are sorted within each scenario as
+    ``np.unique`` sorts them (:func:`_atoms`) and one ``bincount`` sums
+    every atom's mass in row order, as ``np.add.at`` does.
     """
     rows, offsets = partition.rows, partition.offsets
     if rows.min() < 0 or rows.max() >= sample.n_rows:
@@ -545,16 +547,42 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
         label = partition.labels[empty[0]]
         raise ValidationError(f"scenario {label!r} is empty after weight normalization")
     w /= np.repeat(pis, np.diff(offsets))
-    atom, support, first = _atoms(sample.loss[rows], offsets)
-    masses = np.bincount(atom, weights=w)  # in row order, as np.add.at adds
-    keep = masses > MIN_ATOM_MASS
-    sizes = np.add.reduceat(keep, first, dtype=np.int64)
+    support, masses, sizes = [], [], []
+    for s, e in _batches(offsets):
+        a, b = offsets[s], offsets[e]
+        atom, x, first = _atoms(sample.loss[rows[a:b]], offsets[s:e + 1] - a)
+        batch = np.bincount(atom, weights=w[a:b])  # in row order, as np.add.at adds
+        keep = batch > MIN_ATOM_MASS
+        sizes.append(np.add.reduceat(keep, first, dtype=np.int64))
+        support.append(x[keep])
+        masses.append(batch[keep])
+    del w  # each full-length array is freed once used, for the peak memory
+    support, sizes = np.concatenate(support), np.concatenate(sizes)
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cum = _segment_cumsums(masses[keep], law_offsets)
+    cum = _segment_cumsums(np.concatenate(masses), law_offsets)
+    del masses
     # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
     cum /= np.repeat(cum[law_offsets[1:] - 1], sizes)
-    return ConditionalLawFamily._from_flat(pis, support[keep], cum, law_offsets,
-                                           partial(getattr, partition, "labels"))
+    # the partition's own label source, or its labels once built: the family
+    # holds no reference to the partition's rows
+    built = partition.__dict__.get("labels")
+    labels = partition._labels if built is None else partial(tuple, built)
+    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets, labels)
+
+
+# rows per batch of from_sample's atoms: 128 KB per float64 array, so that a
+# batch's arrays stay in cache and its transient memory stays small
+_BATCH_ROWS = 2**14
+
+
+def _batches(offsets: np.ndarray):
+    """Batches [s, e) of consecutive segments of ``offsets``: up to
+    ``_BATCH_ROWS`` rows, or one longer segment."""
+    s, n = 0, offsets.size - 1
+    while s < n:
+        e = max(s + 1, int(np.searchsorted(offsets, offsets[s] + _BATCH_ROWS, side="right")) - 1)
+        yield s, e
+        s = e
 
 
 def _atoms(values: np.ndarray, offsets: np.ndarray):
@@ -573,44 +601,13 @@ def _atoms(values: np.ndarray, offsets: np.ndarray):
     return atom, x[new], of_sorted[offsets[:-1]]
 
 
-# segments longer than this are argsorted one at a time; shorter ones share
-# one sort (per-segment calls cost more below about 64 values, a shared sort
-# more above)
-_SORT_ALONE = 64
-
-
-def _stable_argsort(keys: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of integer ``keys`` in [0, n)."""
-    # numpy sorts 16-bit keys stably by radix, about 6x faster than int64 keys
-    return np.argsort(keys.astype(np.uint16) if n <= 2**16 else keys, kind="stable")
-
-
 def _sort_within(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Positions that sort ``values`` within each segment of ``offsets``, as
-    the segment's own ``argsort`` (``np.unique``'s sort) orders it.
-
-    A segment of over ``_SORT_ALONE`` values is argsorted alone.  The
-    shorter ones share one argsort of their values and one stable sort by
-    segment.  Equal values differ at most in the sign of a zero, which
-    decides the zero atom's representative, so a shorter segment holding
-    both -0.0 and 0.0 is argsorted alone as well.
-    """
-    sizes = np.diff(offsets)
-    n = sizes.size
-    alone = sizes > _SORT_ALONE
-    order = np.arange(values.size)
-    if not alone.all():
-        seg = np.repeat(np.arange(n), sizes)
-        short = np.flatnonzero(~alone[seg])
-        x, seg = values[short], seg[short]
-        by_value = np.argsort(x)
-        order[short] = short[by_value[_stable_argsort(seg[by_value], n)]]
-        zero, negative = x == 0, np.signbit(x)
-        alone |= ((np.bincount(seg[zero & negative], minlength=n) > 0)
-                  & (np.bincount(seg[zero & ~negative], minlength=n) > 0))
+    """Positions that sort ``values`` within each segment of ``offsets``,
+    each segment by its own ``argsort`` (``np.unique``'s sort, which decides
+    the sign of a zero atom's representative)."""
+    order = np.empty(values.size, dtype=np.intp)
     bounds = offsets.tolist()
-    for i in np.flatnonzero(alone).tolist():
-        a, b = bounds[i], bounds[i + 1]
+    for a, b in zip(bounds[:-1], bounds[1:]):
         order[a:b] = a + values[a:b].argsort()
     return order
 

@@ -105,9 +105,10 @@ class TestAgainstPerScenarioReference:
                      _flat_family(per_scenario.from_sample(sample, ref)))
 
     @settings(max_examples=100, deadline=None)
-    @given(samples(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64, 2**16]))
-    def test_family_of_any_partition(self, sample, seed, sort_alone):
-        # scenarios of scattered rows in random order, sorted alone or together
+    @given(samples(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64, 2**14]))
+    def test_family_of_any_partition(self, sample, seed, batch_rows):
+        # scenarios of scattered rows in random order, in batches of one
+        # scenario, of several and of all
         rng = np.random.default_rng(seed)
         rows = rng.permutation(np.flatnonzero(sample.weights > 0))
         cuts = np.unique(rng.integers(1, max(rows.size, 2), rng.integers(0, 6)))
@@ -116,7 +117,7 @@ class TestAgainstPerScenarioReference:
         partition = ScenarioPartition(Scenario(k, g, w / weights.sum())
                                       for k, (g, w) in enumerate(zip(groups, weights)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_SORT_ALONE", sort_alone)
+            mp.setattr(core, "_BATCH_ROWS", batch_rows)
             flat = from_sample(sample, partition)
         _assert_same(_flat_family(flat), _flat_family(per_scenario.from_sample(sample, partition)))
 
@@ -194,16 +195,13 @@ class TestSegmentHelpers:
                      np.concatenate([values[a:b].cumsum() for a, b in spans]))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(1, 150), min_size=1, max_size=30), st.integers(0, 2**32 - 1),
-           st.sampled_from([1, 8, 64, 1000]))
-    def test_sort_within_equals_each_argsort(self, sizes, seed, sort_alone):
+    @given(st.lists(st.integers(1, 150), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    def test_sort_within_equals_each_argsort(self, sizes, seed):
         rng = np.random.default_rng(seed)
         values = np.round(rng.standard_normal(sum(sizes)), 1)
         values[(values == 0) & (rng.random(values.size) < 0.5)] = -0.0
         offsets = np.cumsum([0] + sizes)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_SORT_ALONE", sort_alone)
-            order = core._sort_within(values, offsets)
+        order = core._sort_within(values, offsets)
         want = np.concatenate([values[a:b][values[a:b].argsort()]
                                for a, b in zip(offsets[:-1], offsets[1:])])
         assert _same(values[order], want)
@@ -264,6 +262,15 @@ class TestViews:
             copy = pickle.loads(pickle.dumps(obj))
             _assert_same(flat(copy), flat(obj))
 
+    @pytest.mark.parametrize("read_labels", [False, True])
+    def test_family_does_not_hold_its_partition(self, built, read_labels):
+        partition, _ = built
+        if read_labels:
+            partition.labels
+        family = from_sample(JointSample(np.zeros(500), np.zeros((500, 2))), partition)
+        assert partition.rows.tobytes() not in pickle.dumps(family)
+        assert family.labels == partition.labels
+
     def test_public_constructors_keep_their_objects(self):
         law = StepCDF.from_values([1.0, 2.0])
         family = ConditionalLawFamily([0.4, 0.6], [law, law], ["a", "b"])
@@ -284,6 +291,14 @@ def test_engines_keep_the_zero_of_merged_support():
     zero = family.merged_support()[1]
     value = quantile_factor(family, pred_single_scenario(1, 0.5))
     assert value == 0.0 and np.signbit(value) == np.signbit(zero)
+
+
+def test_scenario_without_weight_is_named():
+    sample = JointSample(np.arange(6.0), np.zeros(6), [1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    partition = ScenarioPartition(Scenario(label, rows, 1 / 3) for label, rows in
+                                  (("a", [0, 1]), ("b", [2, 3]), ("c", [4, 5])))
+    with pytest.raises(ValidationError, match="scenario 'c' is empty"):
+        from_sample(sample, partition)
 
 
 class TestPublicConstructorChecks:

@@ -358,12 +358,12 @@ def test_quantile_box_families_equal_their_definition():
         _assert_family_is_per_scenario(s, partition_quantile_boxes(s, 8))
 
 
-@pytest.mark.parametrize("sort_alone", [1, 50, 700, 2**16])
-def test_from_sample_batches_equal_their_definition(monkeypatch, sort_alone):
-    # scenario sizes 1 to about 1500 rows: every scenario sorted alone, the
-    # small ones sorted together and the large ones alone, all together
-    monkeypatch.setattr(core, "_SORT_ALONE", sort_alone)
-    rng = np.random.default_rng(sort_alone)
+@pytest.mark.parametrize("batch_rows", [1, 50, 700, 2**16])
+def test_from_sample_batches_equal_their_definition(monkeypatch, batch_rows):
+    # scenario sizes 1 to about 1500 rows: batches of one scenario, of many,
+    # and scenarios larger than a batch
+    monkeypatch.setattr(core, "_BATCH_ROWS", batch_rows)
+    rng = np.random.default_rng(batch_rows)
     sample = _discrete_sample(rng, 6_000, 1, 60, True, "mixed")
     factors = np.where(np.arange(6_000) < 1500, 99.0, sample.factors[:, 0])
     sample = JointSample(sample.loss, factors, sample.weights)
