@@ -119,6 +119,28 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
+def _equal_weight_atoms(values: np.ndarray, c: float):
+    """The atoms of ``values`` at the common weight ``c``, as
+    ``StepCDF.from_values`` finds them: the sorted distinct values and
+    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
+    x = np.sort(values)
+    if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1:
+        # the zeros are read from the input: numpy's vectorized sort may
+        # write one zero's bits in place of the other's
+        zeros = np.signbit(values[values == 0.0])
+        if zeros.any() and not zeros.all():
+            return None
+    new = np.empty(x.size, dtype=bool)
+    new[0] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    if new.all():  # distinct values: an atom per row
+        return x, np.full(x.size, c)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=x.size)
+    # an atom of k rows weighs c + c + ... + c, added in turn as bincount adds
+    return x[starts], np.cumsum(np.full(counts.max(), c))[counts - 1]
+
+
 @dataclass(frozen=True)
 class StepCDF:
     """A right-continuous step distribution function on the real line.
@@ -146,6 +168,18 @@ class StepCDF:
         """Build the weighted empirical CDF of ``values``.
 
         Equal values are merged by summing weights; weights normalize to 1.
+
+        Two routes give the same ``support`` and ``cum`` bit for bit.  Equally
+        weighted values (every CSV, ``simulate`` or subsample column) take one
+        ``np.sort`` and the runs of equal values in it
+        (:func:`_equal_weight_atoms`).  Other weights take ``np.unique``'s
+        argsort and inverse, and a ``bincount`` that adds each atom's weights
+        in row order.  With a common weight c the ``bincount`` adds c to
+        itself once per row of the atom, which is the cumulative sum of k
+        copies of c for an atom of k rows.  Equal values are equal bits, except
+        -0.0 and 0.0: where the values hold both, ``np.unique``'s argsort
+        decides which sign the zero atom keeps, so they take the
+        ``np.unique`` route.
         """
         vals = _as_1d(values, "values")
         if weights is None:
@@ -160,14 +194,19 @@ class StepCDF:
             if total <= 0:
                 raise ValidationError("weights must have positive total")
             w = w / total
-        uniq, inverse = np.unique(vals, return_inverse=True)
-        # bincount adds each atom's weights in row order, as np.add.at does
-        masses = np.bincount(inverse, weights=w, minlength=uniq.size)
+        atoms = _equal_weight_atoms(vals, w[0]) if (w == w[0]).all() else None
+        if atoms is None:
+            uniq, inverse = np.unique(vals, return_inverse=True)
+            # bincount adds each atom's weights in row order, as np.add.at does
+            atoms = uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
+        support, masses = atoms
         keep = masses > MIN_ATOM_MASS
-        masses = masses[keep]
-        cum = np.cumsum(masses)
+        if not keep.all():
+            support, masses = support[keep], masses[keep]
+        cum = np.cumsum(masses, out=masses)
         # cumsum drift over many atoms is rescaled away, keeping cum[-1] == 1
-        return cls(uniq[keep], cum / cum[-1])
+        cum /= cum[-1]
+        return cls(support, cum)
 
     @property
     def masses(self) -> np.ndarray:
@@ -700,6 +739,29 @@ class ScenarioFunctional:
         return s if self.outer is None else self.outer(s, r.cut)
 
 
+class _LabelView:
+    """A family's labels, built when first read: :func:`_sweep` hands them
+    to every functional, and only label-keyed ones read them."""
+
+    def __init__(self, family: ConditionalLawFamily):
+        self._family = family
+
+    def __len__(self) -> int:
+        return self._family.n_scenarios
+
+    def __getitem__(self, i):
+        return self._family.labels[i]
+
+    def __iter__(self):
+        return iter(self._family.labels)
+
+    def __contains__(self, label) -> bool:
+        return label in self._family.labels
+
+    def index(self, label) -> int:
+        return self._family.labels.index(label)
+
+
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     """The merged support and each atom's index in it, for :func:`_sweep`."""
     # the index is a sorting np.unique's inverse, cheaper than a searchsorted
@@ -734,7 +796,8 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     a cum (or of 1 - cum), so the rows equal the per-cell lookup bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
-    pis, labels, n, G = family.pis, family.labels, family.n_scenarios, grid.size
+    pis, n, G = family.pis, family.n_scenarios, grid.size
+    labels = family.labels if family._labels is None else _LabelView(family)
     starts, cum = family.offsets[:-1], family.cum
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
     if at is None:

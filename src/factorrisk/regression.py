@@ -92,7 +92,8 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
         raise ValidationError(f"need more than N+1={n_fac + 1} observations, got {T}")
     X = np.column_stack([np.ones(T), W])
     all_names = ("const",) + tuple(names)
-    _, r_piv, piv = sla.qr(X, mode="economic", pivoting=True)
+    # the rank check reads R and the pivots alone; "raw" forms no Q
+    _, r_piv, piv = sla.qr(X, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r_piv))
     # collinearity below the 12-digit ingestion rounding counts as deficient
     rank_tol = diag.max() * max(max(X.shape) * np.finfo(float).eps, 1e-10)
@@ -282,18 +283,30 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     """
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
+    return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, row_index)[0]
+
+
+def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
+                master_seed: int, mc_draws: int, first_row: int = 0) -> list[float]:
+    """:func:`plain_var` at each level, row i seeded by (master_seed,
+    first_row + i); the loss law or the fitted values are built once."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
-        return scalar.var(StepCDF.from_values(data.loss, data.weights), p)
+        loss_law = StepCDF.from_values(data.loss, data.weights)
+        return [scalar.var(loss_law, p) for p in p_values]
     fitted = fit.fitted(data.factors)
-    rng = _row_rng(master_seed, row_index)
-    if mode == "model":
-        values = fitted + fit.sigma * rng.standard_normal(fitted.size)
-        return scalar.var(StepCDF.from_values(values, data.weights), p)
-    idx = rng.choice(fitted.size, size=mc_draws, p=data.weights)
-    values = fitted[idx] + fit.sigma * rng.standard_normal(mc_draws)
-    return scalar.var(StepCDF.from_values(values), p)
+    out = []
+    for row, p in enumerate(p_values, first_row):
+        rng = _row_rng(master_seed, row)
+        if mode == "model":
+            values = fitted + fit.sigma * rng.standard_normal(fitted.size)
+            law = StepCDF.from_values(values, data.weights)
+        else:
+            idx = rng.choice(fitted.size, size=mc_draws, p=data.weights)
+            law = StepCDF.from_values(fitted[idx] + fit.sigma * rng.standard_normal(mc_draws))
+        out.append(scalar.var(law, p))
+    return out
 
 
 @dataclass(frozen=True)
@@ -344,7 +357,8 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     The plain VaR is computed once per p row with a seed derived from
     (master_seed, row index), so each row shares one benchmark and diff is
     exactly nondecreasing in q whenever the benchmark is positive.  The law
-    of the factor index is built once per call, so each cell costs one
+    of the factor index, and the fitted values or the loss law behind the
+    benchmark, are built once per call, so each cell costs one
     ``searchsorted``; output order is p-major.
     """
     p_values = np.asarray(list(p_values), dtype=float)
@@ -354,14 +368,9 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     if np.any((p_values <= 0) | (p_values >= 1)) or np.any((q_values <= 0) | (q_values >= 1)):
         raise ValidationError("levels must lie in (0, 1)")
     index_law = _index_law(fit, data)
-    # the empirical benchmark draws nothing, so one loss law serves every row
-    loss_law = StepCDF.from_values(data.loss, data.weights) if plain_mode == "empirical" else None
+    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws)
     rows_p, rows_q, rf, rp = [], [], [], []
-    for i, p in enumerate(p_values):
-        if loss_law is None:
-            plain = plain_var(fit, data, float(p), plain_mode, master_seed, i, mc_draws)
-        else:
-            plain = scalar.var(loss_law, float(p))
+    for p, plain in zip(p_values, plains):
         for q in q_values:
             rows_p.append(float(p))
             rows_q.append(float(q))

@@ -1,11 +1,12 @@
-"""Per-scenario reference builds of partitions and conditional families.
+"""Per-scenario reference builds of partitions, conditional families and laws.
 
 These are the package's former routes, kept as a test reference for the flat
 layout: one ``Scenario`` per partition cell (one ``np.split`` of a stable
 sort), and one ``StepCDF`` per law, built in batches of consecutive scenarios
 with a per-scenario argsort, ``sum`` and ``cumsum``.  Their results go
 through the public constructors ``ScenarioPartition(scenarios)`` and
-``ConditionalLawFamily(pis, laws, labels)``.
+``ConditionalLawFamily(pis, laws, labels)``.  ``from_values`` is the former
+``StepCDF.from_values``, one ``np.unique`` and ``bincount`` for any weights.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ from factorrisk.conditioning import _interval_label
 from factorrisk.core import MIN_ATOM_MASS
 
 BATCH_ROWS = 2**14
+
+
+def from_values(values, weights=None) -> StepCDF:
+    vals = np.asarray(values, dtype=float)
+    if weights is None:
+        w = np.full(vals.shape, 1.0 / vals.size)
+    else:
+        w = np.asarray(weights, dtype=float)
+        w = w / w.sum()
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    masses = np.bincount(inverse, weights=w, minlength=uniq.size)
+    keep = masses > MIN_ATOM_MASS
+    cum = np.cumsum(masses[keep])
+    return StepCDF(uniq[keep], cum / cum[-1])
 
 
 def _retained_rows(sample: JointSample) -> np.ndarray:
@@ -60,7 +75,7 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     n_fac = sample.n_factors
     edges = []
     for j in range(n_fac):
-        cdf = StepCDF.from_values(sample.factors[rows, j], sample.weights[rows])
+        cdf = from_values(sample.factors[rows, j], sample.weights[rows])
         cuts = [scalar.var(cdf, k / bins_per_factor) for k in range(1, bins_per_factor)]
         edges.append(np.unique(cuts))
     codes = np.zeros((rows.size, n_fac), dtype=np.int64)

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 import per_scenario
 from factorrisk import (ConditionalLawFamily, DiscreteJointDistribution, JointSample, Scenario,
-                        ScenarioPartition, StepCDF, ValidationError, conditioning, core,
-                        from_sample, partition_discrete, partition_quantile_boxes,
-                        pred_single_scenario, quantile_factor)
+                        ScenarioPartition, StepCDF, ValidationError, choquet_factor, conditioning,
+                        core, from_sample, partition_discrete, partition_quantile_boxes,
+                        pred_single_scenario, pred_var_of_var, psi_mean_of_es, psi_mean_of_var,
+                        quantile_factor)
 from factorrisk.core import MIN_ATOM_MASS, PROB_TOL, round_significant
 
 
@@ -252,6 +253,22 @@ class TestViews:
             parts = label.split("*")
             assert len(parts) == 2 and all(p.startswith("(") and p.endswith("]") for p in parts)
         assert len(set(partition.labels)) == partition.n_scenarios
+
+    def test_engines_build_labels_only_when_read(self, built):
+        partition, family = built
+        levels = np.linspace(0.5, 0.95, family.n_scenarios)
+        by_index = [choquet_factor(family, psi_mean_of_var(levels)),
+                    choquet_factor(family, psi_mean_of_es(0.9)),
+                    quantile_factor(family, pred_var_of_var(0.9, 0.5)),
+                    quantile_factor(family, pred_single_scenario(3, 0.5))]
+        assert "labels" not in family.__dict__
+        labels = partition.labels  # the partition's own cache, not the family's
+        by_label = [choquet_factor(family, psi_mean_of_var(dict(zip(labels, levels)))),
+                    quantile_factor(family, pred_single_scenario(labels[3], 0.5))]
+        assert by_label == [by_index[0], by_index[3]]
+        assert family.__dict__["labels"] == labels
+        with pytest.raises(ValidationError, match="not found"):
+            quantile_factor(family, pred_single_scenario("no such box", 0.5))
 
     @pytest.mark.parametrize("read_views", [False, True])
     def test_pickle_round_trip(self, built, read_views):

@@ -1,0 +1,125 @@
+"""The two routes of ``StepCDF.from_values`` against the former one.
+
+Equally weighted values take one ``np.sort`` and its runs of equal values;
+other weights, and zero runs holding both -0.0 and 0.0, take ``np.unique``
+and ``bincount``.  Both must equal ``per_scenario.from_values`` (the former
+route, ``np.unique`` and ``bincount`` for any weights) bit for bit: the
+support, the sign of every zero in it, and the cumulative masses.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_scenario
+from factorrisk import JointSample, StepCDF, core
+
+# a small pool draws heavy ties; both zeros and subnormals are in it
+POOL = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, 2.5, 1e300, -1e-300]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _assert_same(values, weights=None):
+    law = StepCDF.from_values(values, weights)
+    ref = per_scenario.from_values(values, weights)
+    assert law.support.tobytes() == ref.support.tobytes()
+    assert np.array_equal(np.signbit(law.support), np.signbit(ref.support))
+    assert law.cum.tobytes() == ref.cum.tobytes()
+
+
+class TestEqualWeights:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=300, unique=True))
+    def test_distinct_values(self, values):
+        _assert_same(values)
+        _assert_same(values, np.full(len(values), 7.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_heavy_ties(self, n, distinct, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(distinct)[rng.integers(0, distinct, n)]
+        _assert_same(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(POOL) | finite, min_size=1, max_size=200))
+    def test_pool_with_zeros_of_both_signs(self, values):
+        _assert_same(values)
+        _assert_same(values, np.full(len(values), 1.0 / 3.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 2000), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_subsample_renormalized(self, n, decimals, seed):
+        rng = np.random.default_rng(seed)
+        sample = JointSample(np.round(rng.standard_normal(n), decimals), rng.standard_normal(n))
+        mask = rng.random(n) < 0.6
+        mask[0] = True
+        sub = sample.subsample(mask)
+        assert (sub.weights == sub.weights[0]).all()
+        _assert_same(sub.loss, sub.weights)
+
+    @pytest.mark.parametrize("values", [[-0.0, 0.0], [0.0, -0.0], [0.0, 1.0, -0.0, -0.0],
+                                        [-0.0, -0.0, 2.0], [0.0, 0.0], [-0.0],
+                                        # np.sort returns these zeros all as -0.0
+                                        [-0.0, -5e-324, -5e-324, 0.0, -5e-324, -1e-300,
+                                         -0.0, -0.0, -0.0]])
+    def test_zero_runs(self, values):
+        _assert_same(values)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -3.5, 1e308])
+    def test_single_row(self, value):
+        _assert_same([value])
+        _assert_same([value], [2.0])
+        law = StepCDF.from_values([value])
+        assert law.cum.tolist() == [1.0]
+
+    def test_every_atom_mass_is_the_sequential_sum(self):
+        # 0.1 added to itself k times drifts from k * 0.1; the atoms must
+        # carry the drifted sums, as bincount forms them
+        values = np.repeat(np.arange(50.0), np.arange(1, 51))
+        law = StepCDF.from_values(values)
+        assert law.cum.tobytes() == per_scenario.from_values(values).cum.tobytes()
+
+
+class TestUnequalWeights:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_unequal_weights(self, n, decimals, seed):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.standard_normal(n) * 3, decimals)
+        values[(values == 0) & (rng.random(n) < 0.5)] = -0.0
+        weights = rng.random(n) * rng.choice([1e-18, 1e-3, 1.0, 1e6], n)
+        weights[rng.integers(n)] = 1.0
+        _assert_same(values, weights)
+
+
+class _NoUnique:
+    """numpy, except that ``unique`` fails."""
+
+    def __getattr__(self, name):
+        if name == "unique":
+            raise AssertionError("np.unique called")
+        return getattr(np, name)
+
+
+class TestRouteTaken:
+
+    def test_equal_weights_sort_without_unique(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ties = rng.integers(0, 20, 500).astype(float)
+        expected = per_scenario.from_values(ties)
+        monkeypatch.setattr(core, "np", _NoUnique())
+        for weights in (None, np.full(ties.size, 0.25)):
+            law = StepCDF.from_values(ties, weights)
+            assert law.cum.tobytes() == expected.cum.tobytes()
+        StepCDF.from_values(rng.standard_normal(500))
+
+    @pytest.mark.parametrize("values, weights", [([1.0, 2.0], [1.0, 2.0]),
+                                                 ([0.0, -0.0, 1.0], None)])
+    def test_unequal_weights_and_mixed_zeros_use_unique(self, monkeypatch, values, weights):
+        monkeypatch.setattr(core, "np", _NoUnique())
+        with pytest.raises(AssertionError, match="np.unique called"):
+            StepCDF.from_values(values, weights)

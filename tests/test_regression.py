@@ -119,6 +119,43 @@ class TestOlsFit:
         assert len(exc.value.columns) >= 1
         assert set(exc.value.columns) <= {"const", "a", "b"}
 
+    @pytest.mark.parametrize("make, bad", [
+        (lambda w, z: np.column_stack([w, 2.0 * w]), ("a",)),
+        (lambda w, z: np.column_stack([w, np.full(w.size, 3.0)]), ("const",)),
+        (lambda w, z: np.column_stack([w, z, np.zeros(w.size)]), ("c",)),
+        (lambda w, z: np.column_stack([w, z, w - 0.5 * z]), ("a",)),
+    ])
+    def test_rank_check_equals_economic_pivoted_qr(self, make, bad):
+        """The rank check reads R of a raw pivoted QR; its verdict and the
+        named columns are those of the pivoted QR that forms Q."""
+        from scipy import linalg as sla
+        rng = np.random.default_rng(97)
+        w, z = rng.standard_normal(100), rng.standard_normal(100)
+        W = make(w, z)
+        names = ("a", "b", "c")[:W.shape[1]]
+        sample = JointSample(w + rng.standard_normal(100), W, loss_name="y", factor_names=names)
+        X = np.column_stack([np.ones(100), sample.factors])
+        _, r, piv = sla.qr(X, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int((diag > diag.max() * max(100 * np.finfo(float).eps, 1e-10)).sum())
+        want = tuple((("const",) + names)[j] for j in sorted(piv[rank:]))
+        with pytest.raises(RankDeficientError) as exc:
+            ols_fit(sample)
+        assert exc.value.columns == want == bad
+        assert str(bad) in str(exc.value)
+
+    def test_coefficients_come_from_the_plain_qr(self):
+        from scipy import linalg as sla
+        rng = np.random.default_rng(98)
+        W = rng.standard_normal((3000, 4))
+        sample = JointSample(0.2 + W @ np.arange(1.0, 5.0) + rng.standard_normal(3000), W)
+        fit = ols_fit(sample)
+        X = np.column_stack([np.ones(3000), sample.factors])
+        q, r = sla.qr(X, mode="economic")
+        coef = sla.solve_triangular(r, q.T @ sample.loss)
+        assert fit.coef.tobytes() == coef.tobytes()
+        assert fit.residuals.tobytes() == (sample.loss - X @ coef).tobytes()
+
     def test_named_column_selection(self):
         rng = np.random.default_rng(96)
         cols = rng.standard_normal((300, 3))
@@ -316,11 +353,12 @@ class TestFindMatchingQ:
             find_matching_q(fit, sample, 0.95, master_seed=1)
 
 
-def _reference_grid(fit, data, p_values, q_values, mode, seed):
-    """The grid cell by cell: one plain_var per p row, one gaussian_rho per cell."""
+def _reference_grid(fit, data, p_values, q_values, mode, seed, mc_draws):
+    """The grid cell by cell: one plain_var per p row (each refitting the
+    values or rebuilding the loss law), one gaussian_rho per cell."""
     rf, rp = [], []
     for i, p in enumerate(p_values):
-        plain = plain_var(fit, data, p, mode, seed, i)
+        plain = plain_var(fit, data, p, mode, seed, i, mc_draws)
         for q in q_values:
             rf.append(gaussian_rho(fit, data, p, q))
             rp.append(plain)
@@ -373,12 +411,13 @@ class TestIndexLawBuiltOnce:
     Q = [0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
 
     @pytest.mark.parametrize("make", SAMPLES)
-    @pytest.mark.parametrize("mode", ["model", "empirical"])
+    @pytest.mark.parametrize("mode", ["model", "model-mc", "empirical"])
     def test_grid_equals_cell_by_cell_route(self, make, mode):
         data = make()
         fit = ols_fit(data)
-        grid = diff_grid(fit, data, self.P, self.Q, plain_mode=mode, master_seed=7)
-        rf, rp = _reference_grid(fit, data, self.P, self.Q, mode, 7)
+        grid = diff_grid(fit, data, self.P, self.Q, plain_mode=mode, master_seed=7,
+                         mc_draws=20_000)
+        rf, rp = _reference_grid(fit, data, self.P, self.Q, mode, 7, 20_000)
         assert np.array_equal(grid.rho_factor, rf)
         assert np.array_equal(grid.rho_plain, rp)
 
