@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,23 +30,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 GRID_HEADER = ("p", "q", "rho_factor", "rho_plain", "diff")
-
-MEASURES = {
-    "covar": ("alpha", "p"),
-    "covar-eq": ("alpha", "p"),
-    "coes": ("alpha", "p"),
-    "mes": ("alpha",),
-    "var-var": ("p", "q"),
-    "esssup-var": ("p",),
-    "mean-var": ("p",),
-    "dist-var": ("p", "q"),
-    "mean-es": ("p",),
-    "es-box": ("p", "alpha"),
-    "es-es": ("p", "q"),
-    "esssup-es": ("p",),
-    "linear": (),
-    "choquet-custom": ("custom_psi",),
-}
 
 
 class UsageError(FactorRiskError):
@@ -204,22 +188,11 @@ class MeasureRequest:
     beta: tuple[float, ...] | None = None
     bins: int | None = None
     weights: tuple[float, ...] | None = None
-    custom_psi: object = None
 
 
-def _require(request: MeasureRequest, names) -> None:
-    missing = [n for n in names if getattr(request, n) is None]
-    if missing:
-        raise UsageError(
-            f"measure {request.measure!r} requires parameters {list(names)}; "
-            f"missing {missing}"
-        )
-
-
-def _partition(sample: JointSample, bins: int | None):
-    if bins is None:
-        return conditioning.partition_discrete(sample)
-    return conditioning.partition_quantile_boxes(sample, bins)
+def _read_sample(source) -> JointSample:
+    """The sample a :class:`MeasureRequest`, or parsed data arguments, name."""
+    return read_csv(source.data_path, source.target, source.factors, source.skip)
 
 
 def _partition_warnings(sample: JointSample, partition, bins: int | None) -> list[str]:
@@ -241,59 +214,80 @@ def _box(request: MeasureRequest, sample: JointSample) -> conditioning.VarBox:
     return conditioning.VarBox(alpha, conditioning.broadcast_levels(request.beta, sample.n_factors))
 
 
+def _box_mode(request: MeasureRequest, sample: JointSample) -> dict:
+    """CoVaR/CoES event keywords: the tail box, or the box ``beta`` closes."""
+    if request.beta is None:
+        return {"mode": "tail"}
+    return {"mode": "box", "box": _box(request, sample)}
+
+
+class Measure(NamedTuple):
+    """A measure's required request fields and its evaluator, which gets
+    the request and the sample, or the scenario family when ``on_family``."""
+
+    params: tuple[str, ...]
+    on_family: bool
+    evaluate: Callable
+
+
+MEASURES = {
+    "covar": Measure(("alpha", "p"), False,
+                     lambda r, s: quantile.covar(s, r.alpha, r.p, **_box_mode(r, s))),
+    "covar-eq": Measure(("alpha", "p"), False,
+                        lambda r, s: quantile.covar(s, r.alpha, r.p, mode="equal")),
+    "coes": Measure(("alpha", "p"), False,
+                    lambda r, s: quantile.coes(s, r.alpha, r.p, **_box_mode(r, s))),
+    "mes": Measure(("alpha",), False, lambda r, s: linear.mes(s, r.alpha)),
+    "var-var": Measure(("p", "q"), True, lambda r, f: quantile.quantile_factor(
+        f, quantile.pred_var_of_var(r.p, r.q))),
+    "esssup-var": Measure(("p",), True, lambda r, f: quantile.quantile_factor(
+        f, quantile.pred_esssup_var(r.p))),
+    "mean-var": Measure(("p",), True, lambda r, f: distortion.compose_var_distortion(
+        f, r.p, scalar.identity_distortion())),
+    "dist-var": Measure(("p", "q"), True, lambda r, f: distortion.compose_var_distortion(
+        f, r.p, scalar.es_distortion(r.q))),
+    "mean-es": Measure(("p",), True, lambda r, f: distortion.compose_es_mean(f, r.p)),
+    "es-box": Measure(("p", "alpha"), False,
+                      lambda r, s: distortion.es_on_event(s, _box(r, s), r.p)),
+    "es-es": Measure(("p", "q"), True,
+                     lambda r, f: coherent.es_composition(f, r.p, outer="es", q=r.q)),
+    "esssup-es": Measure(("p",), True,
+                         lambda r, f: coherent.es_composition(f, r.p, outer="esssup")),
+    "linear": Measure((), True, lambda r, f: linear.linear_factor(
+        f, "physical" if r.weights is None else list(r.weights))),
+}
+
+
+# share agents: name -> (parameters in the builder's order with their
+# defaults, None where required; the scenario distortion's builder)
+AGENTS = {
+    "var-var": ({"p": None, "q": 0.5}, distortion.psi_indicator_var_var),
+    "mean-es": ({"p": None}, distortion.psi_mean_of_es),
+    "mean-var": ({"p": None}, distortion.psi_mean_of_var),
+}
+
+
 def run(request: MeasureRequest) -> dict:
-    """Dispatch a measure request and return the JSON-ready report."""
-    if request.measure not in MEASURES:
+    """Evaluate a measure request and return the JSON-ready report."""
+    measure = MEASURES.get(request.measure)
+    if measure is None:
         raise UsageError(
             f"unknown measure {request.measure!r}; choose from {sorted(MEASURES)}"
         )
-    _require(request, MEASURES[request.measure])
-    sample = read_csv(request.data_path, request.target, request.factors, request.skip)
+    missing = [n for n in measure.params if getattr(request, n) is None]
+    if missing:
+        raise UsageError(f"measure {request.measure!r} requires parameters "
+                         f"{list(measure.params)}; missing {missing}")
+    sample = data = _read_sample(request)
     warnings: list[str] = []
     n_scenarios = None
-    name = request.measure
-
-    if name in ("covar", "covar-eq", "coes"):
-        mode = "equal" if name == "covar-eq" else ("box" if request.beta is not None else "tail")
-        box = _box(request, sample) if mode == "box" else None
-        fn = quantile.coes if name == "coes" else quantile.covar
-        value = fn(sample, request.alpha, request.p, mode=mode, box=box)
-    elif name == "mes":
-        value = linear.mes(sample, request.alpha)
-    elif name == "es-box":
-        value = distortion.es_on_event(sample, _box(request, sample), request.p)
-    else:
-        partition = _partition(sample, request.bins)
-        family = from_sample(sample, partition)
-        n_scenarios = family.n_scenarios
-        warnings += _partition_warnings(sample, partition, request.bins)
-        if name == "var-var":
-            value = quantile.quantile_factor(family, quantile.pred_var_of_var(request.p, request.q))
-        elif name == "esssup-var":
-            value = quantile.quantile_factor(family, quantile.pred_esssup_var(request.p))
-        elif name == "mean-var":
-            value = distortion.compose_var_distortion(family, request.p,
-                                                      scalar.identity_distortion())
-        elif name == "dist-var":
-            value = distortion.compose_var_distortion(family, request.p,
-                                                      scalar.es_distortion(request.q))
-        elif name == "mean-es":
-            value = distortion.compose_es_mean(family, request.p)
-        elif name == "es-es":
-            value = coherent.es_composition(family, request.p, outer="es", q=request.q)
-        elif name == "esssup-es":
-            value = coherent.es_composition(family, request.p, outer="esssup")
-        elif name == "linear":
-            weighting = "physical" if request.weights is None else list(request.weights)
-            value = linear.linear_factor(family, weighting)
-        elif name == "choquet-custom":
-            psi = request.custom_psi
-            if not isinstance(psi, distortion.ScenarioDistortion):
-                raise UsageError("choquet-custom requires a ScenarioDistortion object "
-                                 "(programmatic use only)")
-            value = distortion.choquet_factor(family, psi)
-        else:  # pragma: no cover - exhaustive above
-            raise UsageError(f"unhandled measure {name!r}")
+    if measure.on_family:
+        partition = (conditioning.partition_discrete(sample) if request.bins is None
+                     else conditioning.partition_quantile_boxes(sample, request.bins))
+        data = from_sample(sample, partition)
+        n_scenarios = data.n_scenarios
+        warnings = _partition_warnings(sample, partition, request.bins)
+    value = measure.evaluate(request, data)
 
     params = {k: v for k, v in (
         ("p", request.p), ("q", request.q),
@@ -303,7 +297,7 @@ def run(request: MeasureRequest) -> dict:
         ("weights", list(request.weights) if request.weights else None),
     ) if v is not None}
     return {
-        "measure": name,
+        "measure": request.measure,
         "params": params,
         "value": float(value),
         "nScenarios": n_scenarios,
@@ -320,30 +314,25 @@ def _fmt9(v: float) -> str:
 _CHUNK_ROWS = 2**16
 
 
-def _csv_lines(header, table: np.ndarray) -> str:
-    """``header`` and the rows of ``table`` at 9 significant digits, as
-    ``csv.writer`` writes them (CRLF line ends), one %-format per chunk."""
-    line = ",".join(["%.9g"] * table.shape[1]) + "\r\n"
+def _csv_lines(header, table: np.ndarray, end: str = "\r\n") -> str:
+    """``header`` and the rows of ``table`` at 9 significant digits, each
+    line ended by ``end`` (CRLF: as ``csv.writer`` writes them), one
+    %-format per chunk."""
+    line = ",".join(["%.9g"] * table.shape[1]) + end
     chunks = (table[i:i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS))
-    return ",".join(header) + "\r\n" + "".join(
+    return ",".join(header) + end + "".join(
         (line * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks)
 
 
 def write_grid(grid: regression.DiffGrid, target) -> None:
-    """Emit a Diff grid as long-format CSV at 9 significant digits."""
-    close = False
+    """Emit a Diff grid as long-format CSV at 9 significant digits to a
+    path or a text stream."""
+    text = _csv_lines(GRID_HEADER, np.column_stack(
+        [grid.p, grid.q, grid.rho_factor, grid.rho_plain, grid.diff]), "\n")
     if isinstance(target, (str, Path)):
-        fh = open(target, "w", encoding="utf-8", newline="")
-        close = True
+        Path(target).write_text(text, encoding="utf-8", newline="")
     else:
-        fh = target
-    try:
-        fh.write(",".join(GRID_HEADER) + "\n")
-        for row in grid.rows():
-            fh.write(",".join(_fmt9(v) for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
+        target.write(text)
 
 
 def read_grid(path) -> regression.DiffGrid:
@@ -356,13 +345,18 @@ def read_grid(path) -> regression.DiffGrid:
     _, table = _read_table(Path(path), select, "ragged row (row {row})",
                            "cell is not numeric at (row {row}, col {col})")
     p, q, rho_factor, rho_plain, diff = table.T
-    return regression.DiffGrid(_unique_in_order(p), _unique_in_order(q), p, q, rho_factor,
-                               rho_plain, diff)
-
-
-def _unique_in_order(values: np.ndarray) -> np.ndarray:
-    uniq, first = np.unique(values, return_index=True)
-    return uniq[np.argsort(first)]
+    # p-major: the first p block holds the q levels, each block's first row its p
+    breaks = np.flatnonzero(p[1:] != p[:1])
+    n_q = int(breaks[0]) + 1 if breaks.size else max(p.size, 1)
+    p_values, q_values = p[::n_q], q[:n_q]
+    n = p.size
+    bad = np.flatnonzero((p != np.repeat(p_values, n_q)[:n])
+                         | (q != np.tile(q_values, p_values.size)[:n]))
+    if bad.size or n % n_q:
+        row = int(bad[0]) + 1 if bad.size else n
+        raise DataFormatError(f"row {row} breaks the p-major product of the grid's p and q "
+                              f"levels (p {p_values.tolist()}, q {q_values.tolist()})", row=row)
+    return regression.DiffGrid(p_values, q_values, rho_factor, rho_plain, diff)
 
 
 def _json_floats(values: np.ndarray, depth: int) -> str:
@@ -432,10 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_args(p):
-        p.add_argument("--data", required=True, help="headered CSV file")
+        p.add_argument("--data", dest="data_path", required=True, help="headered CSV file")
         p.add_argument("--target", required=True, help="loss column name")
-        p.add_argument("--factors", default=None, help="comma-separated factor columns")
-        p.add_argument("--skip", default="", help="comma-separated columns to ignore")
+        p.add_argument("--factors", type=_split_names, default=None,
+                       help="comma-separated factor columns")
+        p.add_argument("--skip", type=_split_names, default="",
+                       help="comma-separated columns to ignore")
 
     m = sub.add_parser("measure", help="evaluate a factor risk measure")
     add_data_args(m)
@@ -466,8 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("share", help="comonotonic risk sharing")
     add_data_args(s)
     s.add_argument("--agents", required=True,
-                   help="semicolon-separated specs: measure:p=..[,q=..]@factor "
-                        "(measures: var-var, mean-es, mean-var; q defaults to 0.5)")
+                   help="semicolon-separated specs name:key=value,...@factor; "
+                        "agents and their parameters: " + "; ".join(
+                            f"{name}: " + ", ".join(k if v is None else f"{k}={v}"
+                                                   for k, v in defaults.items())
+                            for name, (defaults, _) in AGENTS.items())
+                        + "; unknown parameters are rejected")
     s.add_argument("--output", default=None)
 
     g = sub.add_parser("simulate", help="generate a synthetic model dataset")
@@ -496,18 +496,18 @@ def _agent_spec(token: str, sample: JointSample, families: dict):
             raise UsageError(f"bad agent parameter {item!r}") from None
     if column and (sample.factor_names is None or column not in sample.factor_names):
         raise UsageError(f"agent factor column {column!r} not in data")
-    family = _column_family(sample, column, families)
-    if "p" not in params:
-        raise UsageError(f"agent spec {token!r} needs p=<level>")
-    if name == "var-var":
-        psi = distortion.psi_indicator_var_var(params["p"], params.get("q", 0.5))
-    elif name == "mean-es":
-        psi = distortion.psi_mean_of_es(params["p"])
-    elif name == "mean-var":
-        psi = distortion.psi_mean_of_var(params["p"])
-    else:
-        raise UsageError(f"unknown agent measure {name!r}; use var-var, mean-es, mean-var")
-    return psi, family
+    if name not in AGENTS:
+        raise UsageError(f"unknown agent measure {name!r}; use {', '.join(AGENTS)}")
+    defaults, build = AGENTS[name]
+    unknown = [key for key in params if key not in defaults]
+    if unknown:
+        raise UsageError(f"agent {name!r} takes parameters {list(defaults)}; unknown {unknown}")
+    values = {**defaults, **params}
+    missing = [key for key, value in values.items() if value is None]
+    if missing:
+        raise UsageError(f"agent spec {token!r} needs "
+                         + ", ".join(f"{key}=<level>" for key in missing))
+    return build(*values.values()), _column_family(sample, column, families)
 
 
 def _column_family(sample: JointSample, column: str, families: dict):
@@ -551,20 +551,13 @@ def _split_names(text: str | None):
 
 def _dispatch(args) -> int:
     if args.command == "measure":
-        request = MeasureRequest(
-            data_path=args.data,
-            target=args.target,
-            measure=args.measure,
-            factors=_split_names(args.factors),
-            skip=_split_names(args.skip) or (),
-            p=args.p,
-            q=args.q,
+        report = run(MeasureRequest(
+            args.data_path, args.target, args.measure, args.factors, args.skip, args.p, args.q,
             alpha=_floats(args.alpha) if args.alpha else None,
             beta=_floats(args.beta) if args.beta else None,
             bins=args.bins,
             weights=_floats(args.weights) if args.weights else None,
-        )
-        report = run(request)
+        ))
         if args.fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -577,8 +570,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "regress":
-        sample = read_csv(args.data, args.target, _split_names(args.factors),
-                          _split_names(args.skip) or ())
+        sample = _read_sample(args)
         fit = regression.ols_fit(sample)
         if args.fmt == "json":
             payload = {
@@ -597,22 +589,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "heatmap":
-        sample = read_csv(args.data, args.target, _split_names(args.factors),
-                          _split_names(args.skip) or ())
+        sample = _read_sample(args)
         fit = regression.ols_fit(sample)
         grid = regression.diff_grid(fit, sample, _floats(args.p), _floats(args.q),
                                     plain_mode=args.plain_var, master_seed=args.seed)
-        if args.output:
-            write_grid(grid, args.output)
-        else:
-            buf = io.StringIO()
-            write_grid(grid, buf)
-            sys.stdout.write(buf.getvalue())
+        write_grid(grid, args.output or sys.stdout)
         return EXIT_OK
 
     if args.command == "share":
-        sample = read_csv(args.data, args.target, _split_names(args.factors),
-                          _split_names(args.skip) or ())
+        sample = _read_sample(args)
         tokens = [tok for tok in args.agents.split(";") if tok.strip()]
         if not tokens:
             raise UsageError("at least one agent spec is required")
@@ -627,21 +612,19 @@ def _dispatch(args) -> int:
               + ',\n  "slopes": ' + _json_floats(allocation.slopes, 1) + "\n}", args.output)
         return EXIT_OK
 
-    if args.command == "simulate":
-        beta = _floats(args.beta)
-        if args.discrete_values:
-            spec = regression.DiscreteFactorSpec(np.asarray(_floats(args.discrete_values)))
-            if len(beta) != 1:
-                raise UsageError("discrete scalar values imply a single factor")
-        else:
-            dim = len(beta)
-            spec = regression.GaussianFactorSpec(np.zeros(dim), np.eye(dim))
-        sample = regression.simulate(args.beta0, beta, args.sigma, spec, args.n, args.seed)
-        table = np.column_stack([sample.loss, sample.factors])
-        _emit(_csv_lines([sample.loss_name, *sample.factor_names], table), args.output)
-        return EXIT_OK
-
-    raise UsageError(f"unknown command {args.command!r}")  # pragma: no cover
+    # simulate, the last of the subcommands the parser admits
+    beta = _floats(args.beta)
+    if args.discrete_values:
+        spec = regression.DiscreteFactorSpec(np.asarray(_floats(args.discrete_values)))
+        if len(beta) != 1:
+            raise UsageError("discrete scalar values imply a single factor")
+    else:
+        dim = len(beta)
+        spec = regression.GaussianFactorSpec(np.zeros(dim), np.eye(dim))
+    sample = regression.simulate(args.beta0, beta, args.sigma, spec, args.n, args.seed)
+    table = np.column_stack([sample.loss, sample.factors])
+    _emit(_csv_lines([sample.loss_name, *sample.factor_names], table), args.output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -740,8 +740,9 @@ class ScenarioFunctional:
 
 
 class _LabelView:
-    """A family's labels, built when first read: :func:`_sweep` hands them
-    to every functional, and only label-keyed ones read them."""
+    """A family's labels, built when first read: :func:`_sweep` and the
+    closed forms hand them to every level map, and only label-keyed ones
+    read them."""
 
     def __init__(self, family: ConditionalLawFamily):
         self._family = family
@@ -760,6 +761,11 @@ class _LabelView:
 
     def index(self, label) -> int:
         return self._family.labels.index(label)
+
+
+def _lazy_labels(family: ConditionalLawFamily):
+    """The labels given to the family (or None), else a :class:`_LabelView`."""
+    return family.labels if family._labels is None else _LabelView(family)
 
 
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -797,7 +803,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     """
     grid = np.asarray(grid, dtype=float)
     pis, n, G = family.pis, family.n_scenarios, grid.size
-    labels = family.labels if family._labels is None else _LabelView(family)
+    labels = _lazy_labels(family)
     starts, cum = family.offsets[:-1], family.cum
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
     if at is None:

@@ -33,7 +33,7 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, VarBox, box_mask
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _merged_grid, _sweep, round_significant)
+                   _lazy_labels, _merged_grid, _sweep, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -194,14 +194,14 @@ def compose_var_distortion(family: ConditionalLawFamily, levels,
     :func:`choquet_factor` on discrete families except at exact probability
     ties, where a float cumsum landing ulps under a level takes the next atom.
     """
-    g = _var_levels(LevelMap.of(levels), family.n_scenarios, family.labels)
+    g = _var_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
     vars_ = np.array([scalar.var(law, gi) for law, gi in zip(family.laws, g)])
     return scalar.distortion_rho(StepCDF.from_values(vars_, family.pis), lam)
 
 
 def compose_es_mean(family: ConditionalLawFamily, levels) -> float:
     """E[ES_{g(W)}(X | W)] via per-scenario expected shortfalls."""
-    g = _es_levels(LevelMap.of(levels), family.n_scenarios, family.labels)
+    g = _es_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
     return float(sum(pi * scalar.es(law, gi)
                      for pi, law, gi in zip(family.pis, family.laws, g)))
 

@@ -314,21 +314,20 @@ class DiffGrid:
     """Long-format grid of (p, q, rho_factor, rho_plain, diff) rows.
 
     Rows are p-major then q, covering the Cartesian product of the
-    requested levels.  ``diff`` is rho_factor / rho_plain - 1, NaN where
-    rho_plain is zero.
+    requested levels, which are stored once; the ``p`` and ``q`` columns
+    are built from them on each read.  ``diff`` is rho_factor /
+    rho_plain - 1, NaN where rho_plain is zero.
     """
 
     p_values: np.ndarray
     q_values: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
     rho_factor: np.ndarray
     rho_plain: np.ndarray
     diff: np.ndarray
 
     def __post_init__(self):
         size = self.p_values.size * self.q_values.size
-        for name in ("p", "q", "rho_factor", "rho_plain", "diff"):
+        for name in ("rho_factor", "rho_plain", "diff"):
             if getattr(self, name).size != size:
                 raise ValidationError(f"grid column {name} must have {size} rows")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,13 +339,16 @@ class DiffGrid:
             raise ValidationError("diff column is inconsistent with its definition")
 
     @property
-    def n_rows(self) -> int:
-        return self.p.size
+    def p(self) -> np.ndarray:
+        return np.repeat(self.p_values, self.q_values.size)
 
-    def rows(self):
-        for k in range(self.n_rows):
-            yield (float(self.p[k]), float(self.q[k]), float(self.rho_factor[k]),
-                   float(self.rho_plain[k]), float(self.diff[k]))
+    @property
+    def q(self) -> np.ndarray:
+        return np.tile(self.q_values, self.p_values.size)
+
+    @property
+    def n_rows(self) -> int:
+        return self.diff.size
 
 
 def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
@@ -369,18 +371,12 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
         raise ValidationError("levels must lie in (0, 1)")
     index_law = _index_law(fit, data)
     plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws)
-    rows_p, rows_q, rf, rp = [], [], [], []
-    for p, plain in zip(p_values, plains):
-        for q in q_values:
-            rows_p.append(float(p))
-            rows_q.append(float(q))
-            rf.append(_rho(fit, index_law, float(p), float(q)))
-            rp.append(plain)
-    rf = np.array(rf)
-    rp = np.array(rp)
+    rf = np.array([_rho(fit, index_law, p, q) for p in p_values.tolist()
+                   for q in q_values.tolist()])
+    rp = np.repeat(plains, q_values.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.where(rp != 0, rf / rp - 1.0, np.nan)
-    return DiffGrid(p_values, q_values, np.array(rows_p), np.array(rows_q), rf, rp, diff)
+    return DiffGrid(p_values, q_values, rf, rp, diff)
 
 
 def find_matching_q(fit: RegressionFit, data: JointSample, p: float,

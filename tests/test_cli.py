@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from factorrisk import (
     DataFormatError,
     GaussianFactorSpec,
+    choquet_factor,
     from_sample,
     inf_convolution,
     ols_fit,
@@ -18,6 +20,7 @@ from factorrisk.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    MEASURES,
     MeasureRequest,
     UsageError,
     _agent_spec,
@@ -116,21 +119,11 @@ class TestRun:
         for measure, params, expected in cases:
             report = run(MeasureRequest(d1_csv, "X", measure, **params))
             assert report["value"] == pytest.approx(expected, abs=1e-12), measure
+        assert {measure for measure, _, _ in cases} == set(MEASURES)
 
     def test_unknown_measure(self, d1_csv):
         with pytest.raises(UsageError):
             run(MeasureRequest(d1_csv, "X", "tail-risk-3000"))
-
-    def test_custom_distortion_dispatch(self, d1_csv):
-        from factorrisk import psi_custom
-
-        psi = psi_custom(lambda v, pi: float(v @ pi), n_scenarios=2)
-        report = run(MeasureRequest(d1_csv, "X", "choquet-custom", custom_psi=psi))
-        assert report["value"] == pytest.approx(3.75, abs=1e-12)
-
-    def test_custom_requires_distortion_object(self, d1_csv):
-        with pytest.raises(UsageError):
-            run(MeasureRequest(d1_csv, "X", "choquet-custom", custom_psi="mean"))
 
     def test_missing_params_lists_expected(self, d1_csv):
         with pytest.raises(UsageError, match="requires parameters"):
@@ -284,6 +277,42 @@ class TestRegressionReport:
         text = regression_report(fit)
         umd_row = [line for line in text.splitlines() if line.startswith("UMD")][0]
         assert "e-05" in umd_row
+
+
+class TestAgentSpecs:
+    """``share`` agents take the parameters of their table entry and no others."""
+
+    @pytest.mark.parametrize("agents, unknown", [
+        ("var-var:p=0.9,qq=0.9@W", "['qq']"),
+        ("mean-es:p=0.9,q=0.2", "['q']"),
+        ("mean-var:p=0.9,=0.5@W", "['']"),
+    ])
+    def test_unknown_parameter_is_usage_error(self, d1_csv, capsys, agents, unknown):
+        rc = main(["share", "--data", d1_csv, "--target", "X", "--agents", agents])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.rstrip().endswith(f"; unknown {unknown}")
+
+    def test_defaults_fill_optional_parameters(self, d1_csv):
+        sample = read_csv(d1_csv, "X")
+        values = []
+        for token in ("var-var:p=0.75@W", "var-var:p=0.75,q=0.5@W", "var-var:p=0.75,q=0.9@W"):
+            psi, family = _agent_spec(token, sample, {})
+            values.append(choquet_factor(family, psi))
+        assert values == [3.0, 3.0, 6.0]
+
+    @pytest.mark.parametrize("token, message", [
+        ("var-var:q=0.5@W", "needs p=<level>"),
+        ("var-es:p=0.9@W", "unknown agent measure 'var-es'; use var-var, mean-es, mean-var"),
+    ])
+    def test_bad_specs(self, d1_csv, token, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            _agent_spec(token, read_csv(d1_csv, "X"), {})
+
+    def test_help_lists_each_agent_and_its_parameters(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["share", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "var-var: p, q=0.5; mean-es: p; mean-var: p" in help_text
 
 
 class TestShareFamilies:

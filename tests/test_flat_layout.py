@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 import per_scenario
 from factorrisk import (ConditionalLawFamily, DiscreteJointDistribution, JointSample, Scenario,
-                        ScenarioPartition, StepCDF, ValidationError, choquet_factor, conditioning,
-                        core, from_sample, partition_discrete, partition_quantile_boxes,
+                        ScenarioPartition, StepCDF, ValidationError, choquet_factor,
+                        compose_es_mean, compose_var_distortion, conditioning, core, from_sample,
+                        identity_distortion, partition_discrete, partition_quantile_boxes,
                         pred_single_scenario, pred_var_of_var, psi_mean_of_es, psi_mean_of_var,
                         quantile_factor)
 from factorrisk.core import MIN_ATOM_MASS, PROB_TOL, round_significant
@@ -269,6 +270,18 @@ class TestViews:
         assert family.__dict__["labels"] == labels
         with pytest.raises(ValidationError, match="not found"):
             quantile_factor(family, pred_single_scenario("no such box", 0.5))
+
+    def test_closed_forms_build_labels_only_when_read(self, built):
+        partition, family = built
+        levels = np.linspace(0.5, 0.95, family.n_scenarios)
+        by_index = [compose_var_distortion(family, levels, identity_distortion()),
+                    compose_var_distortion(family, 0.9, identity_distortion()),
+                    compose_es_mean(family, levels), compose_es_mean(family, 0.9)]
+        assert "labels" not in family.__dict__
+        by_label = dict(zip(partition.labels, levels))
+        assert [compose_var_distortion(family, by_label, identity_distortion()),
+                compose_es_mean(family, by_label)] == [by_index[0], by_index[2]]
+        assert family.__dict__["labels"] == partition.labels
 
     @pytest.mark.parametrize("read_views", [False, True])
     def test_pickle_round_trip(self, built, read_views):

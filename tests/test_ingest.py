@@ -194,15 +194,14 @@ def test_grid_with_nan_diff_round_trips_through_the_per_cell_loop(tmp_path):
     ("p,q\n", "expected header"),
     ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1\n", r"^ragged row \(row 1\)$"),
     ("p,q,rho_factor,rho_plain,diff\n0.9,x,1,1,0\n", r"^cell is not numeric at \(row 1, col q\)$"),
+    ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1,0\n0.9,0.7,1,1,0\n0.95,0.5,1,1,0\n"
+     "0.95,0.5,1,1,0\n", r"^row 4 breaks the p-major product .*\(p \[0.9, 0.95\], q \[0.5, 0.7\]\)$"),
+    ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1,0\n0.9,0.7,1,1,0\n0.95,0.5,1,1,0\n",
+     r"^row 3 breaks the p-major product"),
 ])
 def test_grid_errors_keep_their_messages(tmp_path, text, message):
     with pytest.raises(DataFormatError, match=message):
         cli.read_grid(_write(tmp_path, text))
-
-
-def test_unique_in_order_keeps_first_occurrences():
-    values = np.array([0.9, 0.5, 0.9, 0.1, 0.5, 0.7, 0.1])
-    assert cli._unique_in_order(values).tolist() == [0.9, 0.5, 0.1, 0.7]
 
 
 # ------------------------------------------------------------------ writers
