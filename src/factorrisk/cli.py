@@ -72,8 +72,6 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
     wanted, table = _read_table(
         path, select, "ragged row: expected {expected} cells, got {got} (row {row})",
         "cell is not numeric at (row {row}, col {col}): {cell!r}")
-    if not table.shape[0]:
-        raise DataFormatError("file contains a header but no data rows")
     bad = ~np.isfinite(table)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -96,10 +94,11 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     raises, gives another row count or a non-finite value, the per-cell
     loop parses the file as ``csv.reader`` splits it.  The loop is the only
     place that rejects a row or a cell, with the ``ragged`` and
-    ``not_numeric`` messages, so both routes report the same error.  Where
-    both parse a file they give the same bits: ``np.loadtxt`` rejects some
-    cells that ``float`` takes (``1_0``), which the loop then reads, and no
-    cell is known that it takes and ``float`` rejects.
+    ``not_numeric`` messages, or a file without data rows, so both routes
+    report the same error.  Where both parse a file they give the same
+    bits: ``np.loadtxt`` rejects some cells that ``float`` takes
+    (``1_0``), which the loop then reads, and no cell is known that it
+    takes and ``float`` rejects.
     """
     raw = path.read_bytes()
     n_rows = _plain_rows(raw)
@@ -127,6 +126,8 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
                 except ValueError:
                     raise DataFormatError(not_numeric.format(row=r, col=name, cell=cell),
                                           row=r, column=name) from None
+    if not values:
+        raise DataFormatError("file contains a header but no data rows")
     return wanted, np.array(values).reshape(-1, len(wanted))
 
 
@@ -214,13 +215,6 @@ def _box(request: MeasureRequest, sample: JointSample) -> conditioning.VarBox:
     return conditioning.VarBox(alpha, conditioning.broadcast_levels(request.beta, sample.n_factors))
 
 
-def _box_mode(request: MeasureRequest, sample: JointSample) -> dict:
-    """CoVaR/CoES event keywords: the tail box, or the box ``beta`` closes."""
-    if request.beta is None:
-        return {"mode": "tail"}
-    return {"mode": "box", "box": _box(request, sample)}
-
-
 class Measure(NamedTuple):
     """A measure's required request fields and its evaluator, which gets
     the request and the sample, or the scenario family when ``on_family``."""
@@ -232,11 +226,11 @@ class Measure(NamedTuple):
 
 MEASURES = {
     "covar": Measure(("alpha", "p"), False,
-                     lambda r, s: quantile.covar(s, r.alpha, r.p, **_box_mode(r, s))),
+                     lambda r, s: quantile.covar(s, r.alpha, r.p, "box", _box(r, s))),
     "covar-eq": Measure(("alpha", "p"), False,
                         lambda r, s: quantile.covar(s, r.alpha, r.p, mode="equal")),
     "coes": Measure(("alpha", "p"), False,
-                    lambda r, s: quantile.coes(s, r.alpha, r.p, **_box_mode(r, s))),
+                    lambda r, s: quantile.coes(s, r.alpha, r.p, "box", _box(r, s))),
     "mes": Measure(("alpha",), False, lambda r, s: linear.mes(s, r.alpha)),
     "var-var": Measure(("p", "q"), True, lambda r, f: quantile.quantile_factor(
         f, quantile.pred_var_of_var(r.p, r.q))),

@@ -16,7 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import scalar
-from .core import JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums
+from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums,
+                   round_significant)
 from .errors import EmptyEventError, ValidationError
 
 
@@ -37,9 +38,10 @@ class VarBox:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ValidationError("alpha and beta must be aligned level vectors")
-        if np.any(alpha <= 0) or np.any(alpha >= 1):
+        # written so that NaN levels fail them
+        if not np.all((alpha > 0) & (alpha < 1)):
             raise ValidationError("alpha levels must lie in (0, 1)")
-        if np.any(beta <= 0) or np.any(beta > 1):
+        if not np.all((beta > 0) & (beta <= 1)):
             raise ValidationError("beta levels must lie in (0, 1]")
         if np.any(alpha > beta):
             raise ValidationError("alpha must be componentwise <= beta")
@@ -237,16 +239,34 @@ def box_mask(sample: JointSample, box: VarBox) -> np.ndarray:
     return mask
 
 
-def var_box_event(sample: JointSample, box: VarBox) -> JointSample:
-    """Subsample on the VaR box event, weights renormalized.
-
-    Rejects when the event carries no weight (the box is only meaningful
-    for events of positive probability).
-    """
-    mask = box_mask(sample, box)
+def event_mask(sample: JointSample, event) -> np.ndarray:
+    """Row mask of a VarBox event or of a collection of exact factor vectors,
+    zero-weight rows left out; an event of zero probability is rejected."""
+    if isinstance(event, VarBox):
+        mask = box_mask(sample, event)
+    else:
+        values = round_significant(np.atleast_2d(np.asarray(event, dtype=float)))
+        if values.shape[1] != sample.n_factors:
+            raise ValidationError("event factor values must match the factor dimension")
+        mask = np.zeros(sample.n_rows, dtype=bool)
+        for row in values:
+            mask |= np.all(sample.factors == row, axis=1)
+        mask &= sample.weights > 0
     if not mask.any():
-        raise EmptyEventError("VaR box event has zero probability")
-    return sample.subsample(mask)
+        raise EmptyEventError("conditioning event has zero probability")
+    return mask
+
+
+def event_law(sample: JointSample, event) -> StepCDF:
+    """Law of the loss on the event of :func:`event_mask`, weights renormalized:
+    the one route from an event to a law, read by CoVaR, CoES, MES and ES on an event."""
+    mask = event_mask(sample, event)
+    return StepCDF.from_values(sample.loss[mask], sample.weights[mask])
+
+
+def var_box_event(sample: JointSample, box: VarBox) -> JointSample:
+    """Subsample on the VaR box event, weights renormalized; empty events are rejected."""
+    return sample.subsample(event_mask(sample, box))
 
 
 def broadcast_levels(levels, n_factors: int | None = None) -> np.ndarray:

@@ -100,6 +100,21 @@ def _as_1d(values, name: str) -> np.ndarray:
     return arr
 
 
+def _normalized_weights(weights, n: int) -> np.ndarray:
+    """``weights`` of ``n`` rows scaled to total 1; 1/n each when None."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = _as_1d(weights, "weights")
+    if w.size != n:
+        raise ValidationError(f"expected {n} weights, got {w.size}")
+    if np.any(w < 0):
+        raise ValidationError("weights must be nonnegative")
+    total = w.sum()
+    if total <= 0:
+        raise ValidationError("weights must have positive total")
+    return w / total
+
+
 def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> None:
     """Validate the step CDFs ``support[a:b]``, ``cum[a:b]`` for each segment
     [a, b) of ``offsets``, all at once."""
@@ -182,18 +197,7 @@ class StepCDF:
         ``np.unique`` route.
         """
         vals = _as_1d(values, "values")
-        if weights is None:
-            w = np.full(vals.shape, 1.0 / vals.size)
-        else:
-            w = _as_1d(weights, "weights")
-            if w.shape != vals.shape:
-                raise ValidationError("values and weights must have equal length")
-            if np.any(w < 0):
-                raise ValidationError("weights must be nonnegative")
-            total = w.sum()
-            if total <= 0:
-                raise ValidationError("weights must have positive total")
-            w = w / total
+        w = _normalized_weights(weights, vals.size)
         atoms = _equal_weight_atoms(vals, w[0]) if (w == w[0]).all() else None
         if atoms is None:
             uniq, inverse = np.unique(vals, return_inverse=True)
@@ -335,18 +339,7 @@ class JointSample:
             raise ValidationError("factor dimension N must be >= 1")
         if not np.all(np.isfinite(factors)):
             raise ValidationError("factor values must be finite")
-        if self.weights is None:
-            w = np.full(loss.shape, 1.0 / loss.size)
-        else:
-            w = _as_1d(self.weights, "weights")
-            if w.shape != loss.shape:
-                raise ValidationError("weights must align with loss")
-            if np.any(w < 0):
-                raise ValidationError("weights must be nonnegative")
-            total = w.sum()
-            if total <= 0:
-                raise ValidationError("weights must have positive total")
-            w = w / total
+        w = _normalized_weights(self.weights, loss.size)
         if self.factor_names is not None and len(self.factor_names) != factors.shape[1]:
             raise ValidationError("factor_names must match the number of factor columns")
         object.__setattr__(self, "loss", _freeze(loss))

@@ -31,10 +31,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import scalar
-from .conditioning import LevelMap, VarBox, box_mask
+from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _lazy_labels, _merged_grid, _sweep, round_significant)
-from .errors import EmptyEventError, ValidationError
+                   _lazy_labels, _merged_grid, _sweep)
+from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
 
@@ -206,35 +206,13 @@ def compose_es_mean(family: ConditionalLawFamily, levels) -> float:
                      for pi, law, gi in zip(family.pis, family.laws, g)))
 
 
-def conditional_cdf(sample: JointSample, mask: np.ndarray) -> StepCDF:
-    """Empirical law of the loss on a row event."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any() or sample.weights[mask].sum() <= 0:
-        raise EmptyEventError("conditioning event has zero probability")
-    return StepCDF.from_values(sample.loss[mask], sample.weights[mask])
-
-
-def event_mask(sample: JointSample, event) -> np.ndarray:
-    """Row mask for a VarBox event or an explicit factor-value subset."""
-    if isinstance(event, VarBox):
-        return box_mask(sample, event)
-    values = round_significant(np.atleast_2d(np.asarray(event, dtype=float)))
-    if values.shape[1] != sample.n_factors:
-        raise ValidationError("event factor values must match the factor dimension")
-    mask = np.zeros(sample.n_rows, dtype=bool)
-    for row in values:
-        mask |= np.all(sample.factors == row, axis=1)
-    mask &= sample.weights > 0
-    return mask
-
-
 def es_on_event(sample: JointSample, event, p: float) -> float:
     """ES_p of the loss conditionally on W falling in the event.
 
     ``event`` is a VarBox or a collection of exact factor values (the
     discrete-scenario flavor).  Empty events are rejected.
     """
-    return scalar.es(conditional_cdf(sample, event_mask(sample, event)), p)
+    return scalar.es(event_law(sample, event), p)
 
 
 class ConditionAWitness(NamedTuple):

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import box_mask, tail_box
+from .conditioning import event_law, tail_box
 from .core import ConditionalLawFamily, JointSample, _exactly_one
-from .distortion import conditional_cdf
-from .errors import EmptyEventError, ValidationError
+from .errors import ValidationError
 
 PHYSICAL = "physical"
 
@@ -95,7 +94,4 @@ def linear_factor(family: ConditionalLawFamily, weighting) -> float:
 
 def mes(sample: JointSample, alpha) -> float:
     """Marginal expected shortfall E[X | W >= VaR_alpha(W)]."""
-    mask = box_mask(sample, tail_box(alpha, sample.n_factors))
-    if not mask.any():
-        raise EmptyEventError("MES conditioning event has zero probability")
-    return conditional_cdf(sample, mask).mean()
+    return event_law(sample, tail_box(alpha, sample.n_factors)).mean()

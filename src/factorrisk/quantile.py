@@ -27,11 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import scalar
-from .conditioning import (VarBox, _column_cdf, _retained_rows, box_mask, broadcast_levels,
-                           tail_box)
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional,
-                   _merged_grid, _sweep, round_significant)
-from .distortion import conditional_cdf
+from .conditioning import VarBox, broadcast_levels, event_law, tail_box
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _merged_grid,
+                   _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -143,45 +141,28 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
 
 
 def _event_cdf(sample: JointSample, alpha, mode: str, box: VarBox | None):
+    """Law of X on the mode's event; ``equal`` is the degenerate box [alpha, alpha]."""
     if mode == "box":
         if box is None:
             raise ValidationError("box mode requires a VarBox")
-        the_box = box
     elif mode == "tail":
-        the_box = tail_box(alpha, sample.n_factors)
+        box = tail_box(alpha, sample.n_factors)
     elif mode == "equal":
-        return _equal_event_cdf(sample, alpha)
+        alpha = broadcast_levels(alpha, sample.n_factors)
+        if alpha.size != sample.n_factors:
+            raise ValidationError("alpha must match the factor dimension")
+        box = VarBox(alpha, alpha)
     else:
         raise ValidationError(f"unknown conditioning mode {mode!r}")
-    mask = box_mask(sample, the_box)
-    if not mask.any():
-        raise EmptyEventError("conditioning event has zero probability")
-    return conditional_cdf(sample, mask)
-
-
-def _equal_event_cdf(sample: JointSample, alpha):
-    """Law of X on the event {W == VaR_alpha(W)} (componentwise, exact).
-
-    Only defined when the componentwise quantile point carries positive
-    mass; otherwise the event is null and a distinct error is raised.
-    """
-    alpha = broadcast_levels(alpha, sample.n_factors)
-    if alpha.size != sample.n_factors:
-        raise ValidationError("alpha must match the factor dimension")
-    if np.any(alpha <= 0) or np.any(alpha >= 1):
-        raise ValidationError("alpha levels must lie in (0, 1)")
-    rows = _retained_rows(sample)
-    point = np.empty(sample.n_factors)
-    for j in range(sample.n_factors):
-        point[j] = scalar.var(_column_cdf(sample, j, rows), float(alpha[j]))
-    point = round_significant(point)
-    mask = np.all(sample.factors == point, axis=1) & (sample.weights > 0)
-    if not mask.any():
+    try:
+        return event_law(sample, box)
+    except EmptyEventError:
+        if mode != "equal":
+            raise
         raise NullQuantileEventError(
             "the factor quantile point carries no joint mass; "
             "equality conditioning needs a discrete factor"
-        )
-    return conditional_cdf(sample, mask)
+        ) from None
 
 
 def covar(sample: JointSample, alpha, beta_level: float, mode: str = "tail",

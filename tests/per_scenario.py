@@ -7,6 +7,8 @@ with a per-scenario argsort, ``sum`` and ``cumsum``.  Their results go
 through the public constructors ``ScenarioPartition(scenarios)`` and
 ``ConditionalLawFamily(pis, laws, labels)``.  ``from_values`` is the former
 ``StepCDF.from_values``, one ``np.unique`` and ``bincount`` for any weights.
+``event_law`` selects an event's rows one row at a time, and
+``equal_event_law`` is the former ``quantile._equal_event_cdf``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPartition, StepCDF,
-                        ValidationError, scalar)
-from factorrisk.conditioning import _interval_label
-from factorrisk.core import MIN_ATOM_MASS
+                        ValidationError, VarBox, scalar)
+from factorrisk.conditioning import _interval_label, broadcast_levels
+from factorrisk.core import MIN_ATOM_MASS, round_significant
 
 BATCH_ROWS = 2**14
 
@@ -141,3 +143,42 @@ def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
         cum = masses[a:b].cumsum()
         laws.append(StepCDF(support[a:b], cum / cum[-1]))
     return pis, laws
+
+
+def _column_law(sample: JointSample, j: int) -> StepCDF:
+    rows = _retained_rows(sample)
+    return from_values(sample.factors[rows, j], sample.weights[rows])
+
+
+def _law_on(sample: JointSample, rows) -> StepCDF | None:
+    """The loss law on ``rows``, or None for no rows (an empty event)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return from_values(sample.loss[rows], sample.weights[rows]) if rows.size else None
+
+
+def event_law(sample: JointSample, event) -> StepCDF | None:
+    """Loss law on a VarBox event or on the rows equal to one of the factor
+    vectors ``event``, testing each retained row on its own."""
+    if isinstance(event, VarBox):
+        laws = [_column_law(sample, j) for j in range(sample.n_factors)]
+        lows = [scalar.var(law, float(a)) for law, a in zip(laws, event.alpha)]
+        highs = [scalar.var(law, float(b)) for law, b in zip(laws, event.beta)]
+
+        def inside(w):
+            return all(lo <= v <= hi for lo, v, hi in zip(lows, w, highs))
+    else:
+        points = [tuple(p) for p in round_significant(np.atleast_2d(event))]
+
+        def inside(w):
+            return tuple(w) in points
+    return _law_on(sample, [r for r in _retained_rows(sample) if inside(sample.factors[r])])
+
+
+def equal_event_law(sample: JointSample, alpha) -> StepCDF | None:
+    """Loss law on W == VaR_alpha(W): the rows equal to the rounded point of
+    componentwise left quantiles, as the former ``quantile._equal_event_cdf`` found them."""
+    alpha = broadcast_levels(alpha, sample.n_factors)
+    point = round_significant([scalar.var(_column_law(sample, j), float(a))
+                               for j, a in enumerate(alpha)])
+    mask = np.all(sample.factors == point, axis=1) & (sample.weights > 0)
+    return _law_on(sample, np.flatnonzero(mask))

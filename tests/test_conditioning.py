@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorrisk import StepCDF, conditioning, var
+import per_scenario
+from factorrisk import StepCDF, conditioning, quantile, var
 from factorrisk import (
     EmptyEventError,
     JointSample,
+    NullQuantileEventError,
     LevelMap,
     ValidationError,
     VarBox,
@@ -165,6 +169,10 @@ class TestVarBoxEvent:
             VarBox(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValidationError):
             VarBox(np.array([0.5]), np.array([1.2]))
+        with pytest.raises(ValidationError, match="alpha levels"):
+            VarBox(np.array([np.nan]), np.array([1.0]))
+        with pytest.raises(ValidationError, match="beta levels"):
+            VarBox(np.array([0.5]), np.array([np.nan]))
 
 
 class TestLevelMap:
@@ -240,3 +248,73 @@ class TestBoxKeyEqualsRowUnique:
             assert sc.label == label
             assert np.array_equal(sc.rows, members)
             assert sc.weight == weight
+
+
+@st.composite
+def weighted_discrete_samples(draw):
+    """Few factor values per column, planted equal losses, signed zeros and
+    zero-weight rows (a row is kept with weight 1 so the total is positive)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, n_fac, values = draw(st.integers(1, 120)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    factors = (rng.integers(0, values, (T, n_fac)) - values // 2) / 2
+    factors[(factors == 0) & (rng.random((T, n_fac)) < 0.5)] = -0.0
+    weights = rng.random(T) + 0.01
+    weights[rng.random(T) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    weights[rng.integers(T)] = 1.0
+    return JointSample(np.round(rng.standard_normal(T), 1), factors, weights)
+
+
+levels = st.sampled_from([1e-9, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9]) | st.floats(0.01, 0.99)
+
+
+def _same_law(got: StepCDF, want: StepCDF | None):
+    assert want is not None
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.cum.tobytes() == want.cum.tobytes()
+
+
+class TestEventLawAgainstPerRowReference:
+    """``conditioning.event_law`` is the law a per-row loop finds, bit for bit,
+    and the degenerate box [alpha, alpha] selects what the former equality
+    route did."""
+
+    @staticmethod
+    def _check(sample, event):
+        want = per_scenario.event_law(sample, event)
+        if want is None:
+            with pytest.raises(EmptyEventError, match="^conditioning event has zero probability$"):
+                conditioning.event_law(sample, event)
+        else:
+            _same_law(conditioning.event_law(sample, event), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_discrete_samples(), st.data())
+    def test_box_and_tail(self, sample, data):
+        n = sample.n_factors
+        alpha = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)))
+        width = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+        beta = np.minimum(alpha + width, 1.0)
+        self._check(sample, VarBox(alpha, beta))
+        self._check(sample, conditioning.tail_box(alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_discrete_samples(), st.data())
+    def test_factor_values(self, sample, data):
+        rows = data.draw(st.lists(st.integers(0, sample.n_rows - 1), min_size=1, max_size=3))
+        event = sample.factors[rows]
+        if data.draw(st.booleans()):  # a vector no row holds
+            event = np.vstack([event, np.full(sample.n_factors, 9.5)])
+        self._check(sample, event)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_discrete_samples(), st.data())
+    def test_equal_is_the_degenerate_box(self, sample, data):
+        n = sample.n_factors
+        alpha = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)))
+        want = per_scenario.equal_event_law(sample, alpha)
+        if want is None:
+            with pytest.raises(NullQuantileEventError, match="carries no joint mass"):
+                quantile._event_cdf(sample, alpha, "equal", None)
+        else:
+            _same_law(quantile._event_cdf(sample, alpha, "equal", None), want)
+            _same_law(conditioning.event_law(sample, VarBox(alpha, alpha)), want)

@@ -192,6 +192,7 @@ def test_grid_with_nan_diff_round_trips_through_the_per_cell_loop(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("p,q\n", "expected header"),
+    ("p,q,rho_factor,rho_plain,diff\n", r"^file contains a header but no data rows$"),
     ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1\n", r"^ragged row \(row 1\)$"),
     ("p,q,rho_factor,rho_plain,diff\n0.9,x,1,1,0\n", r"^cell is not numeric at \(row 1, col q\)$"),
     ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1,0\n0.9,0.7,1,1,0\n0.95,0.5,1,1,0\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from factorrisk import (
+    EmptyEventError,
     JointSample,
     ScenarioWeighting,
     ValidationError,
@@ -104,6 +105,12 @@ class TestMes:
             q = q / q.sum()
             assert mes(sample, alpha) == pytest.approx(
                 linear_factor(fam, q), abs=1e-12)
+
+    def test_empty_event_rejected(self):
+        # anticorrelated factors: the joint upper-tail event holds no row
+        s = JointSample(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(EmptyEventError, match="^conditioning event has zero probability$"):
+            mes(s, np.array([0.75, 0.75]))
 
     def test_independence_monte_carlo(self):
         n = 10**5

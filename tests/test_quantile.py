@@ -127,6 +127,14 @@ class TestCoVaR:
         hi = var(full, min(beta + spread, 1 - 1e-6))
         assert lo <= value <= hi
 
+    def test_equal_mode_is_the_degenerate_box(self):
+        rng = np.random.default_rng(58)
+        s = JointSample(rng.standard_normal(400), rng.integers(0, 4, (400, 2)).astype(float))
+        for a in ([0.3, 0.3], [0.5, 0.9], [0.75, 0.1]):
+            a = np.array(a)
+            assert covar(s, a, 0.5, mode="equal") == covar(s, a, 0.5, mode="box",
+                                                            box=VarBox(a, a))
+
     def test_equal_mode_null_event_distinct_error(self):
         # two continuous factors: the componentwise quantile pair is
         # (almost surely) not a realized joint point
