@@ -355,14 +355,16 @@ def read_grid(path) -> regression.DiffGrid:
 
 def _json_floats(values: np.ndarray, depth: int) -> str:
     """``json.dumps(values.tolist(), indent=2)`` nested ``depth`` levels
-    deep, built by joins; non-finite values are spelled as JSON does."""
+    deep, built by joins.  Each distinct value of a row, by its bits, is
+    spelled once (as JSON spells it) and laid out by index."""
     if not len(values):
         return "[]"
     if values.ndim > 1:
         items = [_json_floats(row, depth + 1) for row in values]
     else:
+        bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
         spell = float.__repr__ if np.isfinite(values).all() else json.dumps
-        items = map(spell, values.tolist())
+        items = np.array(list(map(spell, bits.view(float).tolist())), dtype=object)[index].tolist()
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 

@@ -178,10 +178,6 @@ def _value_labels(uniq: np.ndarray) -> tuple:
     return tuple(map(tuple, uniq)) if uniq.shape[1] > 1 else tuple(uniq[:, 0].tolist())
 
 
-def _column_cdf(sample: JointSample, j: int, rows: np.ndarray) -> StepCDF:
-    return StepCDF.from_values(sample.factors[rows, j], sample.weights[rows])
-
-
 def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> ScenarioPartition:
     """Cartesian quantile-box partition for (effectively) continuous factors.
 
@@ -189,25 +185,36 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     k / bins, k = 1..bins-1, into left-open right-closed intervals (the
     lowest interval absorbs everything below).  Empty boxes are dropped.
     Ties can merge cuts, which the partition's ``cuts`` show.  A box's
-    interval codes form one mixed-radix key (:func:`_cells`), and its label
-    string is built from them when the labels are first read.
+    counted interval codes (:func:`_interval_codes`) form one mixed-radix
+    key (:func:`_cells`), and its label string is built from them when read.
     """
     if bins_per_factor < 1:
         raise ValidationError("bins_per_factor must be >= 1")
     rows = _retained_rows(sample)
-    cuts = []
+    weights, cuts, codes = sample.weights[rows], [], []
     for j in range(sample.n_factors):
-        cdf = _column_cdf(sample, j, rows)
+        col = sample.factors[rows, j]
+        cdf = StepCDF.from_values(col, weights)
         cuts.append(np.unique([scalar.var(cdf, k / bins_per_factor)
                                for k in range(1, bins_per_factor)]))
-    # interval index: 0 for w <= e_1, k for e_k < w <= e_{k+1}, top above
-    codes = [np.searchsorted(e, sample.factors[rows, j], side="left") for j, e in enumerate(cuts)]
+        codes.append(_interval_codes(col, cuts[-1]))
     order, offsets = _cells(codes, [e.size + 1 for e in cuts])
     box_codes = [c[order[offsets[:-1]]] for c in codes]
     members = rows[order]
     return ScenarioPartition._from_flat(members, offsets,
                                         _segment_sums(sample.weights[members], offsets),
                                         partial(_box_labels, cuts, box_codes), tuple(cuts))
+
+
+def _interval_codes(col: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Each value's interval index, the count of cuts below it: 0 for w <= e_1,
+    k for e_k < w <= e_{k+1}; a pass per cut into bytes, searched where too wide."""
+    if cuts.size >= 255:
+        return np.searchsorted(cuts, col, side="left")
+    code, above = np.zeros(col.size, dtype=np.uint8), np.empty(col.size, dtype=bool)
+    for cut in cuts:
+        code += np.greater(col, cut, out=above).view(np.uint8)
+    return code
 
 
 def _box_labels(cuts: list[np.ndarray], box_codes: list[np.ndarray]) -> tuple[str, ...]:
@@ -230,10 +237,10 @@ def box_mask(sample: JointSample, box: VarBox) -> np.ndarray:
     mask = np.zeros(sample.n_rows, dtype=bool)
     keep = np.ones(rows.size, dtype=bool)
     for j in range(sample.n_factors):
-        cdf = _column_cdf(sample, j, rows)
+        col = sample.factors[rows, j]
+        cdf = StepCDF.from_values(col, sample.weights[rows])
         lo = scalar.var(cdf, float(box.alpha[j]))
         hi = scalar.var(cdf, float(box.beta[j]))
-        col = sample.factors[rows, j]
         keep &= (col >= lo) & (col <= hi)
     mask[rows[keep]] = True
     return mask

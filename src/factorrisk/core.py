@@ -134,11 +134,9 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
-def _equal_weight_atoms(values: np.ndarray, c: float):
-    """The atoms of ``values`` at the common weight ``c``, as
-    ``StepCDF.from_values`` finds them: the sorted distinct values and
-    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
-    x = np.sort(values)
+def _run_starts(x: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Where each run of equal values starts in ``x``, the sorted ``values``;
+    None where ``values`` hold both -0.0 and 0.0, whose run's sign is the sort's choice."""
     if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1:
         # the zeros are read from the input: numpy's vectorized sort may
         # write one zero's bits in place of the other's
@@ -148,6 +146,30 @@ def _equal_weight_atoms(values: np.ndarray, c: float):
     new = np.empty(x.size, dtype=bool)
     new[0] = True
     np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
+
+
+def _unique_inverse(values: np.ndarray):
+    """``np.unique(values, return_inverse=True)`` from one ``argsort``, its
+    runs numbered by a cumsum; None where ``values`` hold both zeros."""
+    order = values.argsort()
+    x = values[order]
+    new = _run_starts(x, values)
+    if new is None:
+        return None
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return x[new], inverse
+
+
+def _equal_weight_atoms(values: np.ndarray, c: float):
+    """The atoms of ``values`` at the common weight ``c``, as
+    ``StepCDF.from_values`` finds them: the sorted distinct values and
+    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
+    x = np.sort(values)
+    new = _run_starts(x, values)
+    if new is None:
+        return None
     if new.all():  # distinct values: an atom per row
         return x, np.full(x.size, c)
     starts = np.flatnonzero(new)
@@ -203,7 +225,11 @@ class StepCDF:
             uniq, inverse = np.unique(vals, return_inverse=True)
             # bincount adds each atom's weights in row order, as np.add.at does
             atoms = uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
-        support, masses = atoms
+        return cls._from_atoms(*atoms)
+
+    @classmethod
+    def _from_atoms(cls, support: np.ndarray, masses: np.ndarray) -> "StepCDF":
+        """The law of sorted distinct values and their masses (overwritten)."""
         keep = masses > MIN_ATOM_MASS
         if not keep.all():
             support, masses = support[keep], masses[keep]
@@ -416,8 +442,13 @@ class ScenarioPartition:
         scenarios = tuple(scenarios)
         if not scenarios:
             raise ValidationError("partition must contain at least one scenario")
-        self._set(np.concatenate([s.rows for s in scenarios]),
-                  np.cumsum([0] + [s.rows.size for s in scenarios]),
+        rows = np.concatenate([s.rows for s in scenarios])
+        # a sort, not np.unique (a hash table in numpy 2.4) or a bincount,
+        # whose memory would grow with the largest index; out-of-range
+        # indices are rejected where the rows meet a sample (from_sample)
+        if (np.diff(np.sort(rows)) == 0).any():
+            raise ValidationError("scenario row sets must be pairwise disjoint")
+        self._set(rows, np.cumsum([0] + [s.rows.size for s in scenarios]),
                   np.array([s.weight for s in scenarios], dtype=float), None)
         self.__dict__.update(scenarios=scenarios, labels=tuple(s.label for s in scenarios))
 
@@ -425,18 +456,13 @@ class ScenarioPartition:
     def _from_flat(cls, rows, offsets, weights, labels: Callable[[], tuple] | None,
                    cuts: tuple | None = None) -> "ScenarioPartition":
         """The partition of these arrays; ``labels()`` builds the labels when
-        first read (a picklable callable, such as a ``partial``)."""
+        first read (a picklable callable, such as a ``partial``); the
+        builders' ``rows``, a permutation of retained rows, are disjoint."""
         partition = object.__new__(cls)
         partition._set(rows, offsets, weights, labels, cuts)
         return partition
 
     def _set(self, rows, offsets, weights, labels, cuts=None):
-        # a sort, not np.unique (a hash table in numpy 2.4) or a bincount,
-        # whose memory would grow with the largest index; out-of-range
-        # indices are rejected where the rows meet a sample (from_sample)
-        all_rows = np.sort(rows)
-        if (all_rows[1:] == all_rows[:-1]).any():
-            raise ValidationError("scenario row sets must be pairwise disjoint")
         if abs(weights.sum() - 1.0) > PROB_TOL:
             raise ValidationError(f"scenario weights must sum to 1 within {PROB_TOL}")
         for name, value in (("rows", rows), ("offsets", offsets), ("weights", weights)):
@@ -535,18 +561,18 @@ class ConditionalLawFamily:
     def merged_support(self) -> np.ndarray:
         return np.unique(self.support)
 
-    def cdf_matrix(self, xs) -> np.ndarray:
-        """F_i(x) for every scenario i and point x; shape (len(xs), n)."""
-        xs = np.asarray(xs, dtype=float)
-        return np.column_stack([law.cdf(xs) for law in self.laws])
-
     def mixture(self) -> StepCDF:
-        """The pi-weighted mixture of the conditional laws (marginal of X)."""
+        """The pi-weighted mixture of the conditional laws (marginal of X):
+        ``StepCDF.from_values`` of the atoms, over :func:`_unique_inverse`."""
         starts = self.offsets[:-1]
         masses = np.diff(self.cum, prepend=0.0)
         masses[starts] = self.cum[starts]  # each law's masses start from 0
         masses *= np.repeat(self.pis, np.diff(self.offsets))
-        return StepCDF.from_values(self.support, masses)
+        grid = _unique_inverse(self.support)
+        if grid is None:  # both zeros: np.unique's sort picks the sign
+            return StepCDF.from_values(self.support, masses)
+        points, at = grid  # weights normalized and summed in row order, as in from_values
+        return StepCDF._from_atoms(points, np.bincount(at, masses / masses.sum(), points.size))
 
     def scenario_means(self) -> np.ndarray:
         return np.array([law.mean() for law in self.laws])
@@ -763,10 +789,17 @@ def _lazy_labels(family: ConditionalLawFamily):
 
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     """The merged support and each atom's index in it, for :func:`_sweep`."""
-    # the index is a sorting np.unique's inverse, cheaper than a searchsorted
-    # per atom; the points come from merged_support(), whose hash table can
-    # keep the other sign of a zero than the sort does
-    return family.merged_support(), np.unique(family.support, return_inverse=True)[1]
+    # where the support holds both zeros, merged_support()'s hash table can
+    # keep the other zero than a sort does: the points come from it
+    return _unique_inverse(family.support) or (
+        family.merged_support(), np.unique(family.support, return_inverse=True)[1])
+
+
+def _block_counts(scen, at, n: int, block: int, n_blocks: int) -> np.ndarray:
+    """Each scenario's count of atoms at or below grid row b * block, shape
+    (n, n_blocks): an atom at grid index ``at`` counts from row ceil(at / block) on."""
+    count = np.bincount(scen * (n_blocks + 1) - (-at // block), minlength=n * (n_blocks + 1))
+    return np.cumsum(count.reshape(n, n_blocks + 1)[:, :n_blocks], axis=1)
 
 
 def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) -> np.ndarray:
@@ -782,17 +815,18 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     above it, so one ``bincount`` of the changes and a cumulative sum give
     every row's sum.  The sum restarts from an exact dense row every block
     of max(n, MIN_SWEEP_BLOCK) rows, so rounding never accumulates across
-    blocks.  Where the swept sum lies within its rounding bound of the
-    outer map's jump, the dense formula decides, by bisection over those
-    rows (the dense formula is monotone along the grid).  So jump decisions
-    equal the dense formula's bit for bit, and continuous values agree to
-    a few ulps.  A user callable sees dense rows, in chunks of
-    DENSE_CHUNK_BYTES / 8.  Each F_i is a step function along the grid, so
-    a chunk is one exact row at its first grid point, after which scenario
-    i keeps its value until its next atom sets its own cum from the atom's
-    row on.  Laid out one scenario per row, the chunk is a sequence of
-    constant runs, which one ``np.repeat`` writes; each value is a copy of
-    a cum (or of 1 - cum), so the rows equal the per-cell lookup bit for bit.
+    blocks; the exact rows are read at counts of atoms (:func:`_block_counts`).
+    Where the swept sum lies within its rounding bound of the outer map's
+    jump, the dense formula decides, by bisection over those rows (the dense
+    formula is monotone along the grid).  So jump decisions equal the dense
+    formula's bit for bit, and continuous values agree to a few ulps.  A user
+    callable sees dense rows, in chunks of DENSE_CHUNK_BYTES / 8.  Each F_i is
+    a step function along the grid, so a chunk is one exact row at its first
+    grid point, after which scenario i keeps its value until its next atom
+    sets its own cum from the atom's row on.  Laid out one scenario per row,
+    the chunk is a sequence of constant runs, which one ``np.repeat`` writes;
+    each value is a copy of a cum (or of 1 - cum), so the rows equal the
+    per-cell lookup bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
     pis, n, G = family.pis, family.n_scenarios, grid.size
@@ -806,12 +840,15 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
 
     y = 1.0 - cum if fn.survival else cum
 
+    def profile(count: np.ndarray) -> np.ndarray:
+        """Profile rows, (rows, n), from each scenario's atoms up to them, (n, rows)."""
+        F = np.ascontiguousarray(np.where(count > 0, cum[starts[:, None] + count - 1], 0.0).T)
+        return 1.0 - F if fn.survival else F
+
     def rows(ks: np.ndarray) -> np.ndarray:
         """Exact profile rows at grid indices ``ks``; shape (len(ks), n)."""
-        pos = np.searchsorted(key, (offsets[:, None] + ks[None, :]).ravel(), side="right") - 1
-        pos = pos.reshape(n, ks.size)
-        F = np.ascontiguousarray(np.where(pos >= starts[:, None], cum[pos], 0.0).T)
-        return 1.0 - F if fn.survival else F
+        found = np.searchsorted(key, (offsets[:, None] + ks[None, :]).ravel(), side="right")
+        return profile(found.reshape(n, ks.size) - starts[:, None])
 
     if fn.func is not None:
         step = max(1, DENSE_CHUNK_BYTES // (64 * n))
@@ -835,7 +872,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     r = fn.resolve(pis, labels)
     block = max(n, MIN_SWEEP_BLOCK)
     n_blocks = -(-G // block)
-    anchors = fn.row_sums(rows(np.arange(n_blocks) * block), r)
+    anchors = fn.row_sums(profile(_block_counts(scen, at, n, block, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)
     before[starts] = r.w * fn.term(np.full(n, 1.0 if fn.survival else 0.0), r.a)

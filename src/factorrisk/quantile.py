@@ -149,8 +149,6 @@ def _event_cdf(sample: JointSample, alpha, mode: str, box: VarBox | None):
         box = tail_box(alpha, sample.n_factors)
     elif mode == "equal":
         alpha = broadcast_levels(alpha, sample.n_factors)
-        if alpha.size != sample.n_factors:
-            raise ValidationError("alpha must match the factor dimension")
         box = VarBox(alpha, alpha)
     else:
         raise ValidationError(f"unknown conditioning mode {mode!r}")

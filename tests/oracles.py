@@ -19,6 +19,13 @@ from factorrisk import ConditionalLawFamily, StepCDF, ValidationError
 DEFAULT_GRID_POINTS = 10**5
 
 
+def cdf_matrix(family: ConditionalLawFamily, xs) -> np.ndarray:
+    """F_i(x) for every scenario i and point x, one law at a time; shape
+    (len(xs), n): the dense reference for the profile rows of the engines."""
+    xs = np.asarray(xs, dtype=float)
+    return np.column_stack([law.cdf(xs) for law in family.laws])
+
+
 def choquet_riemann_oracle(family: ConditionalLawFamily, psi, step: float | None = None) -> float:
     """Left Riemann sum of the scenario-Choquet integral on a fine grid.
 
@@ -36,7 +43,7 @@ def choquet_riemann_oracle(family: ConditionalLawFamily, psi, step: float | None
         raise ValidationError("step must be positive")
     a, b = min(0.0, lo), max(0.0, hi)
     grid = np.arange(a, b, step)
-    surv = 1.0 - family.cdf_matrix(grid)
+    surv = 1.0 - cdf_matrix(family, grid)
     vals = psi.apply(surv, family.pis, family.labels)
     integrand = np.where(grid >= 0.0, vals, vals - 1.0)
     return float(integrand.sum() * step)
@@ -94,7 +101,7 @@ def _profile_value(x_law: StepCDF, agents, slopes: np.ndarray) -> float:
         return float(total)
     deltas = np.diff(xs)
     for i, (psi, family) in enumerate(agents):
-        surv = 1.0 - family.cdf_matrix(xs[:-1])
+        surv = 1.0 - cdf_matrix(family, xs[:-1])
         vals = psi.apply(surv, family.pis, family.labels)
         total += float(vals @ (slopes[i] * deltas))
     return float(total)
@@ -116,7 +123,7 @@ def sharing_sweep_oracle(x_law: StepCDF, agents, trials: int = 200,
     n = len(agents)
     m = xs.size - 1
     vals = np.vstack([
-        psi.apply(1.0 - family.cdf_matrix(xs[:-1]), family.pis, family.labels)
+        psi.apply(1.0 - cdf_matrix(family, xs[:-1]), family.pis, family.labels)
         if m else np.zeros(0)
         for psi, family in agents
     ])

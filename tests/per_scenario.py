@@ -9,6 +9,12 @@ through the public constructors ``ScenarioPartition(scenarios)`` and
 ``StepCDF.from_values``, one ``np.unique`` and ``bincount`` for any weights.
 ``event_law`` selects an event's rows one row at a time, and
 ``equal_event_law`` is the former ``quantile._equal_event_cdf``.
+
+The former searches and re-sorts of the quantile-box path are kept too:
+``interval_codes`` (a binary search per value), ``block_counts`` (the
+sweep's anchor rows, a binary search per scenario and row), ``merged_grid``
+(two ``np.unique`` of the support) and ``mixture`` (``from_values`` of the
+support and the atom masses).
 """
 
 from __future__ import annotations
@@ -182,3 +188,31 @@ def equal_event_law(sample: JointSample, alpha) -> StepCDF | None:
                                for j, a in enumerate(alpha)])
     mask = np.all(sample.factors == point, axis=1) & (sample.weights > 0)
     return _law_on(sample, np.flatnonzero(mask))
+
+
+def interval_codes(col: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    return np.searchsorted(cuts, col, side="left")
+
+
+def block_counts(scen: np.ndarray, at: np.ndarray, n: int, block: int,
+                 n_blocks: int) -> np.ndarray:
+    """Scenario i's count of atoms at or below grid row b * block, as the
+    former anchor rows found it: where the needle (i, b * block) falls in
+    the nondecreasing (scenario, grid index) keys of the atoms."""
+    width = max(int(at.max()), n_blocks * block) + 1
+    key = scen * width + at
+    needles = np.arange(n)[:, None] * width + np.arange(n_blocks) * block
+    starts = np.searchsorted(scen, np.arange(n))
+    return np.searchsorted(key, needles.ravel(), side="right").reshape(n, n_blocks) - starts[:, None]
+
+
+def merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
+    return family.merged_support(), np.unique(family.support, return_inverse=True)[1]
+
+
+def mixture(family: ConditionalLawFamily) -> StepCDF:
+    starts = family.offsets[:-1]
+    masses = np.diff(family.cum, prepend=0.0)
+    masses[starts] = family.cum[starts]
+    masses *= np.repeat(family.pis, np.diff(family.offsets))
+    return StepCDF.from_values(family.support, masses)

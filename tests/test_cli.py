@@ -246,8 +246,21 @@ class TestMainExitCodes:
         rc = main(["share", "--data", d1_csv, "--target", "X",
                    "--agents", "var-var:p=0.75,q=0.5@W;var-var:p=0.75,q=1.0@W"])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert payload["value"] == 3.0
+        # tied agents split a slope: each distinct slope is spelled once and
+        # laid out by index, in the bytes of json.dumps
+        assert sorted(set(np.ravel(payload["slopes"]).tolist())) == [0.0, 0.5, 1.0]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("measure", ["covar", "covar-eq"])
+    def test_too_many_alpha_levels(self, d1_csv, capsys, measure):
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", measure,
+                   "--alpha", "0.5,0.5", "--p", "0.9"])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric rejection: box level vectors must match the factor dimension\n")
 
 
 class TestRegressionReport:

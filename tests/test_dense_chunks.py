@@ -2,8 +2,8 @@
 
 A user callable sees whole profile matrices, one chunk of consecutive grid
 rows at a time.  Every matrix it receives, stacked in order, must equal
-``1 - family.cdf_matrix(grid)`` for a scenario distortion and
-``family.cdf_matrix(grid)`` for an acceptance predicate, element for
+``1 - cdf_matrix(family, grid)`` for a scenario distortion and
+``cdf_matrix(family, grid)`` for an acceptance predicate, element for
 element, and be C-contiguous, so that a callable's bits do not depend on
 how the rows were built.
 
@@ -31,6 +31,7 @@ from factorrisk import (
 )
 from factorrisk import core
 from factorrisk.core import _sweep
+from oracles import cdf_matrix
 
 
 def _law(support, masses):
@@ -116,7 +117,7 @@ class TestProfileRows:
         step = _chunk_rows(monkeypatch, family, rows)
         seen, out = _recorded(family, psi_custom, _mean, grid, vectorized=True)
         assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
-        assert np.array_equal(np.vstack(seen), 1.0 - family.cdf_matrix(grid))
+        assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(family, grid))
         assert out.shape == (grid.size,)
 
     def test_predicate_sees_cdf_rows(self, request, monkeypatch, family_name,
@@ -126,7 +127,7 @@ class TestProfileRows:
         step = _chunk_rows(monkeypatch, family, rows)
         seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
         assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
-        assert np.array_equal(np.vstack(seen), family.cdf_matrix(grid))
+        assert np.array_equal(np.vstack(seen), cdf_matrix(family, grid))
         assert out.dtype == bool and out.shape == (grid.size,)
 
 
@@ -135,7 +136,7 @@ def test_row_callable_sees_survival_rows(gapped_family, monkeypatch, rows):
     grid = _grids(gapped_family)["coarse"]
     _chunk_rows(monkeypatch, gapped_family, rows)
     seen, out = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=False)
-    expected = 1.0 - gapped_family.cdf_matrix(grid)
+    expected = 1.0 - cdf_matrix(gapped_family, grid)
     assert np.array_equal(np.vstack(seen), expected)
     assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
 
@@ -147,11 +148,11 @@ def test_default_chunks_split_a_long_grid():
     assert grid.size > 2 * step  # several full chunks at the default size
     seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
     assert len(seen) == -(-grid.size // step)
-    assert np.array_equal(np.vstack(seen), 1.0 - family.cdf_matrix(grid))
+    assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(family, grid))
 
 
 def test_single_point_grids(gapped_family):
     for x in (-10.0, 2.65, 100.0):
         grid = np.array([x])
         seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
-        assert np.array_equal(np.vstack(seen), 1.0 - gapped_family.cdf_matrix(grid))
+        assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))

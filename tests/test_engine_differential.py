@@ -51,7 +51,7 @@ from factorrisk import (
 from factorrisk import core
 from factorrisk.core import PROB_TOL
 from factorrisk.sharing import integrand_matrix
-from oracles import choquet_riemann_oracle, oracle_tolerance
+from oracles import cdf_matrix, choquet_riemann_oracle, oracle_tolerance
 
 # exact-tie fractions, and levels reaching towards 1
 SPECIAL_LEVELS = (0.25, 0.5, 0.75, 1 / 3, 2 / 3, 1 / 9, 0.9, 0.99, 1 - 1e-9, 1 - 1e-12)
@@ -102,18 +102,18 @@ def dense_choquet(fam, psi) -> float:
     xs = fam.merged_support()
     if xs.size == 1:
         return float(xs[0])
-    vals = psi.apply(1 - fam.cdf_matrix(xs[:-1]), fam.pis, fam.labels)
+    vals = psi.apply(1 - cdf_matrix(fam, xs[:-1]), fam.pis, fam.labels)
     return float(xs[0] + vals @ np.diff(xs))
 
 
 def dense_quantile(fam, pred) -> float:
     xs = fam.merged_support()
-    return float(xs[np.flatnonzero(pred.apply(fam.cdf_matrix(xs), fam.pis, fam.labels))[0]])
+    return float(xs[np.flatnonzero(pred.apply(cdf_matrix(fam, xs), fam.pis, fam.labels))[0]])
 
 
 def dense_integrand(fam, psi) -> np.ndarray:
     xs = fam.mixture().support
-    return psi.apply(1 - fam.cdf_matrix(xs[:-1]), fam.pis, fam.labels)
+    return psi.apply(1 - cdf_matrix(fam, xs[:-1]), fam.pis, fam.labels)
 
 
 def _es_custom(t, vectorized):

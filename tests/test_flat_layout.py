@@ -374,6 +374,8 @@ class TestPublicConstructorChecks:
             ScenarioPartition(())
         with pytest.raises(ValidationError, match="disjoint"):
             ScenarioPartition((Scenario(0, [0, 1], 0.5), Scenario(1, [1, 2], 0.5)))
+        with pytest.raises(ValidationError, match="disjoint"):
+            ScenarioPartition((Scenario(0, [3, 0, 3], 1.0),))
         with pytest.raises(ValidationError, match="sum to 1"):
             ScenarioPartition((Scenario(0, [0], 0.5), Scenario(1, [1], 0.6)))
         with pytest.raises(ValidationError, match="nonempty"):
