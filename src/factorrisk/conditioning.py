@@ -206,10 +206,15 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
                                         partial(_box_labels, cuts, box_codes), tuple(cuts))
 
 
+# a pass per cut over a column beats a binary search per value where each cut
+# has this many values to pass over (timed from 500 to 2e5 values, 7 to 254 cuts)
+COUNT_ROWS_PER_CUT = 128
+
+
 def _interval_codes(col: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Each value's interval index, the count of cuts below it: 0 for w <= e_1,
-    k for e_k < w <= e_{k+1}; a pass per cut into bytes, searched where too wide."""
-    if cuts.size >= 255:
+    k for e_k < w <= e_{k+1}; a pass per cut into bytes, else a binary search."""
+    if cuts.size >= 255 or cuts.size * COUNT_ROWS_PER_CUT > col.size:
         return np.searchsorted(cuts, col, side="left")
     code, above = np.zeros(col.size, dtype=np.uint8), np.empty(col.size, dtype=bool)
     for cut in cuts:

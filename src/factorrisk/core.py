@@ -134,9 +134,11 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
-def _run_starts(x: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """Where each run of equal values starts in ``x``, the sorted ``values``;
-    None where ``values`` hold both -0.0 and 0.0, whose run's sign is the sort's choice."""
+def _equal_weight_atoms(values: np.ndarray, c: float):
+    """The atoms of ``values`` at the common weight ``c``, as
+    ``StepCDF.from_values`` finds them: the sorted distinct values and
+    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
+    x = np.sort(values)
     if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1:
         # the zeros are read from the input: numpy's vectorized sort may
         # write one zero's bits in place of the other's
@@ -146,30 +148,6 @@ def _run_starts(x: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     new = np.empty(x.size, dtype=bool)
     new[0] = True
     np.not_equal(x[1:], x[:-1], out=new[1:])
-    return new
-
-
-def _unique_inverse(values: np.ndarray):
-    """``np.unique(values, return_inverse=True)`` from one ``argsort``, its
-    runs numbered by a cumsum; None where ``values`` hold both zeros."""
-    order = values.argsort()
-    x = values[order]
-    new = _run_starts(x, values)
-    if new is None:
-        return None
-    inverse = np.empty(x.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return x[new], inverse
-
-
-def _equal_weight_atoms(values: np.ndarray, c: float):
-    """The atoms of ``values`` at the common weight ``c``, as
-    ``StepCDF.from_values`` finds them: the sorted distinct values and
-    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
-    x = np.sort(values)
-    new = _run_starts(x, values)
-    if new is None:
-        return None
     if new.all():  # distinct values: an atom per row
         return x, np.full(x.size, c)
     starts = np.flatnonzero(new)
@@ -225,11 +203,7 @@ class StepCDF:
             uniq, inverse = np.unique(vals, return_inverse=True)
             # bincount adds each atom's weights in row order, as np.add.at does
             atoms = uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
-        return cls._from_atoms(*atoms)
-
-    @classmethod
-    def _from_atoms(cls, support: np.ndarray, masses: np.ndarray) -> "StepCDF":
-        """The law of sorted distinct values and their masses (overwritten)."""
+        support, masses = atoms
         keep = masses > MIN_ATOM_MASS
         if not keep.all():
             support, masses = support[keep], masses[keep]
@@ -562,17 +536,12 @@ class ConditionalLawFamily:
         return np.unique(self.support)
 
     def mixture(self) -> StepCDF:
-        """The pi-weighted mixture of the conditional laws (marginal of X):
-        ``StepCDF.from_values`` of the atoms, over :func:`_unique_inverse`."""
+        """The pi-weighted mixture of the conditional laws (marginal of X)."""
         starts = self.offsets[:-1]
         masses = np.diff(self.cum, prepend=0.0)
         masses[starts] = self.cum[starts]  # each law's masses start from 0
         masses *= np.repeat(self.pis, np.diff(self.offsets))
-        grid = _unique_inverse(self.support)
-        if grid is None:  # both zeros: np.unique's sort picks the sign
-            return StepCDF.from_values(self.support, masses)
-        points, at = grid  # weights normalized and summed in row order, as in from_values
-        return StepCDF._from_atoms(points, np.bincount(at, masses / masses.sum(), points.size))
+        return StepCDF.from_values(self.support, masses)
 
     def scenario_means(self) -> np.ndarray:
         return np.array([law.mean() for law in self.laws])
@@ -789,10 +758,10 @@ def _lazy_labels(family: ConditionalLawFamily):
 
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     """The merged support and each atom's index in it, for :func:`_sweep`."""
-    # where the support holds both zeros, merged_support()'s hash table can
-    # keep the other zero than a sort does: the points come from it
-    return _unique_inverse(family.support) or (
-        family.merged_support(), np.unique(family.support, return_inverse=True)[1])
+    # one sorting np.unique gives both; where the support holds a zero, the
+    # points are merged_support()'s, whose hash table can keep the other zero
+    points, at = np.unique(family.support, return_inverse=True)
+    return family.merged_support() if (points == 0.0).any() else points, at
 
 
 def _block_counts(scen, at, n: int, block: int, n_blocks: int) -> np.ndarray:
@@ -841,7 +810,6 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     y = 1.0 - cum if fn.survival else cum
 
     def profile(count: np.ndarray) -> np.ndarray:
-        """Profile rows, (rows, n), from each scenario's atoms up to them, (n, rows)."""
         F = np.ascontiguousarray(np.where(count > 0, cum[starts[:, None] + count - 1], 0.0).T)
         return 1.0 - F if fn.survival else F
 

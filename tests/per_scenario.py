@@ -12,9 +12,8 @@ through the public constructors ``ScenarioPartition(scenarios)`` and
 
 The former searches and re-sorts of the quantile-box path are kept too:
 ``interval_codes`` (a binary search per value), ``block_counts`` (the
-sweep's anchor rows, a binary search per scenario and row), ``merged_grid``
-(two ``np.unique`` of the support) and ``mixture`` (``from_values`` of the
-support and the atom masses).
+sweep's anchor rows, a binary search per scenario and row) and
+``merged_grid`` (two ``np.unique`` of the support).
 """
 
 from __future__ import annotations
@@ -209,10 +208,3 @@ def block_counts(scen: np.ndarray, at: np.ndarray, n: int, block: int,
 def merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     return family.merged_support(), np.unique(family.support, return_inverse=True)[1]
 
-
-def mixture(family: ConditionalLawFamily) -> StepCDF:
-    starts = family.offsets[:-1]
-    masses = np.diff(family.cum, prepend=0.0)
-    masses[starts] = family.cum[starts]
-    masses *= np.repeat(family.pis, np.diff(family.offsets))
-    return StepCDF.from_values(family.support, masses)

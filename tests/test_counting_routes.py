@@ -2,16 +2,18 @@
 
 Box codes are counted one cut at a time (``conditioning._interval_codes``),
 the sweep's anchor rows come from per-scenario atom counts
-(``core._block_counts``), and the merged grid and ``mixture`` take their
-points and index from one ``argsort`` (``core._unique_inverse``).  Each must
-equal the former route kept in ``per_scenario.py`` bit for bit: the
-partition and family arrays, ``_merged_grid``, ``mixture`` and the values
-of ``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, where
-the engines run once as they are and once with the former routes patched in.
+(``core._block_counts``), and the merged grid takes its points and index
+from one sorting ``np.unique`` (``core._merged_grid``).  Each must equal the
+former route kept in ``per_scenario.py`` bit for bit: the partition and
+family arrays, ``_merged_grid`` and the values of ``choquet_factor``,
+``quantile_factor`` and ``inf_convolution``, where the engines run once as
+they are and once with the former routes patched in.
 
 Samples have ties, supports holding both signed zeros or only -0.0,
 single-atom laws, losses offset by 1e9, zero-weight rows and 2 to 300 bins,
-which crosses the width of a ``uint8`` code.
+which crosses the width of a ``uint8`` code.  Small samples count their
+codes where ``COUNT_ROWS_PER_CUT`` is patched to 0, and search them at its
+own value.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_scenario
-from factorrisk import (JointSample, core, distortion, es_distortion, from_sample,
+from factorrisk import (JointSample, conditioning, core, distortion, es_distortion, from_sample,
                         inf_convolution, partition_quantile_boxes, pred_esssup_var,
                         pred_var_of_var, psi_indicator_var_var, psi_lambda_of_var,
                         psi_mean_of_es, quantile, quantile_factor)
@@ -100,24 +102,23 @@ def _assert_same_routes(sample, bins):
     points, at = core._merged_grid(family)
     ref_points, ref_at = per_scenario.merged_grid(family)
     assert _bits(points) == _bits(ref_points) and _bits(at) == _bits(ref_at)
-    x_law, ref_law = family.mixture(), per_scenario.mixture(family)
-    assert _bits(x_law.support) == _bits(ref_law.support)
-    assert _bits(x_law.cum) == _bits(ref_law.cum)
-
+    x_law = family.mixture()
     got = _engine_values(family, x_law)
     with _parent_routes():
-        want = _engine_values(family, ref_law)
+        want = _engine_values(family, x_law)
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 class TestAgainstTheSearches:
 
     @settings(max_examples=150, deadline=None)
-    @given(samples(), st.integers(2, 300), st.sampled_from([1, 3, 256]))
-    def test_partition_family_grid_mixture_and_values(self, sample, bins, min_block):
+    @given(samples(), st.integers(2, 300), st.sampled_from([1, 3, 256]),
+           st.sampled_from([0, conditioning.COUNT_ROWS_PER_CUT]))
+    def test_partition_family_grid_and_values(self, sample, bins, min_block, per_cut):
         # small blocks put many anchor rows into small families
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "MIN_SWEEP_BLOCK", min_block)
+            mp.setattr(conditioning, "COUNT_ROWS_PER_CUT", per_cut)
             _assert_same_routes(sample, bins)
 
     @pytest.mark.parametrize("bins", [254, 255, 256, 257, 300])
@@ -128,9 +129,20 @@ class TestAgainstTheSearches:
         sample = JointSample(np.round(rng.standard_normal(3000), 1), rng.standard_normal(3000))
         cuts = partition_quantile_boxes(sample, bins).cuts[0]
         assert cuts.size == bins - 1
-        assert _interval_codes(sample.factors[:, 0], cuts).dtype == (
-            np.uint8 if cuts.size < 255 else np.intp)
-        _assert_same_routes(sample, bins)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditioning, "COUNT_ROWS_PER_CUT", 0)
+            assert _interval_codes(sample.factors[:, 0], cuts).dtype == (
+                np.uint8 if cuts.size < 255 else np.intp)
+            _assert_same_routes(sample, bins)
+
+    def test_rows_per_cut_switch(self):
+        # 3000 values count their codes for up to 3000 // 128 = 23 cuts
+        col = np.random.default_rng(0).standard_normal(3000)
+        for size, dtype in ((23, np.uint8), (24, np.intp)):
+            cuts = np.quantile(col, np.arange(1, size + 1) / (size + 1))
+            codes = _interval_codes(col, cuts)
+            assert codes.dtype == dtype
+            assert np.array_equal(codes, per_scenario.interval_codes(col, cuts))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=20), st.integers(1, 40),
