@@ -124,14 +124,12 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",
                    q: float | None = None) -> float:
     """Coherent composition: esssup or ES_q of the per-scenario ES_p values."""
-    if not 0 <= p < 1:
-        raise ValidationError("inner ES level must lie in [0, 1)")
     values = np.array([scalar.es(law, p) for law in family.laws])
     law = StepCDF.from_values(values, family.pis)
     if outer == "esssup":
         return scalar.esssup(law)
     if outer == "es":
-        if q is None or not 0 <= q < 1:
+        if q is None:
             raise ValidationError("outer ES level must lie in [0, 1)")
         return scalar.es(law, q)
     raise ValidationError("outer must be 'esssup' or 'es'")

@@ -764,11 +764,11 @@ def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     return family.merged_support() if (points == 0.0).any() else points, at
 
 
-def _block_counts(scen, at, n: int, block: int, n_blocks: int) -> np.ndarray:
-    """Each scenario's count of atoms at or below grid row b * block, shape
-    (n, n_blocks): an atom at grid index ``at`` counts from row ceil(at / block) on."""
-    count = np.bincount(scen * (n_blocks + 1) - (-at // block), minlength=n * (n_blocks + 1))
-    return np.cumsum(count.reshape(n, n_blocks + 1)[:, :n_blocks], axis=1)
+def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
+    """Each scenario's count of atoms at rows 0..n_rows - 1, shape (n, n_rows):
+    an atom counts from row ``first`` on; at ``first == n_rows`` it never counts."""
+    count = np.bincount(scen * (n_rows + 1) + first, minlength=n * (n_rows + 1))
+    return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
 
 
 def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) -> np.ndarray:
@@ -784,16 +784,18 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     above it, so one ``bincount`` of the changes and a cumulative sum give
     every row's sum.  The sum restarts from an exact dense row every block
     of max(n, MIN_SWEEP_BLOCK) rows, so rounding never accumulates across
-    blocks; the exact rows are read at counts of atoms (:func:`_block_counts`).
-    Where the swept sum lies within its rounding bound of the outer map's
-    jump, the dense formula decides, by bisection over those rows (the dense
-    formula is monotone along the grid).  So jump decisions equal the dense
-    formula's bit for bit, and continuous values agree to a few ulps.  A user
-    callable sees dense rows, in chunks of DENSE_CHUNK_BYTES / 8.  Each F_i is
-    a step function along the grid, so a chunk is one exact row at its first
-    grid point, after which scenario i keeps its value until its next atom
-    sets its own cum from the atom's row on.  Laid out one scenario per row,
-    the chunk is a sequence of constant runs, which one ``np.repeat`` writes;
+    blocks.  Where the swept sum lies within its rounding bound of the outer
+    map's jump, the dense formula decides, by bisection over those rows (the
+    dense formula is monotone along the grid).  So jump decisions equal the
+    dense formula's bit for bit, and continuous values agree to a few ulps.
+    Every exact row, block anchor or bisection probe, counts each scenario's
+    atoms (:func:`_atom_counts`): from anchor row ceil(at / block) on, and
+    at probe row k where at <= k.  A user callable sees dense rows, in chunks
+    of DENSE_CHUNK_BYTES / 8.  Each F_i is a step function along the grid,
+    so a chunk starts from the previous chunk's last row (the first from the
+    row below the grid: survival 1, CDF 0), and scenario i keeps that value
+    until its next atom sets its own cum.  Laid out one scenario per row, the
+    chunk is a sequence of constant runs, which one ``np.repeat`` writes;
     each value is a copy of a cum (or of 1 - cum), so the rows equal the
     per-cell lookup bit for bit.
     """
@@ -804,46 +806,40 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
     if at is None:
         at = np.searchsorted(grid, family.support, side="left")
-    key = scen * (G + 1) + at  # nondecreasing: scenario-major, laws sorted
-    offsets = np.arange(n) * (G + 1)
-
     y = 1.0 - cum if fn.survival else cum
+    below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
 
     def profile(count: np.ndarray) -> np.ndarray:
         F = np.ascontiguousarray(np.where(count > 0, cum[starts[:, None] + count - 1], 0.0).T)
         return 1.0 - F if fn.survival else F
 
-    def rows(ks: np.ndarray) -> np.ndarray:
-        """Exact profile rows at grid indices ``ks``; shape (len(ks), n)."""
-        found = np.searchsorted(key, (offsets[:, None] + ks[None, :]).ravel(), side="right")
-        return profile(found.reshape(n, ks.size) - starts[:, None])
-
     if fn.func is not None:
         step = max(1, DENSE_CHUNK_BYTES // (64 * n))
         live = np.flatnonzero(at < G)
-        live = live[np.argsort(at[live] // step, kind="stable")]  # key order per chunk
+        live = live[np.argsort(at[live] // step, kind="stable")]  # (scenario, row) order per chunk
         bounds = np.searchsorted(at[live] // step, np.arange(-(-G // step) + 1))
-        out = []
+        out, last_row = [], below
         for j, k in enumerate(range(0, G, step)):
             c = min(step, G - k)
             atoms = live[bounds[j]:bounds[j + 1]]
             # the chunk's transpose, one scenario per row, is a run of the
-            # exact anchor value and then one run per atom from the atom's
-            # row on; of atoms sharing a row, the last gets the row
+            # previous chunk's last row and then one run per atom from the
+            # atom's row on; of atoms sharing a row, the last gets the row
             ins = np.searchsorted(scen[atoms], np.arange(n))
-            values = np.insert(y[atoms], ins, rows(np.array([k]))[0])
+            values = np.insert(y[atoms], ins, last_row)
             begin = np.insert(scen[atoms] * c + at[atoms] - k, ins, np.arange(n) * c)
             runs = np.repeat(values, np.diff(begin, append=n * c)).reshape(n, c)
+            last_row = runs[:, -1]
             out.append(fn.apply(np.ascontiguousarray(runs.T), pis, labels))
         return np.concatenate(out)
 
     r = fn.resolve(pis, labels)
     block = max(n, MIN_SWEEP_BLOCK)
     n_blocks = -(-G // block)
-    anchors = fn.row_sums(profile(_block_counts(scen, at, n, block, n_blocks)), r)
+    anchors = fn.row_sums(profile(_atom_counts(scen, -(-at // block), n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)
-    before[starts] = r.w * fn.term(np.full(n, 1.0 if fn.survival else 0.0), r.a)
+    before[starts] = r.w * fn.term(below, r.a)
     steps = np.bincount(at, weights=contrib - before, minlength=n_blocks * block + 1)
     steps = steps[:n_blocks * block].reshape(n_blocks, block)
     steps[:, 0] = 0.0
@@ -866,8 +862,8 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     bound = 4 * (2 * n + 2 * block + per_row + 8) * np.finfo(float).eps * np.abs(r.w).sum()
     near = np.flatnonzero(np.abs(s - r.cut) <= bound)
     if near.size:
-        def dense(j):
-            return fn.finish(fn.row_sums(rows(near[j:j + 1]), r), r)[0]
+        def dense(j):  # the exact row at near[j] counts the atoms at or below it
+            return fn.finish(fn.row_sums(profile(_atom_counts(scen, at > near[j], n, 1)), r), r)[0]
         first, last = dense(0), dense(near.size - 1)
         lo, hi = (0, 0) if first == last else (1, near.size - 1)
         while lo < hi:  # the first of the near rows whose dense value is ``last``

@@ -171,14 +171,10 @@ def covar(sample: JointSample, alpha, beta_level: float, mode: str = "tail",
     VarBox event, and ``mode='equal'`` on W == VaR_alpha(W) (discrete
     factors only).
     """
-    if not 0 < beta_level <= 1:
-        raise ValidationError("beta_level must lie in (0, 1]")
     return scalar.var(_event_cdf(sample, alpha, mode, box), beta_level)
 
 
 def coes(sample: JointSample, alpha, beta_level: float, mode: str = "tail",
          box: VarBox | None = None) -> float:
     """CoES: expected shortfall of X at ``beta_level`` on a distress event."""
-    if not 0 <= beta_level < 1:
-        raise ValidationError("beta_level must lie in [0, 1)")
     return scalar.es(_event_cdf(sample, alpha, mode, box), beta_level)

@@ -12,7 +12,7 @@ through the public constructors ``ScenarioPartition(scenarios)`` and
 
 The former searches and re-sorts of the quantile-box path are kept too:
 ``interval_codes`` (a binary search per value), ``block_counts`` (the
-sweep's anchor rows, a binary search per scenario and row) and
+sweep's anchor and probe rows, a binary search per scenario and row) and
 ``merged_grid`` (two ``np.unique`` of the support).
 """
 

@@ -262,6 +262,16 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             "numeric rejection: box level vectors must match the factor dimension\n")
 
+    @pytest.mark.parametrize("measure, p, message", [
+        ("covar", "1.5", "VaR level must be in (0, 1], got 1.5"),
+        ("coes", "1.0", "ES level must be in [0, 1), got 1.0"),
+    ])
+    def test_level_out_of_range(self, d1_csv, capsys, measure, p, message):
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", measure,
+                   "--alpha", "0.5", "--p", p])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric rejection: {message}\n"
+
 
 class TestRegressionReport:
     def test_table_one_column_layout(self):

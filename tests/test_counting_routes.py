@@ -1,19 +1,17 @@
 """Counting passes on the quantile-box path against the searches they replace.
 
 Box codes are counted one cut at a time (``conditioning._interval_codes``),
-the sweep's anchor rows come from per-scenario atom counts
-(``core._block_counts``), and the merged grid takes its points and index
-from one sorting ``np.unique`` (``core._merged_grid``).  Each must equal the
-former route kept in ``per_scenario.py`` bit for bit: the partition and
-family arrays, ``_merged_grid`` and the values of ``choquet_factor``,
-``quantile_factor`` and ``inf_convolution``, where the engines run once as
-they are and once with the former routes patched in.
+the sweep's exact rows, block anchors and bisection probes, come from
+per-scenario atom counts (``core._atom_counts``), and the merged grid takes
+its points and index from one sorting ``np.unique`` (``core._merged_grid``).
+Each must equal the former route kept in ``per_scenario.py`` bit for bit:
+the partition and family arrays, ``_merged_grid`` and the values of
+``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, where the
+engines run once as they are and once with the former routes patched in.
 
 Samples have ties, supports holding both signed zeros or only -0.0,
 single-atom laws, losses offset by 1e9, zero-weight rows and 2 to 300 bins,
-which crosses the width of a ``uint8`` code.  Small samples count their
-codes where ``COUNT_ROWS_PER_CUT`` is patched to 0, and search them at its
-own value.
+which crosses the width of a ``uint8`` code.
 """
 
 import contextlib
@@ -24,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_scenario
-from factorrisk import (JointSample, conditioning, core, distortion, es_distortion, from_sample,
+from factorrisk import (JointSample, core, distortion, es_distortion, from_sample,
                         inf_convolution, partition_quantile_boxes, pred_esssup_var,
                         pred_var_of_var, psi_indicator_var_var, psi_lambda_of_var,
                         psi_mean_of_es, quantile, quantile_factor)
@@ -64,9 +62,11 @@ def samples(draw):
 
 @contextlib.contextmanager
 def _parent_routes():
-    """The engines with the former anchor counts and merged grid patched in."""
+    """The engines with the former key search for atom counts, and the
+    former merged grid, patched in."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_block_counts", per_scenario.block_counts)
+        mp.setattr(core, "_atom_counts", lambda scen, first, n, n_rows:
+                   per_scenario.block_counts(scen, first, n, 1, n_rows))
         for module in (distortion, quantile):
             mp.setattr(module, "_merged_grid", per_scenario.merged_grid)
         yield
@@ -112,13 +112,11 @@ def _assert_same_routes(sample, bins):
 class TestAgainstTheSearches:
 
     @settings(max_examples=150, deadline=None)
-    @given(samples(), st.integers(2, 300), st.sampled_from([1, 3, 256]),
-           st.sampled_from([0, conditioning.COUNT_ROWS_PER_CUT]))
-    def test_partition_family_grid_and_values(self, sample, bins, min_block, per_cut):
+    @given(samples(), st.integers(2, 300), st.sampled_from([1, 3, 256]))
+    def test_partition_family_grid_and_values(self, sample, bins, min_block):
         # small blocks put many anchor rows into small families
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "MIN_SWEEP_BLOCK", min_block)
-            mp.setattr(conditioning, "COUNT_ROWS_PER_CUT", per_cut)
             _assert_same_routes(sample, bins)
 
     @pytest.mark.parametrize("bins", [254, 255, 256, 257, 300])
@@ -129,31 +127,36 @@ class TestAgainstTheSearches:
         sample = JointSample(np.round(rng.standard_normal(3000), 1), rng.standard_normal(3000))
         cuts = partition_quantile_boxes(sample, bins).cuts[0]
         assert cuts.size == bins - 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conditioning, "COUNT_ROWS_PER_CUT", 0)
-            assert _interval_codes(sample.factors[:, 0], cuts).dtype == (
-                np.uint8 if cuts.size < 255 else np.intp)
-            _assert_same_routes(sample, bins)
+        assert _interval_codes(sample.factors[:, 0], cuts).dtype == (
+            np.uint8 if cuts.size < 255 else np.intp)
+        _assert_same_routes(sample, bins)
 
-    def test_rows_per_cut_switch(self):
-        # 3000 values count their codes for up to 3000 // 128 = 23 cuts
-        col = np.random.default_rng(0).standard_normal(3000)
-        for size, dtype in ((23, np.uint8), (24, np.intp)):
-            cuts = np.quantile(col, np.arange(1, size + 1) / (size + 1))
-            codes = _interval_codes(col, cuts)
-            assert codes.dtype == dtype
-            assert np.array_equal(codes, per_scenario.interval_codes(col, cuts))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(24, 254), st.integers(0, 2**32 - 1))
+    def test_small_columns_count(self, rows, n_cuts, seed):
+        # columns with few values per cut count their codes too; cuts drawn
+        # from the column itself put values on every cut
+        rng = np.random.default_rng(seed)
+        col = np.round(rng.standard_normal(rows), int(rng.integers(0, 3)))
+        pool = np.unique(np.concatenate([rng.choice(col, n_cuts), rng.normal(size=n_cuts)]))
+        cuts = np.sort(rng.choice(pool, n_cuts, replace=False))
+        codes = _interval_codes(col, cuts)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, per_scenario.interval_codes(col, cuts))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=20), st.integers(1, 40),
            st.integers(0, 2**32 - 1))
     def test_block_counts(self, sizes, block, seed):
-        # atoms past the last grid row (at == G) count for no anchor row
+        # atoms past the last grid row (at == G) count for no anchor or probe row
         rng = np.random.default_rng(seed)
         G = int(rng.integers(1, 200))
-        scen = np.repeat(np.arange(len(sizes)), sizes)
+        n, scen = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
         at = np.concatenate([np.sort(rng.integers(0, G + 1, k)) for k in sizes])
         n_blocks = -(-G // block)
-        got = core._block_counts(scen, at, len(sizes), block, n_blocks)
-        assert _bits(got) == _bits(per_scenario.block_counts(scen, at, len(sizes), block,
-                                                             n_blocks))
+        anchors = core._atom_counts(scen, -(-at // block), n, n_blocks)
+        assert _bits(anchors) == _bits(per_scenario.block_counts(scen, at, n, block, n_blocks))
+        every_row = per_scenario.block_counts(scen, at, n, 1, G)
+        for k in rng.integers(0, G, 5):
+            probe = core._atom_counts(scen, at > k, n, 1)
+            assert _bits(probe) == _bits(every_row[:, k:k + 1])

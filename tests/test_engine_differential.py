@@ -212,6 +212,42 @@ class TestAgainstDenseDefinition:
         assert quant == dense_quantile(fam, pred)
 
 
+class TestNearJumpBisection:
+    """A scenario of weight 1e-14 moves the weighted sum within rounding of
+    the level q = 0.5 on many grid rows, so the sweep bisects over those
+    rows with single exact rows of the dense formula."""
+
+    @staticmethod
+    def _family():
+        laws = tuple(StepCDF(v, np.arange(1, v.size + 1) / v.size)
+                     for v in (np.arange(1.0, 11.0), np.arange(11.0, 31.0),
+                               np.arange(100.0, 110.0)))
+        return ConditionalLawFamily(np.array([0.5 - 1e-14, 1e-14, 0.5]), laws)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_bisection_equals_the_dense_formula(self, block):
+        fam = self._family()
+        sizes = []  # of the sums each evaluation finishes
+        finish = core.ScenarioFunctional.finish
+
+        def spy(self, s, r):
+            sizes.append(np.size(s))
+            return finish(self, s, r)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core.ScenarioFunctional, "finish", spy)
+            if block is not None:
+                mp.setattr(core, "MIN_SWEEP_BLOCK", block)
+            quant = quantile_factor(fam, pred_var_of_var(0.5, 0.5))
+            quant_rows = sizes.count(1)
+            sizes.clear()
+            value = choquet_factor(fam, psi_indicator_var_var(0.5, 0.5))
+        # the first and last near rows, then at least one bisection step
+        assert quant_rows > 2 and sizes.count(1) > 2
+        assert quant == dense_quantile(fam, pred_var_of_var(0.5, 0.5)) == 20.0
+        assert value == dense_choquet(fam, psi_indicator_var_var(0.5, 0.5)) == 20.0
+
+
 def _var_candidates(fam, levels, lams):
     """compose_var_distortion with each scenario level at g or g - PROB_TOL,
     for every outer distortion in ``lams``."""
