@@ -537,6 +537,9 @@ def main(argv=None) -> int:
     except FactorRiskError as exc:
         print(f"numeric rejection: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"numeric rejection: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def _split_names(text: str | None):

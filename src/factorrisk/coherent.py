@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar
-from .core import ConditionalLawFamily, StepCDF
+from .core import ConditionalLawFamily, StepCDF, _segment_es
 from .errors import ValidationError
 
 PARTITION_TOL = 1e-12
@@ -85,7 +85,9 @@ def hl_bound(family_x: ConditionalLawFamily, family_y: ConditionalLawFamily,
 
     ``direction='sup'`` pairs the conditional quantiles comonotonically,
     ``direction='inf'`` antitonically.  The two families must live on the
-    same scenario partition.
+    same scenario partition.  It loops over the laws: one flat merge of
+    every scenario's breakpoints gave the same bits, 8x faster at 16k boxes
+    but 2.8x slower at 4,096 boxes of 244 atoms (2-core x86-64, numpy 2.4).
     """
     if direction not in ("sup", "inf"):
         raise ValidationError("direction must be 'sup' or 'inf'")
@@ -124,7 +126,7 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",
                    q: float | None = None) -> float:
     """Coherent composition: esssup or ES_q of the per-scenario ES_p values."""
-    values = np.array([scalar.es(law, p) for law in family.laws])
+    values = _segment_es(family.support, family.cum, family.offsets, np.full(family.n_scenarios, p))
     law = StepCDF.from_values(values, family.pis)
     if outer == "esssup":
         return scalar.esssup(law)

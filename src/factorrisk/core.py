@@ -535,16 +535,19 @@ class ConditionalLawFamily:
     def merged_support(self) -> np.ndarray:
         return np.unique(self.support)
 
+    def _masses(self) -> np.ndarray:
+        """Each atom's mass within its law, as ``StepCDF.masses`` finds it."""
+        masses = np.diff(self.cum, prepend=0.0)
+        masses[self.offsets[:-1]] = self.cum[self.offsets[:-1]]  # each law starts from 0
+        return masses
+
     def mixture(self) -> StepCDF:
         """The pi-weighted mixture of the conditional laws (marginal of X)."""
-        starts = self.offsets[:-1]
-        masses = np.diff(self.cum, prepend=0.0)
-        masses[starts] = self.cum[starts]  # each law's masses start from 0
-        masses *= np.repeat(self.pis, np.diff(self.offsets))
+        masses = self._masses() * np.repeat(self.pis, np.diff(self.offsets))
         return StepCDF.from_values(self.support, masses)
 
     def scenario_means(self) -> np.ndarray:
-        return np.array([law.mean() for law in self.laws])
+        return _segment_dots(self.support, self._masses(), self.offsets)
 
 
 def from_sample(sample: JointSample, partition: ScenarioPartition) -> ConditionalLawFamily:
@@ -552,17 +555,8 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
 
     ``pi_i`` is the summed normalized row weight of scenario i; a scenario
     whose rows all carry zero weight is rejected.  The partition must cover
-    the sample's positive-weight rows so the pi's sum to one.
-
-    Every law equals ``StepCDF.from_values`` of its scenario's rows bit for
-    bit, with no per-scenario object.  Each scenario's ``sum`` of weights
-    and ``cumsum`` of masses run together with those of every scenario of
-    its length (:func:`_segment_sums`, :func:`_segment_cumsums`).  The
-    atoms are found in batches of consecutive scenarios of up to
-    ``_BATCH_ROWS`` rows (:func:`_batches`), so that the per-row arrays stay
-    cache-sized: the losses are sorted within each scenario as
-    ``np.unique`` sorts them (:func:`_atoms`) and one ``bincount`` sums
-    every atom's mass in row order, as ``np.add.at`` does.
+    the sample's positive-weight rows so the pi's sum to one.  Each law is
+    ``StepCDF.from_values`` of its scenario's rows (:func:`_segment_laws`).
     """
     rows, offsets = partition.rows, partition.offsets
     if rows.min() < 0 or rows.max() >= sample.n_rows:
@@ -574,31 +568,45 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
         label = partition.labels[empty[0]]
         raise ValidationError(f"scenario {label!r} is empty after weight normalization")
     w /= np.repeat(pis, np.diff(offsets))
+    support, cum, law_offsets = _segment_laws(sample.loss, w, offsets, rows)
+    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets, _label_source(partition))
+
+
+def _label_source(owner):
+    """Labels for a family built from ``owner``: its label source, or a
+    ``partial`` of its built labels, so the family keeps none of its arrays."""
+    built = owner.__dict__.get("labels")
+    return owner._labels if built is None else partial(tuple, built)
+
+
+def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, rows=None):
+    """Support, cum and offsets of ``StepCDF.from_values(values[rows[a:b]],
+    w[a:b])`` (``values[a:b]`` without ``rows``) for each segment [a, b) of
+    ``offsets`` (``w`` totals 1 in each), bit for bit: atoms as ``np.unique``
+    sorts them (:func:`_atoms`) in cache-sized batches (:func:`_batches`), each
+    one's mass summed in order by ``bincount``.  A batch gathers its own rows."""
     support, masses, sizes = [], [], []
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
-        atom, x, first = _atoms(sample.loss[rows[a:b]], offsets[s:e + 1] - a)
-        batch = np.bincount(atom, weights=w[a:b])  # in row order, as np.add.at adds
+        v = values[a:b] if rows is None else values[rows[a:b]]
+        atom, x, first = _atoms(v, offsets[s:e + 1] - a)
+        batch = np.bincount(atom, weights=w[a:b])  # in input order, as np.add.at adds
         keep = batch > MIN_ATOM_MASS
         sizes.append(np.add.reduceat(keep, first, dtype=np.int64))
         support.append(x[keep])
         masses.append(batch[keep])
-    del w  # each full-length array is freed once used, for the peak memory
     support, sizes = np.concatenate(support), np.concatenate(sizes)
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cum = _segment_cumsums(np.concatenate(masses), law_offsets)
+    masses = np.concatenate(masses)  # the list is freed here, for the peak memory
+    cum = _segment_cumsums(masses, law_offsets)
     del masses
     # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
     cum /= np.repeat(cum[law_offsets[1:] - 1], sizes)
-    # the partition's own label source, or its labels once built: the family
-    # holds no reference to the partition's rows
-    built = partition.__dict__.get("labels")
-    labels = partition._labels if built is None else partial(tuple, built)
-    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets, labels)
+    return support, cum, law_offsets
 
 
-# rows per batch of from_sample's atoms: 128 KB per float64 array, so that a
-# batch's arrays stay in cache and its transient memory stays small
+# values per batch of _segment_laws' atoms: 128 KB per float64 array, so that
+# a batch's arrays stay in cache and its transient memory stays small
 _BATCH_ROWS = 2**14
 
 
@@ -668,6 +676,39 @@ def _segment_cumsums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     for _, positions in _equal_lengths(offsets):
         out[positions] = values[positions].cumsum(axis=1)
     return out
+
+
+def _segment_dots(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``x[a:b] @ y[a:b]`` for each segment [a, b) of ``offsets``, bit for
+    bit: the segments of one length are one stack of (1, L) @ (L, 1)
+    products, each of which numpy hands to the BLAS dot as it does a 1-D @."""
+    out = np.empty(offsets.size - 1)
+    for segs, positions in _equal_lengths(offsets):
+        out[segs] = (x[positions][:, None, :] @ y[positions][:, :, None]).ravel()
+    return out
+
+
+def _segment_es(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray,
+                a: np.ndarray) -> np.ndarray:
+    """``scalar.es`` of each law (segment of ``offsets``) at its level ``a[i]``:
+    each atom weighs the part of (previous cum, cum] inside (a_i, 1]."""
+    bad = np.flatnonzero(~((a >= 0) & (a < 1)))  # written so that NaN fails it
+    if bad.size:
+        raise ValidationError(f"ES level must be in [0, 1), got {a[bad[0]].item()!r}")
+    lo = np.concatenate(([0.0], cum[:-1]))
+    lo[offsets[:-1]] = 0.0
+    seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(lo, np.repeat(a, np.diff(offsets))), 0.0)
+    return _segment_dots(support, seg, offsets) / (1.0 - a)
+
+
+def _scenario_var(family: ConditionalLawFamily, g: np.ndarray) -> np.ndarray:
+    """Each law's left quantile at its level ``g[i]`` in (0, 1], as
+    ``scalar.var`` finds it: the law's count of cum below g_i is the index
+    that ``searchsorted(side="left")`` returns, capped at its last atom."""
+    starts, ends = family.offsets[:-1], family.offsets[1:]
+    below = family.cum < np.repeat(g, np.diff(family.offsets))
+    idx = starts + np.add.reduceat(below, starts, dtype=np.int64)
+    return family.support[np.minimum(idx, ends - 1)]
 
 
 def marginal(dist: DiscreteJointDistribution) -> StepCDF:

@@ -33,7 +33,7 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _lazy_labels, _merged_grid, _sweep)
+                   _lazy_labels, _merged_grid, _scenario_var, _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -89,14 +89,9 @@ def _es_levels(levels: LevelMap, n: int, labels) -> np.ndarray:
     return g
 
 
-def _var_tails(levels):
+def _tails(levels, check):
     levels = LevelMap.of(levels)
-    return lambda n, labels: 1.0 - _var_levels(levels, n, labels)
-
-
-def _es_tails(levels):
-    levels = LevelMap.of(levels)
-    return lambda n, labels: 1.0 - _es_levels(levels, n, labels)
+    return lambda n, labels: 1.0 - check(levels, n, labels)
 
 
 def psi_mean() -> ScenarioDistortion:
@@ -107,18 +102,18 @@ def psi_mean() -> ScenarioDistortion:
 def psi_lambda_of_var(lam: scalar.DistortionFunction, levels) -> ScenarioDistortion:
     """Distorted conditional VaR: rho = rho_Lambda(VaR_{g(W)}(X | W))."""
     cut = 1.0 - lam.level if lam.kind == "var_level" else None
-    return ScenarioDistortion(_exceeds, _pi_weighted(_var_tails(levels), cut),
+    return ScenarioDistortion(_exceeds, _pi_weighted(_tails(levels, _var_levels), cut),
                               lambda s, cut: lam(s))
 
 
 def psi_mean_of_var(levels) -> ScenarioDistortion:
     """Average conditional VaR: rho = E[VaR_{g(W)}(X | W)]."""
-    return ScenarioDistortion(_exceeds, _pi_weighted(_var_tails(levels)))
+    return ScenarioDistortion(_exceeds, _pi_weighted(_tails(levels, _var_levels)))
 
 
 def psi_mean_of_es(levels) -> ScenarioDistortion:
     """Average conditional ES: rho = E[ES_{g(W)}(X | W)]."""
-    return ScenarioDistortion(_capped, _pi_weighted(_es_tails(levels)))
+    return ScenarioDistortion(_capped, _pi_weighted(_tails(levels, _es_levels)))
 
 
 def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
@@ -195,15 +190,14 @@ def compose_var_distortion(family: ConditionalLawFamily, levels,
     ties, where a float cumsum landing ulps under a level takes the next atom.
     """
     g = _var_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
-    vars_ = np.array([scalar.var(law, gi) for law, gi in zip(family.laws, g)])
-    return scalar.distortion_rho(StepCDF.from_values(vars_, family.pis), lam)
+    return scalar.distortion_rho(StepCDF.from_values(_scenario_var(family, g), family.pis), lam)
 
 
 def compose_es_mean(family: ConditionalLawFamily, levels) -> float:
     """E[ES_{g(W)}(X | W)] via per-scenario expected shortfalls."""
     g = _es_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
-    return float(sum(pi * scalar.es(law, gi)
-                     for pi, law, gi in zip(family.pis, family.laws, g)))
+    es = _segment_es(family.support, family.cum, family.offsets, g)
+    return float(np.cumsum(family.pis * es)[-1])  # the bits of Python's sum, in order
 
 
 def es_on_event(sample: JointSample, event, p: float) -> float:

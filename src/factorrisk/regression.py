@@ -138,53 +138,14 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
 
 
 def norm_inv(p: float) -> float:
-    """Inverse standard normal CDF, absolute error below 1e-9.
+    """Inverse standard normal CDF: Wichura's AS241 algorithm, accurate to
+    about 1e-16 relative, as the standard library's ``NormalDist`` gives
+    it.  Boundary levels rejected."""
+    import statistics
 
-    Rational initial guess refined by one Newton step on the erfc-based
-    normal CDF.  The residual is evaluated in the nearer tail so it stays
-    relatively accurate out to extreme levels.  Boundary levels rejected.
-    """
     if not 0 < p < 1:
         raise ValidationError(f"norm_inv needs p in (0, 1), got {p!r}")
-    x = _norm_inv_rational(p)
-    inv_density = math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    if p < 0.5:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-        x -= err * inv_density
-    else:
-        err = 0.5 * math.erfc(x / math.sqrt(2.0)) - (1.0 - p)
-        x += err * inv_density
-    return x
-
-
-_NI_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NI_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NI_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NI_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-
-def _norm_inv_rational(p: float) -> float:
-    a, b, c, d = _NI_A, _NI_B, _NI_C, _NI_D
-    p_low = 0.02425
-    if p < p_low:
-        t = math.sqrt(-2.0 * math.log(p))
-        num = ((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]
-        den = (((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0
-        return num / den
-    if p > 1.0 - p_low:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]
-        den = (((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0
-        return -num / den
-    t = p - 0.5
-    r = t * t
-    num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * t
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    return num / den
+    return statistics.NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepCDF
+from .core import StepCDF, _segment_es
 from .errors import ValidationError
 
 
@@ -113,12 +113,8 @@ def es(cdf: StepCDF, alpha: float) -> float:
     Exact for step CDFs: an atom straddling ``alpha`` contributes its
     partial mass.  ``alpha = 0`` gives the mean.
     """
-    if not 0 <= alpha < 1:
-        raise ValidationError(f"ES level must be in [0, 1), got {alpha!r}")
-    lo = np.concatenate(([0.0], cdf.cum[:-1]))
-    seg = np.minimum(cdf.cum, 1.0) - np.maximum(lo, alpha)
-    seg = np.clip(seg, 0.0, None)
-    return float(cdf.support @ seg / (1.0 - alpha))
+    offsets = np.array([0, cdf.support.size])
+    return float(_segment_es(cdf.support, cdf.cum, offsets, np.array([alpha]))[0])
 
 
 def esssup(cdf: StepCDF) -> float:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionalLawFamily, StepCDF, _sweep
+from .core import (ConditionalLawFamily, StepCDF, _label_source, _segment_laws, _segment_sums,
+                   _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -137,11 +138,12 @@ def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAlloc
 
 def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAllocation,
                      agent: int) -> ConditionalLawFamily:
-    """Conditional laws of h_agent(X) obtained by mapping supports through h."""
-    laws = []
-    for law in family.laws:
-        laws.append(StepCDF.from_values(allocation.h(agent, law.support), law.masses))
-    return ConditionalLawFamily(family.pis.copy(), tuple(laws), family.labels)
+    """Conditional laws of h_agent(X): ``StepCDF.from_values(h(law.support),
+    law.masses)`` for each law, bit for bit, with the whole support mapped once."""
+    masses, offsets = family._masses(), family.offsets
+    masses /= np.repeat(_segment_sums(masses, offsets), np.diff(offsets))
+    laws = _segment_laws(allocation.h(agent, family.support), masses, offsets)
+    return ConditionalLawFamily._from_flat(family.pis.copy(), *laws, _label_source(family))
 
 
 def allocation_value_check(allocation: PiecewiseLinearAllocation, agents,

@@ -14,16 +14,22 @@ The former searches and re-sorts of the quantile-box path are kept too:
 ``interval_codes`` (a binary search per value), ``block_counts`` (the
 sweep's anchor and probe rows, a binary search per scenario and row) and
 ``merged_grid`` (two ``np.unique`` of the support).
+
+So are the former per-law loops of the closed forms and the sharing check:
+``es`` (``scalar.es``'s own formula), ``scenario_means``, ``linear_factor``,
+``compose_var_distortion``, ``compose_es_mean``, ``es_composition`` and
+``transform_family``, each over the ``family.laws`` views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPartition, StepCDF,
-                        ValidationError, VarBox, scalar)
+from factorrisk import (ConditionalLawFamily, JointSample, LevelMap, Scenario, ScenarioPartition,
+                        ScenarioWeighting, StepCDF, ValidationError, VarBox, scalar)
 from factorrisk.conditioning import _interval_label, broadcast_levels
-from factorrisk.core import MIN_ATOM_MASS, round_significant
+from factorrisk.core import MIN_ATOM_MASS, _lazy_labels, round_significant
+from factorrisk.distortion import _es_levels, _var_levels
 
 BATCH_ROWS = 2**14
 
@@ -208,3 +214,51 @@ def block_counts(scen: np.ndarray, at: np.ndarray, n: int, block: int,
 def merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     return family.merged_support(), np.unique(family.support, return_inverse=True)[1]
 
+
+
+def es(cdf: StepCDF, alpha: float) -> float:
+    if not 0 <= alpha < 1:
+        raise ValidationError(f"ES level must be in [0, 1), got {alpha!r}")
+    lo = np.concatenate(([0.0], cdf.cum[:-1]))
+    seg = np.minimum(cdf.cum, 1.0) - np.maximum(lo, alpha)
+    seg = np.clip(seg, 0.0, None)
+    return float(cdf.support @ seg / (1.0 - alpha))
+
+
+def scenario_means(family: ConditionalLawFamily) -> np.ndarray:
+    return np.array([law.mean() for law in family.laws])
+
+
+def linear_factor(family: ConditionalLawFamily, weighting) -> float:
+    q = ScenarioWeighting.of(weighting).resolve(family)
+    return float(q @ scenario_means(family))
+
+
+def compose_var_distortion(family: ConditionalLawFamily, levels, lam) -> float:
+    g = _var_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
+    vars_ = np.array([scalar.var(law, gi) for law, gi in zip(family.laws, g)])
+    return scalar.distortion_rho(StepCDF.from_values(vars_, family.pis), lam)
+
+
+def compose_es_mean(family: ConditionalLawFamily, levels) -> float:
+    g = _es_levels(LevelMap.of(levels), family.n_scenarios, _lazy_labels(family))
+    return float(sum(pi * es(law, gi) for pi, law, gi in zip(family.pis, family.laws, g)))
+
+
+def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",
+                   q: float | None = None) -> float:
+    values = np.array([es(law, p) for law in family.laws])
+    law = StepCDF.from_values(values, family.pis)
+    if outer == "esssup":
+        return scalar.esssup(law)
+    if outer == "es":
+        if q is None:
+            raise ValidationError("outer ES level must lie in [0, 1)")
+        return es(law, q)
+    raise ValidationError("outer must be 'esssup' or 'es'")
+
+
+def transform_family(family: ConditionalLawFamily, allocation, agent: int) -> ConditionalLawFamily:
+    laws = [StepCDF.from_values(allocation.h(agent, law.support), law.masses)
+            for law in family.laws]
+    return ConditionalLawFamily(family.pis.copy(), tuple(laws), family.labels)

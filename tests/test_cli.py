@@ -14,7 +14,7 @@ from factorrisk import (
     partition_discrete,
     simulate,
 )
-from factorrisk import cli
+from factorrisk import cli, regression
 from factorrisk.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -271,6 +271,22 @@ class TestMainExitCodes:
                    "--alpha", "0.5", "--p", p])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == f"numeric rejection: {message}\n"
+
+    def test_out_of_memory_is_numeric_rejection(self, tmp_path, capsys, monkeypatch):
+        # the draw that would allocate the 71.1 PiB fails as numpy fails it,
+        # before any memory is taken
+        message = "Unable to allocate 71.1 PiB for an array with shape (10000000000000000, 1)"
+
+        def draw(self, rng, n):
+            assert n == 10**16
+            raise MemoryError(message)
+        monkeypatch.setattr(regression.GaussianFactorSpec, "draw", draw)
+        out = tmp_path / "big.csv"
+        rc = main(["simulate", "--n", "10000000000000000", "--beta", "1.0",
+                   "--output", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric rejection: out of memory: {message}\n"
+        assert not out.exists()
 
 
 class TestRegressionReport:
