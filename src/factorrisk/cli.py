@@ -604,6 +604,7 @@ def _dispatch(args) -> int:
         agents = [_agent_spec(tok.strip(), sample, families) for tok in tokens]
         x_law = _column_family(sample, "", families).mixture()
         value, allocation = sharing.inf_convolution(x_law, agents)
+        del agents, families, x_law  # the families are freed before the JSON is built
         # json.dumps(..., indent=2) of the whole payload, with the arrays
         # (one float per support point and agent) written by joins
         head = json.dumps({"value": value, "agents": tokens}, indent=2)

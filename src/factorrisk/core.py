@@ -134,17 +134,21 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
+def _signed_zeros(values: np.ndarray) -> bool:
+    """Whether ``values`` hold both -0.0 and 0.0, equal values of unequal bits."""
+    sign = np.signbit(values[values == 0.0])
+    return bool(sign.any() and not sign.all())
+
+
 def _equal_weight_atoms(values: np.ndarray, c: float):
     """The atoms of ``values`` at the common weight ``c``, as
     ``StepCDF.from_values`` finds them: the sorted distinct values and
     each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
     x = np.sort(values)
-    if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1:
-        # the zeros are read from the input: numpy's vectorized sort may
-        # write one zero's bits in place of the other's
-        zeros = np.signbit(values[values == 0.0])
-        if zeros.any() and not zeros.all():
-            return None
+    # the zeros are read from the input: numpy's vectorized sort may write
+    # one zero's bits in place of the other's
+    if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1 and _signed_zeros(values):
+        return None
     new = np.empty(x.size, dtype=bool)
     new[0] = True
     np.not_equal(x[1:], x[:-1], out=new[1:])
@@ -203,7 +207,12 @@ class StepCDF:
             uniq, inverse = np.unique(vals, return_inverse=True)
             # bincount adds each atom's weights in row order, as np.add.at does
             atoms = uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
-        support, masses = atoms
+        return cls._of_masses(*atoms)
+
+    @classmethod
+    def _of_masses(cls, support, masses) -> "StepCDF":
+        """The law of atoms ``support`` weighing ``masses`` (overwritten), as
+        ``from_values`` finishes it."""
         keep = masses > MIN_ATOM_MASS
         if not keep.all():
             support, masses = support[keep], masses[keep]
@@ -474,7 +483,10 @@ class ConditionalLawFamily:
     ``offsets[i + 1]``.  ``laws`` (:class:`StepCDF` views of those slices)
     and ``labels`` are read-only, built on first access and not validated
     again.  ``ConditionalLawFamily(pis, laws, labels)`` flattens a sequence
-    of StepCDF.
+    of StepCDF.  The merged support and each atom's index in it, which the
+    engines and :meth:`mixture` read, come from the sort that built the
+    laws (``from_sample``), else from one sorting ``np.unique`` when first
+    read.
     """
 
     pis: np.ndarray
@@ -499,12 +511,15 @@ class ConditionalLawFamily:
         self.__dict__.update(laws=laws, labels=labels)
 
     @classmethod
-    def _from_flat(cls, pis, support, cum, offsets,
-                   labels: Callable[[], tuple | None] | None) -> "ConditionalLawFamily":
+    def _from_flat(cls, pis, support, cum, offsets, labels: Callable[[], tuple | None] | None,
+                   grid: tuple | None = None) -> "ConditionalLawFamily":
         """The family of these arrays; ``labels()`` builds the labels when
-        first read (a picklable callable; None: no labels)."""
+        first read (a picklable callable; None: no labels); ``grid``, when
+        given, is the merged support and each atom's index in it."""
         family = object.__new__(cls)
         family._set(pis, support, cum, offsets, labels)
+        if grid is not None:
+            family.__dict__["_grid"] = grid
         return family
 
     def _set(self, pis, support, cum, offsets, labels):
@@ -532,8 +547,13 @@ class ConditionalLawFamily:
         return tuple(_unchecked(StepCDF, support=self.support[a:b], cum=self.cum[a:b])
                      for a, b in zip(bounds[:-1], bounds[1:]))
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The merged support and each atom's index in it (:func:`_grid_of`)."""
+        return _grid_of(self.support, *np.unique(self.support, return_inverse=True))
+
     def merged_support(self) -> np.ndarray:
-        return np.unique(self.support)
+        return self._grid[0].copy()
 
     def _masses(self) -> np.ndarray:
         """Each atom's mass within its law, as ``StepCDF.masses`` finds it."""
@@ -542,9 +562,17 @@ class ConditionalLawFamily:
         return masses
 
     def mixture(self) -> StepCDF:
-        """The pi-weighted mixture of the conditional laws (marginal of X)."""
-        masses = self._masses() * np.repeat(self.pis, np.diff(self.offsets))
-        return StepCDF.from_values(self.support, masses)
+        """The pi-weighted mixture of the conditional laws (marginal of X):
+        ``StepCDF.from_values(support, masses)`` bit for bit, each merged
+        atom's mass one ``bincount`` over the atoms' stored index."""
+        masses = self._masses()
+        masses *= np.repeat(self.pis, np.diff(self.offsets))
+        points, at = self._grid
+        zero = points.searchsorted(0.0)
+        if zero < points.size and points[zero] == 0.0 and _signed_zeros(self.support):
+            return StepCDF.from_values(self.support, masses)  # its argsort picks the zero's bits
+        masses /= masses.sum()  # as from_values normalizes its weights
+        return StepCDF._of_masses(points, np.bincount(at, weights=masses, minlength=points.size))
 
     def scenario_means(self) -> np.ndarray:
         return _segment_dots(self.support, self._masses(), self.offsets)
@@ -556,7 +584,9 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
     ``pi_i`` is the summed normalized row weight of scenario i; a scenario
     whose rows all carry zero weight is rejected.  The partition must cover
     the sample's positive-weight rows so the pi's sum to one.  Each law is
-    ``StepCDF.from_values`` of its scenario's rows (:func:`_segment_laws`).
+    ``StepCDF.from_values`` of its scenario's rows (:func:`_segment_laws`),
+    and the family keeps each atom's index in the merged support from the
+    same sort.
     """
     rows, offsets = partition.rows, partition.offsets
     if rows.min() < 0 or rows.max() >= sample.n_rows:
@@ -568,8 +598,9 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
         label = partition.labels[empty[0]]
         raise ValidationError(f"scenario {label!r} is empty after weight normalization")
     w /= np.repeat(pis, np.diff(offsets))
-    support, cum, law_offsets = _segment_laws(sample.loss, w, offsets, rows)
-    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets, _label_source(partition))
+    support, cum, law_offsets, grid = _segment_laws(sample.loss[rows], w, offsets)
+    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets,
+                                           _label_source(partition), grid)
 
 
 def _label_source(owner):
@@ -579,30 +610,112 @@ def _label_source(owner):
     return owner._labels if built is None else partial(tuple, built)
 
 
-def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, rows=None):
-    """Support, cum and offsets of ``StepCDF.from_values(values[rows[a:b]],
-    w[a:b])`` (``values[a:b]`` without ``rows``) for each segment [a, b) of
-    ``offsets`` (``w`` totals 1 in each), bit for bit: atoms as ``np.unique``
-    sorts them (:func:`_atoms`) in cache-sized batches (:func:`_batches`), each
-    one's mass summed in order by ``bincount``.  A batch gathers its own rows."""
-    support, masses, sizes = [], [], []
+def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
+    """Support, cum and offsets of ``StepCDF.from_values(values[a:b], w[a:b])``
+    for each segment [a, b) of ``offsets`` (``w`` totals 1 in each), bit for
+    bit, and the merged grid (:func:`_grid_of`).
+
+    One ``argsort`` of all the values ranks them (:func:`_ranks`).  An atom
+    is a segment's run of one rank; in cache-sized batches of segments
+    (:func:`_batches`) one sort of (segment, rank) keys (:func:`_sorted_keys`)
+    numbers the atoms in segment and value order, and ``bincount`` sums each
+    one's mass in row order.  An atom's index in the merged support is its
+    rank, re-ranked where atoms were dropped.  Where a segment holds both
+    -0.0 and 0.0, its zero atom takes the bits of the zero that its own
+    argsort lists first (:func:`_first_zeros`).
+    """
+    rank, points = _ranks(values)
+    zeros = _first_zeros(values, offsets)
+    support, masses, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
-        v = values[a:b] if rows is None else values[rows[a:b]]
-        atom, x, first = _atoms(v, offsets[s:e + 1] - a)
-        batch = np.bincount(atom, weights=w[a:b])  # in input order, as np.add.at adds
+        key = rank[a:b].astype(np.int64)
+        if e - s > 1:
+            key += np.repeat(np.arange(e - s) * points.size, np.diff(offsets[s:e + 1]))
+        key, order = _sorted_keys(key, (e - s) * points.size)
+        new = np.empty(b - a, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        of_sorted = np.cumsum(new)
+        of_sorted -= 1
+        atom = np.empty_like(of_sorted)
+        atom[order] = of_sorted
+        batch = np.bincount(atom, weights=w[a:b])  # in row order, as np.add.at adds
+        n_atoms += batch.size
         keep = batch > MIN_ATOM_MASS
-        sizes.append(np.add.reduceat(keep, first, dtype=np.int64))
-        support.append(x[keep])
+        sizes.append(np.add.reduceat(keep, of_sorted[offsets[s:e] - a], dtype=np.int64))
+        first = a + order[new][keep]  # a row of each kept atom
+        support.append(values[first])
+        at.append(rank[first])
         masses.append(batch[keep])
-    support, sizes = np.concatenate(support), np.concatenate(sizes)
+    del rank, values  # the caller's gather is freed here, for the peak memory
+    support, sizes, at = np.concatenate(support), np.concatenate(sizes), np.concatenate(at)
+    if at.size < n_atoms:  # atoms were dropped: re-rank
+        present = np.zeros(points.size, dtype=bool)
+        present[at] = True
+        if not present.all():
+            at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
+            points = points[present]
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
     masses = np.concatenate(masses)  # the list is freed here, for the peak memory
     cum = _segment_cumsums(masses, law_offsets)
     del masses
     # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
     cum /= np.repeat(cum[law_offsets[1:] - 1], sizes)
-    return support, cum, law_offsets
+    for i, zero in zeros.items():
+        law = support[law_offsets[i]:law_offsets[i + 1]]
+        k = law.searchsorted(0.0)
+        if k < law.size and law[k] == 0.0:  # unless the zero atom was dropped
+            law[k] = zero
+    return support, cum, law_offsets, _grid_of(support, points, at)
+
+
+def _sorted_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``key`` (int64, in [0, bound)) sorted, and the positions that sort it,
+    equal keys in position order: one ``np.sort`` of each key shifted above
+    its position, which sorts several times faster than an ``argsort``, or
+    an argsort where the two do not fit 63 bits."""
+    shift = (key.size - 1).bit_length()
+    if bound << shift > 2**63:
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    key <<= shift
+    key |= np.arange(key.size)
+    key.sort()
+    return key >> shift, key & ((1 << shift) - 1)
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's dense rank among ``values``, and the distinct values in
+    order, from one ``argsort``."""
+    order = np.argsort(values)
+    x = values[order]
+    new = np.empty(x.size, dtype=bool)
+    new[0] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    points = x[new]
+    del x
+    ranks = np.cumsum(new, dtype=np.int32 if values.size < 2**31 else np.intp)
+    ranks -= 1
+    rank = np.empty_like(ranks)
+    rank[order] = ranks
+    return rank, points
+
+
+def _first_zeros(values: np.ndarray, offsets: np.ndarray) -> dict:
+    """For each segment of ``values`` that holds both -0.0 and 0.0, the zero
+    that the segment's own argsort (``np.unique``'s sort) lists first."""
+    if not _signed_zeros(values):
+        return {}
+    zero = values == 0.0
+    neg = np.add.reduceat(zero & np.signbit(values), offsets[:-1], dtype=np.int64)
+    both = (neg > 0) & (neg < np.add.reduceat(zero, offsets[:-1], dtype=np.int64))
+    zeros = {}
+    for i in np.flatnonzero(both).tolist():
+        seg = values[offsets[i]:offsets[i + 1]]
+        seg = seg[seg.argsort()]
+        zeros[i] = seg[seg.searchsorted(0.0)]
+    return zeros
 
 
 # values per batch of _segment_laws' atoms: 128 KB per float64 array, so that
@@ -620,42 +733,20 @@ def _batches(offsets: np.ndarray):
         s = e
 
 
-def _atoms(values: np.ndarray, offsets: np.ndarray):
-    """The atoms of ``values`` within each segment of ``offsets``, numbered in
-    segment and value order: each value's atom, each atom's value (the one
-    ``np.unique`` keeps) and each segment's first atom."""
-    order = _sort_within(values, offsets)
-    x = values[order]
-    new = np.empty(x.size, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    new[offsets[:-1]] = True
-    of_sorted = np.cumsum(new)
-    of_sorted -= 1
-    atom = np.empty_like(of_sorted)
-    atom[order] = of_sorted
-    return atom, x[new], of_sorted[offsets[:-1]]
-
-
-def _sort_within(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Positions that sort ``values`` within each segment of ``offsets``,
-    each segment by its own ``argsort`` (``np.unique``'s sort, which decides
-    the sign of a zero atom's representative)."""
-    order = np.empty(values.size, dtype=np.intp)
-    bounds = offsets.tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        order[a:b] = a + values[a:b].argsort()
-    return order
-
-
 def _equal_lengths(offsets: np.ndarray):
     """For each length of the segments of ``offsets``: those segments, and
     an index whose row k selects the k-th of them (a (1, L) view for a
     segment alone in its length)."""
+    if offsets.size == 2:  # one segment, as each scalar.es has: nothing to group
+        yield slice(None), np.s_[None, offsets[0]:offsets[1]]
+        return
     sizes = np.diff(offsets)
     by_size = np.argsort(sizes, kind="stable")
-    for segs in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+    bounds = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), by_size.size]
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        segs = by_size[i:j]
         a, length = offsets[segs[0]], sizes[segs[0]]
-        yield segs, (np.s_[None, a:a + length] if segs.size == 1
+        yield segs, (np.s_[None, a:a + length] if j - i == 1
                      else offsets[segs, None] + np.arange(length))
 
 
@@ -797,12 +888,24 @@ def _lazy_labels(family: ConditionalLawFamily):
     return family.labels if family._labels is None else _LabelView(family)
 
 
+def _grid_of(support: np.ndarray, points: np.ndarray,
+             at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The merged support ``points`` of the atoms ``support`` and their
+    indices ``at`` in it, read-only.  The zero point keeps the bits of the
+    support's zeros; where those are both -0.0 and 0.0, the points are those
+    of the hashing ``np.unique(support)``, which may keep either."""
+    zero = support[support == 0.0]
+    if zero.size:
+        points = np.unique(support) if _signed_zeros(zero) else np.where(points == 0.0,
+                                                                         zero[0], points)
+    return _freeze(points), _freeze(at)
+
+
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The merged support and each atom's index in it, for :func:`_sweep`."""
-    # one sorting np.unique gives both; where the support holds a zero, the
-    # points are merged_support()'s, whose hash table can keep the other zero
-    points, at = np.unique(family.support, return_inverse=True)
-    return family.merged_support() if (points == 0.0).any() else points, at
+    """The merged support and each atom's index in it, for :func:`_sweep`
+    (stored as the rank's 32-bit int where it fits, read as intp)."""
+    points, at = family._grid
+    return points, at.astype(np.intp, copy=False)
 
 
 def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:

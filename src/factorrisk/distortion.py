@@ -154,10 +154,12 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
         hi = psi(np.ones(n), pi)
         if abs(lo) > 1e-12 or abs(hi - 1.0) > 1e-12:
             raise ValidationError("custom distortion must map 0 -> 0 and 1 -> 1")
+        # the upper profiles are made in the lower ones' buffer once those
+        # are evaluated, so the callable's temporaries never meet two matrices
         a = rng.random((check_pairs, n))
-        b = np.minimum(a + rng.random((check_pairs, n)), 1.0)
-        va = psi.apply(a, pi)
-        vb = psi.apply(b, pi)
+        va = psi.apply(a, pi).copy()  # the callable may return a view of its rows
+        a += rng.random((check_pairs, n))
+        vb = psi.apply(np.minimum(a, 1.0, out=a), pi)
         if np.any(vb < va - 1e-12):
             raise ValidationError("custom distortion failed the monotonicity spot check")
     return psi

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConditionalLawFamily, StepCDF, _label_source, _segment_laws, _segment_sums,
-                   _sweep)
+from .core import (ConditionalLawFamily, StepCDF, _label_source, _merged_grid, _segment_laws,
+                   _segment_sums, _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -101,17 +101,28 @@ def _check_agents(agents) -> list[tuple[ScenarioDistortion, ConditionalLawFamily
 
 def _check_mixture(x_law: StepCDF, family: ConditionalLawFamily):
     mixture = family.mixture()
-    grid = np.union1d(x_law.support, mixture.support)
-    if np.max(np.abs(mixture.cdf(grid) - x_law.cdf(grid))) > MIXTURE_TOL:
+    if np.array_equal(mixture.support, x_law.support):  # the union grid, where cdf is cum
+        gap = np.abs(mixture.cum - x_law.cum)
+    else:
+        grid = np.union1d(x_law.support, mixture.support)
+        gap = np.abs(mixture.cdf(grid) - x_law.cdf(grid))
+    if np.max(gap) > MIXTURE_TOL:
         raise ValidationError("agent family does not reproduce the marginal law of X")
 
 
 def integrand_matrix(x_law: StepCDF, agents) -> np.ndarray:
-    """psi_i evaluated on every support interval; shape (n_agents, m-1)."""
+    """psi_i evaluated on every support interval; shape (n_agents, m-1).
+
+    Where ``x_law``'s support is the family's merged support, each atom's
+    grid index is the family's stored one; elsewhere the sweep searches it."""
     xs = x_law.support
     if xs.size == 1:
         return np.zeros((len(agents), 0))
-    return np.vstack([_sweep(family, psi, xs[:-1]) for psi, family in agents])
+    rows = []
+    for psi, family in agents:
+        points, at = _merged_grid(family)
+        rows.append(_sweep(family, psi, xs[:-1], at if np.array_equal(points, xs) else None))
+    return np.vstack(rows)
 
 
 def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAllocation]:
@@ -142,8 +153,10 @@ def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAl
     law.masses)`` for each law, bit for bit, with the whole support mapped once."""
     masses, offsets = family._masses(), family.offsets
     masses /= np.repeat(_segment_sums(masses, offsets), np.diff(offsets))
-    laws = _segment_laws(allocation.h(agent, family.support), masses, offsets)
-    return ConditionalLawFamily._from_flat(family.pis.copy(), *laws, _label_source(family))
+    support, cum, law_offsets, grid = _segment_laws(allocation.h(agent, family.support), masses,
+                                                    offsets)
+    return ConditionalLawFamily._from_flat(family.pis.copy(), support, cum, law_offsets,
+                                           _label_source(family), grid)
 
 
 def allocation_value_check(allocation: PiecewiseLinearAllocation, agents,

@@ -85,6 +85,31 @@ class TestQuantileBoxes:
             disc_sets = sorted(tuple(sorted(sc.rows.tolist())) for sc in disc.scenarios)
             assert box_sets == disc_sets
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.booleans())
+    def test_cuts_equal_the_var_loop(self, bins, seed, weighted):
+        # one search of all the levels k / bins gives scalar.var's cuts; the
+        # columns have ties, and the levels then fall on their cum values
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 3000))
+        col = np.round(rng.standard_normal(T), int(rng.integers(0, 3)))
+        weights = rng.integers(1, 4, T).astype(float) if weighted else None
+        sample = JointSample(rng.standard_normal(T), col, weights)
+        cdf = StepCDF.from_values(col, sample.weights)
+        want = np.unique([var(cdf, k / bins) for k in range(1, bins)])
+        got = partition_quantile_boxes(sample, bins).cuts[0]
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("bins", [2, 4, 8, 64, 256])
+    def test_cuts_on_levels_that_cum_hits(self, bins):
+        # 4 rows per value over a power-of-two count: cum reaches every k / bins exactly
+        col = np.repeat(np.arange(bins, dtype=float), 4)
+        sample = JointSample(np.zeros(col.size), col)
+        cdf = StepCDF.from_values(col)
+        want = np.unique([var(cdf, k / bins) for k in range(1, bins)])
+        got = partition_quantile_boxes(sample, bins).cuts[0]
+        assert got.tolist() == want.tolist() == list(range(bins - 1))
+
     def test_partition_covers(self):
         rng = np.random.default_rng(3)
         s = JointSample(rng.normal(size=60), rng.normal(size=(60, 2)))

@@ -2,8 +2,8 @@
 
 Box codes are counted one cut at a time (``conditioning._interval_codes``),
 the sweep's exact rows, block anchors and bisection probes, come from
-per-scenario atom counts (``core._atom_counts``), and the merged grid takes
-its points and index from one sorting ``np.unique`` (``core._merged_grid``).
+per-scenario atom counts (``core._atom_counts``), and the merged grid is the
+index that ``from_sample`` keeps from its one sort (``core._merged_grid``).
 Each must equal the former route kept in ``per_scenario.py`` bit for bit:
 the partition and family arrays, ``_merged_grid`` and the values of
 ``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, where the

@@ -198,16 +198,15 @@ class TestSegmentHelpers:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 150), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
-    def test_sort_within_equals_each_argsort(self, sizes, seed):
+    def test_ranks_equal_the_unique_inverse(self, sizes, seed):
+        # the zeros are compared by value: the rank route keeps any of them
         rng = np.random.default_rng(seed)
         values = np.round(rng.standard_normal(sum(sizes)), 1)
         values[(values == 0) & (rng.random(values.size) < 0.5)] = -0.0
-        offsets = np.cumsum([0] + sizes)
-        order = core._sort_within(values, offsets)
-        want = np.concatenate([values[a:b][values[a:b].argsort()]
-                               for a, b in zip(offsets[:-1], offsets[1:])])
-        assert _same(values[order], want)
-        assert _same(np.sort(order), np.arange(values.size))
+        rank, points = core._ranks(values)
+        uniq, inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(rank, inverse)
+        assert _same(np.abs(points), np.abs(uniq))
 
 
 class TestViews:

@@ -14,6 +14,7 @@ from factorrisk import (
     quantile_factor,
     pred_var_of_var,
 )
+from factorrisk.sharing import MIXTURE_TOL
 from oracles import sharing_sweep_oracle
 from conftest import random_sharing_fixture, transform_family
 
@@ -73,6 +74,19 @@ class TestInfConvolutionD1:
         bad_law = StepCDF.from_values([0.0, 1.0])
         with pytest.raises(ValidationError):
             inf_convolution(bad_law, [(psi_mean_of_es(0.5), d1_family)])
+
+    def test_mixture_off_by_more_than_the_tolerance(self, d1_family):
+        # a law on the family's own support compares cum directly, any other
+        # on the union grid; both reject a gap just above MIXTURE_TOL
+        x_law = d1_family.mixture()
+        cum = x_law.cum.copy()
+        cum[0] += 2 * MIXTURE_TOL
+        agents = [(psi_mean_of_es(0.5), d1_family)]
+        for law in (StepCDF(x_law.support, cum), StepCDF(x_law.support + 1e-9, x_law.cum)):
+            with pytest.raises(ValidationError,
+                               match="^agent family does not reproduce the marginal law of X$"):
+                inf_convolution(law, agents)
+        inf_convolution(StepCDF(x_law.support, x_law.cum), agents)
 
     def test_shared_family_checked_once(self, d1_family, monkeypatch):
         x_law = d1_family.mixture()
