@@ -140,6 +140,12 @@ def _signed_zeros(values: np.ndarray) -> bool:
     return bool(sign.any() and not sign.all())
 
 
+def _holds_zero(points: np.ndarray) -> bool:
+    """Whether the increasing ``points`` hold a zero of either sign."""
+    k = points.searchsorted(0.0)
+    return bool(k < points.size and points[k] == 0.0)
+
+
 def _equal_weight_atoms(values: np.ndarray, c: float):
     """The atoms of ``values`` at the common weight ``c``, as
     ``StepCDF.from_values`` finds them: the sorted distinct values and
@@ -568,8 +574,7 @@ class ConditionalLawFamily:
         masses = self._masses()
         masses *= np.repeat(self.pis, np.diff(self.offsets))
         points, at = self._grid
-        zero = points.searchsorted(0.0)
-        if zero < points.size and points[zero] == 0.0 and _signed_zeros(self.support):
+        if _holds_zero(points) and _signed_zeros(self.support):
             return StepCDF.from_values(self.support, masses)  # its argsort picks the zero's bits
         masses /= masses.sum()  # as from_values normalizes its weights
         return StepCDF._of_masses(points, np.bincount(at, weights=masses, minlength=points.size))
@@ -625,7 +630,7 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
     argsort lists first (:func:`_first_zeros`).
     """
     rank, points = _ranks(values)
-    zeros = _first_zeros(values, offsets)
+    zeros = _first_zeros(values, offsets) if _holds_zero(points) else {}
     support, masses, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
@@ -894,8 +899,8 @@ def _grid_of(support: np.ndarray, points: np.ndarray,
     indices ``at`` in it, read-only.  The zero point keeps the bits of the
     support's zeros; where those are both -0.0 and 0.0, the points are those
     of the hashing ``np.unique(support)``, which may keep either."""
-    zero = support[support == 0.0]
-    if zero.size:
+    if _holds_zero(points):
+        zero = support[support == 0.0]
         points = np.unique(support) if _signed_zeros(zero) else np.where(points == 0.0,
                                                                          zero[0], points)
     return _freeze(points), _freeze(at)
