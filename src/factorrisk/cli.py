@@ -142,17 +142,20 @@ def _plain_rows(raw: bytes) -> int | None:
     """
     if not raw.isascii() or b'"' in raw or b"\0" in raw:
         return None
-    if b"\r" in raw:
-        if raw.count(b"\r") != raw.count(b"\r\n"):
-            return None
-        raw = raw.replace(b"\r\n", b"\n")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
+    lf = np.flatnonzero(buf == ord("\n"))
+    ends = lf if raw.endswith(b"\n") else np.append(lf, len(raw))
     # commas before each line end, then per line
     commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-    if (np.diff(ends, prepend=-1) == 1).any() or (commas != commas[0]).any():
+    width = np.diff(lf, prepend=-1) - 1  # each line's bytes before its LF
+    crlf = np.zeros(lf.size, dtype=bool)  # the lines whose bytes end with a CR
+    if b"\r" in raw:  # the CRs stay in place, and each must sit right before an LF
+        filled = width > 0
+        crlf[filled] = buf[lf[filled] - 1] == ord("\r")
+        if np.count_nonzero(crlf) != raw.count(b"\r"):
+            return None
+    # a blank line (no bytes, or only a CRLF's CR), or a ragged one
+    if (width == crlf).any() or (commas != commas[0]).any():
         return None
     return ends.size - 1
 

@@ -41,9 +41,15 @@ PROB_TOL = 1e-12
 MIN_ATOM_MASS = 1e-15
 SIGNIFICANT_DIGITS = 12
 # Working-set budget of one chunk of dense profile rows (user callables);
-# the profile matrix of a chunk takes an eighth of it, leaving room for
-# its transposed copy and the callable's own temporaries.
-DENSE_CHUNK_BYTES = 16 * 2**20
+# the profile matrix of a chunk takes an eighth of it, so the matrix, the
+# runs it is built from and the callable's own temporaries stay in a
+# core's L2 cache.
+DENSE_CHUNK_BYTES = 4 * 2**20
+# A dense chunk is scattered into a copy of the carried row where its
+# changed cells are at most this share of it, else built transposed: the
+# measured crossover, where a changed cell's scatter costs about five
+# cells of the transposed build.
+DENSE_SCATTER_SHARE = 0.2
 # The swept sum restarts from an exact dense row every max(n, this) grid rows.
 MIN_SWEEP_BLOCK = 256
 
@@ -920,6 +926,76 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
 
 
+def _probe_counts(keys: np.ndarray, starts: np.ndarray, G: int, k: int) -> np.ndarray:
+    """Each scenario's count of atoms at grid rows 0..k, shape (n, 1), read
+    from the increasing keys ``scen * (G + 1) + at`` by one search: the same
+    counts as ``_atom_counts(scen, at > k, n, 1)``."""
+    bound = np.arange(starts.size) * (G + 1) + k
+    return (np.searchsorted(keys, bound, side="right") - starts)[:, None]
+
+
+def _scatter_chunk(Y, carried, s, r, lengths, values) -> None:
+    """Write a dense chunk ``Y`` (c rows, n columns, C-contiguous) as the
+    carried row plus one run per atom: atom i of scenario s[i] holds
+    values[i] on rows r[i] .. r[i] + lengths[i] - 1, by one flat scatter."""
+    n = Y.shape[1]
+    Y[:] = carried
+    first = np.cumsum(lengths) - lengths  # each run's first changed cell
+    cell = np.arange(lengths.sum()) * n
+    Y.reshape(-1)[cell + np.repeat((r - first) * n + s, lengths)] = np.repeat(values, lengths)
+
+
+def _transposed_chunk(Y, carried, s, r, values) -> None:
+    """The chunk of :func:`_scatter_chunk`, written one scenario per row as
+    consecutive runs (the carried value up to the scenario's first atom,
+    then one run per atom) and copied transposed into ``Y``."""
+    c, n = Y.shape
+    scenarios = np.arange(n)
+    at_run = np.arange(1, s.size + 1) + s  # each atom's run follows its scenario's carried run
+    carried_run = scenarios + np.searchsorted(s, scenarios)
+    run_values, begin = np.empty(n + s.size), np.empty(n + s.size, dtype=np.intp)
+    run_values[carried_run], begin[carried_run] = carried, scenarios * c
+    run_values[at_run], begin[at_run] = values, s * c + r
+    Y[:] = np.repeat(run_values, np.diff(begin, append=n * c)).reshape(n, c).T
+
+
+def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) -> np.ndarray:
+    """A user callable on every dense profile row, one chunk of rows at a
+    time in one reused buffer (see :func:`_sweep`)."""
+    n = pis.size
+    step = max(1, DENSE_CHUNK_BYTES // (64 * n))
+    live = np.flatnonzero(at < G)
+    live = live[np.argsort(at[live] // step, kind="stable")]  # (scenario, row) order per chunk
+    s, values, r = scen[live], y[live], at[live]
+    chunk = r // step
+    r -= chunk * step  # the row within its chunk
+    n_chunks = -(-G // step)
+    bounds = np.searchsorted(chunk, np.arange(n_chunks + 1))
+    # each atom's run ends at its scenario's next atom in the chunk, or at
+    # the chunk's end; of atoms sharing a row, the last gets the row
+    lengths = np.minimum(G - chunk * step, step)
+    same = (s[1:] == s[:-1]) & (chunk[1:] == chunk[:-1])
+    lengths[:-1][same] = r[1:][same]
+    lengths -= r
+    cells = np.bincount(chunk, weights=lengths, minlength=n_chunks)  # changed cells per chunk
+    buffer = np.empty((min(step, G), n))
+    out = np.empty(G, dtype=fn.result_type)
+    for j, k in enumerate(range(0, G, step)):
+        Y = buffer[:G - k]
+        a, b = bounds[j], bounds[j + 1]
+        if cells[j] <= DENSE_SCATTER_SHARE * Y.size:
+            _scatter_chunk(Y, carried, s[a:b], r[a:b], lengths[a:b], values[a:b])
+        else:
+            _transposed_chunk(Y, carried, s[a:b], r[a:b], values[a:b])
+        carried = Y[-1].copy()
+        result = fn.apply(Y, pis, labels)
+        if result.shape != (len(Y),):  # no broadcast of a wrong shape into ``out``
+            raise ValidationError("a vectorized callable must return one value per profile row")
+        # the callable may return a view of Y, which the next chunk overwrites
+        out[k:k + len(Y)] = result
+    return out
+
+
 def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) -> np.ndarray:
     """``fn`` on the scenario profile at every point of the increasing ``grid``.
 
@@ -937,16 +1013,25 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     map's jump, the dense formula decides, by bisection over those rows (the
     dense formula is monotone along the grid).  So jump decisions equal the
     dense formula's bit for bit, and continuous values agree to a few ulps.
-    Every exact row, block anchor or bisection probe, counts each scenario's
-    atoms (:func:`_atom_counts`): from anchor row ceil(at / block) on, and
-    at probe row k where at <= k.  A user callable sees dense rows, in chunks
-    of DENSE_CHUNK_BYTES / 8.  Each F_i is a step function along the grid,
-    so a chunk starts from the previous chunk's last row (the first from the
-    row below the grid: survival 1, CDF 0), and scenario i keeps that value
-    until its next atom sets its own cum.  Laid out one scenario per row, the
-    chunk is a sequence of constant runs, which one ``np.repeat`` writes;
-    each value is a copy of a cum (or of 1 - cum), so the rows equal the
-    per-cell lookup bit for bit.
+    Every exact row reads each scenario's value at its count of atoms: block
+    anchors count from row ceil(at / block) on (:func:`_atom_counts`), and
+    a bisection probe at row k counts the atoms with at <= k by one search
+    of the packed keys scen * (G + 1) + at (:func:`_probe_counts`).
+
+    A user callable sees dense rows, in chunks of DENSE_CHUNK_BYTES / 64 / n
+    rows, each built in one reused buffer.  Each F_i is a step function
+    along the grid, so a chunk starts from the carried row, the previous
+    chunk's last (the first chunk's is the row below the grid: survival 1,
+    CDF 0), and scenario i keeps that value until its next atom sets its
+    own cum; each atom's run ends at its scenario's next atom or the chunk's
+    end.  Where those runs cover at most DENSE_SCATTER_SHARE of the chunk,
+    the buffer takes the carried row and one flat scatter of the runs
+    (:func:`_scatter_chunk`); else the runs, laid out one scenario per row,
+    are written by one ``np.repeat`` and copied transposed
+    (:func:`_transposed_chunk`).  Either way each value is a copy of a cum
+    (or of 1 - cum) or of the carried row, so the rows equal the per-cell
+    lookup bit for bit, and every matrix is C-contiguous.  It is valid only
+    during the call: the next chunk overwrites it.
     """
     grid = np.asarray(grid, dtype=float)
     pis, n, G = family.pis, family.n_scenarios, grid.size
@@ -963,24 +1048,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
         return 1.0 - F if fn.survival else F
 
     if fn.func is not None:
-        step = max(1, DENSE_CHUNK_BYTES // (64 * n))
-        live = np.flatnonzero(at < G)
-        live = live[np.argsort(at[live] // step, kind="stable")]  # (scenario, row) order per chunk
-        bounds = np.searchsorted(at[live] // step, np.arange(-(-G // step) + 1))
-        out, last_row = [], below
-        for j, k in enumerate(range(0, G, step)):
-            c = min(step, G - k)
-            atoms = live[bounds[j]:bounds[j + 1]]
-            # the chunk's transpose, one scenario per row, is a run of the
-            # previous chunk's last row and then one run per atom from the
-            # atom's row on; of atoms sharing a row, the last gets the row
-            ins = np.searchsorted(scen[atoms], np.arange(n))
-            values = np.insert(y[atoms], ins, last_row)
-            begin = np.insert(scen[atoms] * c + at[atoms] - k, ins, np.arange(n) * c)
-            runs = np.repeat(values, np.diff(begin, append=n * c)).reshape(n, c)
-            last_row = runs[:, -1]
-            out.append(fn.apply(np.ascontiguousarray(runs.T), pis, labels))
-        return np.concatenate(out)
+        return _dense(fn, pis, labels, scen, at, y, below, G)
 
     r = fn.resolve(pis, labels)
     block = max(n, MIN_SWEEP_BLOCK)
@@ -1011,8 +1079,10 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     bound = 4 * (2 * n + 2 * block + per_row + 8) * np.finfo(float).eps * np.abs(r.w).sum()
     near = np.flatnonzero(np.abs(s - r.cut) <= bound)
     if near.size:
+        keys = scen * (G + 1) + at  # increasing: at never decreases within a scenario
+
         def dense(j):  # the exact row at near[j] counts the atoms at or below it
-            return fn.finish(fn.row_sums(profile(_atom_counts(scen, at > near[j], n, 1)), r), r)[0]
+            return fn.finish(fn.row_sums(profile(_probe_counts(keys, starts, G, near[j])), r), r)[0]
         first, last = dense(0), dense(near.size - 1)
         lo, hi = (0, 0) if first == last else (1, near.size - 1)
         while lo < hi:  # the first of the near rows whose dense value is ``last``

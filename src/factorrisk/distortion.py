@@ -144,7 +144,10 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     """Wrap a user functional, spot-checking monotonicity and normalization.
 
     Monotonicity is sampled on ``check_pairs`` random ordered pairs; a pass
-    is evidence, not proof.
+    is evidence, not proof.  The profile ``func`` receives (one row,
+    or a matrix of rows when vectorized) is valid only during the call: the
+    next rows are built in the same buffer, so keep a copy of any part of
+    it that must outlive the call (a returned view is copied out in time).
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = np.random.default_rng(seed)

@@ -109,7 +109,13 @@ def _scenario_index(scenario, labels, n: int) -> int:
 
 def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
                 check_pairs: int = 1000, seed: int = 0) -> IncreasingSetPredicate:
-    """Wrap a user predicate, spot-checking upward closure and the poles."""
+    """Wrap a user predicate, spot-checking upward closure and the poles.
+
+    The CDF profile ``func`` receives (one row, or a matrix of rows when
+    vectorized) is valid only during the call: the next rows are built in
+    the same buffer, so keep a copy of any part of it that must outlive the
+    call (a returned view is copied out in time).
+    """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n = int(n_scenarios)
     pi = np.full(n, 1.0 / n)

@@ -1,9 +1,11 @@
 """Counting passes on the quantile-box path against the searches they replace.
 
 Box codes are counted one cut at a time (``conditioning._interval_codes``),
-the sweep's exact rows, block anchors and bisection probes, come from
-per-scenario atom counts (``core._atom_counts``), and the merged grid is the
-index that ``from_sample`` keeps from its one sort (``core._merged_grid``).
+the sweep's block anchors come from per-scenario atom counts
+(``core._atom_counts``), its bisection probes read the same counts by one
+search of packed (scenario, row) keys (``core._probe_counts``), and the
+merged grid is the index that ``from_sample`` keeps from its one sort
+(``core._merged_grid``).
 Each must equal the former route kept in ``per_scenario.py`` bit for bit:
 the partition and family arrays, ``_merged_grid`` and the values of
 ``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, where the
@@ -160,3 +162,21 @@ class TestAgainstTheSearches:
         for k in rng.integers(0, G, 5):
             probe = core._atom_counts(scen, at > k, n, 1)
             assert _bits(probe) == _bits(every_row[:, k:k + 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=20), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_probe_counts_by_search(self, sizes, tied, seed):
+        # tied: each scenario's atoms share a few rows; atoms past the last
+        # grid row (at == G) count at no probe row
+        rng = np.random.default_rng(seed)
+        G = int(rng.integers(1, 200))
+        n, scen = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
+        rows = (lambda k: rng.choice(rng.integers(0, G + 1, 3), k)) if tied else (
+            lambda k: rng.integers(0, G + 1, k))
+        at = np.concatenate([np.sort(rows(k)) for k in sizes])
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        keys = scen * (G + 1) + at
+        for k in {0, G - 1, *rng.integers(0, G, 5).tolist()}:
+            searched = core._probe_counts(keys, starts, G, k)
+            assert _bits(searched) == _bits(core._atom_counts(scen, at > k, n, 1))

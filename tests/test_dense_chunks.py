@@ -13,6 +13,15 @@ atoms.  Chunks of 1 to 4 rows (``DENSE_CHUNK_BYTES`` patched) and the
 default size are covered; in the hand-built family some scenarios have
 their first atom several rows after a chunk's first row, and some have no
 atom at all inside a chunk.
+
+A chunk is built by one of two routes, chosen by its count of changed
+cells against ``DENSE_SCATTER_SHARE``: a scatter of the atoms' runs into
+the carried row, or the runs laid out one scenario per row and copied
+transposed.  Patching the share to 1 sends every chunk to the scatter
+route, and to -1 every chunk to the transposed one; each must give the
+same matrices, also on a family of more than 2,000 scenarios.  The matrix
+lives in one buffer that the next chunk overwrites, so a callable that
+returns a view of it must still give the per-cell value.
 """
 
 import numpy as np
@@ -23,6 +32,8 @@ from factorrisk import (
     GaussianFactorSpec,
     JointSample,
     StepCDF,
+    ValidationError,
+    choquet_factor,
     from_sample,
     partition_quantile_boxes,
     pred_custom,
@@ -67,8 +78,18 @@ def box_family():
     return _boxes(6000, 2)
 
 
-def _grids(family):
-    support = family.merged_support()
+@pytest.fixture(scope="module")
+def many_family():
+    """3 ** 7 quantile boxes of a few rows each, most of them occupied."""
+    spec = GaussianFactorSpec(np.zeros(7), np.eye(7))
+    sample = simulate(0.1, (1.0, -0.5, 0.3, 0.2, -0.1, 0.4, 0.6), 0.8, spec, n=8000, seed=5)
+    family = from_sample(sample, partition_quantile_boxes(sample, 3))
+    assert family.n_scenarios > 2000
+    return family
+
+
+def _grids(family, every=1):
+    support = family.merged_support()[::every]
     mids = (support[1:] + support[:-1]) / 2
     return {
         "support": support,
@@ -156,3 +177,69 @@ def test_single_point_grids(gapped_family):
         grid = np.array([x])
         seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
         assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))
+
+
+# every chunk's count of changed cells lies in [0, its size]
+ROUTE_SHARES = {"scatter": 1.0, "transposed": -1.0}
+
+
+def _count_routes(monkeypatch, share):
+    """Patch the route share; count the chunks each route builds."""
+    calls = dict.fromkeys(ROUTE_SHARES, 0)
+    for name in ROUTE_SHARES:
+        route = getattr(core, f"_{name}_chunk")
+
+        def counted(*args, _route=route, _name=name):
+            calls[_name] += 1
+            return _route(*args)
+        monkeypatch.setattr(core, f"_{name}_chunk", counted)
+    monkeypatch.setattr(core, "DENSE_SCATTER_SHARE", share)
+    return calls
+
+
+@pytest.mark.parametrize("route", list(ROUTE_SHARES))
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("family_name, every", [("gapped_family", 1), ("box_family", 1),
+                                                ("many_family", 8)])
+def test_each_route_builds_every_chunk(request, monkeypatch, family_name, every, rows, route):
+    family = request.getfixturevalue(family_name)
+    calls = _count_routes(monkeypatch, ROUTE_SHARES[route])
+    _chunk_rows(monkeypatch, family, rows)
+    for grid in _grids(family, every).values():
+        F = cdf_matrix(family, grid)
+        seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
+        assert np.array_equal(np.vstack(seen), 1.0 - F)
+        seen, _ = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
+        assert np.array_equal(np.vstack(seen), F)
+    assert calls[route] > 0 and sum(calls.values()) == calls[route]
+
+
+def test_a_chunk_of_changed_cells_only_scatters_at_share_one(gapped_family, monkeypatch):
+    # every atom lies below the one grid point, so every cell of the chunk changes
+    calls = _count_routes(monkeypatch, 1.0)
+    grid = np.array([100.0])
+    seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
+    assert calls == {"scatter": 1, "transposed": 0}
+    assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))
+
+
+@pytest.mark.parametrize("route", list(ROUTE_SHARES))
+@pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
+def test_a_view_of_the_rows_outlives_its_chunk(request, monkeypatch, family_name, route):
+    # the matrix is valid only during the call; the returned view is copied out in time
+    family = request.getfixturevalue(family_name)
+    _count_routes(monkeypatch, ROUTE_SHARES[route])
+    _chunk_rows(monkeypatch, family, 2)
+    psi = psi_custom(lambda V, pi: V[:, 0], family.n_scenarios, vectorized=True)
+    xs = family.merged_support()
+    first = np.ascontiguousarray(1.0 - cdf_matrix(family, xs[:-1])[:, 0])
+    assert np.array_equal(_sweep(family, psi, xs[:-1]), first)
+    assert choquet_factor(family, psi) == xs[0] + first @ np.diff(xs)
+
+
+def test_one_value_per_row_or_a_rejection(gapped_family):
+    # one value for a whole chunk would otherwise be broadcast over its rows
+    psi = psi_custom(lambda V, pi: V[:, :1].max(axis=0), gapped_family.n_scenarios,
+                     vectorized=True)
+    with pytest.raises(ValidationError, match="one value per profile row"):
+        choquet_factor(gapped_family, psi)

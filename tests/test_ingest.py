@@ -108,13 +108,18 @@ def _write(tmp_path, text, name="data.csv"):
     return path
 
 
-def test_plain_file_takes_the_loadtxt_route(tmp_path):
-    path = _write(tmp_path, "date,X,W\nd1,1.5,2\nd2,-0.25,3\nd3,7,2\n")
+def _loadtxt_calls(path, target, **kwargs):
+    """(the sample read from ``path``, the tables ``_loadtxt`` returned)."""
     tables = []
     loadtxt = cli._loadtxt
     with mock.patch.object(cli, "_loadtxt", lambda *args: tables.append(loadtxt(*args))
                            or tables[-1]):
-        sample = cli.read_csv(path, "X", skip=("date",))
+        return cli.read_csv(path, target, **kwargs), tables
+
+
+def test_plain_file_takes_the_loadtxt_route(tmp_path):
+    path = _write(tmp_path, "date,X,W\nd1,1.5,2\nd2,-0.25,3\nd3,7,2\n")
+    sample, tables = _loadtxt_calls(path, "X", skip=("date",))
     assert len(tables) == 1 and tables[0] is not None
     assert sample.loss.tolist() == [1.5, -0.25, 7.0]
     assert sample.factors[:, 0].tolist() == [2.0, 3.0, 2.0]
@@ -134,6 +139,36 @@ def test_plain_file_takes_the_loadtxt_route(tmp_path):
 ])
 def test_plain_rows(text, rows):
     assert cli._plain_rows(text.encode("utf-8")) == rows
+
+
+def test_crlf_twin_reads_to_the_same_bits(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(300, 3)).tolist()
+    lines = ["X,W1,W2"] + [",".join(repr(v) for v in row) for row in rows]
+    lf = _write(tmp_path, "\n".join(lines) + "\n", "lf.csv")
+    crlf = _write(tmp_path, "\r\n".join(lines) + "\r\n", "crlf.csv")
+    (a, a_tables), (b, b_tables) = _loadtxt_calls(lf, "X"), _loadtxt_calls(crlf, "X")
+    assert cli._plain_rows(crlf.read_bytes()) == 300
+    assert len(a_tables) == len(b_tables) == 1 and b_tables[0] is not None
+    assert a.loss.tobytes() == b.loss.tobytes()
+    assert a.factors.tobytes() == b.factors.tobytes()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("X,W\r1,2\n3,4\n", [1.0, 3.0]),  # CR alone
+    ("X,W\n1,2\n3,4\r", [1.0, 3.0]),  # final CR
+    ("X,W\r\n1,2\r\n\r\n3,4\r\n",    # blank CRLF line
+     "ragged row: expected 2 cells, got 0 (row 2)"),
+])
+def test_stray_crs_go_to_the_per_cell_loop(tmp_path, text, expected):
+    path = _write(tmp_path, text)
+    assert cli._plain_rows(path.read_bytes()) is None
+    try:
+        sample, tables = _loadtxt_calls(path, "X")
+    except DataFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert tables == [] and sample.loss.tolist() == expected
 
 
 def test_per_cell_errors_keep_their_coordinates(tmp_path):
