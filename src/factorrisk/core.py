@@ -40,7 +40,7 @@ from .errors import ValidationError
 PROB_TOL = 1e-12
 MIN_ATOM_MASS = 1e-15
 SIGNIFICANT_DIGITS = 12
-# Working-set budget of one chunk of dense profile rows (user callables);
+# Working-set budget of one chunk of dense profile rows (user distortions);
 # the profile matrix of a chunk takes an eighth of it, so the matrix, the
 # runs it is built from and the callable's own temporaries stay in a
 # core's L2 cache.
@@ -50,7 +50,7 @@ DENSE_CHUNK_BYTES = 4 * 2**20
 # measured crossover, where a changed cell's scatter costs about five
 # cells of the transposed build.
 DENSE_SCATTER_SHARE = 0.2
-# The swept sum restarts from an exact dense row every max(n, this) grid rows.
+# Exact anchor rows open every block of max(n, this) grid rows (see _sweep).
 MIN_SWEEP_BLOCK = 256
 
 
@@ -823,7 +823,7 @@ class Resolved(NamedTuple):
 
     w: np.ndarray            # scenario weights of the sum
     a: np.ndarray            # per-scenario parameter of the term
-    cut: float | None = None  # where the outer map jumps; None if it is continuous
+    cut: float | None = None  # where the outer map jumps, making it a step (_sweep); None: never
 
 
 @dataclass(frozen=True, eq=False)
@@ -836,7 +836,7 @@ class ScenarioFunctional:
     labels)`` returns the :class:`Resolved` weights, parameters and jump
     point, and ``outer(s, cut)`` maps the sum (None: the identity).  A user
     callable ``func`` takes the place of all three; it sees whole profile
-    rows and is evaluated densely.
+    rows: all of them for a distortion, a few for a predicate (:func:`_sweep`).
     """
 
     term: Callable | None = None
@@ -926,12 +926,13 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
 
 
-def _probe_counts(keys: np.ndarray, starts: np.ndarray, G: int, k: int) -> np.ndarray:
-    """Each scenario's count of atoms at grid rows 0..k, shape (n, 1), read
-    from the increasing keys ``scen * (G + 1) + at`` by one search: the same
-    counts as ``_atom_counts(scen, at > k, n, 1)``."""
-    bound = np.arange(starts.size) * (G + 1) + k
-    return (np.searchsorted(keys, bound, side="right") - starts)[:, None]
+def _callable_rows(fn: ScenarioFunctional, Y: np.ndarray, pis, labels) -> np.ndarray:
+    """A user callable on the profile rows ``Y``: one value per row, or a
+    rejection (a wrong shape would otherwise be broadcast over the rows)."""
+    result = fn.apply(Y, pis, labels)
+    if result.shape != (len(Y),):
+        raise ValidationError("a vectorized callable must return one value per profile row")
+    return result
 
 
 def _scatter_chunk(Y, carried, s, r, lengths, values) -> None:
@@ -960,7 +961,7 @@ def _transposed_chunk(Y, carried, s, r, values) -> None:
 
 
 def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) -> np.ndarray:
-    """A user callable on every dense profile row, one chunk of rows at a
+    """A user distortion on every dense profile row, one chunk of rows at a
     time in one reused buffer (see :func:`_sweep`)."""
     n = pis.size
     step = max(1, DENSE_CHUNK_BYTES // (64 * n))
@@ -988,11 +989,8 @@ def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) ->
         else:
             _transposed_chunk(Y, carried, s[a:b], r[a:b], values[a:b])
         carried = Y[-1].copy()
-        result = fn.apply(Y, pis, labels)
-        if result.shape != (len(Y),):  # no broadcast of a wrong shape into ``out``
-            raise ValidationError("a vectorized callable must return one value per profile row")
         # the callable may return a view of Y, which the next chunk overwrites
-        out[k:k + len(Y)] = result
+        out[k:k + len(Y)] = _callable_rows(fn, Y, pis, labels)
     return out
 
 
@@ -1001,37 +999,35 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
 
     ``at`` is each atom's grid index, ``searchsorted(grid, family.support)``;
     where the grid is the merged support, :func:`_merged_grid` gives it.
-    The family's flat ``support``, ``cum`` and ``offsets`` are read as they
-    are, with no per-law object.
+    An exact row reads each scenario's value at its count of atoms at or
+    below it; the anchor rows open blocks of max(n, MIN_SWEEP_BLOCK) rows
+    and count each atom from block ceil(at / block) on (:func:`_atom_counts`).
 
-    Built-ins run in O(T log T) time and O(T) memory for T atoms: each
-    atom changes its scenario's term once, at the first grid point at or
-    above it, so one ``bincount`` of the changes and a cumulative sum give
-    every row's sum.  The sum restarts from an exact dense row every block
-    of max(n, MIN_SWEEP_BLOCK) rows, so rounding never accumulates across
-    blocks.  Where the swept sum lies within its rounding bound of the outer
-    map's jump, the dense formula decides, by bisection over those rows (the
-    dense formula is monotone along the grid).  So jump decisions equal the
-    dense formula's bit for bit, and continuous values agree to a few ulps.
-    Every exact row reads each scenario's value at its count of atoms: block
-    anchors count from row ceil(at / block) on (:func:`_atom_counts`), and
-    a bisection probe at row k counts the atoms with at <= k by one search
-    of the packed keys scen * (G + 1) + at (:func:`_probe_counts`).
+    A step functional (a predicate, or a built-in whose outer map jumps at
+    ``Resolved.cut``) changes value once along the grid, so it reads exact
+    rows only.  The anchors and the last row, evaluated at once, bracket the
+    change in one block, and a bisection there finds the first row that
+    takes the last row's value.  A probe is the row below the bracket with
+    each scenario's last atom in the bracket up to the probe set, and the
+    bracket keeps only its own atoms.  That is at most ceil(log2 block)
+    single rows, equal to the dense formula's bit for bit.  A predicate that
+    is not upward closed gets an accepted row whose row below is rejected.
 
-    A user callable sees dense rows, in chunks of DENSE_CHUNK_BYTES / 64 / n
-    rows, each built in one reused buffer.  Each F_i is a step function
-    along the grid, so a chunk starts from the carried row, the previous
-    chunk's last (the first chunk's is the row below the grid: survival 1,
-    CDF 0), and scenario i keeps that value until its next atom sets its
-    own cum; each atom's run ends at its scenario's next atom or the chunk's
-    end.  Where those runs cover at most DENSE_SCATTER_SHARE of the chunk,
-    the buffer takes the carried row and one flat scatter of the runs
-    (:func:`_scatter_chunk`); else the runs, laid out one scenario per row,
-    are written by one ``np.repeat`` and copied transposed
-    (:func:`_transposed_chunk`).  Either way each value is a copy of a cum
-    (or of 1 - cum) or of the carried row, so the rows equal the per-cell
-    lookup bit for bit, and every matrix is C-contiguous.  It is valid only
-    during the call: the next chunk overwrites it.
+    Continuous built-ins take O(T log T) time and O(T) memory for T atoms:
+    each atom changes its scenario's term once, at the first grid point at
+    or above it, so one ``bincount`` of the changes and a cumulative sum,
+    restarted from the exact anchor in every block, give every row's sum.
+
+    A user distortion (``psi_custom``) sees dense rows in chunks of
+    DENSE_CHUNK_BYTES / 64 / n rows, each built in one reused buffer from
+    the carried row (the previous chunk's last; survival 1 below the grid)
+    plus one run per atom, up to its scenario's next atom or the chunk's
+    end: a flat scatter of the runs where they cover at most
+    DENSE_SCATTER_SHARE of the chunk (:func:`_scatter_chunk`), else one
+    ``np.repeat`` of the runs laid out one scenario per row, copied
+    transposed (:func:`_transposed_chunk`).  Each value is a copy of 1 - cum
+    or of the carried row, so the rows equal the per-cell lookup bit for
+    bit.  Every matrix is C-contiguous and valid only during the call.
     """
     grid = np.asarray(grid, dtype=float)
     pis, n, G = family.pis, family.n_scenarios, grid.size
@@ -1040,20 +1036,47 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
     if at is None:
         at = np.searchsorted(grid, family.support, side="left")
-    y = 1.0 - cum if fn.survival else cum
-    below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
+    r = None if fn.func is not None else fn.resolve(pis, labels)
+    block = max(n, MIN_SWEEP_BLOCK)
+    n_blocks = -(-G // block)
+    first = -(-at // block)  # the first block anchor at or above each atom
 
     def profile(count: np.ndarray) -> np.ndarray:
         F = np.ascontiguousarray(np.where(count > 0, cum[starts[:, None] + count - 1], 0.0).T)
         return 1.0 - F if fn.survival else F
 
-    if fn.func is not None:
-        return _dense(fn, pis, labels, scen, at, y, below, G)
+    if fn.result_type is bool or (r is not None and r.cut is not None):
+        def value(Y):  # fn on these exact profile rows
+            return _callable_rows(fn, Y, pis, labels) if r is None else fn.finish(
+                fn.row_sums(Y, r), r)
 
-    r = fn.resolve(pis, labels)
-    block = max(n, MIN_SWEEP_BLOCK)
-    n_blocks = -(-G // block)
-    anchors = fn.row_sums(profile(_atom_counts(scen, -(-at // block), n, n_blocks)), r)
+        first += at == G  # atoms past the grid never count; column n_blocks is row G - 1
+        count = _atom_counts(scen, first, n, n_blocks + 1)
+        v = value(profile(count))
+        j = np.flatnonzero(v == v[-1])[0]
+        if j == 0:
+            return np.full(G, v[-1])
+        lo, hi = (j - 1) * block, min(j * block, G - 1)  # rows that take v[j - 1], v[-1]
+        inside = np.flatnonzero(first == j)  # the atoms on rows lo + 1 .. hi, then the bracket's
+        row, s_in, at_in = profile(count[:, j - 1:j]), scen[inside], at[inside]
+        y_in = 1.0 - cum[inside] if fn.survival else cum[inside]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            low = at_in <= mid
+            probe, s_low = row.copy(), s_in[low]  # a scenario's last atom up to mid sets it
+            probe[0, s_low] = y_in[low][np.searchsorted(s_low, s_low, side="right") - 1]
+            if value(probe)[0] != v[-1]:
+                lo, row, low = mid, probe, ~low
+            else:
+                hi = mid
+            s_in, at_in, y_in = s_in[low], at_in[low], y_in[low]
+        return np.repeat(v[[j - 1, -1]], [hi, G - hi])
+
+    y = 1.0 - cum if fn.survival else cum
+    below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
+    if r is None:
+        return _dense(fn, pis, labels, scen, at, y, below, G)
+    anchors = fn.row_sums(profile(_atom_counts(scen, first, n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)
     before[starts] = r.w * fn.term(below, r.a)
@@ -1068,29 +1091,4 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     n_live = np.count_nonzero(before[starts]) + np.cumsum(np.bincount(at, weights=live,
                                                                       minlength=G + 1)[:G])
     s[n_live == 0] = 0.0
-    out = fn.finish(s, r)
-    if r.cut is None:
-        return out
-    # built-in terms lie in [0, 1] and move monotonically along the grid, so
-    # |swept - dense| stays below (2n + 2 block + atoms per row + 8) ulp of
-    # sum |w|: both carry the dense anchor's rounding, the sweep adds block-
-    # local sums of changes totalling at most sum |w|; 4x is the margin
-    per_row = np.bincount(at).max()
-    bound = 4 * (2 * n + 2 * block + per_row + 8) * np.finfo(float).eps * np.abs(r.w).sum()
-    near = np.flatnonzero(np.abs(s - r.cut) <= bound)
-    if near.size:
-        keys = scen * (G + 1) + at  # increasing: at never decreases within a scenario
-
-        def dense(j):  # the exact row at near[j] counts the atoms at or below it
-            return fn.finish(fn.row_sums(profile(_probe_counts(keys, starts, G, near[j])), r), r)[0]
-        first, last = dense(0), dense(near.size - 1)
-        lo, hi = (0, 0) if first == last else (1, near.size - 1)
-        while lo < hi:  # the first of the near rows whose dense value is ``last``
-            mid = (lo + hi) // 2
-            if dense(mid) == last:
-                hi = mid
-            else:
-                lo = mid + 1
-        out[near[:lo]] = first
-        out[near[lo:]] = last
-    return out
+    return fn.finish(s, r)

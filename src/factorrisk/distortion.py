@@ -15,8 +15,9 @@ Every built-in distortion has the form outer(sum_i w_i f_i(s_i)).  The
 engine (``core._sweep``) evaluates it at all m breakpoints in O(T log T)
 time and O(T) memory for T atoms: each atom changes one scenario's term
 once, and a cumulative sum, restarted from an exact row every block,
-carries the profile.  A user callable from :func:`psi_custom` is evaluated
-on dense survival rows instead, a bounded chunk of breakpoints at a time.
+carries the profile; a 0/1 one (a jump at ``Resolved.cut``) is bisected on
+exact rows.  A user callable from :func:`psi_custom` is evaluated on dense
+survival rows instead, a bounded chunk of breakpoints at a time.
 
 Built-in distortions cover the distorted/averaged conditional VaR and ES
 families; composition helpers evaluate the same measures through their

@@ -12,11 +12,10 @@ classical left quantile (one scenario, D = [p, 1]) and covers VaR-of-VaR,
 worst-scenario VaR, and the CoVaR family through conditioning events.
 
 Built-in predicates accept when a weighted count of scenarios with
-F_i(x) >= p reaches a level; the engine (``core._sweep``) tracks that
-count over all m support points in O(T log T) time and O(T) memory, and
-decides counts within rounding of the level by the dense row formula, so
-the result equals the dense scan's bit for bit.  A user predicate from
-:func:`pred_custom` sees dense CDF rows, a bounded chunk at a time.
+F_i(x) >= p reaches a level.  Every predicate, built-in or from
+:func:`pred_custom`, is read on exact CDF rows only (``core._sweep``): the
+rows at block anchors and the last row bracket the first accepted row,
+and a bisection in that block finds it, equal to the dense scan's.
 """
 
 from __future__ import annotations
@@ -111,10 +110,11 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
                 check_pairs: int = 1000, seed: int = 0) -> IncreasingSetPredicate:
     """Wrap a user predicate, spot-checking upward closure and the poles.
 
-    The CDF profile ``func`` receives (one row, or a matrix of rows when
-    vectorized) is valid only during the call: the next rows are built in
-    the same buffer, so keep a copy of any part of it that must outlive the
-    call (a returned view is copied out in time).
+    ``func`` sees exact CDF rows (one at a time, or a C-contiguous matrix
+    when vectorized, which must return one value per row): the block
+    anchors and the last row, then at most ceil(log2 block) + 1 single rows
+    (``core._sweep``).  A predicate that passes the spot check but is not
+    upward closed gets a row it accepts whose row below it rejects (or row 0).
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n = int(n_scenarios)
@@ -137,7 +137,8 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
     """Smallest merged-support point whose CDF profile is accepted.
 
     Acceptance at the largest support point is guaranteed (all CDFs are 1
-    there and the predicate accepts the all-ones profile).
+    there and the predicate accepts the all-ones profile).  Found by
+    bisection of exact rows; see :func:`pred_custom` for its contract.
     """
     xs, at = _merged_grid(family)
     hits = np.flatnonzero(_sweep(family, pred, xs, at))

@@ -14,8 +14,8 @@ h_i(0) = 0, so the sum of the parts is exactly the identity.
 
 Each agent's integrand row comes from the same engine as
 :func:`~factorrisk.distortion.choquet_factor` (``core._sweep``), evaluated
-on the support of X: O(T log T) time and O(T) memory per built-in agent,
-bounded chunks of dense rows for a custom one.
+on the support of X: O(T log T) time and O(T) memory per built-in agent
+(exact rows only for a 0/1 one), chunks of dense rows for a custom one.
 """
 
 from __future__ import annotations

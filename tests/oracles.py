@@ -26,6 +26,13 @@ def cdf_matrix(family: ConditionalLawFamily, xs) -> np.ndarray:
     return np.column_stack([law.cdf(xs) for law in family.laws])
 
 
+def dense_quantile(family: ConditionalLawFamily, pred) -> float:
+    """The first merged-support point whose dense CDF row ``pred`` accepts."""
+    xs = family.merged_support()
+    accepted = pred.apply(cdf_matrix(family, xs), family.pis, family.labels)
+    return float(xs[np.flatnonzero(accepted)[0]])
+
+
 def choquet_riemann_oracle(family: ConditionalLawFamily, psi, step: float | None = None) -> float:
     """Left Riemann sum of the scenario-Choquet integral on a fine grid.
 

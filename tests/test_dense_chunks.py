@@ -1,18 +1,26 @@
-"""The dense profile rows a custom callable receives from ``core._sweep``.
+"""The profile rows a custom callable receives from ``core._sweep``.
 
-A user callable sees whole profile matrices, one chunk of consecutive grid
-rows at a time.  Every matrix it receives, stacked in order, must equal
-``1 - cdf_matrix(family, grid)`` for a scenario distortion and
-``cdf_matrix(family, grid)`` for an acceptance predicate, element for
-element, and be C-contiguous, so that a callable's bits do not depend on
-how the rows were built.
+A custom distortion sees whole profile matrices, one chunk of consecutive
+grid rows at a time.  Every matrix it receives, stacked in order, must
+equal ``1 - cdf_matrix(family, grid)`` element for element, and be
+C-contiguous, so that a callable's bits do not depend on how the rows were
+built.
+
+A custom predicate is read on exact rows only: one matrix of the block
+anchor rows and the last row, then at most ceil(log2 block) + 1 single
+rows of the block that holds the change.  Every matrix it receives is
+C-contiguous, each of its rows equals the ``cdf_matrix(family, grid)`` row
+of a grid point, and the values equal the predicate on the dense matrix.
+A predicate that is not upward closed gets a row it accepts whose row
+below it rejects (or row 0).
 
 The grids cover the merged support, a coarse subset of it (several atoms
 of one scenario on one grid row) and points below, between and above all
 atoms.  Chunks of 1 to 4 rows (``DENSE_CHUNK_BYTES`` patched) and the
-default size are covered; in the hand-built family some scenarios have
-their first atom several rows after a chunk's first row, and some have no
-atom at all inside a chunk.
+default size are covered, and for predicates blocks of 1 to 4 rows
+(``MIN_SWEEP_BLOCK`` patched) and the default; in the hand-built family
+some scenarios have their first atom several rows after a chunk's first
+row, and some have no atom at all inside a chunk.
 
 A chunk is built by one of two routes, chosen by its count of changed
 cells against ``DENSE_SCATTER_SHARE``: a scatter of the atoms' runs into
@@ -23,6 +31,8 @@ same matrices, also on a family of more than 2,000 scenarios.  The matrix
 lives in one buffer that the next chunk overwrites, so a callable that
 returns a view of it must still give the per-cell value.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -38,11 +48,12 @@ from factorrisk import (
     partition_quantile_boxes,
     pred_custom,
     psi_custom,
+    quantile_factor,
     simulate,
 )
 from factorrisk import core
 from factorrisk.core import _sweep
-from oracles import cdf_matrix
+from oracles import cdf_matrix, dense_quantile
 
 
 def _law(support, masses):
@@ -121,6 +132,22 @@ def _half_at_median(F, pi):
     return (np.asarray(F) >= 0.5) @ pi >= 0.5
 
 
+def _block_rows(monkeypatch, family, rows):
+    if rows is not None:
+        monkeypatch.setattr(core, "MIN_SWEEP_BLOCK", rows)
+    return max(family.n_scenarios, core.MIN_SWEEP_BLOCK)
+
+
+def _assert_exact_rows(seen, F, block):
+    """The matrices a predicate received: the block anchors and the last
+    row of ``F``, then a few single rows of ``F``."""
+    G = len(F)
+    assert np.array_equal(seen[0], F[np.append(np.arange(0, G, block), G - 1)])
+    assert len(seen) - 1 <= math.ceil(math.log2(block)) + 1
+    for row in seen[1:]:
+        assert row.shape == (1, F.shape[1]) and (F == row).all(axis=1).any()
+
+
 def _chunk_rows(monkeypatch, family, rows):
     if rows is not None:
         monkeypatch.setattr(core, "DENSE_CHUNK_BYTES", rows * 64 * family.n_scenarios)
@@ -143,13 +170,14 @@ class TestProfileRows:
 
     def test_predicate_sees_cdf_rows(self, request, monkeypatch, family_name,
                                      grid_name, rows):
+        # a predicate takes no chunks: ``rows`` is the smallest block here
         family = request.getfixturevalue(family_name)
         grid = _grids(family)[grid_name]
-        step = _chunk_rows(monkeypatch, family, rows)
+        block = _block_rows(monkeypatch, family, rows)
         seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
-        assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
-        assert np.array_equal(np.vstack(seen), cdf_matrix(family, grid))
-        assert out.dtype == bool and out.shape == (grid.size,)
+        F = cdf_matrix(family, grid)
+        _assert_exact_rows(seen, F, block)
+        assert np.array_equal(out, _half_at_median(F, family.pis))
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
@@ -209,9 +237,42 @@ def test_each_route_builds_every_chunk(request, monkeypatch, family_name, every,
         F = cdf_matrix(family, grid)
         seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
         assert np.array_equal(np.vstack(seen), 1.0 - F)
-        seen, _ = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
-        assert np.array_equal(np.vstack(seen), F)
+        built = sum(calls.values())
+        seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
+        assert sum(calls.values()) == built  # a predicate builds no chunk
+        _assert_exact_rows(seen, F, max(family.n_scenarios, core.MIN_SWEEP_BLOCK))
+        assert np.array_equal(out, _half_at_median(F, family.pis))
     assert calls[route] > 0 and sum(calls.values()) == calls[route]
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+@pytest.mark.parametrize("family_name", ["gapped_family", "box_family", "many_family"])
+def test_predicate_value_equals_the_dense_first_hit(request, monkeypatch, family_name, rows):
+    family = request.getfixturevalue(family_name)
+    _block_rows(monkeypatch, family, rows)
+    monkeypatch.setattr(core, "_dense", None)  # a predicate never takes the dense route
+    pred = pred_custom(_half_at_median, family.n_scenarios, vectorized=True)
+    assert quantile_factor(family, pred) == dense_quantile(family, pred)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+def test_a_predicate_not_upward_closed_gets_an_accepted_row_above_a_rejected_one(
+        gapped_family, monkeypatch, rows):
+    # accepts where scenario 0's CDF is exactly 7/12 (no random pair of the
+    # spot check hits it), rejects above that, and accepts all ones
+    def accept(U, pi):
+        return (U >= 1.0).all(axis=1) | (U[:, 0] == 7 / 12)
+
+    _block_rows(monkeypatch, gapped_family, rows)
+    grid = gapped_family.merged_support()
+    accepted = accept(cdf_matrix(gapped_family, grid), None)
+    k = np.flatnonzero(accepted)[0]
+    assert accepted[k] and not accepted[k + 1:].all() and accepted[-1]  # accept, reject, accept
+    pred = pred_custom(accept, gapped_family.n_scenarios, vectorized=True)
+    out = _sweep(gapped_family, pred, grid)
+    hit = np.flatnonzero(out)[0]
+    assert out[hit:].all() and accepted[hit] and (hit == 0 or not accepted[hit - 1])
+    assert quantile_factor(gapped_family, pred) == grid[hit]
 
 
 def test_a_chunk_of_changed_cells_only_scatters_at_share_one(gapped_family, monkeypatch):
@@ -238,8 +299,12 @@ def test_a_view_of_the_rows_outlives_its_chunk(request, monkeypatch, family_name
 
 
 def test_one_value_per_row_or_a_rejection(gapped_family):
-    # one value for a whole chunk would otherwise be broadcast over its rows
-    psi = psi_custom(lambda V, pi: V[:, :1].max(axis=0), gapped_family.n_scenarios,
-                     vectorized=True)
+    # one value for a whole chunk, or for the anchor rows, would otherwise
+    # be broadcast over its rows; the spot checks broadcast and accept both
+    n = gapped_family.n_scenarios
+    psi = psi_custom(lambda V, pi: V[:, :1].max(axis=0), n, vectorized=True)
     with pytest.raises(ValidationError, match="one value per profile row"):
         choquet_factor(gapped_family, psi)
+    pred = pred_custom(lambda U, pi: (U >= 0.5).all(axis=1)[:1], n, vectorized=True)
+    with pytest.raises(ValidationError, match="one value per profile row"):
+        quantile_factor(gapped_family, pred)

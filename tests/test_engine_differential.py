@@ -15,7 +15,9 @@ closed form at levels within PROB_TOL of the given ones; the tie cases at
 the end pin the exact mismatch as strict xfails.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ from factorrisk import (
 from factorrisk import core
 from factorrisk.core import PROB_TOL
 from factorrisk.sharing import integrand_matrix
-from oracles import cdf_matrix, choquet_riemann_oracle, oracle_tolerance
+from oracles import cdf_matrix, choquet_riemann_oracle, dense_quantile, oracle_tolerance
 
 # exact-tie fractions, and levels reaching towards 1
 SPECIAL_LEVELS = (0.25, 0.5, 0.75, 1 / 3, 2 / 3, 1 / 9, 0.9, 0.99, 1 - 1e-9, 1 - 1e-12)
@@ -104,11 +106,6 @@ def dense_choquet(fam, psi) -> float:
         return float(xs[0])
     vals = psi.apply(1 - cdf_matrix(fam, xs[:-1]), fam.pis, fam.labels)
     return float(xs[0] + vals @ np.diff(xs))
-
-
-def dense_quantile(fam, pred) -> float:
-    xs = fam.merged_support()
-    return float(xs[np.flatnonzero(pred.apply(cdf_matrix(fam, xs), fam.pis, fam.labels))[0]])
 
 
 def dense_integrand(fam, psi) -> np.ndarray:
@@ -214,8 +211,9 @@ class TestAgainstDenseDefinition:
 
 class TestNearJumpBisection:
     """A scenario of weight 1e-14 moves the weighted sum within rounding of
-    the level q = 0.5 on many grid rows, so the sweep bisects over those
-    rows with single exact rows of the dense formula."""
+    the level q = 0.5 on many grid rows; the step route reads exact rows
+    only, so the dense formula decides every row, with one evaluation of
+    the anchor rows and the last row and a bisection of single rows."""
 
     @staticmethod
     def _family():
@@ -238,14 +236,45 @@ class TestNearJumpBisection:
             mp.setattr(core.ScenarioFunctional, "finish", spy)
             if block is not None:
                 mp.setattr(core, "MIN_SWEEP_BLOCK", block)
+            rows = max(fam.n_scenarios, core.MIN_SWEEP_BLOCK)
             quant = quantile_factor(fam, pred_var_of_var(0.5, 0.5))
-            quant_rows = sizes.count(1)
+            quant_sizes = sizes.copy()
             sizes.clear()
             value = choquet_factor(fam, psi_indicator_var_var(0.5, 0.5))
-        # the first and last near rows, then at least one bisection step
-        assert quant_rows > 2 and sizes.count(1) > 2
+        for seen in (quant_sizes, sizes):
+            assert seen[0] > 1 and seen[1:].count(1) == len(seen) - 1
+            assert len(seen) - 1 <= math.ceil(math.log2(rows)) + 1
         assert quant == dense_quantile(fam, pred_var_of_var(0.5, 0.5)) == 20.0
         assert value == dense_choquet(fam, psi_indicator_var_var(0.5, 0.5)) == 20.0
+
+
+STEPS = (lambda: pred_var_of_var(0.6, 0.5), lambda: pred_esssup_var(0.7),
+         lambda: pred_single_scenario(1, 0.5), lambda: psi_indicator_var_var(0.6, 0.5),
+         lambda: psi_lambda_of_var(var_distortion(0.4), 0.8))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("make", STEPS, ids=["var-of-var", "esssup", "single", "indicator",
+                                              "lambda-of-var"])
+def test_a_step_reads_exact_rows_only(make, block):
+    """Every term a step functional computes is of a profile matrix (the
+    swept sum would take it of the atoms, 1-D), and none takes the dense
+    chunks."""
+    fam = TestNearJumpBisection._family()
+    fn = make()
+
+    def term(y, a):
+        assert np.ndim(y) == 2
+        return fn.term(y, a)
+
+    spied = dataclasses.replace(fn, term=term)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_dense", None)
+        mp.setattr(core, "MIN_SWEEP_BLOCK", block)
+        if fn.survival:
+            assert choquet_factor(fam, spied) == dense_choquet(fam, fn)
+        else:
+            assert quantile_factor(fam, spied) == dense_quantile(fam, fn)
 
 
 def _var_candidates(fam, levels, lams):
