@@ -120,7 +120,7 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
         law = StepCDF(np.array([1.0]), np.array([1.0]))
     else:
         law = StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
-    return ConditionalLawFamily(family.pis.copy(), (law,) * family.n_scenarios, family.labels)
+    return ConditionalLawFamily(family.pis, (law,) * family.n_scenarios, family.labels)
 
 
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",

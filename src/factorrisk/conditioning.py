@@ -152,22 +152,13 @@ def partition_discrete(sample: JointSample) -> ScenarioPartition:
 
     Each column's values are coded by a 1-D ``np.unique`` and the codes
     grouped as one mixed-radix key (:func:`_cells`), in place of
-    ``np.unique(..., axis=0)`` on the rows.  Where a column holds both -0.0
-    and 0.0, which of them labels the scenario is the choice of that row
-    sort, so such samples still take it.
+    ``np.unique(..., axis=0)`` on the rows.
     """
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
-    zero, negative = facs == 0, np.signbit(facs)
-    if ((zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)).any():
-        uniq, rank = np.unique(facs, axis=0, return_inverse=True)
-        order, offsets = _group(rank.reshape(-1), uniq.shape[0])
-    else:
-        columns = [np.unique(col, return_inverse=True) for col in facs.T]
-        order, offsets = _cells([codes for _, codes in columns],
-                                [values.size for values, _ in columns])
-        uniq = facs[order[offsets[:-1]]]  # members of a cell hold equal bits
-
+    columns = [np.unique(col, return_inverse=True) for col in facs.T]
+    order, offsets = _cells([codes for _, codes in columns], [values.size for values, _ in columns])
+    uniq = facs[order[offsets[:-1]]]  # a cell's members hold equal bits: factors have one zero
     members = rows[order]
     return ScenarioPartition._from_flat(members, offsets,
                                         _segment_sums(sample.weights[members], offsets),

@@ -62,7 +62,7 @@ def round_significant(values, digits: int = SIGNIFICANT_DIGITS) -> np.ndarray:
     magnitude sits beyond 1e+-300 are left unchanged (rounding there would
     overflow the scale and such values are already degenerate as factors).
     """
-    arr = np.array(values, dtype=float)
+    arr = _entered(values)
     flat = arr.ravel()
     nz = (flat != 0.0) & np.isfinite(flat)
     if nz.any():
@@ -74,6 +74,14 @@ def round_significant(values, digits: int = SIGNIFICANT_DIGITS) -> np.ndarray:
             good = np.isfinite(rounded)
             flat[nz] = np.where(good, rounded, vals)
     return arr
+
+
+def _entered(values) -> np.ndarray:
+    """``values`` as a new float array with each -0.0 read as 0.0 (x + 0.0
+    is x, and 0.0 at -0.0): the one zero of every value the library takes
+    in, since -0.0 and 0.0 are one point of a law."""
+    arr = np.asarray(values, dtype=float)
+    return np.add(arr, 0.0, out=np.empty(arr.shape))  # an array also for a scalar
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -96,7 +104,7 @@ def _exactly_one(**given: bool) -> None:
 
 
 def _as_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _entered(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -118,7 +126,8 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     total = w.sum()
     if total <= 0:
         raise ValidationError("weights must have positive total")
-    return w / total
+    w /= total  # w is _as_1d's copy
+    return w
 
 
 def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> None:
@@ -140,27 +149,10 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
-def _signed_zeros(values: np.ndarray) -> bool:
-    """Whether ``values`` hold both -0.0 and 0.0, equal values of unequal bits."""
-    sign = np.signbit(values[values == 0.0])
-    return bool(sign.any() and not sign.all())
-
-
-def _holds_zero(points: np.ndarray) -> bool:
-    """Whether the increasing ``points`` hold a zero of either sign."""
-    k = points.searchsorted(0.0)
-    return bool(k < points.size and points[k] == 0.0)
-
-
-def _equal_weight_atoms(values: np.ndarray, c: float):
-    """The atoms of ``values`` at the common weight ``c``, as
-    ``StepCDF.from_values`` finds them: the sorted distinct values and
-    each one's mass, or None where ``values`` hold both -0.0 and 0.0."""
-    x = np.sort(values)
-    # the zeros are read from the input: numpy's vectorized sort may write
-    # one zero's bits in place of the other's
-    if x.searchsorted(0.0, "right") - x.searchsorted(0.0, "left") > 1 and _signed_zeros(values):
-        return None
+def _equal_weight_atoms(x: np.ndarray, c: float):
+    """The atoms of the sorted values ``x`` at the common weight ``c``, as
+    ``StepCDF.from_values`` finds them: the distinct values and each one's
+    mass."""
     new = np.empty(x.size, dtype=bool)
     new[0] = True
     np.not_equal(x[1:], x[:-1], out=new[1:])
@@ -207,31 +199,31 @@ class StepCDF:
         argsort and inverse, and a ``bincount`` that adds each atom's weights
         in row order.  With a common weight c the ``bincount`` adds c to
         itself once per row of the atom, which is the cumulative sum of k
-        copies of c for an atom of k rows.  Equal values are equal bits, except
-        -0.0 and 0.0: where the values hold both, ``np.unique``'s argsort
-        decides which sign the zero atom keeps, so they take the
-        ``np.unique`` route.
+        copies of c for an atom of k rows.  Equal values are equal bits, as
+        values enter with one zero (:func:`_entered`).
         """
         vals = _as_1d(values, "values")
         w = _normalized_weights(weights, vals.size)
-        atoms = _equal_weight_atoms(vals, w[0]) if (w == w[0]).all() else None
-        if atoms is None:
-            uniq, inverse = np.unique(vals, return_inverse=True)
-            # bincount adds each atom's weights in row order, as np.add.at does
-            atoms = uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
-        return cls._of_masses(*atoms)
+        if (w == w[0]).all():
+            vals.sort()  # in place: vals is _as_1d's copy
+            return cls._of_masses(*_equal_weight_atoms(vals, w[0]))
+        uniq, inverse = np.unique(vals, return_inverse=True)
+        # bincount adds each atom's weights in row order, as np.add.at does
+        return cls._of_masses(uniq, np.bincount(inverse, weights=w, minlength=uniq.size))
 
     @classmethod
     def _of_masses(cls, support, masses) -> "StepCDF":
-        """The law of atoms ``support`` weighing ``masses`` (overwritten), as
-        ``from_values`` finishes it."""
+        """The law of atoms ``support`` (kept, read-only) weighing ``masses``
+        (overwritten), as ``from_values`` finishes it."""
         keep = masses > MIN_ATOM_MASS
         if not keep.all():
             support, masses = support[keep], masses[keep]
         cum = np.cumsum(masses, out=masses)
         # cumsum drift over many atoms is rescaled away, keeping cum[-1] == 1
         cum /= cum[-1]
-        return cls(support, cum)
+        # library-built arrays, with one zero: checked, and kept without a copy
+        _check_laws(support, cum, np.array([0, support.size]))
+        return _unchecked(cls, support=_freeze(support), cum=_freeze(cum))
 
     @property
     def masses(self) -> np.ndarray:
@@ -254,7 +246,7 @@ class StepCDF:
         """Law of ``scale * X + shift`` for scale > 0."""
         if scale <= 0:
             raise ValidationError("scale must be positive")
-        return StepCDF(scale * self.support + shift, self.cum.copy())
+        return StepCDF(scale * self.support + shift, self.cum)
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,7 @@ class DiscreteJointDistribution:
 
     def to_sample(self) -> "JointSample":
         """Atoms as weighted sample rows (one row per atom)."""
-        return JointSample(self.xs.copy(), self.ws.copy(), self.ps.copy())
+        return JointSample(self.xs, self.ws, self.ps)
 
 
 @dataclass(frozen=True)
@@ -561,8 +553,9 @@ class ConditionalLawFamily:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The merged support and each atom's index in it (:func:`_grid_of`)."""
-        return _grid_of(self.support, *np.unique(self.support, return_inverse=True))
+        """The merged support and each atom's index in it, read-only."""
+        points, at = np.unique(self.support, return_inverse=True)
+        return _freeze(points), _freeze(at)
 
     def merged_support(self) -> np.ndarray:
         return self._grid[0].copy()
@@ -580,8 +573,6 @@ class ConditionalLawFamily:
         masses = self._masses()
         masses *= np.repeat(self.pis, np.diff(self.offsets))
         points, at = self._grid
-        if _holds_zero(points) and _signed_zeros(self.support):
-            return StepCDF.from_values(self.support, masses)  # its argsort picks the zero's bits
         masses /= masses.sum()  # as from_values normalizes its weights
         return StepCDF._of_masses(points, np.bincount(at, weights=masses, minlength=points.size))
 
@@ -624,19 +615,19 @@ def _label_source(owner):
 def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
     """Support, cum and offsets of ``StepCDF.from_values(values[a:b], w[a:b])``
     for each segment [a, b) of ``offsets`` (``w`` totals 1 in each), bit for
-    bit, and the merged grid (:func:`_grid_of`).
+    bit, and the merged support with each atom's index in it, read-only.
+    ``values`` hold no -0.0, so equal values are equal bits: a sample's
+    losses (:func:`_entered`), or ``PiecewiseLinearAllocation.h`` of a
+    family's support, whose last term adds +0.0.
 
     One ``argsort`` of all the values ranks them (:func:`_ranks`).  An atom
     is a segment's run of one rank; in cache-sized batches of segments
     (:func:`_batches`) one sort of (segment, rank) keys (:func:`_sorted_keys`)
     numbers the atoms in segment and value order, and ``bincount`` sums each
     one's mass in row order.  An atom's index in the merged support is its
-    rank, re-ranked where atoms were dropped.  Where a segment holds both
-    -0.0 and 0.0, its zero atom takes the bits of the zero that its own
-    argsort lists first (:func:`_first_zeros`).
+    rank, re-ranked where atoms were dropped.
     """
     rank, points = _ranks(values)
-    zeros = _first_zeros(values, offsets) if _holds_zero(points) else {}
     support, masses, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
@@ -673,12 +664,7 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
     del masses
     # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
     cum /= np.repeat(cum[law_offsets[1:] - 1], sizes)
-    for i, zero in zeros.items():
-        law = support[law_offsets[i]:law_offsets[i + 1]]
-        k = law.searchsorted(0.0)
-        if k < law.size and law[k] == 0.0:  # unless the zero atom was dropped
-            law[k] = zero
-    return support, cum, law_offsets, _grid_of(support, points, at)
+    return support, cum, law_offsets, (_freeze(points), _freeze(at))
 
 
 def _sorted_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -711,22 +697,6 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(ranks)
     rank[order] = ranks
     return rank, points
-
-
-def _first_zeros(values: np.ndarray, offsets: np.ndarray) -> dict:
-    """For each segment of ``values`` that holds both -0.0 and 0.0, the zero
-    that the segment's own argsort (``np.unique``'s sort) lists first."""
-    if not _signed_zeros(values):
-        return {}
-    zero = values == 0.0
-    neg = np.add.reduceat(zero & np.signbit(values), offsets[:-1], dtype=np.int64)
-    both = (neg > 0) & (neg < np.add.reduceat(zero, offsets[:-1], dtype=np.int64))
-    zeros = {}
-    for i in np.flatnonzero(both).tolist():
-        seg = values[offsets[i]:offsets[i + 1]]
-        seg = seg[seg.argsort()]
-        zeros[i] = seg[seg.searchsorted(0.0)]
-    return zeros
 
 
 # values per batch of _segment_laws' atoms: 128 KB per float64 array, so that
@@ -897,19 +867,6 @@ class _LabelView:
 def _lazy_labels(family: ConditionalLawFamily):
     """The labels given to the family (or None), else a :class:`_LabelView`."""
     return family.labels if family._labels is None else _LabelView(family)
-
-
-def _grid_of(support: np.ndarray, points: np.ndarray,
-             at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The merged support ``points`` of the atoms ``support`` and their
-    indices ``at`` in it, read-only.  The zero point keeps the bits of the
-    support's zeros; where those are both -0.0 and 0.0, the points are those
-    of the hashing ``np.unique(support)``, which may keep either."""
-    if _holds_zero(points):
-        zero = support[support == 0.0]
-        points = np.unique(support) if _signed_zeros(zero) else np.where(points == 0.0,
-                                                                         zero[0], points)
-    return _freeze(points), _freeze(at)
 
 
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:

@@ -64,17 +64,13 @@ def group(rows: np.ndarray, inverse: np.ndarray, n_groups: int) -> list[np.ndarr
 def partition_discrete(sample: JointSample) -> ScenarioPartition:
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
-    zero, negative = facs == 0, np.signbit(facs)
-    if ((zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)).any():
-        uniq, rank = np.unique(facs, axis=0, return_inverse=True)
-    else:
-        rank = None
-        for col in facs.T:
-            values, codes = np.unique(col, return_inverse=True)
-            rank = codes if rank is None else np.unique(rank * values.size + codes,
-                                                        return_inverse=True)[1]
-        uniq = np.empty((rank.max() + 1, facs.shape[1]))
-        uniq[rank] = facs
+    rank = None
+    for col in facs.T:
+        values, codes = np.unique(col, return_inverse=True)
+        rank = codes if rank is None else np.unique(rank * values.size + codes,
+                                                    return_inverse=True)[1]
+    uniq = np.empty((rank.max() + 1, facs.shape[1]))
+    uniq[rank] = facs
     scenarios = []
     for i, members in enumerate(group(rows, rank, uniq.shape[0])):
         weight = float(sample.weights[members].sum())

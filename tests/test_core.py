@@ -135,6 +135,21 @@ class TestJointSample:
             s.column("nope")
 
 
+def test_constructors_leave_the_callers_arrays_writeable():
+    loss, factors, weights = np.arange(5.0), np.zeros((5, 1)), np.ones(5)
+    support, cum, pis = np.array([0.0, 1.0]), np.array([0.5, 1.0]), np.array([0.25, 0.75])
+    xs, ps = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+    sample = JointSample(loss, factors, weights)
+    law = StepCDF(support, cum)
+    family = ConditionalLawFamily(pis, [law, law])
+    dist = DiscreteJointDistribution(xs, xs, ps)
+    for given_array in (loss, factors, weights, support, cum, pis, xs, ps):
+        assert given_array.flags.writeable
+    for stored in (sample.loss, sample.factors, sample.weights, law.support, law.cum,
+                   family.pis, family.support, family.cum, dist.xs, dist.ws, dist.ps):
+        assert not stored.flags.writeable
+
+
 class TestFromSample:
     def test_d1_family(self, d1_sample):
         fam = from_sample(d1_sample, partition_discrete(d1_sample))

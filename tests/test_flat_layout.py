@@ -311,17 +311,6 @@ class TestViews:
         assert _same(partition.rows, np.array([0, 2, 1])) and partition.cuts is None
 
 
-def test_engines_keep_the_zero_of_merged_support():
-    # on numpy 2.4 the hashing np.unique of merged_support() keeps -0.0 here
-    # and a sorting np.unique 0.0; the engines return merged_support()'s zero
-    supports = [[-0.0, 1.0], [0.0], [-1.0, 1.0], [0.0], [-1.0, 1.0], [-0.0]]
-    laws = [StepCDF(s, np.arange(1, len(s) + 1) / len(s)) for s in supports]
-    family = ConditionalLawFamily(np.full(6, 1 / 6), laws)
-    zero = family.merged_support()[1]
-    value = quantile_factor(family, pred_single_scenario(1, 0.5))
-    assert value == 0.0 and np.signbit(value) == np.signbit(zero)
-
-
 def test_scenario_without_weight_is_named():
     sample = JointSample(np.arange(6.0), np.zeros(6), [1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     partition = ScenarioPartition(Scenario(label, rows, 1 / 3) for label, rows in
@@ -425,7 +414,7 @@ class TestBincountEqualsAddAt:
         weights = rng.random(n) * rng.choice([1e-18, 1e-3, 1.0, 1e6], n)
         weights[rng.integers(n)] = 1.0
         law = StepCDF.from_values(values, weights)
-        support, cum = _from_values_add_at(values, weights)
+        support, cum = _from_values_add_at(values + 0.0, weights)  # -0.0 enters as 0.0
         assert _same(law.support, support) and _same(law.cum, cum)
 
     @settings(max_examples=200, deadline=None)
@@ -440,5 +429,5 @@ class TestBincountEqualsAddAt:
         if abs(ps.sum() - 1.0) > PROB_TOL:
             return
         dist = DiscreteJointDistribution(xs, ws, ps)
-        want = _canonical_add_at(xs, ws, ps)
+        want = _canonical_add_at(xs + 0.0, ws, ps)  # np.round makes -0.0, which enters as 0.0
         assert all(_same(got, w) for got, w in zip((dist.xs, dist.ws, dist.ps), want))

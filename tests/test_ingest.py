@@ -375,15 +375,6 @@ def test_group_keeps_row_order_within_groups(n_groups):
         assert np.array_equal(got, want)
 
 
-def test_signed_zero_labels_follow_the_row_sort():
-    # -0.0 == 0.0: the row-unique route decides which one labels the scenario
-    factors = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 2.0], [0.0, 2.0]] * 20)
-    sample = JointSample(np.arange(80.0), factors)
-    partition = partition_discrete(sample)
-    assert [_bits(s.label) for s in partition.scenarios] == \
-        [_bits(label) for label, _, _ in _partition_reference(sample)]
-
-
 def test_quantile_box_families_equal_their_definition():
     rng = np.random.default_rng(11)
     sample = simulate(0.1, [1.0, -0.5, 0.3], 0.8, GaussianFactorSpec(np.zeros(3), np.eye(3)),
