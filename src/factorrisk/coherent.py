@@ -5,8 +5,10 @@ The central primitive is the conditional rearrangement bound
     sup / inf over Z with (Z, W) distributed as (X, W) of E[Z Y]
         = sum_i pi_i * integral of q_{X,i}(t or 1-t) * q_{Y,i}(t) dt,
 
-an exact computation for discrete laws obtained by merging the cumulative
-breakpoints of the two conditional quantile step functions.  A finite
+an exact computation for discrete laws: the integrated quantile
+G(c) = integral of q_X on (0, c) is piecewise linear, so each integral is a
+sum over Y's atoms of y times G's increment between Y's cumulative levels,
+computed for all scenarios at once on the flat arrays.  A finite
 family of scenario-conditional densities then represents a coherent factor
 risk measure as the largest coupling bound over the family, and the
 ES-of-conditional-ES compositions give simple coherent closed forms.
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar
-from .core import ConditionalLawFamily, StepCDF, _segment_es
+from .core import (ConditionalLawFamily, StepCDF, _label_source, _previous, _segment_cumsums,
+                   _segment_dots, _segment_es)
 from .errors import ValidationError
 
 PARTITION_TOL = 1e-12
@@ -53,58 +56,50 @@ class DensityFamily:
         object.__setattr__(self, "members", members)
 
 
-def _same_partition(a: ConditionalLawFamily, b: ConditionalLawFamily):
-    if a.n_scenarios != b.n_scenarios:
-        raise ValidationError("families must share the scenario partition")
-    if np.max(np.abs(a.pis - b.pis)) > PARTITION_TOL:
-        raise ValidationError("families must share the scenario weights")
-
-
-def _quantile_product(law_x: StepCDF, law_y: StepCDF, reverse_x: bool) -> float:
-    """Exact integral of q_X(t) * q_Y(t) dt on (0,1), optionally q_X(1-t).
-
-    Both quantile functions are step functions of t; merging their
-    cumulative breakpoints makes the product piecewise constant, so the
-    integral is a finite sum with no quadrature error.
-    """
-    cx = law_x.cum
-    breaks_x = 1.0 - cx[::-1] if reverse_x else cx
-    grid = np.unique(np.concatenate([[0.0], breaks_x, law_y.cum, [1.0]]))
-    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    tx = 1.0 - mids if reverse_x else mids
-    ix = np.minimum(np.searchsorted(cx, tx, side="left"), cx.size - 1)
-    iy = np.minimum(np.searchsorted(law_y.cum, mids, side="left"), law_y.cum.size - 1)
-    vals = law_x.support[ix] * law_y.support[iy]
-    return float(vals @ np.diff(grid))
-
-
 def hl_bound(family_x: ConditionalLawFamily, family_y: ConditionalLawFamily,
              direction: str = "sup") -> float:
     """Conditional rearrangement bound on E[Z Y] over all Z coupled as X.
 
     ``direction='sup'`` pairs the conditional quantiles comonotonically,
-    ``direction='inf'`` antitonically.  The two families must live on the
-    same scenario partition.  It loops over the laws: one flat merge of
-    every scenario's breakpoints gave the same bits, 8x faster at 16k boxes
-    but 2.8x slower at 4,096 boxes of 244 atoms (2-core x86-64, numpy 2.4).
+    ``direction='inf'`` antitonically, as -1 times the sup bound of -X
+    (per scenario X's atoms reversed and negated, at levels 1 - the cum
+    before each).  The two families must live on the same scenario
+    partition.  Each scenario's integral is sum_l y_l (G(c_l) - G(c_(l-1)))
+    over Y's atoms and levels (the last counted as 1), where G(c) = C_k -
+    x_k (c^X_k - c) at X's first level c^X_k >= c and C is the cumsum of
+    x * mass: one search of the (scenario, level) keys, as complex numbers,
+    finds every k.
     """
     if direction not in ("sup", "inf"):
         raise ValidationError("direction must be 'sup' or 'inf'")
-    _same_partition(family_x, family_y)
-    reverse_x = direction == "inf"
-    return float(sum(
-        pi * _quantile_product(law_x, law_y, reverse_x)
-        for pi, law_x, law_y in zip(family_x.pis, family_x.laws, family_y.laws)
-    ))
+    if family_x.n_scenarios != family_y.n_scenarios:
+        raise ValidationError("families must share the scenario partition")
+    if np.max(np.abs(family_x.pis - family_y.pis)) > PARTITION_TOL:
+        raise ValidationError("families must share the scenario weights")
+    x, levels, offsets = family_x.support, family_x.cum, family_x.offsets
+    sizes, ends = np.diff(offsets), offsets[1:]
+    if direction == "inf":
+        reverse = np.repeat(offsets[:-1] + ends - 1, sizes) - np.arange(x.size)
+        x, levels = -x[reverse], 1.0 - _previous(levels, offsets)[reverse]
+    gain = _segment_cumsums(x * (levels - _previous(levels, offsets)), offsets)
+    scenario = np.arange(family_x.n_scenarios)
+    y_scenario = np.repeat(scenario, np.diff(family_y.offsets))
+    c = np.minimum(family_y.cum, 1.0)
+    c[family_y.offsets[1:] - 1] = 1.0
+    # complex keys order and compare lexicographically, exactly
+    k = np.searchsorted(np.repeat(scenario, sizes) + 1j * levels, y_scenario + 1j * c)
+    k = np.minimum(k, ends[y_scenario] - 1)
+    g = gain[k] - x[k] * (levels[k] - c)
+    per_scenario = _segment_dots(family_y.support, g - _previous(g, family_y.offsets),
+                                 family_y.offsets)
+    total = np.cumsum(family_x.pis * per_scenario)[-1]  # as compose_es_mean sums them
+    return float(0.0 + total if direction == "sup" else 0.0 - total)  # never -0.0
 
 
 def coherent_sup(family_x: ConditionalLawFamily, density_family: DensityFamily) -> float:
     """Largest comonotone coupling bound over a finite density family."""
     if not isinstance(density_family, DensityFamily):
         density_family = DensityFamily(tuple(density_family))
-    for member in density_family.members:
-        _same_partition(family_x, member)
     return max(hl_bound(family_x, member, "sup") for member in density_family.members)
 
 
@@ -116,11 +111,10 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     """
     if not 0 <= p < 1:
         raise ValidationError("ES level must lie in [0, 1)")
-    if p == 0:
-        law = StepCDF(np.array([1.0]), np.array([1.0]))
-    else:
-        law = StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
-    return ConditionalLawFamily(family.pis, (law,) * family.n_scenarios, family.labels)
+    support, cum = ([1.0], [1.0]) if p == 0 else ([0.0, 1.0 / (1.0 - p)], [p, 1.0])
+    n = family.n_scenarios
+    return ConditionalLawFamily._from_flat(family.pis, np.tile(support, n), np.tile(cum, n),
+                                           np.arange(n + 1) * len(support), _label_source(family))
 
 
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",

@@ -66,21 +66,16 @@ class LevelMap:
     def __post_init__(self):
         _exactly_one(constant=self.constant is not None, values=self.values is not None,
                      by_label=self.by_label is not None)
-        if self.constant is not None:
-            self._check(self.constant)
         if self.values is not None:
-            vals = np.asarray(self.values, dtype=float)
-            for v in vals:
-                self._check(v)
-            object.__setattr__(self, "values", vals)
-        if self.by_label is not None:
-            for v in self.by_label.values():
-                self._check(v)
-
-    @staticmethod
-    def _check(v):
-        if not 0 <= v <= 1:
-            raise ValidationError(f"scenario level must lie in [0, 1], got {v!r}")
+            object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+            if self.values.ndim != 1:
+                raise ValidationError(f"level vector must be 1-D, got shape {self.values.shape}")
+        levels = np.asarray(self.constant if self.constant is not None
+                            else self.values if self.values is not None
+                            else list(self.by_label.values()), dtype=float)
+        bad = levels[~((levels >= 0) & (levels <= 1))]  # written so that NaN fails it
+        if bad.size:
+            raise ValidationError(f"scenario level must lie in [0, 1], got {bad[0].item()!r}")
 
     @classmethod
     def of(cls, spec) -> "LevelMap":

@@ -562,9 +562,7 @@ class ConditionalLawFamily:
 
     def _masses(self) -> np.ndarray:
         """Each atom's mass within its law, as ``StepCDF.masses`` finds it."""
-        masses = np.diff(self.cum, prepend=0.0)
-        masses[self.offsets[:-1]] = self.cum[self.offsets[:-1]]  # each law starts from 0
-        return masses
+        return self.cum - _previous(self.cum, self.offsets)
 
     def mixture(self) -> StepCDF:
         """The pi-weighted mixture of the conditional laws (marginal of X):
@@ -760,6 +758,13 @@ def _segment_dots(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> np.ndarr
     return out
 
 
+def _previous(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each value's predecessor in its segment of ``offsets``; 0 at a segment's start."""
+    prev = np.concatenate(([0.0], values[:-1]))
+    prev[offsets[:-1]] = 0.0
+    return prev
+
+
 def _segment_es(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray,
                 a: np.ndarray) -> np.ndarray:
     """``scalar.es`` of each law (segment of ``offsets``) at its level ``a[i]``:
@@ -767,8 +772,7 @@ def _segment_es(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray,
     bad = np.flatnonzero(~((a >= 0) & (a < 1)))  # written so that NaN fails it
     if bad.size:
         raise ValidationError(f"ES level must be in [0, 1), got {a[bad[0]].item()!r}")
-    lo = np.concatenate(([0.0], cum[:-1]))
-    lo[offsets[:-1]] = 0.0
+    lo = _previous(cum, offsets)
     seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(lo, np.repeat(a, np.diff(offsets))), 0.0)
     return _segment_dots(support, seg, offsets) / (1.0 - a)
 

@@ -153,6 +153,8 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = np.random.default_rng(seed)
     n = int(n_scenarios)
+    if n < 1:
+        raise ValidationError(f"n_scenarios must be at least 1, got {n}")
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
         hi = psi(np.ones(n), pi)

@@ -118,6 +118,8 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n = int(n_scenarios)
+    if n < 1:
+        raise ValidationError(f"n_scenarios must be at least 1, got {n}")
     pi = np.full(n, 1.0 / n)
     if pred.apply(np.zeros((1, n)), pi)[0]:
         raise ValidationError("predicate must reject the all-zeros profile")

@@ -15,10 +15,12 @@ The former searches and re-sorts of the quantile-box path are kept too:
 sweep's anchor rows and last row, a binary search per scenario and row) and
 ``merged_grid`` (two ``np.unique`` of the support).
 
-So are the former per-law loops of the closed forms and the sharing check:
-``es`` (``scalar.es``'s own formula), ``scenario_means``, ``linear_factor``,
-``compose_var_distortion``, ``compose_es_mean``, ``es_composition`` and
-``transform_family``, each over the ``family.laws`` views.
+So are the former per-law loops of the closed forms, the sharing check and
+the coupling bound: ``es`` (``scalar.es``'s own formula), ``scenario_means``,
+``linear_factor``, ``compose_var_distortion``, ``compose_es_mean``,
+``es_composition``, ``transform_family`` and ``hl_bound`` (a merge of the two
+laws' breakpoints per scenario), each over the ``family.laws`` views, and
+``es_tail_density``'s former build through the public constructor.
 """
 
 from __future__ import annotations
@@ -258,3 +260,32 @@ def transform_family(family: ConditionalLawFamily, allocation, agent: int) -> Co
     laws = [StepCDF.from_values(allocation.h(agent, law.support), law.masses)
             for law in family.laws]
     return ConditionalLawFamily(family.pis.copy(), tuple(laws), family.labels)
+
+
+def quantile_product(law_x: StepCDF, law_y: StepCDF, reverse_x: bool) -> float:
+    """Integral of q_X(t) * q_Y(t) dt on (0, 1), or of q_X(1 - t) * q_Y(t):
+    the product is constant between the merged breakpoints of both laws."""
+    cx = law_x.cum
+    breaks_x = 1.0 - cx[::-1] if reverse_x else cx
+    grid = np.unique(np.concatenate([[0.0], breaks_x, law_y.cum, [1.0]]))
+    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    tx = 1.0 - mids if reverse_x else mids
+    ix = np.minimum(np.searchsorted(cx, tx, side="left"), cx.size - 1)
+    iy = np.minimum(np.searchsorted(law_y.cum, mids, side="left"), law_y.cum.size - 1)
+    vals = law_x.support[ix] * law_y.support[iy]
+    return float(vals @ np.diff(grid))
+
+
+def hl_bound(family_x: ConditionalLawFamily, family_y: ConditionalLawFamily,
+             direction: str = "sup") -> float:
+    return float(sum(pi * quantile_product(law_x, law_y, direction == "inf")
+                     for pi, law_x, law_y in zip(family_x.pis, family_x.laws, family_y.laws)))
+
+
+def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFamily:
+    if p == 0:
+        law = StepCDF(np.array([1.0]), np.array([1.0]))
+    else:
+        law = StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
+    return ConditionalLawFamily(family.pis, (law,) * family.n_scenarios, family.labels)

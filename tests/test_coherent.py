@@ -119,6 +119,15 @@ class TestCoherentSup:
         b = hl_bound(d1_family, tail, "sup")
         assert coherent_sup(d1_family, fam) == pytest.approx(max(a, b), abs=1e-12)
 
+    def test_member_on_another_partition_rejected(self, d1_family):
+        ones = ConditionalLawFamily(
+            d1_family.pis.copy(),
+            tuple(StepCDF.from_values([1.0]) for _ in d1_family.laws),
+        )
+        other = ConditionalLawFamily(np.array([1.0]), (StepCDF.from_values([1.0]),))
+        with pytest.raises(ValidationError, match="scenario partition"):
+            coherent_sup(d1_family, DensityFamily((ones, other)))
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
             DensityFamily(())

@@ -228,6 +228,18 @@ class TestLevelMap:
         with pytest.raises(ValidationError):
             LevelMap.of([0.5, -0.1])
 
+    @pytest.mark.parametrize("spec", [[[0.5, 0.5]], np.full((2, 1), 0.5), [[]]])
+    def test_level_vector_must_be_one_dimensional(self, spec):
+        with pytest.raises(ValidationError, match="level vector must be 1-D"):
+            LevelMap.of(spec)
+
+    @pytest.mark.parametrize("spec, bad", [([0.5, -0.1, 2.0], "-0.1"), ([0.2, np.nan], "nan"),
+                                           (1.5, "1.5"), ({"a": 0.3, "b": 1.25}, "1.25")])
+    def test_first_bad_level_is_named(self, spec, bad):
+        with pytest.raises(ValidationError) as exc:
+            LevelMap.of(spec)
+        assert str(exc.value) == f"scenario level must lie in [0, 1], got {bad}"
+
 
 def _boxes_by_unique_rows(sample, bins):
     """Quantile boxes grouped by np.unique over code rows (the former route),

@@ -238,6 +238,15 @@ class TestCustomPsi:
         with pytest.raises(ValidationError):
             psi_custom(lambda v, pi: 0.5 * float(v @ pi), n_scenarios=3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_scenarios(self, n):
+        with pytest.raises(ValidationError, match="n_scenarios must be at least 1"):
+            psi_custom(lambda v, pi: float(v @ pi), n_scenarios=n)
+
+    def test_mean_of_es_rejects_level_matrix(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            psi_mean_of_es([[0.5, 0.5]])
+
     def test_custom_in_engine_matches_riemann(self, d1_family):
         psi = psi_custom(lambda v, pi: float((v @ pi) ** 2), n_scenarios=2)
         engine = choquet_factor(d1_family, psi)

@@ -165,6 +165,11 @@ class TestPredicates:
         # mixture CDF crosses 1/2 at x = 3
         assert value == 3.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_custom_rejects_no_scenarios(self, n):
+        with pytest.raises(ValidationError, match="n_scenarios must be at least 1"):
+            pred_custom(lambda u, pi: bool(u @ pi >= 0.5), n_scenarios=n)
+
     def test_custom_rejects_downward(self):
         with pytest.raises(ValidationError):
             pred_custom(lambda u, pi: bool(u @ pi <= 0.5), n_scenarios=2)
