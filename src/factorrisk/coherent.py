@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar
-from .core import (ConditionalLawFamily, StepCDF, _label_source, _previous, _segment_cumsums,
-                   _segment_dots, _segment_es)
+from .core import (ConditionalLawFamily, StepCDF, _label_source, _level, _previous,
+                   _segment_cumsums, _segment_dots, _segment_es)
 from .errors import ValidationError
 
 PARTITION_TOL = 1e-12
@@ -109,8 +109,7 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     Per scenario the density takes the value 1 / (1-p) with probability
     1-p (the conditional tail) and 0 otherwise.
     """
-    if not 0 <= p < 1:
-        raise ValidationError("ES level must lie in [0, 1)")
+    p = _level(p, "ES level", "[0, 1)")
     support, cum = ([1.0], [1.0]) if p == 0 else ([0.0, 1.0 / (1.0 - p)], [p, 1.0])
     n = family.n_scenarios
     return ConditionalLawFamily._from_flat(family.pis, np.tile(support, n), np.tile(cum, n),
@@ -125,7 +124,5 @@ def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup"
     if outer == "esssup":
         return scalar.esssup(law)
     if outer == "es":
-        if q is None:
-            raise ValidationError("outer ES level must lie in [0, 1)")
-        return scalar.es(law, q)
+        return scalar.es(law, _level(q, "outer ES level", "[0, 1)"))
     raise ValidationError("outer must be 'esssup' or 'es'")

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import scalar
-from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _segment_sums,
+from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _level, _segment_sums,
                    round_significant)
 from .errors import EmptyEventError, ValidationError
 
@@ -38,11 +38,8 @@ class VarBox:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ValidationError("alpha and beta must be aligned level vectors")
-        # written so that NaN levels fail them
-        if not np.all((alpha > 0) & (alpha < 1)):
-            raise ValidationError("alpha levels must lie in (0, 1)")
-        if not np.all((beta > 0) & (beta <= 1)):
-            raise ValidationError("beta levels must lie in (0, 1]")
+        _level(alpha, "alpha levels", "(0, 1)")
+        _level(beta, "beta levels", "(0, 1]")
         if np.any(alpha > beta):
             raise ValidationError("alpha must be componentwise <= beta")
         object.__setattr__(self, "alpha", alpha)
@@ -70,12 +67,9 @@ class LevelMap:
             object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
             if self.values.ndim != 1:
                 raise ValidationError(f"level vector must be 1-D, got shape {self.values.shape}")
-        levels = np.asarray(self.constant if self.constant is not None
-                            else self.values if self.values is not None
-                            else list(self.by_label.values()), dtype=float)
-        bad = levels[~((levels >= 0) & (levels <= 1))]  # written so that NaN fails it
-        if bad.size:
-            raise ValidationError(f"scenario level must lie in [0, 1], got {bad[0].item()!r}")
+        _level(self.constant if self.constant is not None
+               else self.values if self.values is not None
+               else list(self.by_label.values()), "scenario level", "[0, 1]")
 
     @classmethod
     def of(cls, spec) -> "LevelMap":
@@ -181,10 +175,7 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     levels = np.arange(1, bins_per_factor) / bins_per_factor
     for j in range(sample.n_factors):
         col = sample.factors[rows, j]
-        cdf = StepCDF.from_values(col, weights)
-        # scalar.var at every level at once: one left search, capped at the last atom
-        at = np.minimum(np.searchsorted(cdf.cum, levels, side="left"), cdf.support.size - 1)
-        cuts.append(np.unique(cdf.support[at]))
+        cuts.append(np.unique(scalar.var(StepCDF.from_values(col, weights), levels)))
         codes.append(_interval_codes(col, cuts[-1]))
     order, offsets = _cells(codes, [e.size + 1 for e in cuts])
     box_codes = [c[order[offsets[:-1]]] for c in codes]
@@ -226,9 +217,8 @@ def box_mask(sample: JointSample, box: VarBox) -> np.ndarray:
     keep = np.ones(rows.size, dtype=bool)
     for j in range(sample.n_factors):
         col = sample.factors[rows, j]
-        cdf = StepCDF.from_values(col, sample.weights[rows])
-        lo = scalar.var(cdf, float(box.alpha[j]))
-        hi = scalar.var(cdf, float(box.beta[j]))
+        lo, hi = scalar.var(StepCDF.from_values(col, sample.weights[rows]),
+                            [box.alpha[j], box.beta[j]])
         keep &= (col >= lo) & (col <= hi)
     mask[rows[keep]] = True
     return mask

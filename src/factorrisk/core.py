@@ -29,6 +29,7 @@ them on every point of a grid (see its docstring).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, ClassVar, Iterable, NamedTuple
@@ -54,8 +55,8 @@ DENSE_SCATTER_SHARE = 0.2
 MIN_SWEEP_BLOCK = 256
 
 
-def round_significant(values, digits: int = SIGNIFICANT_DIGITS) -> np.ndarray:
-    """Round to ``digits`` significant digits, elementwise.
+def round_significant(values) -> np.ndarray:
+    """Round to ``SIGNIFICANT_DIGITS`` significant digits, elementwise.
 
     Factor values are canonicalized this way on ingestion so that grouping
     by factor value is a deterministic float operation.  Values whose
@@ -69,7 +70,7 @@ def round_significant(values, digits: int = SIGNIFICANT_DIGITS) -> np.ndarray:
         vals = flat[nz]
         with np.errstate(over="ignore", invalid="ignore"):
             mag = np.floor(np.log10(np.abs(vals)))
-            scale = np.power(10.0, digits - 1 - mag)
+            scale = np.power(10.0, SIGNIFICANT_DIGITS - 1 - mag)
             rounded = np.round(vals * scale) / scale
             good = np.isfinite(rounded)
             flat[nz] = np.where(good, rounded, vals)
@@ -103,6 +104,12 @@ def _exactly_one(**given: bool) -> None:
         raise ValidationError(f"provide exactly one of {', '.join(given)}")
 
 
+def _first(values, bad):
+    """The first of ``values`` (flat order) where ``bad`` holds, as it was
+    given, for a message: a Python number, so an int 1 prints ``1``."""
+    return np.asarray(values).ravel()[np.flatnonzero(bad)[:1]].item()
+
+
 def _as_1d(values, name: str) -> np.ndarray:
     arr = _entered(values)
     if arr.ndim != 1:
@@ -110,8 +117,58 @@ def _as_1d(values, name: str) -> np.ndarray:
     if arr.size == 0:
         raise ValidationError(f"{name} must be nonempty")
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
+        raise ValidationError(f"{name} must be finite, got {_first(values, ~np.isfinite(arr))!r}")
     return arr
+
+
+# each interval a level may be named by: the comparisons its values pass at 0 and at 1
+_INTERVALS = {"(0, 1)": (operator.lt, operator.lt), "(0, 1]": (operator.lt, operator.le),
+              "[0, 1)": (operator.le, operator.lt), "[0, 1]": (operator.le, operator.le)}
+
+
+def _level(value, name: str, interval: str):
+    """``value``, a level or an array of levels, checked to be in ``interval``
+    (a key of ``_INTERVALS``): a float, or a float array.  NaN lies in none;
+    the message names the first value outside as it was given."""
+    low, high = _INTERVALS[interval]
+    if isinstance(value, (float, int)):  # the common case, without numpy
+        if low(0, value) and high(value, 1):
+            return float(value)
+        outside = True
+    else:
+        arr = np.asarray(value, dtype=float)
+        outside = ~(low(0, arr) & high(arr, 1))
+        if not outside.any():
+            return arr if arr.ndim else float(arr)
+    raise ValidationError(f"{name} must be in {interval}, got {_first(value, outside)!r}")
+
+
+def _probabilities(values, name: str) -> np.ndarray:
+    """``values`` as a new 1-D float array of probabilities: finite,
+    nonnegative and summing to 1 within PROB_TOL.  NaN fails; the message
+    names the first offending value as it was given, or the sum."""
+    p = _as_1d(values, name)
+    if (p < 0).any():
+        raise ValidationError(f"{name} must be nonnegative, got {_first(values, p < 0)!r}")
+    total = float(p.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(f"{name} must sum to 1 within {PROB_TOL}, got {total!r}")
+    return p
+
+
+def _factor_matrix(values, n_rows: int, name: str) -> np.ndarray:
+    """``values`` as a new, canonically rounded ``n_rows`` x N float matrix,
+    N >= 1 and finite; a vector is read as one column."""
+    f = np.asarray(values, dtype=float)
+    if f.ndim == 1:
+        f = f.reshape(-1, 1)
+    if f.ndim != 2 or f.shape[0] != n_rows or f.shape[1] < 1:
+        raise ValidationError(f"{name} must be a {n_rows} x N matrix, N >= 1, "
+                              f"got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValidationError("factor values must be finite, "
+                              f"got {_first(values, ~np.isfinite(f))!r}")
+    return round_significant(f)
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -267,23 +324,13 @@ class DiscreteJointDistribution:
 
     def __post_init__(self):
         xs = _as_1d(self.xs, "xs")
-        ps = _as_1d(self.ps, "ps")
-        ws = np.asarray(self.ws, dtype=float)
-        if ws.ndim == 1:
-            ws = ws.reshape(-1, 1)
-        if ws.ndim != 2 or ws.shape[0] != xs.size or ps.size != xs.size:
+        ws = _factor_matrix(self.ws, xs.size, "ws")
+        ps = _probabilities(self.ps, "atom masses")
+        if ps.size != xs.size:
             raise ValidationError("atom arrays must align: xs (M,), ws (M,N), ps (M,)")
-        if ws.shape[1] < 1:
-            raise ValidationError("factor dimension N must be >= 1")
-        if not np.all(np.isfinite(ws)):
-            raise ValidationError("factor values must be finite")
         if np.any(ps <= 0):
             raise ValidationError("atom masses must be positive")
-        total = ps.sum()
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"atom masses must sum to 1 within {PROB_TOL}, got {total!r}")
 
-        ws = round_significant(ws)
         order = np.lexsort(np.column_stack([xs, ws[:, ::-1]]).T)
         xs, ws, ps = xs[order], ws[order], ps[order]
         key = np.column_stack([ws, xs])
@@ -343,20 +390,12 @@ class JointSample:
 
     def __post_init__(self):
         loss = _as_1d(self.loss, "loss")
-        factors = np.asarray(self.factors, dtype=float)
-        if factors.ndim == 1:
-            factors = factors.reshape(-1, 1)
-        if factors.ndim != 2 or factors.shape[0] != loss.size:
-            raise ValidationError("factors must be a T x N matrix aligned with loss")
-        if factors.shape[1] < 1:
-            raise ValidationError("factor dimension N must be >= 1")
-        if not np.all(np.isfinite(factors)):
-            raise ValidationError("factor values must be finite")
+        factors = _factor_matrix(self.factors, loss.size, "factors")
         w = _normalized_weights(self.weights, loss.size)
         if self.factor_names is not None and len(self.factor_names) != factors.shape[1]:
             raise ValidationError("factor_names must match the number of factor columns")
         object.__setattr__(self, "loss", _freeze(loss))
-        object.__setattr__(self, "factors", _freeze(round_significant(factors)))
+        object.__setattr__(self, "factors", _freeze(factors))
         object.__setattr__(self, "weights", _freeze(w))
 
     @property
@@ -403,8 +442,9 @@ class Scenario:
         rows = np.asarray(self.rows, dtype=np.int64)
         if rows.ndim != 1 or rows.size == 0:
             raise ValidationError("scenario rows must be a nonempty index vector")
-        if self.weight <= 0:
-            raise ValidationError("scenario weight must be positive")
+        if not self.weight > 0:
+            raise ValidationError("scenario weight must be positive, "
+                                  f"got {_first(self.weight, True)!r}")
         object.__setattr__(self, "rows", _freeze(rows))
 
 
@@ -450,8 +490,7 @@ class ScenarioPartition:
         return partition
 
     def _set(self, rows, offsets, weights, labels, cuts=None):
-        if abs(weights.sum() - 1.0) > PROB_TOL:
-            raise ValidationError(f"scenario weights must sum to 1 within {PROB_TOL}")
+        weights = _probabilities(weights, "scenario weights")
         for name, value in (("rows", rows), ("offsets", offsets), ("weights", weights)):
             object.__setattr__(self, name, _freeze(value))
         object.__setattr__(self, "cuts", cuts)
@@ -499,15 +538,14 @@ class ConditionalLawFamily:
     offsets: np.ndarray
 
     def __init__(self, pis, laws: Iterable[StepCDF], labels=None):
-        pis = _as_1d(pis, "pis")
         laws = tuple(laws)
-        if len(laws) != pis.size:
+        if len(laws) != np.size(pis):
             raise ValidationError("pis and laws must align")
         if not all(isinstance(law, StepCDF) for law in laws):
             raise ValidationError("laws must be StepCDF instances")
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != pis.size:
+            if len(labels) != len(laws):
                 raise ValidationError("labels must align with scenarios")
         self._set(pis, np.concatenate([law.support for law in laws]),
                   np.concatenate([law.cum for law in laws]),
@@ -527,10 +565,9 @@ class ConditionalLawFamily:
         return family
 
     def _set(self, pis, support, cum, offsets, labels):
+        pis = _probabilities(pis, "scenario probabilities")
         if np.any(pis <= 0):
             raise ValidationError("scenario probabilities must be positive")
-        if abs(pis.sum() - 1.0) > PROB_TOL:
-            raise ValidationError(f"scenario probabilities must sum to 1 within {PROB_TOL}")
         _check_laws(support, cum, offsets)
         for name, value in (("pis", pis), ("support", support), ("cum", cum),
                             ("offsets", offsets)):
@@ -769,9 +806,7 @@ def _segment_es(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray,
                 a: np.ndarray) -> np.ndarray:
     """``scalar.es`` of each law (segment of ``offsets``) at its level ``a[i]``:
     each atom weighs the part of (previous cum, cum] inside (a_i, 1]."""
-    bad = np.flatnonzero(~((a >= 0) & (a < 1)))  # written so that NaN fails it
-    if bad.size:
-        raise ValidationError(f"ES level must be in [0, 1), got {a[bad[0]].item()!r}")
+    a = _level(a, "ES level", "[0, 1)")
     lo = _previous(cum, offsets)
     seg = np.maximum(np.minimum(cum, 1.0) - np.maximum(lo, np.repeat(a, np.diff(offsets))), 0.0)
     return _segment_dots(support, seg, offsets) / (1.0 - a)

@@ -34,7 +34,8 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _lazy_labels, _merged_grid, _scenario_var, _segment_es, _sweep)
+                   _lazy_labels, _level, _merged_grid, _probabilities, _scenario_var,
+                   _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -77,17 +78,11 @@ def _pi_weighted(tails=None, cut=None):
 
 
 def _var_levels(levels: LevelMap, n: int, labels) -> np.ndarray:
-    g = levels.resolve(n, labels)
-    if np.any(g <= 0) or np.any(g > 1):
-        raise ValidationError("VaR scenario levels must lie in (0, 1]")
-    return g
+    return _level(levels.resolve(n, labels), "VaR scenario level", "(0, 1]")
 
 
 def _es_levels(levels: LevelMap, n: int, labels) -> np.ndarray:
-    g = levels.resolve(n, labels)
-    if np.any(g >= 1) or np.any(g < 0):
-        raise ValidationError("ES scenario levels must lie in [0, 1)")
-    return g
+    return _level(levels.resolve(n, labels), "ES scenario level", "[0, 1)")
 
 
 def _tails(levels, check):
@@ -119,8 +114,7 @@ def psi_mean_of_es(levels) -> ScenarioDistortion:
 
 def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
     """Conditional ES on a scenario subevent: rho = ES_p(X | W in B)."""
-    if not 0 <= p < 1:
-        raise ValidationError("ES level must lie in [0, 1)")
+    p = _level(p, "ES level", "[0, 1)")
     idx = np.unique(np.asarray(tuple(int(i) for i in subset), dtype=np.int64))
 
     def resolve(pi, labels):
@@ -134,8 +128,7 @@ def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
 
 def psi_indicator_var_var(p: float, q: float) -> ScenarioDistortion:
     """The 0/1 distortion whose Choquet integral is VaR_q(VaR_p(X | W))."""
-    if not 0 < p < 1 or not 0 < q <= 1:
-        raise ValidationError("indicator levels need p in (0,1) and q in (0,1]")
+    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1]")
     tails = _pi_weighted(lambda n, labels: np.full(n, 1.0 - p), 1.0 - q)
     return ScenarioDistortion(_exceeds, tails, lambda s, cut: np.where(s > cut, 1.0, 0.0))
 
@@ -239,7 +232,7 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    pi = np.asarray(pi, dtype=float)
+    pi = _probabilities(pi, "pi")
     rng = np.random.default_rng(seed)
     n = pi.size
     chunk = 2048

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import event_law, tail_box
-from .core import ConditionalLawFamily, JointSample, _exactly_one
+from .core import ConditionalLawFamily, JointSample, _exactly_one, _probabilities
 from .errors import ValidationError
 
 PHYSICAL = "physical"
@@ -36,18 +36,9 @@ class ScenarioWeighting:
         _exactly_one(values=self.values is not None, by_label=self.by_label is not None,
                      physical=bool(self.physical))
         if self.values is not None:
-            vals = np.asarray(self.values, dtype=float)
-            if vals.ndim != 1 or vals.size == 0:
-                raise ValidationError("weights must form a nonempty vector")
-            if np.any(vals < 0):
-                raise ValidationError("weights must be nonnegative")
-            if abs(vals.sum() - 1.0) > 1e-12:
-                raise ValidationError("weights must sum to 1 within 1e-12")
-            object.__setattr__(self, "values", vals)
+            object.__setattr__(self, "values", _probabilities(self.values, "weights"))
         if self.by_label is not None:
-            w = np.array(list(self.by_label.values()), dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValidationError("label weights must be nonnegative and sum to 1")
+            _probabilities(list(self.by_label.values()), "label weights")
 
     @classmethod
     def of(cls, spec) -> "ScenarioWeighting":

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import scalar
 from .conditioning import VarBox, broadcast_levels, event_law, tail_box
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _merged_grid,
-                   _sweep)
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _level,
+                   _merged_grid, _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -67,30 +67,27 @@ def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
 
     The induced measure is VaR_q(VaR_p(X | W)).
     """
-    if not 0 < p < 1 or not 0 < q <= 1:
-        raise ValidationError("var_of_var needs p in (0,1) and q in (0,1]")
+    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1]")
     # the float sum of all weights may land under q = 1; every scenario
     # still makes total weight, so the all-ones profile is accepted
-    return _counting(float(p), lambda pi, labels: pi, lambda pi: min(float(q), pi.sum()))
+    return _counting(p, lambda pi, labels: pi, lambda pi: min(q, pi.sum()))
 
 
 def pred_esssup_var(p: float) -> IncreasingSetPredicate:
     """Accept once every scenario has F_i(x) >= p: esssup VaR_p(X | W)."""
-    if not 0 < p < 1:
-        raise ValidationError("esssup_var needs p in (0,1)")
-    return _counting(float(p), lambda pi, labels: np.ones(pi.size), lambda pi: float(pi.size))
+    p = _level(p, "level p", "(0, 1)")
+    return _counting(p, lambda pi, labels: np.ones(pi.size), lambda pi: float(pi.size))
 
 
 def pred_single_scenario(scenario, p: float) -> IncreasingSetPredicate:
     """Accept on one scenario's CDF alone: VaR_p(X | scenario)."""
-    if not 0 < p <= 1:
-        raise ValidationError("single_scenario needs p in (0,1]")
+    p = _level(p, "level p", "(0, 1]")
 
     def weights(pi, labels):
         w = np.zeros(pi.size)
         w[_scenario_index(scenario, labels, pi.size)] = 1.0
         return w
-    return _counting(float(p), weights, lambda pi: 1.0)
+    return _counting(p, weights, lambda pi: 1.0)
 
 
 def _scenario_index(scenario, labels, n: int) -> int:

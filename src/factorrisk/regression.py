@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JointSample, StepCDF
+from .core import JointSample, StepCDF, _level
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
@@ -143,9 +143,7 @@ def norm_inv(p: float) -> float:
     it.  Boundary levels rejected."""
     import statistics
 
-    if not 0 < p < 1:
-        raise ValidationError(f"norm_inv needs p in (0, 1), got {p!r}")
-    return statistics.NormalDist().inv_cdf(p)
+    return statistics.NormalDist().inv_cdf(_level(p, "level p", "(0, 1)"))
 
 
 @dataclass(frozen=True)
@@ -214,8 +212,7 @@ def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
 def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
                  q: float) -> float:
     """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
-    if not 0 < p < 1 or not 0 < q < 1:
-        raise ValidationError("levels p and q must lie in (0, 1)")
+    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1)")
     return _rho(fit, _index_law(fit, factor_sample), p, q)
 
 
@@ -242,8 +239,7 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     ``mc_draws`` resamples, ``empirical`` takes the weighted quantile of
     the observed target column.
     """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
+    p = _level(p, "level p", "(0, 1)")
     return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, row_index)[0]
 
 
@@ -255,7 +251,7 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
         loss_law = StepCDF.from_values(data.loss, data.weights)
-        return [scalar.var(loss_law, p) for p in p_values]
+        return scalar.var(loss_law, p_values).tolist()
     fitted = fit.fitted(data.factors)
     out = []
     for row, p in enumerate(p_values, first_row):
@@ -324,12 +320,10 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     benchmark, are built once per call, so each cell costs one
     ``searchsorted``; output order is p-major.
     """
-    p_values = np.asarray(list(p_values), dtype=float)
-    q_values = np.asarray(list(q_values), dtype=float)
+    p_values = _level(list(p_values), "p levels", "(0, 1)")
+    q_values = _level(list(q_values), "q levels", "(0, 1)")
     if p_values.size == 0 or q_values.size == 0:
         raise ValidationError("level lists must be nonempty")
-    if np.any((p_values <= 0) | (p_values >= 1)) or np.any((q_values <= 0) | (q_values >= 1)):
-        raise ValidationError("levels must lie in (0, 1)")
     index_law = _index_law(fit, data)
     plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws)
     rf = np.array([_rho(fit, index_law, p, q) for p in p_values.tolist()

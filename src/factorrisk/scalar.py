@@ -17,8 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepCDF, _segment_es
+from .core import StepCDF, _as_1d, _level, _segment_es
 from .errors import ValidationError
+
+
+# the level each leveled kind takes: its name in a message, and its interval
+_LEVELS = {"var_level": ("VaR distortion level", "(0, 1)"),
+           "es_level": ("ES distortion level", "[0, 1)")}
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,12 @@ class DistortionFunction:
     def __post_init__(self):
         if self.kind == "identity":
             return
-        if self.kind == "var_level":
-            if self.level is None or not 0 < self.level < 1:
-                raise ValidationError("var_level requires a level in (0, 1)")
-            return
-        if self.kind == "es_level":
-            if self.level is None or not 0 <= self.level < 1:
-                raise ValidationError("es_level requires a level in [0, 1)")
+        if self.kind in _LEVELS:
+            object.__setattr__(self, "level", _level(self.level, *_LEVELS[self.kind]))
             return
         if self.kind == "piecewise_linear":
-            u = np.asarray(self.knots_u, dtype=float)
-            v = np.asarray(self.knots_v, dtype=float)
-            if u.ndim != 1 or u.shape != v.shape or u.size < 2:
+            u, v = _as_1d(self.knots_u, "knots_u"), _as_1d(self.knots_v, "knots_v")
+            if u.shape != v.shape or u.size < 2:
                 raise ValidationError("piecewise_linear requires aligned knot vectors")
             if u[0] != 0.0 or u[-1] != 1.0 or not np.all(np.diff(u) > 0):
                 raise ValidationError("knot grid must increase strictly from 0 to 1")
@@ -95,16 +94,16 @@ def piecewise_linear_distortion(knots_u, knots_v) -> DistortionFunction:
                               knots_v=np.asarray(knots_v, float))
 
 
-def var(cdf: StepCDF, alpha: float) -> float:
-    """Left quantile inf{x : F(x) >= alpha} for alpha in (0, 1].
+def var(cdf: StepCDF, alpha):
+    """Left quantile inf{x : F(x) >= alpha} for alpha in (0, 1], or an array
+    of them at an array of levels.
 
-    ``alpha = 1`` returns the last support point (the essential supremum).
+    ``alpha = 1`` returns the last support point (the essential supremum):
+    the count of cum below alpha, one left search, is capped at the last
+    atom by leaving the last cum out of the search.
     """
-    if not 0 < alpha <= 1:
-        raise ValidationError(f"VaR level must be in (0, 1], got {alpha!r}")
-    idx = int(np.searchsorted(cdf.cum, alpha, side="left"))
-    idx = min(idx, cdf.support.size - 1)
-    return float(cdf.support[idx])
+    x = cdf.support[cdf.cum[:-1].searchsorted(_level(alpha, "VaR level", "(0, 1]"), side="left")]
+    return x if x.ndim else float(x)
 
 
 def es(cdf: StepCDF, alpha: float) -> float:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConditionalLawFamily, StepCDF, _label_source, _merged_grid, _segment_laws,
-                   _segment_sums, _sweep)
+from .core import (ConditionalLawFamily, StepCDF, _first, _label_source, _merged_grid,
+                   _segment_laws, _segment_sums, _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -53,8 +53,9 @@ class PiecewiseLinearAllocation:
             raise ValidationError("breakpoints must be strictly increasing")
         if slopes.shape[1] != max(xs.size - 1, 0) and not (xs.size == 1 and slopes.shape[1] == 0):
             raise ValidationError("slopes must have one column per support interval")
-        if slopes.size and (np.any(slopes < -TIE_TOL) or np.any(slopes > 1 + TIE_TOL)):
-            raise ValidationError("slopes must lie in [0, 1]")
+        outside = ~((slopes >= -TIE_TOL) & (slopes <= 1 + TIE_TOL))
+        if outside.any():
+            raise ValidationError(f"slopes must be in [0, 1], got {_first(slopes, outside)!r}")
         if slopes.size and np.any(np.abs(slopes.sum(axis=0) - 1.0) > 1e-9):
             raise ValidationError("slopes must sum to 1 on every interval")
         object.__setattr__(self, "breakpoints", xs)
@@ -155,7 +156,7 @@ def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAl
     masses /= np.repeat(_segment_sums(masses, offsets), np.diff(offsets))
     support, cum, law_offsets, grid = _segment_laws(allocation.h(agent, family.support), masses,
                                                     offsets)
-    return ConditionalLawFamily._from_flat(family.pis.copy(), support, cum, law_offsets,
+    return ConditionalLawFamily._from_flat(family.pis, support, cum, law_offsets,
                                            _label_source(family), grid)
 
 

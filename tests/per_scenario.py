@@ -251,7 +251,7 @@ def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup"
         return scalar.esssup(law)
     if outer == "es":
         if q is None:
-            raise ValidationError("outer ES level must lie in [0, 1)")
+            raise ValidationError("outer ES level must be in [0, 1), got None")
         return es(law, q)
     raise ValidationError("outer must be 'esssup' or 'es'")
 

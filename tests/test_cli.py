@@ -272,6 +272,12 @@ class TestMainExitCodes:
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == f"numeric rejection: {message}\n"
 
+    def test_nan_weight_is_numeric_rejection(self, d1_csv, capsys):
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", "linear",
+                   "--weights", "nan,1"])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr() == ("", "numeric rejection: weights must be finite, got nan\n")
+
     def test_out_of_memory_is_numeric_rejection(self, tmp_path, capsys, monkeypatch):
         # the draw that would allocate the 71.1 PiB fails as numpy fails it,
         # before any memory is taken

@@ -238,7 +238,7 @@ class TestLevelMap:
     def test_first_bad_level_is_named(self, spec, bad):
         with pytest.raises(ValidationError) as exc:
             LevelMap.of(spec)
-        assert str(exc.value) == f"scenario level must lie in [0, 1], got {bad}"
+        assert str(exc.value) == f"scenario level must be in [0, 1], got {bad}"
 
 
 def _boxes_by_unique_rows(sample, bins):
