@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import scalar
-from .core import (JointSample, ScenarioPartition, StepCDF, _exactly_one, _level, _segment_sums,
-                   round_significant)
+from .core import (JointSample, ScenarioPartition, StepCDF, _count, _exactly_one, _level,
+                   _segment_sums, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 
@@ -162,20 +162,21 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     """Cartesian quantile-box partition for (effectively) continuous factors.
 
     Each factor column is cut at its empirical left quantiles at levels
-    k / bins, k = 1..bins-1, into left-open right-closed intervals (the
-    lowest interval absorbs everything below).  Empty boxes are dropped.
+    k / bins, k = 1..bins-1 (``scalar.quantiles``: for equally weighted rows
+    the order statistics of rank ceil(k T / bins)), into left-open
+    right-closed intervals (the lowest interval absorbs everything below).
+    Empty boxes are dropped.
     Ties can merge cuts, which the partition's ``cuts`` show.  A box's
     counted interval codes (:func:`_interval_codes`) form one mixed-radix
     key (:func:`_cells`), and its label string is built from them when read.
     """
-    if bins_per_factor < 1:
-        raise ValidationError("bins_per_factor must be >= 1")
+    bins = _count(bins_per_factor, "bins_per_factor", 1)
     rows = _retained_rows(sample)
     weights, cuts, codes = sample.weights[rows], [], []
-    levels = np.arange(1, bins_per_factor) / bins_per_factor
+    levels = np.arange(1, bins) / bins
     for j in range(sample.n_factors):
         col = sample.factors[rows, j]
-        cuts.append(np.unique(scalar.var(StepCDF.from_values(col, weights), levels)))
+        cuts.append(np.unique(scalar.quantiles(col, weights, levels)))
         codes.append(_interval_codes(col, cuts[-1]))
     order, offsets = _cells(codes, [e.size + 1 for e in cuts])
     box_codes = [c[order[offsets[:-1]]] for c in codes]
@@ -217,8 +218,7 @@ def box_mask(sample: JointSample, box: VarBox) -> np.ndarray:
     keep = np.ones(rows.size, dtype=bool)
     for j in range(sample.n_factors):
         col = sample.factors[rows, j]
-        lo, hi = scalar.var(StepCDF.from_values(col, sample.weights[rows]),
-                            [box.alpha[j], box.beta[j]])
+        lo, hi = scalar.quantiles(col, sample.weights[rows], [box.alpha[j], box.beta[j]])
         keep &= (col >= lo) & (col <= hi)
     mask[rows[keep]] = True
     return mask

@@ -143,6 +143,19 @@ def _level(value, name: str, interval: str):
     raise ValidationError(f"{name} must be in {interval}, got {_first(value, outside)!r}")
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """``value``, a count, as an int: an integer (of any type) at least
+    ``minimum``.  NaN, infinities and fractions fail; the message names the
+    value as it was given."""
+    try:
+        whole = value == int(value)  # int() raises on NaN and infinities
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and int(value) >= minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _probabilities(values, name: str) -> np.ndarray:
     """``values`` as a new 1-D float array of probabilities: finite,
     nonnegative and summing to 1 within PROB_TOL.  NaN fails; the message
@@ -206,19 +219,22 @@ def _check_laws(support: np.ndarray, cum: np.ndarray, offsets: np.ndarray) -> No
         raise ValidationError(f"total mass must be 1 within {PROB_TOL}, got {last[off[0]]!r}")
 
 
-def _equal_weight_atoms(x: np.ndarray, c: float):
-    """The atoms of the sorted values ``x`` at the common weight ``c``, as
-    ``StepCDF.from_values`` finds them: the distinct values and each one's
-    mass."""
-    new = np.empty(x.size, dtype=bool)
-    new[0] = True
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    if new.all():  # distinct values: an atom per row
-        return x, np.full(x.size, c)
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=x.size)
-    # an atom of k rows weighs c + c + ... + c, added in turn as bincount adds
-    return x[starts], np.cumsum(np.full(counts.max(), c))[counts - 1]
+def _equal_weight_atoms(x: np.ndarray):
+    """The law of the sorted, equally weighted values ``x``: the distinct
+    values and each one's cum C / n, C the count of values up to it (one
+    correctly rounded division per atom).  For a level p that is the
+    correctly rounded value of a fraction r (k / bins, a decimal), ``cum < p``
+    then decides C / n < r exactly, unless n times r's denominator exceeds
+    about 2**52."""
+    last = np.empty(x.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(x[1:], x[:-1], out=last[:-1])
+    if last.all():  # distinct values: an atom per row
+        return x, np.arange(1, x.size + 1) / x.size
+    ends = np.flatnonzero(last)
+    support = x[ends]
+    ends += 1
+    return support, ends / x.size
 
 
 @dataclass(frozen=True)
@@ -249,21 +265,20 @@ class StepCDF:
 
         Equal values are merged by summing weights; weights normalize to 1.
 
-        Two routes give the same ``support`` and ``cum`` bit for bit.  Equally
-        weighted values (every CSV, ``simulate`` or subsample column) take one
-        ``np.sort`` and the runs of equal values in it
-        (:func:`_equal_weight_atoms`).  Other weights take ``np.unique``'s
-        argsort and inverse, and a ``bincount`` that adds each atom's weights
-        in row order.  With a common weight c the ``bincount`` adds c to
-        itself once per row of the atom, which is the cumulative sum of k
-        copies of c for an atom of k rows.  Equal values are equal bits, as
-        values enter with one zero (:func:`_entered`).
+        Equally weighted values (weights None or all one value: every CSV,
+        ``simulate`` or subsample column) take one ``np.sort``, and each
+        atom's cum is C / n, C the count of values up to it
+        (:func:`_equal_weight_atoms`): the left quantile at p is the order
+        statistic of rank min{C : C / n >= p}.  Other weights take
+        ``np.unique``'s argsort and inverse, a ``bincount`` that adds each
+        atom's weights in row order, and their cumulative sum.  Equal values
+        are equal bits, as values enter with one zero (:func:`_entered`).
         """
         vals = _as_1d(values, "values")
         w = _normalized_weights(weights, vals.size)
         if (w == w[0]).all():
             vals.sort()  # in place: vals is _as_1d's copy
-            return cls._of_masses(*_equal_weight_atoms(vals, w[0]))
+            return cls._of_cum(*_equal_weight_atoms(vals))
         uniq, inverse = np.unique(vals, return_inverse=True)
         # bincount adds each atom's weights in row order, as np.add.at does
         return cls._of_masses(uniq, np.bincount(inverse, weights=w, minlength=uniq.size))
@@ -278,7 +293,12 @@ class StepCDF:
         cum = np.cumsum(masses, out=masses)
         # cumsum drift over many atoms is rescaled away, keeping cum[-1] == 1
         cum /= cum[-1]
-        # library-built arrays, with one zero: checked, and kept without a copy
+        return cls._of_cum(support, cum)
+
+    @classmethod
+    def _of_cum(cls, support, cum) -> "StepCDF":
+        """The law of ``support`` and ``cum``, library-built arrays with one
+        zero: checked, and kept read-only without a copy."""
         _check_laws(support, cum, np.array([0, support.size]))
         return _unchecked(cls, support=_freeze(support), cum=_freeze(cum))
 
@@ -607,6 +627,8 @@ class ConditionalLawFamily:
         atom's mass one ``bincount`` over the atoms' stored index."""
         masses = self._masses()
         masses *= np.repeat(self.pis, np.diff(self.offsets))
+        if (masses == masses[0]).all():  # equally weighted atoms: the count rule
+            return StepCDF.from_values(self.support)
         points, at = self._grid
         masses /= masses.sum()  # as from_values normalizes its weights
         return StepCDF._of_masses(points, np.bincount(at, weights=masses, minlength=points.size))
@@ -660,10 +682,14 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
     (:func:`_batches`) one sort of (segment, rank) keys (:func:`_sorted_keys`)
     numbers the atoms in segment and value order, and ``bincount`` sums each
     one's mass in row order.  An atom's index in the merged support is its
-    rank, re-ranked where atoms were dropped.
+    rank, re-ranked where atoms were dropped.  A segment of equal weights
+    takes ``from_values``' count rule, cum = C / n from the position where
+    each atom's rows end; the others accumulate their masses.
     """
     rank, points = _ranks(values)
-    support, masses, sizes, at, n_atoms = [], [], [], [], 0
+    starts, n_rows = offsets[:-1], np.diff(offsets)
+    equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
+    support, cum, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
         key = rank[a:b].astype(np.int64)
@@ -678,13 +704,29 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
         atom = np.empty_like(of_sorted)
         atom[order] = of_sorted
         batch = np.bincount(atom, weights=w[a:b])  # in row order, as np.add.at adds
+        del atom
         n_atoms += batch.size
         keep = batch > MIN_ATOM_MASS
         sizes.append(np.add.reduceat(keep, of_sorted[offsets[s:e] - a], dtype=np.int64))
-        first = a + order[new][keep]  # a row of each kept atom
+        head = np.flatnonzero(new)  # where each atom's rows start, in sorted order
+        count = np.append(head[1:], b - a)[keep]  # where each kept atom's rows end
+        head = head[keep]
+        first = a + order[head]  # a row of each kept atom
         support.append(values[first])
         at.append(rank[first])
-        masses.append(batch[keep])
+        seg = s + key[head] // points.size  # each kept atom's segment
+        del key, order, of_sorted, head, first  # freed before the cum, for the peak memory
+        count += a
+        count -= offsets[seg]  # C, the segment's rows up to the atom
+        part = count / n_rows[seg]  # the count rule
+        if not equal[s:e].all():  # weighted segments accumulate their masses
+            local = np.concatenate(([0], np.cumsum(sizes[-1])))
+            sums = _segment_cumsums(batch[keep], local)
+            # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
+            sums /= np.repeat(sums[local[1:] - 1], sizes[-1])
+            weighted = ~equal[seg]
+            part[weighted] = sums[weighted]
+        cum.append(part)
     del rank, values  # the caller's gather is freed here, for the peak memory
     support, sizes, at = np.concatenate(support), np.concatenate(sizes), np.concatenate(at)
     if at.size < n_atoms:  # atoms were dropped: re-rank
@@ -694,11 +736,7 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
             at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
             points = points[present]
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    masses = np.concatenate(masses)  # the list is freed here, for the peak memory
-    cum = _segment_cumsums(masses, law_offsets)
-    del masses
-    # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
-    cum /= np.repeat(cum[law_offsets[1:] - 1], sizes)
+    cum = np.concatenate(cum)  # the list is freed here, for the peak memory
     return support, cum, law_offsets, (_freeze(points), _freeze(at))
 
 

@@ -34,8 +34,8 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _lazy_labels, _level, _merged_grid, _probabilities, _scenario_var,
-                   _segment_es, _sweep)
+                   _count, _lazy_labels, _level, _merged_grid, _probabilities,
+                   _scenario_var, _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -145,9 +145,7 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = np.random.default_rng(seed)
-    n = int(n_scenarios)
-    if n < 1:
-        raise ValidationError(f"n_scenarios must be at least 1, got {n}")
+    n = _count(n_scenarios, "n_scenarios", 1)
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
         hi = psi(np.ones(n), pi)
@@ -230,8 +228,7 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
     coherence, never a certificate: the inequality quantifies over an
     infinite function class.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _count(trials, "trials", 1)
     pi = _probabilities(pi, "pi")
     rng = np.random.default_rng(seed)
     n = pi.size

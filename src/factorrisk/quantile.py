@@ -27,8 +27,8 @@ import numpy as np
 
 from . import scalar
 from .conditioning import VarBox, broadcast_levels, event_law, tail_box
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _level,
-                   _merged_grid, _sweep)
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _count,
+                   _level, _merged_grid, _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -114,9 +114,7 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     upward closed gets a row it accepts whose row below it rejects (or row 0).
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
-    n = int(n_scenarios)
-    if n < 1:
-        raise ValidationError(f"n_scenarios must be at least 1, got {n}")
+    n = _count(n_scenarios, "n_scenarios", 1)
     pi = np.full(n, 1.0 / n)
     if pred.apply(np.zeros((1, n)), pi)[0]:
         raise ValidationError("predicate must reject the all-zeros profile")

@@ -11,8 +11,9 @@ plain benchmark is VaR_p(beta0 + beta . W + sigma * eps), and the grid
 statistic diff = rho(X, W) / rho(X) - 1 measures the percentage change of
 the factor measure against the plain quantile.  All randomness is driven
 by seeds derived deterministically from a master seed and the grid row, so
-repeated evaluations agree bit for bit.  Grids and matching-q searches
-build the law of beta . W once per call and read every q from it.
+repeated evaluations agree bit for bit.  Equally weighted data build no
+law: each quantile is an order statistic (``scalar.quantiles``), and a grid
+reads all its q levels from one sort of beta . W.
 scipy is imported inside ``ols_fit``, its only user, so importing the
 package loads numpy alone.
 """
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JointSample, StepCDF, _level
+from .core import JointSample, StepCDF, _as_1d, _count, _level
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
@@ -158,6 +159,7 @@ class GaussianFactorSpec:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValidationError("covariance shape must match the mean vector")
+        _as_1d(mean.ravel(), "mean"), _as_1d(cov.ravel(), "covariance")  # finite
         if np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValidationError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh(cov)
@@ -184,6 +186,7 @@ class DiscreteFactorSpec:
             values = values.reshape(-1, 1)
         if values.ndim != 2 or values.shape[0] == 0:
             raise ValidationError("values must be a nonempty (k, N) array")
+        _as_1d(values.ravel(), "factor values")
         object.__setattr__(self, "values", values)
 
     def draw(self, rng, n: int) -> np.ndarray:
@@ -194,8 +197,7 @@ class DiscreteFactorSpec:
 def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
              seed: int = DEFAULT_SEED) -> JointSample:
     """Draw a deterministic sample of the regression model under a seed."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _count(n, "n", 1)
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -213,16 +215,13 @@ def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
                  q: float) -> float:
     """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
     p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1)")
-    return _rho(fit, _index_law(fit, factor_sample), p, q)
+    index = factor_sample.factors @ fit.beta
+    return _rho(fit, scalar.quantiles(index, factor_sample.weights, q), p)
 
 
-def _index_law(fit: RegressionFit, factor_sample: JointSample) -> StepCDF:
-    """The weighted law of the factor index beta . W."""
-    return StepCDF.from_values(factor_sample.factors @ fit.beta, factor_sample.weights)
-
-
-def _rho(fit: RegressionFit, index_law: StepCDF, p: float, q: float) -> float:
-    return fit.beta0 + scalar.var(index_law, q) + fit.sigma * norm_inv(p)
+def _rho(fit: RegressionFit, index_var, p: float):
+    """The closed form at the index quantile ``index_var`` (a value or an array)."""
+    return fit.beta0 + index_var + fit.sigma * norm_inv(p)
 
 
 def _row_rng(master_seed: int, row_index: int):
@@ -237,32 +236,35 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     ``model`` draws one noise term per observation on top of the fitted
     values, ``model-mc`` convolves fitted values with noise over
     ``mc_draws`` resamples, ``empirical`` takes the weighted quantile of
-    the observed target column.
+    the observed target column.  Each is the left quantile of its values
+    (``scalar.quantiles``): with equal weights, the order statistic of rank
+    min{C : C / n >= p}.
     """
     p = _level(p, "level p", "(0, 1)")
     return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, row_index)[0]
 
 
 def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
-                master_seed: int, mc_draws: int, first_row: int = 0) -> list[float]:
+                master_seed: int, mc_draws: int, first_row: int = 0,
+                index: np.ndarray | None = None) -> list[float]:
     """:func:`plain_var` at each level, row i seeded by (master_seed,
-    first_row + i); the loss law or the fitted values are built once."""
+    first_row + i); the empirical levels are read from one sort of the
+    loss, and the fitted values are computed once, from the factor index
+    beta . W when the caller has it (``fit.fitted``'s bits)."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
-        loss_law = StepCDF.from_values(data.loss, data.weights)
-        return scalar.var(loss_law, p_values).tolist()
-    fitted = fit.fitted(data.factors)
+        return scalar.quantiles(data.loss, data.weights, p_values).tolist()
+    fitted = fit.beta0 + (data.factors @ fit.beta if index is None else index)
     out = []
     for row, p in enumerate(p_values, first_row):
         rng = _row_rng(master_seed, row)
         if mode == "model":
-            values = fitted + fit.sigma * rng.standard_normal(fitted.size)
-            law = StepCDF.from_values(values, data.weights)
+            values, weights = fitted + fit.sigma * rng.standard_normal(fitted.size), data.weights
         else:
             idx = rng.choice(fitted.size, size=mc_draws, p=data.weights)
-            law = StepCDF.from_values(fitted[idx] + fit.sigma * rng.standard_normal(mc_draws))
-        out.append(scalar.var(law, p))
+            values, weights = fitted[idx] + fit.sigma * rng.standard_normal(mc_draws), None
+        out.append(scalar.quantiles(values, weights, p))
     return out
 
 
@@ -315,19 +317,20 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
 
     The plain VaR is computed once per p row with a seed derived from
     (master_seed, row index), so each row shares one benchmark and diff is
-    exactly nondecreasing in q whenever the benchmark is positive.  The law
-    of the factor index, and the fitted values or the loss law behind the
-    benchmark, are built once per call, so each cell costs one
-    ``searchsorted``; output order is p-major.
+    exactly nondecreasing in q whenever the benchmark is positive.  The
+    factor index beta . W is computed once per call, every q is read from
+    one sort of it, and the fitted values behind the benchmark are built
+    from it; output order is p-major.
     """
     p_values = _level(list(p_values), "p levels", "(0, 1)")
     q_values = _level(list(q_values), "q levels", "(0, 1)")
     if p_values.size == 0 or q_values.size == 0:
         raise ValidationError("level lists must be nonempty")
-    index_law = _index_law(fit, data)
-    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws)
-    rf = np.array([_rho(fit, index_law, p, q) for p in p_values.tolist()
-                   for q in q_values.tolist()])
+    index = data.factors @ fit.beta
+    index_vars = scalar.quantiles(index, data.weights, q_values).tolist()
+    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws,
+                         index=index)
+    rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars])
     rp = np.repeat(plains, q_values.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.where(rp != 0, rf / rp - 1.0, np.nan)
@@ -337,34 +340,45 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
 def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
                     plain_mode: str = "model", master_seed: int = DEFAULT_SEED,
                     tol: float = 1e-6, max_iter: int = 60) -> float:
-    """Bisect for the q0 where the factor measure matches the plain VaR.
+    """The level q0 where the factor measure meets the plain VaR_p(X).
 
-    Requires diff to change sign across q in (0, 1); otherwise the
-    boundary diffs are reported in the error (a factor-free model is
-    already matching everywhere).
+    diff(q) = rho(X, W) / plain - 1 is a step function of q: it keeps the
+    sign of diff(1e-9) while VaR_q(L), L = beta . W, lies below the match
+    point c, where beta0 + c + sigma * Ninv(p) is the plain VaR.  q0 is
+    F_L(c-), the mass of L below c: the largest q at which diff keeps that
+    sign, where a bisection of diff over q converges.  With equal weights it
+    is C / T, C the count of rows whose diff (the float expression of
+    :func:`gaussian_rho`) has the sign of diff(1e-9); with other weights it
+    is the law's cum at its last such atom.
+
+    Requires diff to change sign between q = 1e-9 and 1 - 1e-9; otherwise
+    the boundary diffs are reported in the error (a factor-free model is
+    already matching everywhere).  ``tol`` (>= 0) and ``max_iter`` (an
+    integer >= 0) are checked and have no effect: they set the former
+    bisection's stopping rule.
     """
-    plain = plain_var(fit, data, p, plain_mode, master_seed, 0)
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol!r}")
+    _count(max_iter, "max_iter", 0)
+    p = _level(p, "level p", "(0, 1)")
+    index, lo, hi = data.factors @ fit.beta, 1e-9, 1.0 - 1e-9
+    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, MC_DRAWS, index=index)[0]
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
-    index_law = _index_law(fit, data)
-
-    def diff_at(q: float) -> float:
-        return _rho(fit, index_law, p, q) / plain - 1.0
-
-    lo, hi = 1e-9, 1.0 - 1e-9
-    d_lo, d_hi = diff_at(lo), diff_at(hi)
+    if (data.weights == data.weights[0]).all():
+        points, cum = index, None
+        # two partitions: cheaper than the sort that one call at both levels takes
+        ends = np.array([scalar.quantiles(index, None, lo), scalar.quantiles(index, None, hi)])
+    else:
+        law = StepCDF.from_values(index, data.weights)
+        points, cum = law.support, law.cum
+        ends = scalar.var(law, [lo, hi])
+    d_lo, d_hi = (_rho(fit, ends, p) / plain - 1.0).tolist()
     if not (d_lo < 0 < d_hi or d_hi < 0 < d_lo):
         raise ValidationError(
             f"diff does not change sign over q: diff({lo:g})={d_lo:.6g}, "
             f"diff({hi:g})={d_hi:.6g}"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        d_mid = diff_at(mid)
-        if abs(d_mid) <= tol:
-            return mid
-        if (d_mid < 0) == (d_lo < 0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi, d_hi = mid, d_mid
-    return 0.5 * (lo + hi)
+    diff = _rho(fit, points, p) / plain - 1.0
+    count = np.count_nonzero(diff < 0 if d_lo < 0 else diff > 0)
+    return count / points.size if cum is None else float(cum[count - 1])

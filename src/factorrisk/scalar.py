@@ -106,6 +106,36 @@ def var(cdf: StepCDF, alpha):
     return x if x.ndim else float(x)
 
 
+def quantiles(values, weights, levels):
+    """``var(StepCDF.from_values(values, weights), levels)``, bit for bit,
+    with no law built where the weights are equal (None, or all one value).
+
+    The left quantile of n equally weighted values at p is then the order
+    statistic of rank k = min{C : C / n >= p}, the division correctly
+    rounded, whatever the ties.  ceil(p * n) is within one of k, and one
+    step each way corrects it.  One level is read by an in-place
+    ``np.partition``, several by one ``np.sort``.
+    """
+    levels = _level(levels, "VaR level", "(0, 1]")
+    x = _as_1d(values, "values")
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        # equal, finite and positive, or from_values checks them and decides
+        if not (w.shape == x.shape and 0 < w[0] < np.inf and (w == w[0]).all()):
+            return var(StepCDF.from_values(values, weights), levels)
+    n = x.size
+    k = np.ceil(np.multiply(levels, n)).astype(np.int64)
+    k -= (k - 1) / n >= levels
+    k += k / n < levels
+    k -= 1
+    if k.size == 1:
+        x.partition(k.item())  # in place: x is _as_1d's copy
+    else:
+        x.sort()
+    out = x[k]
+    return out if out.ndim else float(out)
+
+
 def es(cdf: StepCDF, alpha: float) -> float:
     """Expected shortfall (1/(1-alpha)) * integral of the quantile over (alpha, 1].
 

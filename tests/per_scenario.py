@@ -6,7 +6,9 @@ sort), and one ``StepCDF`` per law, built in batches of consecutive scenarios
 with a per-scenario argsort, ``sum`` and ``cumsum``.  Their results go
 through the public constructors ``ScenarioPartition(scenarios)`` and
 ``ConditionalLawFamily(pis, laws, labels)``.  ``from_values`` is the former
-``StepCDF.from_values``, one ``np.unique`` and ``bincount`` for any weights.
+``StepCDF.from_values``, one ``np.unique`` and ``bincount`` for any weights,
+with equal weights' cum taken as each atom's cumulative row count over n
+(the count rule).
 ``event_law`` selects an event's rows one row at a time, and
 ``equal_event_law`` is the former ``quantile._equal_event_cdf``.
 
@@ -44,6 +46,8 @@ def from_values(values, weights=None) -> StepCDF:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
     uniq, inverse = np.unique(vals, return_inverse=True)
+    if (w == w[0]).all():
+        return StepCDF(uniq, np.cumsum(np.bincount(inverse)) / vals.size)
     masses = np.bincount(inverse, weights=w, minlength=uniq.size)
     keep = masses > MIN_ATOM_MASS
     cum = np.cumsum(masses[keep])
@@ -143,14 +147,20 @@ def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
     atom_of_sorted = np.cumsum(new) - 1
     atom = np.empty_like(atom_of_sorted)
     atom[order] = atom_of_sorted
-    masses = np.bincount(atom, weights=w / np.repeat(pis, np.diff(bounds)))
+    w = w / np.repeat(pis, np.diff(bounds))
+    masses = np.bincount(atom, weights=w)
+    counts = np.bincount(atom)
     keep = masses > MIN_ATOM_MASS
-    support, masses = x[new][keep], masses[keep]
+    support, masses, counts = x[new][keep], masses[keep], counts[keep]
     ends = np.cumsum(np.add.reduceat(keep, atom_of_sorted[bounds[:-1]], dtype=np.int64))
     laws = []
-    for a, b in zip([0] + ends[:-1].tolist(), ends.tolist()):
-        cum = masses[a:b].cumsum()
-        laws.append(StepCDF(support[a:b], cum / cum[-1]))
+    for (a, b), (r, s) in zip(zip([0] + ends[:-1].tolist(), ends.tolist()), spans):
+        if (w[r:s] == w[r]).all():  # equal weights: the count rule
+            cum = np.cumsum(counts[a:b]) / (s - r)
+        else:
+            cum = masses[a:b].cumsum()
+            cum = cum / cum[-1]
+        laws.append(StepCDF(support[a:b], cum))
     return pis, laws
 
 

@@ -240,7 +240,7 @@ class TestCustomPsi:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_no_scenarios(self, n):
-        with pytest.raises(ValidationError, match="n_scenarios must be at least 1"):
+        with pytest.raises(ValidationError, match="n_scenarios must be an integer >= 1"):
             psi_custom(lambda v, pi: float(v @ pi), n_scenarios=n)
 
     def test_mean_of_es_rejects_level_matrix(self):

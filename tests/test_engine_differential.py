@@ -371,11 +371,13 @@ def _point_masses(weights, values=None) -> ConditionalLawFamily:
 
 
 class TestClosedFormTies:
-    """Exact probability ties where the closed forms take the next atom.
+    """Exact probability ties, where a float cum can land under the level
+    and take the next atom.
 
-    The engine gives the exact left quantile here; the closed forms do not,
-    so exact agreement fails.  Fixing the closed forms turns these into
-    passes, and strict xfail then flags them for removal.
+    The engine gives the exact left quantile here.  An equally weighted law
+    takes its cum as counts over n, so the closed forms agree on it; the
+    weighted outer law of ``compose_var_distortion`` still takes the next
+    atom, which the strict xfail flags until it is fixed.
     """
 
     def test_engine_takes_the_exact_left_quantile(self):
@@ -385,20 +387,19 @@ class TestClosedFormTies:
         assert choquet_factor(fam, psi_mean_of_var(3 / 9)) == 2.0
 
     @pytest.mark.xfail(strict=True, reason=(
-        "perfbench README Finding 2: scenario weights add up to q exactly and "
-        "compose_var_distortion's float cumsum lands under q, so it returns the next "
-        "scenario VaR"))
+        "perfbench README Finding 2: the scenario weights 1/9, 6/9, 2/9 are weighted, "
+        "not counts, and compose_var_distortion's outer law rescales their float "
+        "cumsum to put cum[0] at 0.11111111111111109, under q = 1/9, so it returns "
+        "the next scenario VaR"))
     def test_finding_2_outer_weight_tie(self):
         fam = _point_masses([1, 6, 2])
         q = 1 / 9
         assert (quantile_factor(fam, pred_var_of_var(0.5, q))
                 == compose_var_distortion(fam, 0.5, var_distortion(q)))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "perfbench README Finding 1: the float cumsum of nine masses of 1/9 lands "
-        "under the level 3/9, so the closed form's per-scenario VaR is the next order "
-        "statistic"))
     def test_finding_1_scenario_level_tie(self):
+        # perfbench README Finding 1: nine equally weighted values take cum C / 9,
+        # so the level 3/9 selects the third order statistic exactly
         fam = ConditionalLawFamily(np.array([1.0]), (StepCDF.from_values(np.arange(9.0)),))
         assert (choquet_factor(fam, psi_mean_of_var(3 / 9))
                 == compose_var_distortion(fam, 3 / 9, identity_distortion()))

@@ -1,11 +1,12 @@
-"""The two routes of ``StepCDF.from_values`` against the former one.
+"""The two routes of ``StepCDF.from_values`` against the reference one.
 
-Equally weighted values take one ``np.sort`` and its runs of equal values;
-other weights take ``np.unique`` and ``bincount``.  Both must equal
-``per_scenario.from_values`` (the former route, ``np.unique`` and
-``bincount`` for any weights) bit for bit: the support, the sign of every
-zero in it, and the cumulative masses.  Zero runs hold both -0.0 and 0.0,
-which enter as 0.0.
+Equally weighted values take one ``np.sort`` and its runs of equal values,
+each atom's cum its row count up to it over n; other weights take
+``np.unique`` and ``bincount``.  Both must equal ``per_scenario.from_values``
+(``np.unique`` for any weights, with the counts of its inverse over n for
+equal weights and a ``bincount`` of the weights otherwise) bit for bit: the
+support, the sign of every zero in it, and the cumulative masses.  Zero runs
+hold both -0.0 and 0.0, which enter as 0.0.
 """
 
 import numpy as np
@@ -76,11 +77,11 @@ class TestEqualWeights:
         law = StepCDF.from_values([value])
         assert law.cum.tolist() == [1.0]
 
-    def test_every_atom_mass_is_the_sequential_sum(self):
-        # 0.1 added to itself k times drifts from k * 0.1; the atoms must
-        # carry the drifted sums, as bincount forms them
+    def test_every_atom_cum_is_its_count_over_n(self):
+        # a running float sum of the masses drifts from C / n; the count does not
         values = np.repeat(np.arange(50.0), np.arange(1, 51))
         law = StepCDF.from_values(values)
+        assert law.cum.tobytes() == (np.cumsum(np.arange(1, 51)) / values.size).tobytes()
         assert law.cum.tobytes() == per_scenario.from_values(values).cum.tobytes()
 
 

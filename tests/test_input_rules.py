@@ -1,5 +1,6 @@
-"""One rule per input kind: every level, probability vector and factor
-matrix is checked by one ``core`` function, and NaN fails each of them.
+"""One rule per input kind: every level, probability vector, factor
+matrix and count is checked by one ``core`` function, and NaN fails each
+of them.
 
 The level table feeds each level site NaN, each open endpoint of its
 interval and 1.5, and expects the one message form
@@ -15,7 +16,9 @@ import pytest
 
 from factorrisk import (
     ConditionalLawFamily,
+    DiscreteFactorSpec,
     DiscreteJointDistribution,
+    GaussianFactorSpec,
     JointSample,
     PiecewiseLinearAllocation,
     Scenario,
@@ -28,17 +31,22 @@ from factorrisk import (
     es_composition,
     es_distortion,
     es_tail_density,
+    find_matching_q,
     gaussian_rho,
     norm_inv,
     ols_fit,
+    partition_quantile_boxes,
     piecewise_linear_distortion,
     plain_var,
+    pred_custom,
     pred_esssup_var,
     pred_single_scenario,
     pred_var_of_var,
     psi_es_on_box,
+    psi_custom,
     psi_indicator_var_var,
     psi_mean,
+    simulate,
     var_distortion,
 )
 from factorrisk import scalar
@@ -203,3 +211,65 @@ class TestFactorMatrices:
         with pytest.raises(ValidationError) as exc:
             build()
         assert str(exc.value) == message
+
+
+# each count site: a call taking the count, its name and its minimum
+COUNT_SITES = {
+    "condition_a_check trials": (lambda n: condition_a_check(psi_mean(), [0.5, 0.5], trials=n),
+                                 "trials", 1),
+    "partition_quantile_boxes bins": (lambda n: partition_quantile_boxes(SAMPLE, n),
+                                      "bins_per_factor", 1),
+    "simulate n": (lambda n: simulate(0.0, [1.0], 1.0, DiscreteFactorSpec([0.0, 1.0]), n),
+                   "n", 1),
+    "psi_custom n_scenarios": (lambda n: psi_custom(lambda v, pi: float(v @ pi), n),
+                               "n_scenarios", 1),
+    "pred_custom n_scenarios": (lambda n: pred_custom(lambda c, pi: bool(c.min() >= 0.5), n),
+                                "n_scenarios", 1),
+    "find_matching_q max_iter": (lambda n: find_matching_q(FIT, SAMPLE, 0.95, max_iter=n),
+                                 "max_iter", 0),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    @pytest.mark.parametrize("bad", [NAN, np.inf, 2.5, "3", None, "below"])
+    def test_one_message_form(self, site, bad):
+        call, name, minimum = COUNT_SITES[site]
+        value = minimum - 1 if bad == "below" else bad
+        with pytest.raises(ValidationError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be an integer >= {minimum}, got {value!r}"
+
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    def test_integral_values_of_any_type_count(self, site):
+        call, _, minimum = COUNT_SITES[site]
+        count = max(minimum, 2)
+        for value in (count, float(count), np.int64(count)):
+            call(value)
+
+    def test_nan_trials_no_longer_pass_without_a_trial(self):
+        # NaN compared false with 1 and ran no trial, which read "no violation found"
+        with pytest.raises(ValidationError, match="trials"):
+            condition_a_check(psi_mean(), [0.5, 0.5], trials=NAN)
+
+
+class TestFactorSpecs:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GaussianFactorSpec([0.0, NAN], np.eye(2)), "mean must be finite, got nan"),
+        (lambda: GaussianFactorSpec([np.inf], [[1.0]]), "mean must be finite, got inf"),
+        (lambda: GaussianFactorSpec([0.0], [[NAN]]), "covariance must be finite, got nan"),
+        (lambda: GaussianFactorSpec([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]]),
+         "covariance must be finite, got inf"),
+        (lambda: DiscreteFactorSpec([0.0, NAN]), "factor values must be finite, got nan"),
+        (lambda: DiscreteFactorSpec([[0.0, 1.0], [-np.inf, 2.0]]),
+         "factor values must be finite, got -inf"),
+    ])
+    def test_non_finite_specs_are_rejected(self, build, message):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_finite_specs_draw_as_before(self):
+        spec = GaussianFactorSpec([0.5, -1.0], [[1.0, 0.2], [0.2, 2.0]])
+        assert spec.mean.tolist() == [0.5, -1.0]
+        assert DiscreteFactorSpec([0.0, 1.0]).values.tolist() == [[0.0], [1.0]]

@@ -167,7 +167,7 @@ class TestPredicates:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_custom_rejects_no_scenarios(self, n):
-        with pytest.raises(ValidationError, match="n_scenarios must be at least 1"):
+        with pytest.raises(ValidationError, match="n_scenarios must be an integer >= 1"):
             pred_custom(lambda u, pi: bool(u @ pi >= 0.5), n_scenarios=n)
 
     def test_custom_rejects_downward(self):

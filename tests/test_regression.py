@@ -14,6 +14,7 @@ from factorrisk import (
     GaussianFactorSpec,
     JointSample,
     RankDeficientError,
+    StepCDF,
     ValidationError,
     diff_grid,
     find_matching_q,
@@ -366,7 +367,8 @@ def _reference_grid(fit, data, p_values, q_values, mode, seed, mc_draws):
 
 
 def _reference_matching_q(fit, data, p, seed, tol, max_iter=60):
-    """Bisection that re-evaluates gaussian_rho at every step."""
+    """The former find_matching_q: a bisection of diff over q that
+    re-evaluates gaussian_rho at every step."""
     plain = plain_var(fit, data, p, "model", seed, 0)
 
     def diff_at(q):
@@ -384,6 +386,27 @@ def _reference_matching_q(fit, data, p, seed, tol, max_iter=60):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _sorted_matching_q(fit, data, p, seed):
+    """F_L(c-) read off the sorted factor index: the rows whose diff, one
+    Python float expression per row, keeps the sign of the smallest row's;
+    their count over T for equal weights, else the law's cum at the last of
+    their values (checked against the correctly rounded sum of their weights)."""
+    plain = plain_var(fit, data, p, "model", seed, 0)
+    index = data.factors @ fit.beta
+    order = np.argsort(index, kind="stable")
+    x, w = index[order].tolist(), data.weights[order]
+    shift = fit.sigma * norm_inv(p)
+    diffs = [(fit.beta0 + v + shift) / plain - 1.0 for v in x]
+    below = diffs[0] < 0
+    count = next(i for i, d in enumerate(diffs) if (d < 0) != below or d == 0)
+    if (w == w[0]).all():
+        return count / len(x)
+    law = StepCDF.from_values(index, data.weights)
+    q0 = float(law.cum[len(set(x[:count])) - 1])
+    assert abs(q0 - math.fsum(w[:count].tolist())) <= 1e-12
+    return q0
 
 
 def _gaussian_sample():
@@ -424,10 +447,25 @@ class TestIndexLawBuiltOnce:
     @pytest.mark.parametrize("make", SAMPLES)
     @pytest.mark.parametrize("tol", [0.0, 1e-6])
     def test_matching_q_equals_stepwise_route(self, make, tol):
+        # q0 is F_L(c-) read off the sorted index, whatever tol, and the former
+        # bisection (tol=0) converges to it within 1 ulp
         data = make()
         fit = ols_fit(data)
         q0 = find_matching_q(fit, data, 0.95, master_seed=8, tol=tol)
-        assert q0 == _reference_matching_q(fit, data, 0.95, 8, tol)
+        assert q0 == _sorted_matching_q(fit, data, 0.95, 8)
+        assert abs(q0 - _reference_matching_q(fit, data, 0.95, 8, 0.0)) <= np.spacing(q0)
+
+    def test_tol_and_max_iter_have_no_effect(self):
+        data = _gaussian_sample()
+        fit = ols_fit(data)
+        q0 = find_matching_q(fit, data, 0.95, master_seed=8)
+        for tol, max_iter in ((0.0, 60), (1e-6, 0), (0.5, 3)):
+            assert find_matching_q(fit, data, 0.95, master_seed=8, tol=tol,
+                                   max_iter=max_iter) == q0
+        for tol, max_iter, name in ((math.nan, 60, "tol"), (-1e-6, 60, "tol"),
+                                    (0.0, 2.5, "max_iter"), (0.0, -1, "max_iter")):
+            with pytest.raises(ValidationError, match=name):
+                find_matching_q(fit, data, 0.95, master_seed=8, tol=tol, max_iter=max_iter)
 
     def test_grid_rejects_out_of_range_level(self):
         data = _gaussian_sample()
