@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conditioning, coherent, distortion, linear, quantile, regression, scalar, sharing
-from .core import JointSample, from_sample
+from .core import JointSample, StepCDF, from_sample
 from .errors import DataFormatError, FactorRiskError
 
 EXIT_OK = 0
@@ -605,7 +605,7 @@ def _dispatch(args) -> int:
             raise UsageError("at least one agent spec is required")
         families = {}
         agents = [_agent_spec(tok.strip(), sample, families) for tok in tokens]
-        x_law = _column_family(sample, "", families).mixture()
+        x_law = StepCDF.from_values(sample.loss, sample.weights)
         value, allocation = sharing.inf_convolution(x_law, agents)
         del agents, families, x_law  # the families are freed before the JSON is built
         # json.dumps(..., indent=2) of the whole payload, with the arrays

@@ -656,8 +656,7 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
     if empty.size:
         label = partition.labels[empty[0]]
         raise ValidationError(f"scenario {label!r} is empty after weight normalization")
-    w /= np.repeat(pis, np.diff(offsets))
-    support, cum, law_offsets, grid = _segment_laws(sample.loss[rows], w, offsets)
+    support, cum, law_offsets, grid = _segment_laws(sample.loss[rows], w, offsets, pis)
     return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets,
                                            _label_source(partition), grid)
 
@@ -669,10 +668,12 @@ def _label_source(owner):
     return owner._labels if built is None else partial(tuple, built)
 
 
-def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
+def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals: np.ndarray):
     """Support, cum and offsets of ``StepCDF.from_values(values[a:b], w[a:b])``
-    for each segment [a, b) of ``offsets`` (``w`` totals 1 in each), bit for
-    bit, and the merged support with each atom's index in it, read-only.
+    for each segment [a, b) of ``offsets``, bit for bit, ``w`` divided in
+    place by ``totals``, its positive segment sums (:func:`_segment_sums`),
+    as ``from_values`` normalizes; and the merged support with each atom's
+    index in it, read-only.
     ``values`` hold no -0.0, so equal values are equal bits: a sample's
     losses (:func:`_entered`), or ``PiecewiseLinearAllocation.h`` of a
     family's support, whose last term adds +0.0.
@@ -686,8 +687,9 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray):
     takes ``from_values``' count rule, cum = C / n from the position where
     each atom's rows end; the others accumulate their masses.
     """
-    rank, points = _ranks(values)
     starts, n_rows = offsets[:-1], np.diff(offsets)
+    w /= np.repeat(totals, n_rows)
+    rank, points = _ranks(values)
     equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
     support, cum, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):

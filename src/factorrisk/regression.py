@@ -80,9 +80,10 @@ def _design(data: JointSample, target, factors):
 def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     """Least squares of the target on the factors plus a constant.
 
-    Solved through a QR factorization; the residual scale uses the
-    degrees-of-freedom corrected divisor T - N - 1.  Rank deficiency is
-    rejected with the offending column names.
+    Solved through one pivoted QR factorization, which never forms Q: its
+    R and pivots decide the rank, and R solves for Q'y, un-permuted.  The
+    residual scale uses the degrees-of-freedom corrected divisor T - N - 1.
+    Rank deficiency is rejected with the offending column names.
     """
     from scipy import linalg as sla
     from scipy import special
@@ -93,24 +94,22 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
         raise ValidationError(f"need more than N+1={n_fac + 1} observations, got {T}")
     X = np.column_stack([np.ones(T), W])
     all_names = ("const",) + tuple(names)
-    # the rank check reads R and the pivots alone; "raw" forms no Q
-    _, r_piv, piv = sla.qr(X, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(r_piv))
+    qty, r, piv = sla.qr_multiply(X, y, mode="right", pivoting=True)
+    diag = np.abs(np.diag(r))
     # collinearity below the 12-digit ingestion rounding counts as deficient
     rank_tol = diag.max() * max(max(X.shape) * np.finfo(float).eps, 1e-10)
     rank = int((diag > rank_tol).sum())
     if rank < X.shape[1]:
         bad = tuple(all_names[j] for j in sorted(piv[rank:]))
         raise RankDeficientError(f"design matrix is rank deficient; columns {bad}", bad)
-    q_plain, r_plain = sla.qr(X, mode="economic")
-    coef = sla.solve_triangular(r_plain, q_plain.T @ y)
+    unpivot = np.argsort(piv)
+    coef = sla.solve_triangular(r, qty)[unpivot]
+    rinv = sla.solve_triangular(r, np.eye(X.shape[1]))  # (X'X)^-1 = P R^-1 R^-T P'
     residuals = y - X @ coef
     dof = T - n_fac - 1
     sse = float(residuals @ residuals)
     sigma = math.sqrt(sse / dof)
-    rinv = sla.solve_triangular(r_plain, np.eye(X.shape[1]))
-    xtx_inv_diag = (rinv * rinv).sum(axis=1)
-    stderr = sigma * np.sqrt(xtx_inv_diag)
+    stderr = sigma * np.sqrt((rinv * rinv).sum(axis=1))[unpivot]
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(stderr > 0, coef / stderr, np.nan)
     pvalue = np.where(np.isfinite(tstat), 2.0 * special.stdtr(dof, -np.abs(tstat)), np.nan)
@@ -119,11 +118,9 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     # residuals at ingestion-rounding scale carry no directional information
     resid_norm = np.linalg.norm(residuals)
     if resid_norm > 1e-10 * max(1.0, np.linalg.norm(y)):
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            denom = resid_norm * np.linalg.norm(col)
-            if denom > 0 and abs(residuals @ col) / denom > 1e-8:
-                raise ValidationError("residuals are not orthogonal to the design")
+        cosines = np.abs(residuals @ X) / (resid_norm * np.linalg.norm(X, axis=0))
+        if (cosines > 1e-8).any():
+            raise ValidationError("residuals are not orthogonal to the design")
     return RegressionFit(
         beta0=float(coef[0]),
         beta=coef[1:].copy(),

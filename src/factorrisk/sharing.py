@@ -153,9 +153,8 @@ def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAl
     """Conditional laws of h_agent(X): ``StepCDF.from_values(h(law.support),
     law.masses)`` for each law, bit for bit, with the whole support mapped once."""
     masses, offsets = family._masses(), family.offsets
-    masses /= np.repeat(_segment_sums(masses, offsets), np.diff(offsets))
     support, cum, law_offsets, grid = _segment_laws(allocation.h(agent, family.support), masses,
-                                                    offsets)
+                                                    offsets, _segment_sums(masses, offsets))
     return ConditionalLawFamily._from_flat(family.pis, support, cum, law_offsets,
                                            _label_source(family), grid)
 

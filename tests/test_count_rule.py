@@ -25,7 +25,7 @@ from factorrisk import (ConditionalLawFamily, JointSample, StepCDF, VarBox, choq
                         gaussian_rho, identity_distortion, ols_fit, partition_discrete,
                         partition_quantile_boxes, plain_var, psi_mean_of_var, scalar)
 from factorrisk.conditioning import box_mask
-from factorrisk.core import _scenario_var, _segment_laws
+from factorrisk.core import _scenario_var, _segment_laws, _segment_sums
 
 # the decimal levels the CLI, plain-var empirical and the Diff grid's q reads pass in
 DECIMALS = [Fraction(d) for d in
@@ -134,6 +134,16 @@ def _family_arrays(rng, kinds):
     return values, w, offsets
 
 
+def _assert_laws_of_segments(values, w, offsets):
+    """``_segment_laws`` equals ``from_values`` of each segment bit for bit."""
+    support, cum, law_offsets, _ = _segment_laws(values.copy(), w.copy(), offsets,
+                                                 _segment_sums(w, offsets))
+    laws = [StepCDF.from_values(values[a:b], w[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    assert _bits(support) == _bits(np.concatenate([law.support for law in laws]))
+    assert _bits(cum) == _bits(np.concatenate([law.cum for law in laws]))
+    assert np.diff(law_offsets).tolist() == [law.support.size for law in laws]
+
+
 class TestSegmentLaws:
 
     @settings(max_examples=150, deadline=None)
@@ -141,12 +151,31 @@ class TestSegmentLaws:
            st.integers(0, 2**32 - 1))
     def test_equal_weighted_and_mixed_families(self, kinds, seed):
         values, w, offsets = _family_arrays(np.random.default_rng(seed), kinds)
-        support, cum, law_offsets, _ = _segment_laws(values.copy(), w, offsets)
-        laws = [StepCDF.from_values(values[a:b], w[a:b])
-                for a, b in zip(offsets[:-1], offsets[1:])]
-        assert _bits(support) == _bits(np.concatenate([law.support for law in laws]))
-        assert _bits(cum) == _bits(np.concatenate([law.cum for law in laws]))
-        assert np.diff(law_offsets).tolist() == [law.support.size for law in laws]
+        _assert_laws_of_segments(values, w, offsets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["equal", "raw", "normalized", "zeros"]),
+                    min_size=1, max_size=30),
+           st.integers(0, 2**32 - 1))
+    def test_raw_weights_normalize_as_from_values(self, kinds, seed):
+        """Weights whose segments do not total 1 in float: raw draws,
+        draws over their own float sum, a constant 0.3 and some zero
+        weights.  Each segment is divided by its total, as ``from_values``
+        divides its weights, and the laws agree bit for bit."""
+        rng = np.random.default_rng(seed)
+        values, _, offsets = _family_arrays(rng, ["equal"] * len(kinds))
+        w = np.empty(values.size)
+        for kind, a, b in zip(kinds, offsets[:-1], offsets[1:]):
+            raw = rng.random(b - a)
+            if kind == "equal":
+                raw[:] = 0.3
+            elif kind == "normalized":
+                raw /= raw.sum()
+            elif kind == "zeros":
+                raw[rng.random(b - a) < 0.5] = 0.0
+                raw[rng.integers(b - a)] = 0.7
+            w[a:b] = raw
+        _assert_laws_of_segments(values, w, offsets)
 
     def test_counts_over_n_per_scenario(self):
         # nine rows per scenario: level 3/9 takes the third order statistic

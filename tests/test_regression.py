@@ -145,17 +145,84 @@ class TestOlsFit:
         assert exc.value.columns == want == bad
         assert str(bad) in str(exc.value)
 
-    def test_coefficients_come_from_the_plain_qr(self):
+    def test_coefficients_come_from_the_pivoted_qr(self):
+        """The rank check's pivoted QR also solves the fit: R solves Q'y,
+        un-permuted, bit for bit."""
         from scipy import linalg as sla
         rng = np.random.default_rng(98)
         W = rng.standard_normal((3000, 4))
         sample = JointSample(0.2 + W @ np.arange(1.0, 5.0) + rng.standard_normal(3000), W)
         fit = ols_fit(sample)
         X = np.column_stack([np.ones(3000), sample.factors])
-        q, r = sla.qr(X, mode="economic")
-        coef = sla.solve_triangular(r, q.T @ sample.loss)
+        qty, r, piv = sla.qr_multiply(X, sample.loss, mode="right", pivoting=True)
+        coef = np.empty(5)
+        coef[piv] = sla.solve_triangular(r, qty)
         assert fit.coef.tobytes() == coef.tobytes()
         assert fit.residuals.tobytes() == (sample.loss - X @ coef).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_badly_scaled_near_collinear_design(self, seed):
+        """Columns scaled from 1e-3 to 1e3 and a full-rank pair at correlation
+        0.99995 make the pivot order differ from the column order.  The fit
+        agrees with lstsq and with the exact rational solution of the normal
+        equations; lstsq runs on the design with unit column norms, since on
+        the raw columns its SVD route is itself about 1e-11 off the exact
+        solution here."""
+        from fractions import Fraction
+        from scipy import linalg as sla
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((400, 5))
+        W = np.column_stack([1e-3 * z[:, 0], 1e3 * z[:, 1], z[:, 2],
+                             z[:, 2] + 1e-2 * z[:, 3], 10.0 * z[:, 4]])
+        sample = JointSample(0.5 + W @ np.array([2e3, -2e-3, 1.0, -1.0, 0.3])
+                             + rng.standard_normal(400), W)
+        X = np.column_stack([np.ones(400), sample.factors])
+        assert sla.qr(X, mode="raw", pivoting=True)[2].tolist() != list(range(6))
+        fit = ols_fit(sample)
+        norms = np.linalg.norm(X, axis=0)
+        scaled = X / norms
+        lstsq = np.linalg.lstsq(scaled, sample.loss, rcond=None)[0] / norms
+        assert np.all(np.abs(fit.coef - lstsq) <= 1e-12 * np.maximum(1.0, np.abs(lstsq)))
+        rows = [[Fraction(v) for v in row] for row in X.tolist()]
+        target = [Fraction(v) for v in sample.loss.tolist()]
+        gram = [[sum(row[i] * row[j] for row in rows) for j in range(6)] for i in range(6)]
+        rhs = [sum(row[i] * t for row, t in zip(rows, target)) for i in range(6)]
+        for c in range(6):  # Gauss-Jordan elimination, exact
+            for i in range(6):
+                if i != c:
+                    f = gram[i][c] / gram[c][c]
+                    gram[i] = [u - f * v for u, v in zip(gram[i], gram[c])]
+                    rhs[i] -= f * rhs[c]
+        exact = np.array([float(rhs[i] / gram[i][i]) for i in range(6)])
+        assert np.all(np.abs(fit.coef - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+        want = fit.sigma * np.sqrt(np.diag(np.linalg.inv(scaled.T @ scaled))) / norms
+        assert np.all(np.abs(fit.stderr - want) <= 1e-9 * want)
+
+    def test_one_qr_factorization_forms_no_q(self, monkeypatch):
+        """A fit runs one QR routine, the pivoted ``qr_multiply``, whose
+        LAPACK calls are one pivoted factorization and one product with the
+        stored reflectors: no unpivoted factorization, no Q formed."""
+        import scipy.linalg
+        import scipy.linalg._decomp_qr as decomp_qr
+        calls, lapack = [], []
+        for module, name in [(scipy.linalg, "qr"), (scipy.linalg, "qr_multiply"),
+                             (scipy.linalg, "lstsq"), (np.linalg, "qr"), (np.linalg, "lstsq")]:
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        real_funcs = decomp_qr.get_lapack_funcs
+
+        def lapack_spy(names, *args, **kwargs):
+            lapack.extend(names)
+            return real_funcs(names, *args, **kwargs)
+
+        monkeypatch.setattr(decomp_qr, "get_lapack_funcs", lapack_spy)
+        rng = np.random.default_rng(99)
+        W = rng.standard_normal((500, 3))
+        ols_fit(JointSample(W.sum(axis=1) + rng.standard_normal(500), W))
+        assert calls == ["qr_multiply"]
+        assert sorted(lapack) == ["geqp3", "ormqr"]
 
     def test_named_column_selection(self):
         rng = np.random.default_rng(96)
