@@ -33,6 +33,7 @@ from .errors import RankDeficientError, ValidationError
 PLAIN_MODES = ("model", "model-mc", "empirical")
 DEFAULT_SEED = 20260808
 MC_DRAWS = 10**6
+_QR_ROWS = 2**14  # rows per in-cache block of ols_fit's QR, as core._BATCH_ROWS
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,10 @@ def _design(data: JointSample, target, factors):
 def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     """Least squares of the target on the factors plus a constant.
 
-    Solved through one pivoted QR factorization, which never forms Q: its
-    R and pivots decide the rank, and R solves for Q'y, un-permuted.  The
+    A tall-skinny QR factors [1 | W | y] in blocks of ``_QR_ROWS`` rows,
+    then their stacked R blocks: R's last column holds Q'y, and no T x
+    (N+1) design is built.  The pivoted QR of R's (N+1) x (N+1) corner,
+    which never forms Q, decides the rank and solves, un-permuted.  The
     residual scale uses the degrees-of-freedom corrected divisor T - N - 1.
     Rank deficiency is rejected with the offending column names.
     """
@@ -92,20 +95,27 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     T, n_fac = W.shape
     if T <= n_fac + 1:
         raise ValidationError(f"need more than N+1={n_fac + 1} observations, got {T}")
-    X = np.column_stack([np.ones(T), W])
+    k = n_fac + 1
     all_names = ("const",) + tuple(names)
-    qty, r, piv = sla.qr_multiply(X, y, mode="right", pivoting=True)
+    geqrf, = sla.get_lapack_funcs(("geqrf",), (W,))
+    blocks = []
+    for s in range(0, T, _QR_ROWS):
+        block = np.empty((min(T - s, _QR_ROWS), k + 1), order="F")
+        block[:, 0], block[:, 1:k], block[:, k] = 1.0, W[s:s + _QR_ROWS], y[s:s + _QR_ROWS]
+        blocks.append(np.triu(geqrf(block, overwrite_a=1)[0][:k + 1]))
+    r_all = blocks[0] if len(blocks) == 1 else np.triu(geqrf(np.vstack(blocks))[0][:k + 1])
+    qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     # collinearity below the 12-digit ingestion rounding counts as deficient
-    rank_tol = diag.max() * max(max(X.shape) * np.finfo(float).eps, 1e-10)
+    rank_tol = diag.max() * max(T * np.finfo(float).eps, 1e-10)
     rank = int((diag > rank_tol).sum())
-    if rank < X.shape[1]:
+    if rank < k:
         bad = tuple(all_names[j] for j in sorted(piv[rank:]))
         raise RankDeficientError(f"design matrix is rank deficient; columns {bad}", bad)
     unpivot = np.argsort(piv)
     coef = sla.solve_triangular(r, qty)[unpivot]
-    rinv = sla.solve_triangular(r, np.eye(X.shape[1]))  # (X'X)^-1 = P R^-1 R^-T P'
-    residuals = y - X @ coef
+    rinv = sla.solve_triangular(r, np.eye(k))  # (X'X)^-1 = P R^-1 R^-T P'
+    residuals = y - (coef[0] + W @ coef[1:])
     dof = T - n_fac - 1
     sse = float(residuals @ residuals)
     sigma = math.sqrt(sse / dof)
@@ -115,11 +125,11 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     pvalue = np.where(np.isfinite(tstat), 2.0 * special.stdtr(dof, -np.abs(tstat)), np.nan)
     tcrit = float(special.stdtrit(dof, 0.975))
     ci95 = np.column_stack([coef - tcrit * stderr, coef + tcrit * stderr])
-    # residuals at ingestion-rounding scale carry no directional information
-    resid_norm = np.linalg.norm(residuals)
-    if resid_norm > 1e-10 * max(1.0, np.linalg.norm(y)):
-        cosines = np.abs(residuals @ X) / (resid_norm * np.linalg.norm(X, axis=0))
-        if (cosines > 1e-8).any():
+    # residuals at ingestion-rounding scale carry no direction; ||X_j|| = ||R e_j||
+    resid_norm, col_norms = math.sqrt(sse), np.linalg.norm(r_all, axis=0)
+    if resid_norm > 1e-10 * max(1.0, col_norms[k]):
+        dots = np.concatenate(([residuals.sum()], residuals @ W))
+        if (np.abs(dots) / (resid_norm * col_norms[:k]) > 1e-8).any():
             raise ValidationError("residuals are not orthogonal to the design")
     return RegressionFit(
         beta0=float(coef[0]),
@@ -364,7 +374,7 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():
         points, cum = index, None
-        # two partitions: cheaper than the sort that one call at both levels takes
+        # ranks 1 and T below 1e9 rows: a min and a max, cheaper than one sort
         ends = np.array([scalar.quantiles(index, None, lo), scalar.quantiles(index, None, hi)])
     else:
         law = StepCDF.from_values(index, data.weights)

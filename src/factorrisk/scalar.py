@@ -114,7 +114,8 @@ def quantiles(values, weights, levels):
     statistic of rank k = min{C : C / n >= p}, the division correctly
     rounded, whatever the ties.  ceil(p * n) is within one of k, and one
     step each way corrects it.  One level is read by an in-place
-    ``np.partition``, several by one ``np.sort``.
+    ``np.partition``, or by ``min`` or ``max`` at rank 1 or n, several by
+    one ``np.sort``.
     """
     levels = _level(levels, "VaR level", "(0, 1]")
     x = _as_1d(values, "values")
@@ -128,10 +129,12 @@ def quantiles(values, weights, levels):
     k -= (k - 1) / n >= levels
     k += k / n < levels
     k -= 1
-    if k.size == 1:
-        x.partition(k.item())  # in place: x is _as_1d's copy
-    else:
+    if k.size != 1:
         x.sort()
+    elif k.item() in (0, n - 1):  # an end: one pass, no partition
+        x[k] = x.min() if k.item() == 0 else x.max()
+    else:
+        x.partition(k.item())  # in place: x is _as_1d's copy
     out = x[k]
     return out if out.ndim else float(out)
 

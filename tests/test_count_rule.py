@@ -108,6 +108,22 @@ class TestQuantiles:
         gaussian_rho(fit, sample, 0.95, 0.5)
         find_matching_q(fit, sample, 0.95)
 
+    @pytest.mark.parametrize("values", [
+        [2.0, 2.0, 1.0, 3.0, 1.0, 3.0, 2.0],   # ties at both ends
+        [-0.0, 0.0, -0.0, 0.0],                 # signed zeros
+        [0.0, -1.5, -0.0, 1.5, -0.0, -1.5],     # signed zeros inside, ties at the ends
+        [5.0],                                  # a single value
+    ])
+    def test_end_ranks_equal_the_partition_route(self, values):
+        """One level of rank 1 or n reads the minimum or the maximum: the
+        bits of the partition at that rank, and of the law."""
+        x, n = np.array(values) + 0.0, len(values)
+        for p, rank in ((1e-9, 1), (1.0 / n, 1), (1.0 - 1e-9, n), (1.0, n)):
+            got = scalar.quantiles(values, None, p)
+            assert _bits(got) == _bits(np.partition(x, rank - 1)[rank - 1])
+            assert _bits(got) == _bits(scalar.var(StepCDF.from_values(values, None), p))
+            assert _bits(scalar.quantiles(values, None, [p])) == _bits([got])
+
     def test_values_are_not_modified(self):
         values = np.array([3.0, 1.0, 2.0])
         scalar.quantiles(values, None, 0.5)

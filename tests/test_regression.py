@@ -145,20 +145,18 @@ class TestOlsFit:
         assert exc.value.columns == want == bad
         assert str(bad) in str(exc.value)
 
-    def test_coefficients_come_from_the_pivoted_qr(self):
-        """The rank check's pivoted QR also solves the fit: R solves Q'y,
-        un-permuted, bit for bit."""
-        from scipy import linalg as sla
+    @pytest.mark.parametrize("rows", [3000, 40_000])
+    def test_coefficients_come_from_the_block_qr(self, rows):
+        """The fit is the tall-skinny QR route of ``_block_route_coef``, bit
+        for bit, in one block (3,000 rows) and in three (40,000)."""
         rng = np.random.default_rng(98)
-        W = rng.standard_normal((3000, 4))
-        sample = JointSample(0.2 + W @ np.arange(1.0, 5.0) + rng.standard_normal(3000), W)
+        W = rng.standard_normal((rows, 4))
+        sample = JointSample(0.2 + W @ np.arange(1.0, 5.0) + rng.standard_normal(rows), W)
         fit = ols_fit(sample)
-        X = np.column_stack([np.ones(3000), sample.factors])
-        qty, r, piv = sla.qr_multiply(X, sample.loss, mode="right", pivoting=True)
-        coef = np.empty(5)
-        coef[piv] = sla.solve_triangular(r, qty)
+        coef = _block_route_coef(sample.factors, sample.loss)
         assert fit.coef.tobytes() == coef.tobytes()
-        assert fit.residuals.tobytes() == (sample.loss - X @ coef).tobytes()
+        want = sample.loss - (coef[0] + sample.factors @ coef[1:])
+        assert fit.residuals.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_badly_scaled_near_collinear_design(self, seed):
@@ -198,31 +196,66 @@ class TestOlsFit:
         want = fit.sigma * np.sqrt(np.diag(np.linalg.inv(scaled.T @ scaled))) / norms
         assert np.all(np.abs(fit.stderr - want) <= 1e-9 * want)
 
-    def test_one_qr_factorization_forms_no_q(self, monkeypatch):
-        """A fit runs one QR routine, the pivoted ``qr_multiply``, whose
+    @pytest.mark.parametrize("rows, blocks", [(500, 1), (2**14, 1), (40_000, 3)])
+    def test_block_qr_forms_no_q(self, monkeypatch, rows, blocks):
+        """A fit runs one unpivoted ``geqrf`` per row block of [1 | W | y],
+        one more on the stacked R blocks when there are several, and one
+        pivoted ``qr_multiply`` on the (N+1) x (N+1) R of [1 | W], whose
         LAPACK calls are one pivoted factorization and one product with the
-        stored reflectors: no unpivoted factorization, no Q formed."""
+        stored reflectors: no Q formed, no least-squares solver."""
         import scipy.linalg
         import scipy.linalg._decomp_qr as decomp_qr
-        calls, lapack = [], []
+        calls, geqrf, lapack = [], [], []
         for module, name in [(scipy.linalg, "qr"), (scipy.linalg, "qr_multiply"),
                              (scipy.linalg, "lstsq"), (np.linalg, "qr"), (np.linalg, "lstsq")]:
             def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
-                calls.append(_name)
+                calls.append((_name, np.shape(args[0])))
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
-        real_funcs = decomp_qr.get_lapack_funcs
+        real_funcs = scipy.linalg.get_lapack_funcs
+
+        def wrap(name, func):
+            def call(a, *args, **kwargs):
+                geqrf.append((name, a.shape))
+                return func(a, *args, **kwargs)
+            return call
+
+        def funcs_spy(names, *args, **kwargs):
+            return [wrap(n, f) for n, f in zip(names, real_funcs(names, *args, **kwargs))]
 
         def lapack_spy(names, *args, **kwargs):
             lapack.extend(names)
             return real_funcs(names, *args, **kwargs)
 
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", funcs_spy)
         monkeypatch.setattr(decomp_qr, "get_lapack_funcs", lapack_spy)
         rng = np.random.default_rng(99)
-        W = rng.standard_normal((500, 3))
-        ols_fit(JointSample(W.sum(axis=1) + rng.standard_normal(500), W))
-        assert calls == ["qr_multiply"]
+        W = rng.standard_normal((rows, 3))
+        ols_fit(JointSample(W.sum(axis=1) + rng.standard_normal(rows), W))
+        sizes = [min(2**14, rows - s) for s in range(0, rows, 2**14)]
+        want = [("geqrf", (b, 5)) for b in sizes]
+        if blocks > 1:
+            want.append(("geqrf", (5 * blocks, 5)))
+        assert geqrf == want
+        assert calls == [("qr_multiply", (4, 4))]
         assert sorted(lapack) == ["geqp3", "ormqr"]
+
+    def test_block_qr_builds_no_design(self):
+        """At 3e5 rows and 7 factors the design [1 | W] alone would take
+        19 MB; the fit's traced allocations (its blocks, the residuals and
+        one product W @ beta) peak within 10 MB."""
+        import tracemalloc
+        rng = np.random.default_rng(100)
+        W = rng.standard_normal((300_000, 7))
+        sample = JointSample(W.sum(axis=1) + rng.standard_normal(300_000), W)
+        ols_fit(JointSample(np.arange(5.0) ** 2, np.arange(5.0)))  # loads scipy
+        tracemalloc.start()
+        try:
+            ols_fit(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_named_column_selection(self):
         rng = np.random.default_rng(96)
@@ -238,6 +271,73 @@ class TestOlsFit:
         assert not fit.residuals.any()
         assert np.all(fit.stderr == 0)
         assert np.isnan(fit.tstat).all() and np.isnan(fit.pvalue).all()
+
+
+def _block_route_coef(W, y):
+    """The block route through ``scipy.linalg.qr``: R of [1 | W | y] per
+    block of 2**14 rows, R of the stacked blocks, and the coefficients from
+    the pivoted QR of R's leading (N+1) x (N+1) part and its last column."""
+    from scipy import linalg as sla
+    k = W.shape[1] + 1
+
+    def r_of(a):  # the top k + 1 rows of R, all that are not zero
+        return sla.qr(a, mode="r")[0][:k + 1]
+
+    augmented = np.column_stack([np.ones(y.size), W, y])
+    blocks = [r_of(augmented[s:s + 2**14]) for s in range(0, y.size, 2**14)]
+    r_all = blocks[0] if len(blocks) == 1 else r_of(np.vstack(blocks))
+    qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
+    coef = np.empty(k)
+    coef[piv] = sla.solve_triangular(r, qty)
+    return coef
+
+
+class TestBlockEdges:
+    """Fits whose row count sits at an edge of the 2**14-row blocks: N + 2
+    rows, a block one row short, one full block, and one, two or three full
+    blocks followed by a last block of 1, 1 or 3 rows, fewer than the 6
+    columns of [1 | W | y]."""
+
+    @pytest.mark.parametrize("rows", [6, 2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 1,
+                                      3 * 2**14 + 3])
+    def test_fit_agrees_with_lstsq(self, rows):
+        rng = np.random.default_rng(rows)
+        W = rng.standard_normal((rows, 4)) * np.array([1e-2, 1.0, 10.0, 1e3])
+        sample = JointSample(0.5 + W @ np.array([3.0, -1.0, 0.2, 1e-3])
+                             + rng.standard_normal(rows), W)
+        fit = ols_fit(sample)
+        X = np.column_stack([np.ones(rows), sample.factors])
+        norms = np.linalg.norm(X, axis=0)
+        scaled = X / norms
+        lstsq = np.linalg.lstsq(scaled, sample.loss, rcond=None)[0] / norms
+        assert np.all(np.abs(fit.coef - lstsq) <= 1e-12 * np.maximum(1.0, np.abs(lstsq)))
+        want = fit.sigma * np.sqrt(np.diag(np.linalg.inv(scaled.T @ scaled))) / norms
+        assert np.all(np.abs(fit.stderr - want) <= 1e-9 * want)
+
+    @pytest.mark.parametrize("make, bad", [
+        (lambda w, z: np.column_stack([w, 2.0 * w]), ("a",)),
+        (lambda w, z: np.column_stack([w, np.full(w.size, 3.0)]), ("const",)),
+        (lambda w, z: np.column_stack([w, z, np.zeros(w.size)]), ("c",)),
+        (lambda w, z: np.column_stack([w, z, w - 0.5 * z]), ("a",)),
+    ])
+    def test_rank_check_across_blocks(self, make, bad):
+        """At 40,000 rows (three blocks) the verdict and the named columns
+        are those of the pivoted QR of the whole design."""
+        from scipy import linalg as sla
+        rows = 40_000
+        rng = np.random.default_rng(97)
+        w, z = rng.standard_normal(rows), rng.standard_normal(rows)
+        W = make(w, z)
+        names = ("a", "b", "c")[:W.shape[1]]
+        sample = JointSample(w + rng.standard_normal(rows), W, loss_name="y", factor_names=names)
+        X = np.column_stack([np.ones(rows), sample.factors])
+        _, r, piv = sla.qr(X, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int((diag > diag.max() * max(rows * np.finfo(float).eps, 1e-10)).sum())
+        want = tuple((("const",) + names)[j] for j in sorted(piv[rank:]))
+        with pytest.raises(RankDeficientError) as exc:
+            ols_fit(sample)
+        assert exc.value.columns == want == bad
 
 
 class TestOlsInferenceMatchesStudentT:
