@@ -138,15 +138,23 @@ def _plain_rows(raw: bytes) -> int | None:
     A file is plain when ``csv.reader`` would split each of its lines at
     every comma: it is ASCII, holds no quote or NUL byte, no CR outside a
     CRLF line end and no blank line, and every line has as many commas as
-    the header.
+    the header.  Its separators (commas and LFs, one pass), the end of an
+    unterminated last line counted as an LF, are then rows of the header's
+    commas and one LF.
     """
     if not raw.isascii() or b'"' in raw or b"\0" in raw:
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    lf = np.flatnonzero(buf == ord("\n"))
-    ends = lf if raw.endswith(b"\n") else np.append(lf, len(raw))
-    # commas before each line end, then per line
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    is_lf = buf[sep] == ord("\n")
+    lf = sep[is_lf]
+    if not raw.endswith(b"\n"):
+        is_lf = np.append(is_lf, True)
+    per_line = int(is_lf.argmax()) + 1  # the header's commas and its line end
+    n_lines = is_lf.size // per_line
+    if is_lf.size % per_line or np.count_nonzero(is_lf) != n_lines \
+            or not is_lf[per_line - 1::per_line].all():
+        return None  # a ragged line
     width = np.diff(lf, prepend=-1) - 1  # each line's bytes before its LF
     crlf = np.zeros(lf.size, dtype=bool)  # the lines whose bytes end with a CR
     if b"\r" in raw:  # the CRs stay in place, and each must sit right before an LF
@@ -154,10 +162,9 @@ def _plain_rows(raw: bytes) -> int | None:
         crlf[filled] = buf[lf[filled] - 1] == ord("\r")
         if np.count_nonzero(crlf) != raw.count(b"\r"):
             return None
-    # a blank line (no bytes, or only a CRLF's CR), or a ragged one
-    if (width == crlf).any() or (commas != commas[0]).any():
+    if (width == crlf).any():  # a blank line: no bytes, or only a CRLF's CR
         return None
-    return ends.size - 1
+    return n_lines - 1
 
 
 def _loadtxt(path: Path, cols: list[int], n_rows: int):

@@ -640,12 +640,15 @@ class ConditionalLawFamily:
 def from_sample(sample: JointSample, partition: ScenarioPartition) -> ConditionalLawFamily:
     """Per-scenario weighted empirical conditional laws, built flat.
 
-    ``pi_i`` is the summed normalized row weight of scenario i; a scenario
-    whose rows all carry zero weight is rejected.  The partition must cover
-    the sample's positive-weight rows so the pi's sum to one.  Each law is
-    ``StepCDF.from_values`` of its scenario's rows (:func:`_segment_laws`),
-    and the family keeps each atom's index in the merged support from the
-    same sort.
+    ``pi_i`` is the summed normalized row weight of scenario i, summed as
+    the partitions sum ``partition.weights`` (:func:`_segment_sums`; once
+    per scenario length where all weights are one value), so the pis follow
+    this sample; a scenario whose rows all carry zero weight is rejected.
+    The partition must cover the sample's positive-weight rows so the pi's
+    sum to one.  Each law is ``StepCDF.from_values`` of its scenario's rows
+    (:func:`_segment_laws`), counted where each scenario's rows weigh the
+    same, and the family keeps each atom's index in the merged support from
+    the same sort.
     """
     rows, offsets = partition.rows, partition.offsets
     if rows.min() < 0 or rows.max() >= sample.n_rows:
@@ -679,18 +682,24 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
     family's support, whose last term adds +0.0.
 
     One ``argsort`` of all the values ranks them (:func:`_ranks`).  An atom
-    is a segment's run of one rank; in cache-sized batches of segments
-    (:func:`_batches`) one sort of (segment, rank) keys (:func:`_sorted_keys`)
-    numbers the atoms in segment and value order, and ``bincount`` sums each
-    one's mass in row order.  An atom's index in the merged support is its
-    rank, re-ranked where atoms were dropped.  A segment of equal weights
-    takes ``from_values``' count rule, cum = C / n from the position where
-    each atom's rows end; the others accumulate their masses.
+    is a segment's run of one rank, found in cache-sized batches of
+    segments (:func:`_batches`) by a sort of (segment, rank) keys, and a
+    segment of equal weights takes ``from_values``' count rule, cum = C / n
+    from the position where each atom's rows end.  Where every segment's
+    weights are equal (every CSV and ``simulate`` sample) the laws are
+    counted (:func:`_count_laws`).  Otherwise the keys are sorted with their
+    positions (:func:`_sorted_keys`), ``bincount`` sums each atom's mass in
+    row order, the weighted segments accumulate their masses, and an atom's
+    index in the merged support is its rank, re-ranked where atoms were
+    dropped.
     """
     starts, n_rows = offsets[:-1], np.diff(offsets)
     w /= np.repeat(totals, n_rows)
     rank, points = _ranks(values)
     equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
+    if equal.all():
+        del values  # the caller's gather is freed here, for the peak memory
+        return _count_laws(rank, points, offsets)
     support, cum, sizes, at, n_atoms = [], [], [], [], 0
     for s, e in _batches(offsets):
         a, b = offsets[s], offsets[e]
@@ -740,6 +749,39 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
     cum = np.concatenate(cum)  # the list is freed here, for the peak memory
     return support, cum, law_offsets, (_freeze(points), _freeze(at))
+
+
+def _count_laws(rank: np.ndarray, points: np.ndarray, offsets: np.ndarray):
+    """:func:`_segment_laws` where every segment is equally weighted: one
+    in-place sort of each batch's keys segment * P + rank (P distinct
+    values) leaves each segment's ranks sorted in its own rows, a run of one
+    rank in one segment is an atom, no mass is summed and none is dropped.
+    An atom's rank is its index in the merged support, in ``rank``'s dtype,
+    and its cum is C / n, C the segment's rows up to the run's end."""
+    n_rows = np.diff(offsets)
+    cum, sizes, at = [], [], []
+    for s, e in _batches(offsets):
+        a, b = offsets[s], offsets[e]
+        starts = offsets[s:e] - a  # each segment's first row in the batch
+        base = 0 if e - s == 1 else np.repeat(np.arange(e - s, dtype=np.int64) * points.size,
+                                              n_rows[s:e])
+        key = rank[a:b] + base
+        key.sort()
+        key -= base
+        last = np.empty(b - a, dtype=bool)  # where each atom's rows end
+        np.not_equal(key[1:], key[:-1], out=last[:-1])
+        last[offsets[s + 1:e + 1] - a - 1] = True
+        count = np.flatnonzero(last)
+        at.append(key[count].astype(rank.dtype, copy=False))
+        del key, base
+        size = np.add.reduceat(last, starts, dtype=np.int64)  # each segment's atoms
+        sizes.append(size)
+        count += 1
+        count -= np.repeat(starts, size)  # C, the segment's rows up to the atom
+        cum.append(count / np.repeat(n_rows[s:e], size))
+    at = np.concatenate(at)
+    law_offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return points[at], np.concatenate(cum), law_offsets, (_freeze(points), _freeze(at))
 
 
 def _sorted_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -809,7 +851,13 @@ def _equal_lengths(offsets: np.ndarray):
 def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``values[a:b].sum()`` for each segment [a, b) of ``offsets``, bit for
     bit: numpy sums each contiguous row of a matrix as it sums a 1-D array,
-    so the segments of one length are summed as the rows of one matrix."""
+    so the segments of one length are summed as the rows of one matrix.
+    Where the values are all one nonzero value (equal bits: the weights of
+    an equally weighted sample), a segment's sum depends on its length
+    alone, so ``values[:k]`` is summed once per distinct length k."""
+    if values.size and values[0] != 0 and (values == values[0]).all():
+        lengths, of_length = np.unique(np.diff(offsets), return_inverse=True)
+        return np.array([values[:k].sum() for k in lengths.tolist()])[of_length]
     out = np.empty(offsets.size - 1)
     for segs, positions in _equal_lengths(offsets):
         out[segs] = values[positions].sum(axis=1)

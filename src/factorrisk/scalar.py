@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepCDF, _as_1d, _level, _segment_es
+from .core import StepCDF, _as_1d, _entered, _level, _segment_es
 from .errors import ValidationError
 
 
@@ -113,12 +113,15 @@ def quantiles(values, weights, levels):
     The left quantile of n equally weighted values at p is then the order
     statistic of rank k = min{C : C / n >= p}, the division correctly
     rounded, whatever the ties.  ceil(p * n) is within one of k, and one
-    step each way corrects it.  One level is read by an in-place
-    ``np.partition``, or by ``min`` or ``max`` at rank 1 or n, several by
-    one ``np.sort``.
+    step each way corrects it.  One level is read by ``min`` or ``max`` of
+    the values as given at rank 1 or n, else by an in-place ``np.partition``
+    of a copy; several by one ``np.sort`` of a copy.
     """
     levels = _level(levels, "VaR level", "(0, 1]")
-    x = _as_1d(values, "values")
+    x = np.asarray(values, dtype=float)  # not copied where values is a float array
+    ends = (x.min(), x.max()) if x.ndim == 1 and x.size else (np.nan,)
+    if not np.isfinite(ends).all():  # finite ends: every value is finite
+        _as_1d(values, "values")  # raises, naming the rule that fails
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         # equal, finite and positive, or from_values checks them and decides
@@ -129,13 +132,15 @@ def quantiles(values, weights, levels):
     k -= (k - 1) / n >= levels
     k += k / n < levels
     k -= 1
-    if k.size != 1:
-        x.sort()
-    elif k.item() in (0, n - 1):  # an end: one pass, no partition
-        x[k] = x.min() if k.item() == 0 else x.max()
+    if k.size == 1 and k.item() in (0, n - 1):  # an end: no copy; + 0.0 reads -0.0 as 0.0
+        out = np.full(k.shape, ends[k.item() > 0] + 0.0)
     else:
-        x.partition(k.item())  # in place: x is _as_1d's copy
-    out = x[k]
+        x = _entered(x)  # a copy with one zero, sorted or partitioned in place
+        if k.size != 1:
+            x.sort()
+        else:
+            x.partition(k.item())
+        out = x[k]
     return out if out.ndim else float(out)
 
 

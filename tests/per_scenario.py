@@ -15,7 +15,10 @@ with equal weights' cum taken as each atom's cumulative row count over n
 The former searches and re-sorts of the quantile-box path are kept too:
 ``interval_codes`` (a binary search per value), ``block_counts`` (the
 sweep's anchor rows and last row, a binary search per scenario and row) and
-``merged_grid`` (two ``np.unique`` of the support).
+``merged_grid`` (two ``np.unique`` of the support).  ``segment_laws`` is
+the former ``core._segment_laws``, which took every family, equally
+weighted or not, through the weighted loop: position-carrying key sorts, a
+``bincount`` of each atom's mass, the ``MIN_ATOM_MASS`` pass and a re-rank.
 
 So are the former per-law loops of the closed forms, the sharing check and
 the coupling bound: ``es`` (``scalar.es``'s own formula), ``scenario_means``,
@@ -32,6 +35,7 @@ import numpy as np
 from factorrisk import (ConditionalLawFamily, JointSample, LevelMap, Scenario, ScenarioPartition,
                         ScenarioWeighting, StepCDF, ValidationError, VarBox, scalar)
 from factorrisk.conditioning import _interval_label, broadcast_levels
+from factorrisk import core
 from factorrisk.core import MIN_ATOM_MASS, _lazy_labels, round_significant
 from factorrisk.distortion import _es_levels, _var_levels
 
@@ -162,6 +166,56 @@ def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
             cum = cum / cum[-1]
         laws.append(StepCDF(support[a:b], cum))
     return pis, laws
+
+
+def segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals: np.ndarray):
+    starts, n_rows = offsets[:-1], np.diff(offsets)
+    w /= np.repeat(totals, n_rows)
+    rank, points = core._ranks(values)
+    equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
+    support, cum, sizes, at, n_atoms = [], [], [], [], 0
+    for s, e in core._batches(offsets):
+        a, b = offsets[s], offsets[e]
+        key = rank[a:b].astype(np.int64)
+        if e - s > 1:
+            key += np.repeat(np.arange(e - s) * points.size, np.diff(offsets[s:e + 1]))
+        key, order = core._sorted_keys(key, (e - s) * points.size)
+        new = np.empty(b - a, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        of_sorted = np.cumsum(new) - 1
+        atom = np.empty_like(of_sorted)
+        atom[order] = of_sorted
+        batch = np.bincount(atom, weights=w[a:b])
+        n_atoms += batch.size
+        keep = batch > MIN_ATOM_MASS
+        sizes.append(np.add.reduceat(keep, of_sorted[offsets[s:e] - a], dtype=np.int64))
+        head = np.flatnonzero(new)
+        count = np.append(head[1:], b - a)[keep]
+        head = head[keep]
+        first = a + order[head]
+        support.append(values[first])
+        at.append(rank[first])
+        seg = s + key[head] // points.size
+        count += a
+        count -= offsets[seg]
+        part = count / n_rows[seg]
+        if not equal[s:e].all():
+            local = np.concatenate(([0], np.cumsum(sizes[-1])))
+            sums = core._segment_cumsums(batch[keep], local)
+            sums /= np.repeat(sums[local[1:] - 1], sizes[-1])
+            weighted = ~equal[seg]
+            part[weighted] = sums[weighted]
+        cum.append(part)
+    support, sizes, at = np.concatenate(support), np.concatenate(sizes), np.concatenate(at)
+    if at.size < n_atoms:
+        present = np.zeros(points.size, dtype=bool)
+        present[at] = True
+        if not present.all():
+            at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
+            points = points[present]
+    law_offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return support, np.concatenate(cum), law_offsets, (points, at)
 
 
 def _column_law(sample: JointSample, j: int) -> StepCDF:

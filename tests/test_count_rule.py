@@ -13,6 +13,7 @@ are equally weighted, weighted or mixed.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorrisk import (ConditionalLawFamily, JointSample, StepCDF, VarBox, choquet_factor,
-                        compose_var_distortion, diff_grid, find_matching_q, from_sample,
-                        gaussian_rho, identity_distortion, ols_fit, partition_discrete,
-                        partition_quantile_boxes, plain_var, psi_mean_of_var, scalar)
+from factorrisk import (ConditionalLawFamily, JointSample, StepCDF, ValidationError, VarBox,
+                        choquet_factor, compose_var_distortion, diff_grid, find_matching_q,
+                        from_sample, gaussian_rho, identity_distortion, ols_fit,
+                        partition_discrete, partition_quantile_boxes, plain_var,
+                        psi_mean_of_var, scalar)
 from factorrisk.conditioning import box_mask
 from factorrisk.core import _scenario_var, _segment_laws, _segment_sums
 
@@ -113,16 +115,41 @@ class TestQuantiles:
         [-0.0, 0.0, -0.0, 0.0],                 # signed zeros
         [0.0, -1.5, -0.0, 1.5, -0.0, -1.5],     # signed zeros inside, ties at the ends
         [5.0],                                  # a single value
+        [-0.0],                                 # a single -0.0
+        [-0.0, -2.0, -2.0, -0.0],               # tied ends, the top one -0.0
     ])
-    def test_end_ranks_equal_the_partition_route(self, values):
-        """One level of rank 1 or n reads the minimum or the maximum: the
-        bits of the partition at that rank, and of the law."""
+    def test_end_ranks_equal_the_partition_route(self, values, monkeypatch):
+        """One level of rank 1 or n reads the minimum or the maximum of the
+        values as given, with no copy and -0.0 read as 0.0: the bits of the
+        partition at that rank, and of the law."""
         x, n = np.array(values) + 0.0, len(values)
+        want = {}
         for p, rank in ((1e-9, 1), (1.0 / n, 1), (1.0 - 1e-9, n), (1.0, n)):
-            got = scalar.quantiles(values, None, p)
-            assert _bits(got) == _bits(np.partition(x, rank - 1)[rank - 1])
-            assert _bits(got) == _bits(scalar.var(StepCDF.from_values(values, None), p))
-            assert _bits(scalar.quantiles(values, None, [p])) == _bits([got])
+            want[p] = np.partition(x, rank - 1)[rank - 1]
+            assert _bits(want[p]) == _bits(scalar.var(StepCDF.from_values(values, None), p))
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("the values were copied")
+
+        monkeypatch.setattr(scalar, "_entered", no_copy)
+        monkeypatch.setattr(scalar, "_as_1d", no_copy)
+        for given in (values, np.array(values)):  # a list, and a float array read in place
+            for p, bits in want.items():
+                got = scalar.quantiles(given, None, p)
+                assert type(got) is float and _bits(got) == _bits(bits)
+                assert _bits(scalar.quantiles(given, None, [p])) == _bits([bits])
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.nan], "values must be finite, got nan"),
+        ([np.inf, 1.0], "values must be finite, got inf"),
+        ([1.0, -np.inf], "values must be finite, got -inf"),
+        ([], "values must be nonempty"),
+        ([[1.0, 2.0]], "values must be one-dimensional, got shape (1, 2)"),
+    ])
+    @pytest.mark.parametrize("levels", [1e-9, 1.0, 0.5, [0.5, 1.0]])
+    def test_every_rank_checks_the_values(self, values, message, levels):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            scalar.quantiles(values, None, levels)
 
     def test_values_are_not_modified(self):
         values = np.array([3.0, 1.0, 2.0])

@@ -141,6 +141,51 @@ def test_plain_rows(text, rows):
     assert cli._plain_rows(text.encode("utf-8")) == rows
 
 
+def _former_plain_rows(raw: bytes) -> int | None:
+    """``cli._plain_rows`` as it was: LFs and commas found apart, and the
+    commas of each line counted by a search of the comma positions."""
+    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    lf = np.flatnonzero(buf == ord("\n"))
+    ends = lf if raw.endswith(b"\n") else np.append(lf, len(raw))
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    width = np.diff(lf, prepend=-1) - 1
+    crlf = np.zeros(lf.size, dtype=bool)
+    if b"\r" in raw:
+        filled = width > 0
+        crlf[filled] = buf[lf[filled] - 1] == ord("\r")
+        if np.count_nonzero(crlf) != raw.count(b"\r"):
+            return None
+    if (width == crlf).any() or (commas != commas[0]).any():
+        return None
+    return ends.size - 1
+
+
+@st.composite
+def csv_like_bytes(draw):
+    """Files of lines with 0 to 3 commas each, mostly as many as the header,
+    LF or CRLF ends, an optional last line end, blank lines and stray CRs,
+    or raw bytes from the separators and the bytes that make a file not plain."""
+    if draw(st.booleans()):
+        return b"".join(draw(st.lists(st.sampled_from(
+            [b",", b"\n", b"\r", b"1", b"a", b" ", b'"', b"\0", b"\xc3"]), max_size=40)))
+    width = draw(st.integers(0, 3))
+    lines = [b",".join([b"1"] * (1 + (draw(st.integers(0, 3)) if draw(st.integers(0, 5)) == 0
+                                     else width)))
+             for _ in range(draw(st.integers(1, 8)))]
+    for i in draw(st.lists(st.integers(0, 8), max_size=2)):
+        lines.insert(min(i, len(lines)), draw(st.sampled_from([b"", b"\r", b"1\r1"])))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([b"", end]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(csv_like_bytes())
+def test_plain_rows_decide_as_the_former_search(raw):
+    assert cli._plain_rows(raw) == _former_plain_rows(raw)
+
+
 def test_crlf_twin_reads_to_the_same_bits(tmp_path):
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(300, 3)).tolist()
