@@ -681,107 +681,67 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
     losses (:func:`_entered`), or ``PiecewiseLinearAllocation.h`` of a
     family's support, whose last term adds +0.0.
 
-    One ``argsort`` of all the values ranks them (:func:`_ranks`).  An atom
-    is a segment's run of one rank, found in cache-sized batches of
-    segments (:func:`_batches`) by a sort of (segment, rank) keys, and a
-    segment of equal weights takes ``from_values``' count rule, cum = C / n
-    from the position where each atom's rows end.  Where every segment's
-    weights are equal (every CSV and ``simulate`` sample) the laws are
-    counted (:func:`_count_laws`).  Otherwise the keys are sorted with their
-    positions (:func:`_sorted_keys`), ``bincount`` sums each atom's mass in
-    row order, the weighted segments accumulate their masses, and an atom's
-    index in the merged support is its rank, re-ranked where atoms were
-    dropped.
+    One ``argsort`` of all the values ranks them (:func:`_ranks`), and one
+    sort of the keys segment * P + rank (P distinct values) lists each
+    segment's ranks in order in its own rows: a run of one key is an atom,
+    its rank is its index in the merged support and its cum is the count
+    rule C / n, C the segment's rows up to the run's end.  Where any
+    segment's normalized weights differ (max != min), the sort carries the
+    keys' positions (:func:`_sorted_keys`), ``bincount`` sums each atom's
+    mass in row order, atoms under ``MIN_ATOM_MASS`` are dropped and
+    re-ranked, and those weighted segments take their accumulated masses as
+    cum.
     """
     starts, n_rows = offsets[:-1], np.diff(offsets)
     w /= np.repeat(totals, n_rows)
     rank, points = _ranks(values)
-    equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
-    if equal.all():
-        del values  # the caller's gather is freed here, for the peak memory
-        return _count_laws(rank, points, offsets)
-    support, cum, sizes, at, n_atoms = [], [], [], [], 0
-    for s, e in _batches(offsets):
-        a, b = offsets[s], offsets[e]
-        key = rank[a:b].astype(np.int64)
-        if e - s > 1:
-            key += np.repeat(np.arange(e - s) * points.size, np.diff(offsets[s:e + 1]))
-        key, order = _sorted_keys(key, (e - s) * points.size)
-        new = np.empty(b - a, dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        of_sorted = np.cumsum(new)
-        of_sorted -= 1
-        atom = np.empty_like(of_sorted)
-        atom[order] = of_sorted
-        batch = np.bincount(atom, weights=w[a:b])  # in row order, as np.add.at adds
-        del atom
-        n_atoms += batch.size
-        keep = batch > MIN_ATOM_MASS
-        sizes.append(np.add.reduceat(keep, of_sorted[offsets[s:e] - a], dtype=np.int64))
-        head = np.flatnonzero(new)  # where each atom's rows start, in sorted order
-        count = np.append(head[1:], b - a)[keep]  # where each kept atom's rows end
-        head = head[keep]
-        first = a + order[head]  # a row of each kept atom
-        support.append(values[first])
-        at.append(rank[first])
-        seg = s + key[head] // points.size  # each kept atom's segment
-        del key, order, of_sorted, head, first  # freed before the cum, for the peak memory
-        count += a
-        count -= offsets[seg]  # C, the segment's rows up to the atom
-        part = count / n_rows[seg]  # the count rule
-        if not equal[s:e].all():  # weighted segments accumulate their masses
-            local = np.concatenate(([0], np.cumsum(sizes[-1])))
-            sums = _segment_cumsums(batch[keep], local)
-            # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
-            sums /= np.repeat(sums[local[1:] - 1], sizes[-1])
-            weighted = ~equal[seg]
-            part[weighted] = sums[weighted]
-        cum.append(part)
-    del rank, values  # the caller's gather is freed here, for the peak memory
-    support, sizes, at = np.concatenate(support), np.concatenate(sizes), np.concatenate(at)
-    if at.size < n_atoms:  # atoms were dropped: re-rank
-        present = np.zeros(points.size, dtype=bool)
-        present[at] = True
-        if not present.all():
-            at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
-            points = points[present]
-    law_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cum = np.concatenate(cum)  # the list is freed here, for the peak memory
-    return support, cum, law_offsets, (_freeze(points), _freeze(at))
-
-
-def _count_laws(rank: np.ndarray, points: np.ndarray, offsets: np.ndarray):
-    """:func:`_segment_laws` where every segment is equally weighted: one
-    in-place sort of each batch's keys segment * P + rank (P distinct
-    values) leaves each segment's ranks sorted in its own rows, a run of one
-    rank in one segment is an atom, no mass is summed and none is dropped.
-    An atom's rank is its index in the merged support, in ``rank``'s dtype,
-    and its cum is C / n, C the segment's rows up to the run's end."""
-    n_rows = np.diff(offsets)
-    cum, sizes, at = [], [], []
-    for s, e in _batches(offsets):
-        a, b = offsets[s], offsets[e]
-        starts = offsets[s:e] - a  # each segment's first row in the batch
-        base = 0 if e - s == 1 else np.repeat(np.arange(e - s, dtype=np.int64) * points.size,
-                                              n_rows[s:e])
-        key = rank[a:b] + base
+    del values  # the caller's gather is freed here, for the peak memory: the support is points[at]
+    weighted = np.maximum.reduceat(w, starts) != np.minimum.reduceat(w, starts)
+    base = np.arange(n_rows.size, dtype=np.int64) * points.size  # each segment's first key
+    key = np.repeat(base, n_rows)
+    key += rank
+    dtype = rank.dtype
+    del rank
+    if weighted.any():
+        key, order = _sorted_keys(key, n_rows.size * points.size)
+    else:
         key.sort()
-        key -= base
-        last = np.empty(b - a, dtype=bool)  # where each atom's rows end
-        np.not_equal(key[1:], key[:-1], out=last[:-1])
-        last[offsets[s + 1:e + 1] - a - 1] = True
-        count = np.flatnonzero(last)
-        at.append(key[count].astype(rank.dtype, copy=False))
-        del key, base
-        size = np.add.reduceat(last, starts, dtype=np.int64)  # each segment's atoms
-        sizes.append(size)
-        count += 1
-        count -= np.repeat(starts, size)  # C, the segment's rows up to the atom
-        cum.append(count / np.repeat(n_rows[s:e], size))
-    at = np.concatenate(at)
-    law_offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return points[at], np.concatenate(cum), law_offsets, (_freeze(points), _freeze(at))
+    last = np.empty(key.size, dtype=bool)  # where each atom's rows end, in sorted order
+    last[-1] = True
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    sizes = np.add.reduceat(last, starts, dtype=np.int64)  # each segment's atoms
+    law_offsets = np.concatenate(([0], np.cumsum(sizes)))
+    at = key[ends]
+    del key  # freed before the atoms' segment keys, for the peak memory
+    at -= np.repeat(base, sizes)
+    at = at.astype(dtype, copy=False)
+    ends += 1
+    ends -= np.repeat(starts, sizes)  # C, the segment's rows up to the atom
+    cum = ends / np.repeat(n_rows, sizes)  # the count rule
+    if weighted.any():
+        # each sorted row's atom: an atom's rows are in row order, so bincount
+        # adds each atom's weights in row order, as np.add.at does
+        atom = np.cumsum(last)
+        atom -= last
+        masses = np.bincount(atom, weights=w[order])
+        del atom, order
+        keep = masses > MIN_ATOM_MASS
+        if not keep.all():  # drop, and re-rank where a point lost its last atom
+            sizes = np.add.reduceat(keep, law_offsets[:-1], dtype=np.int64)
+            law_offsets = np.concatenate(([0], np.cumsum(sizes)))
+            at, cum, masses = at[keep], cum[keep], masses[keep]
+            present = np.zeros(points.size, dtype=bool)
+            present[at] = True
+            if not present.all():
+                at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
+                points = points[present]
+        sums = _segment_cumsums(masses, law_offsets)
+        # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
+        sums /= np.repeat(sums[law_offsets[1:] - 1], sizes)
+        weighted = np.repeat(weighted, sizes)
+        cum[weighted] = sums[weighted]
+    return points[at], cum, law_offsets, (_freeze(points), _freeze(at))
 
 
 def _sorted_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -796,7 +756,9 @@ def _sorted_keys(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     key <<= shift
     key |= np.arange(key.size)
     key.sort()
-    return key >> shift, key & ((1 << shift) - 1)
+    order = key & ((1 << shift) - 1)
+    key >>= shift
+    return key, order
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -814,21 +776,6 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(ranks)
     rank[order] = ranks
     return rank, points
-
-
-# values per batch of _segment_laws' atoms: 128 KB per float64 array, so that
-# a batch's arrays stay in cache and its transient memory stays small
-_BATCH_ROWS = 2**14
-
-
-def _batches(offsets: np.ndarray):
-    """Batches [s, e) of consecutive segments of ``offsets``: up to
-    ``_BATCH_ROWS`` rows, or one longer segment."""
-    s, n = 0, offsets.size - 1
-    while s < n:
-        e = max(s + 1, int(np.searchsorted(offsets, offsets[s] + _BATCH_ROWS, side="right")) - 1)
-        yield s, e
-        s = e
 
 
 def _equal_lengths(offsets: np.ndarray):

@@ -115,10 +115,10 @@ def psi_mean_of_es(levels) -> ScenarioDistortion:
 def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
     """Conditional ES on a scenario subevent: rho = ES_p(X | W in B)."""
     p = _level(p, "ES level", "[0, 1)")
-    idx = np.unique(np.asarray(tuple(int(i) for i in subset), dtype=np.int64))
+    idx = np.unique(np.array([_count(i, "scenario index", 0) for i in subset], dtype=np.int64))
 
     def resolve(pi, labels):
-        if idx.size == 0 or idx[0] < 0 or idx[-1] >= pi.size:
+        if idx.size == 0 or idx[-1] >= pi.size:
             raise ValidationError("scenario subset out of range")
         w = np.zeros(pi.size)
         w[idx] = pi[idx] / pi[idx].sum()
@@ -145,7 +145,7 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = np.random.default_rng(seed)
-    n = _count(n_scenarios, "n_scenarios", 1)
+    n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
         hi = psi(np.ones(n), pi)

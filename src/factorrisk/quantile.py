@@ -114,7 +114,7 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     upward closed gets a row it accepts whose row below it rejects (or row 0).
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
-    n = _count(n_scenarios, "n_scenarios", 1)
+    n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
     pi = np.full(n, 1.0 / n)
     if pred.apply(np.zeros((1, n)), pi)[0]:
         raise ValidationError("predicate must reject the all-zeros profile")

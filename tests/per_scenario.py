@@ -17,8 +17,10 @@ The former searches and re-sorts of the quantile-box path are kept too:
 sweep's anchor rows and last row, a binary search per scenario and row) and
 ``merged_grid`` (two ``np.unique`` of the support).  ``segment_laws`` is
 the former ``core._segment_laws``, which took every family, equally
-weighted or not, through the weighted loop: position-carrying key sorts, a
-``bincount`` of each atom's mass, the ``MIN_ATOM_MASS`` pass and a re-rank.
+weighted or not, through the weighted loop over batches of consecutive
+segments of up to ``BATCH_ROWS`` rows (``batches``): position-carrying key
+sorts, a ``bincount`` of each atom's mass, the ``MIN_ATOM_MASS`` pass and a
+re-rank.
 
 So are the former per-law loops of the closed forms, the sharing check and
 the coupling bound: ``es`` (``scalar.es``'s own formula), ``scenario_means``,
@@ -168,13 +170,23 @@ def _batch_laws(sample: JointSample, scenarios) -> tuple[np.ndarray, list]:
     return pis, laws
 
 
+def batches(offsets: np.ndarray):
+    """Batches [s, e) of consecutive segments of ``offsets``: up to
+    ``BATCH_ROWS`` rows, or one longer segment."""
+    s, n = 0, offsets.size - 1
+    while s < n:
+        e = max(s + 1, int(np.searchsorted(offsets, offsets[s] + BATCH_ROWS, side="right")) - 1)
+        yield s, e
+        s = e
+
+
 def segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals: np.ndarray):
     starts, n_rows = offsets[:-1], np.diff(offsets)
     w /= np.repeat(totals, n_rows)
     rank, points = core._ranks(values)
     equal = np.maximum.reduceat(w, starts) == np.minimum.reduceat(w, starts)
     support, cum, sizes, at, n_atoms = [], [], [], [], 0
-    for s, e in core._batches(offsets):
+    for s, e in batches(offsets):
         a, b = offsets[s], offsets[e]
         key = rank[a:b].astype(np.int64)
         if e - s > 1:

@@ -1,12 +1,14 @@
-"""Equally weighted families are counted, not summed.
+"""Every family is built in one pass, and equally weighted laws are counted.
 
-Where every segment's weights are equal, ``core._segment_laws`` counts the
-laws (``core._count_laws``): the runs of one in-place sort of (segment,
-rank) keys are the atoms, and each one's cum is C / n.  It must equal the
-weighted loop, kept in ``per_scenario.segment_laws``, bit for bit: support,
-cum, offsets and the merged grid with its dtype.  A family with any
-weighted segment stays on the loop.  ``core._segment_sums`` sums values
-that are all one nonzero value once per segment length, and must equal each
+``core._segment_laws`` sorts the keys (segment, rank) of the whole family
+once: the runs are the atoms, and each one's cum is C / n.  Where a
+segment's normalized weights differ, the sort carries positions
+(``core._sorted_keys``) and the weighted segments accumulate their masses
+(``core._segment_cumsums``); an equally weighted family reaches neither.
+Either way it must equal the former batched weighted loop, kept in
+``per_scenario.segment_laws``, bit for bit: support, cum, offsets and the
+merged grid with its dtype.  ``core._segment_sums`` sums values that are
+all one nonzero value once per segment length, and must equal each
 segment's own ``sum``.  ``from_sample``'s pis are the partition's weights
 on an equally weighted sample, and follow the sample where another sample
 built the partition.
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_scenario
-from factorrisk import (JointSample, core, from_sample, partition_discrete,
+from factorrisk import (JointSample, StepCDF, core, from_sample, partition_discrete,
                         partition_quantile_boxes)
 
 
@@ -29,15 +31,23 @@ def _bits(a) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _laws(values, w, offsets, batch_rows=core._BATCH_ROWS):
-    """``_segment_laws`` and the weighted loop on these arrays, and whether
-    ``_segment_laws`` counted them."""
+def _laws(values, w, offsets):
+    """``_segment_laws`` and the former batched loop on these arrays, and
+    whether ``_segment_laws`` counted them: reached neither the
+    position-carrying sort nor the mass cumsums."""
     totals = core._segment_sums(w, offsets)
-    with mock.patch.object(core, "_BATCH_ROWS", batch_rows), \
-            mock.patch.object(core, "_count_laws", wraps=core._count_laws) as counted:
+    with mock.patch.object(core, "_sorted_keys", wraps=core._sorted_keys) as sort, \
+            mock.patch.object(core, "_segment_cumsums", wraps=core._segment_cumsums) as cumsums:
         got = core._segment_laws(values.copy(), w.copy(), offsets, totals)
-        want = per_scenario.segment_laws(values.copy(), w.copy(), offsets, totals)
-    return got, want, counted.called
+    assert sort.called == cumsums.called
+    want = per_scenario.segment_laws(values.copy(), w.copy(), offsets, totals)
+    return got, want, not sort.called
+
+
+def _weighted(w, offsets):
+    """Whether each segment's normalized weights differ."""
+    w = w / np.repeat(core._segment_sums(w, offsets), np.diff(offsets))
+    return np.maximum.reduceat(w, offsets[:-1]) != np.minimum.reduceat(w, offsets[:-1])
 
 
 def _assert_same(got, want):
@@ -60,7 +70,7 @@ def families(draw, weighting):
     """Segments of 1 to 40 rows (a third of them single rows) with planted
     ties.  ``equal``: every row weighs 1 / T; ``per-segment``: each segment
     its own weight; ``mixed``: equal and weighted segments, at least one
-    weighted."""
+    weighted, and some rows of zero or 1e-18 weight (atoms that are dropped)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_seg = draw(st.integers(1, 60))
     sizes = np.where(rng.random(n_seg) < 1 / 3, 1, rng.integers(1, 41, n_seg))
@@ -75,41 +85,57 @@ def families(draw, weighting):
         if multi.size:
             weighted[rng.choice(multi)] = True
         w *= np.where(np.repeat(weighted, sizes), rng.random(values.size) + 0.5, 1.0)
+        tiny = np.repeat(weighted, sizes) & (rng.random(values.size) < 0.1)
+        tiny[offsets[:-1]] = False  # each segment keeps a positive total
+        w[tiny] = rng.choice([0.0, 1e-18], tiny.sum())
     return values, w, offsets
 
 
 class TestCountRoute:
 
     @settings(max_examples=200, deadline=None)
-    @given(families("equal"), st.sampled_from([1, 3, 64, 2**14]))
-    def test_equal_weights(self, family, batch_rows):
-        got, want, counted = _laws(*family, batch_rows)
+    @given(families("equal"))
+    def test_equal_weights(self, family):
+        got, want, counted = _laws(*family)
         assert counted
         _assert_same(got, want)
 
     @settings(max_examples=200, deadline=None)
-    @given(families("per-segment"), st.sampled_from([1, 3, 64, 2**14]))
-    def test_weights_equal_within_each_segment_only(self, family, batch_rows):
-        got, want, counted = _laws(*family, batch_rows)
+    @given(families("per-segment"))
+    def test_weights_equal_within_each_segment_only(self, family):
+        got, want, counted = _laws(*family)
         assert counted
         _assert_same(got, want)
 
     @settings(max_examples=200, deadline=None)
-    @given(families("mixed"), st.sampled_from([1, 3, 64, 2**14]))
-    def test_mixed_families_stay_on_the_weighted_loop(self, family, batch_rows):
+    @given(families("mixed"))
+    def test_mixed_families_stay_on_the_weighted_loop(self, family):
+        # the weighted steps: the position-carrying sort and the mass cumsums
         values, w, offsets = family
-        weighted = np.maximum.reduceat(w, offsets[:-1]) != np.minimum.reduceat(w, offsets[:-1])
-        got, want, counted = _laws(values, w, offsets, batch_rows)
-        assert counted == (not weighted.any())
+        got, want, counted = _laws(values, w, offsets)
+        assert counted == (not _weighted(w, offsets).any())
         _assert_same(got, want)
 
     def test_a_segment_longer_than_a_batch(self):
+        # a batch of the former loop, per_scenario.BATCH_ROWS rows
         rng = np.random.default_rng(4)
-        sizes = [5, 2 * core._BATCH_ROWS + 3, 1, 7, core._BATCH_ROWS]
+        sizes = [5, 2 * per_scenario.BATCH_ROWS + 3, 1, 7, per_scenario.BATCH_ROWS]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         values = _tied(rng, offsets[-1], 5000)
         got, want, counted = _laws(values, np.full(values.size, 1.0 / values.size), offsets)
         assert counted
+        _assert_same(got, want)
+
+    def test_a_weighted_segment_longer_than_a_batch(self):
+        rng = np.random.default_rng(4)
+        sizes = [5, 2 * per_scenario.BATCH_ROWS + 3, 1, 7, per_scenario.BATCH_ROWS]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        values = _tied(rng, offsets[-1], 5000)
+        w = np.full(values.size, 1.0 / values.size)
+        w[offsets[1]:offsets[2]] = rng.random(sizes[1]) * (rng.random(sizes[1]) < 0.9)
+        w[offsets[1]] = 1.0
+        got, want, counted = _laws(values, w, offsets)
+        assert not counted
         _assert_same(got, want)
 
     def test_more_than_2_16_segments(self):
@@ -121,15 +147,51 @@ class TestCountRoute:
         assert counted
         _assert_same(got, want)
 
+    @pytest.mark.parametrize("raw", [
+        [0.9146558493556708, 0.9146558493556708, 0.9146558493556709],
+        # here the masses' cumsum differs from the counts in its last bits
+        [0.9719097193587902] * 9 + [0.9719097193587903],
+    ])
+    def test_the_route_is_decided_on_normalized_weights(self, raw):
+        # unequal raw weights that are equal after the division by their
+        # total: from_values counts them, and so does _segment_laws
+        raw = np.array(raw)
+        assert raw[0] != raw[-1] and _weighted(raw, np.array([0, raw.size])).sum() == 0
+        values = np.arange(raw.size, 0, -1) / 8
+        offsets = np.array([0, raw.size])
+        got, want, counted = _laws(values, raw, offsets)
+        assert counted
+        _assert_same(got, want)
+        law = StepCDF.from_values(values, raw)
+        assert _bits(got[0]) == _bits(law.support) and _bits(got[1]) == _bits(law.cum)
+
+    @settings(max_examples=50, deadline=None)
+    @given(families("mixed"))
+    def test_the_stable_argsort_of_wide_keys(self, family):
+        # keys and positions that do not fit 63 bits together are sorted by
+        # a stable argsort, with the same result
+        values, w, offsets = family
+        key = np.random.default_rng(offsets[-1]).integers(0, 50, offsets[-1])
+        packed = core._sorted_keys(key.copy(), 50)
+        wide = core._sorted_keys(key.copy(), 2**64)
+        assert _bits(packed[0]) == _bits(wide[0]) and _bits(packed[1]) == _bits(wide[1])
+        totals = core._segment_sums(w, offsets)
+        forced = mock.Mock(side_effect=lambda key, bound, sort=core._sorted_keys: sort(key, 2**64))
+        with mock.patch.object(core, "_sorted_keys", forced):
+            got = core._segment_laws(values.copy(), w.copy(), offsets, totals)
+        assert forced.called == _weighted(w, offsets).any()
+        _assert_same(got, core._segment_laws(values.copy(), w.copy(), offsets, totals))
+
     def test_an_equally_weighted_sample_sums_no_mass(self):
-        """``from_sample`` on equal weights never reaches the weighted
-        loop's position-carrying sort or its mass cumsums."""
+        """``from_sample`` on equal weights never reaches the
+        position-carrying sort or the mass cumsums; on a weighted sample it
+        reaches both."""
         rng = np.random.default_rng(6)
         factors = np.column_stack([rng.integers(0, 5, 3000), rng.standard_normal(3000)])
         sample = JointSample(np.round(rng.standard_normal(3000), 1), factors)
 
         def unreached(*args, **kwargs):
-            raise AssertionError("the weighted loop was reached")
+            raise AssertionError("the weighted steps were reached")
 
         partitions = [partition_quantile_boxes(sample, 4),
                       partition_discrete(JointSample(sample.loss, factors[:, 0]))]
@@ -137,6 +199,11 @@ class TestCountRoute:
                 mock.patch.object(core, "_segment_cumsums", unreached):
             for partition in partitions:
                 from_sample(sample, partition)
+        weighted = JointSample(sample.loss, factors, rng.random(3000))
+        with mock.patch.object(core, "_sorted_keys", wraps=core._sorted_keys) as sort, \
+                mock.patch.object(core, "_segment_cumsums", wraps=core._segment_cumsums) as sums:
+            from_sample(weighted, partition_quantile_boxes(weighted, 4))
+        assert sort.call_count == sums.call_count == 1
 
 
 class TestEqualSegmentSums:

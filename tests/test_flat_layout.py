@@ -107,10 +107,9 @@ class TestAgainstPerScenarioReference:
                      _flat_family(per_scenario.from_sample(sample, ref)))
 
     @settings(max_examples=100, deadline=None)
-    @given(samples(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64, 2**14]))
-    def test_family_of_any_partition(self, sample, seed, batch_rows):
-        # scenarios of scattered rows in random order, in batches of one
-        # scenario, of several and of all
+    @given(samples(), st.integers(0, 2**32 - 1))
+    def test_family_of_any_partition(self, sample, seed):
+        # scenarios of scattered rows in random order
         rng = np.random.default_rng(seed)
         rows = rng.permutation(np.flatnonzero(sample.weights > 0))
         cuts = np.unique(rng.integers(1, max(rows.size, 2), rng.integers(0, 6)))
@@ -118,10 +117,8 @@ class TestAgainstPerScenarioReference:
         weights = np.array([sample.weights[g].sum() for g in groups])
         partition = ScenarioPartition(Scenario(k, g, w / weights.sum())
                                       for k, (g, w) in enumerate(zip(groups, weights)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_BATCH_ROWS", batch_rows)
-            flat = from_sample(sample, partition)
-        _assert_same(_flat_family(flat), _flat_family(per_scenario.from_sample(sample, partition)))
+        _assert_same(_flat_family(from_sample(sample, partition)),
+                     _flat_family(per_scenario.from_sample(sample, partition)))
 
     def test_many_small_and_few_large_scenarios(self):
         rng = np.random.default_rng(3)

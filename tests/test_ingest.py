@@ -33,7 +33,7 @@ from factorrisk import (
     partition_quantile_boxes,
     simulate,
 )
-from factorrisk import cli, conditioning, core
+from factorrisk import cli, conditioning
 from factorrisk.core import Scenario, ScenarioPartition, StepCDF
 
 
@@ -429,12 +429,9 @@ def test_quantile_box_families_equal_their_definition():
         _assert_family_is_per_scenario(s, partition_quantile_boxes(s, 8))
 
 
-@pytest.mark.parametrize("batch_rows", [1, 50, 700, 2**16])
-def test_from_sample_batches_equal_their_definition(monkeypatch, batch_rows):
-    # scenario sizes 1 to about 1500 rows: batches of one scenario, of many,
-    # and scenarios larger than a batch
-    monkeypatch.setattr(core, "_BATCH_ROWS", batch_rows)
-    rng = np.random.default_rng(batch_rows)
+def test_from_sample_of_small_and_large_scenarios_equals_its_definition():
+    # weighted scenarios of 1 to about 1500 rows, with zero-weight rows
+    rng = np.random.default_rng(50)
     sample = _discrete_sample(rng, 6_000, 1, 60, True, "mixed")
     factors = np.where(np.arange(6_000) < 1500, 99.0, sample.factors[:, 0])
     sample = JointSample(sample.loss, factors, sample.weights)

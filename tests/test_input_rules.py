@@ -225,6 +225,11 @@ COUNT_SITES = {
                                "n_scenarios", 1),
     "pred_custom n_scenarios": (lambda n: pred_custom(lambda c, pi: bool(c.min() >= 0.5), n),
                                 "n_scenarios", 1),
+    "psi_custom check_pairs": (lambda n: psi_custom(lambda v, pi: float(v @ pi), 2,
+                                                    check_pairs=n), "check_pairs", 1),
+    "pred_custom check_pairs": (lambda n: pred_custom(lambda c, pi: bool(c.min() >= 0.5), 2,
+                                                      check_pairs=n), "check_pairs", 1),
+    "psi_es_on_box subset": (lambda n: psi_es_on_box(0.5, (1, n)), "scenario index", 0),
     "find_matching_q max_iter": (lambda n: find_matching_q(FIT, SAMPLE, 0.95, max_iter=n),
                                  "max_iter", 0),
 }
