@@ -30,6 +30,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 GRID_HEADER = ("p", "q", "rho_factor", "rho_plain", "diff")
+# Bytes per block of _plain_rows' scan, in a core's L2 cache with its masks.
+_SCAN_BYTES = 2**18
 
 
 class UsageError(FactorRiskError):
@@ -102,8 +104,10 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     """
     raw = path.read_bytes()
     n_rows = _plain_rows(raw)
+    first = raw[:raw.find(b"\n")]
+    del raw  # freed before np.loadtxt reads the file again, for the peak memory
     if n_rows:
-        header = [name.strip() for name in raw[:raw.find(b"\n")].decode("ascii").split(",")]
+        header = [name.strip() for name in first.decode("ascii").split(",")]
         wanted = select(header)
         table = _loadtxt(path, [header.index(name) for name in wanted], n_rows)
         if table is not None:
@@ -138,32 +142,42 @@ def _plain_rows(raw: bytes) -> int | None:
     A file is plain when ``csv.reader`` would split each of its lines at
     every comma: it is ASCII, holds no quote or NUL byte, no CR outside a
     CRLF line end and no blank line, and every line has as many commas as
-    the header.  Its separators (commas and LFs, one pass), the end of an
-    unterminated last line counted as an LF, are then rows of the header's
-    commas and one LF.
+    the header.  The file's bytes are scanned ``_SCAN_BYTES`` at a time:
+    each block's separators (commas and LFs), after those of a line the
+    last block's end cut, must repeat the header's commas and one LF, the
+    end of an unterminated last line counting as an LF.
     """
     if not raw.isascii() or b'"' in raw or b"\0" in raw:
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    is_lf = buf[sep] == ord("\n")
-    lf = sep[is_lf]
-    if not raw.endswith(b"\n"):
-        is_lf = np.append(is_lf, True)
-    per_line = int(is_lf.argmax()) + 1  # the header's commas and its line end
-    n_lines = is_lf.size // per_line
-    if is_lf.size % per_line or np.count_nonzero(is_lf) != n_lines \
-            or not is_lf[per_line - 1::per_line].all():
-        return None  # a ragged line
-    width = np.diff(lf, prepend=-1) - 1  # each line's bytes before its LF
-    crlf = np.zeros(lf.size, dtype=bool)  # the lines whose bytes end with a CR
-    if b"\r" in raw:  # the CRs stay in place, and each must sit right before an LF
-        filled = width > 0
-        crlf[filled] = buf[lf[filled] - 1] == ord("\r")
-        if np.count_nonzero(crlf) != raw.count(b"\r"):
+    end = raw.find(b"\n")
+    commas = raw.count(b",", 0, end if end >= 0 else None)
+    if not commas and (raw.startswith((b"\n", b"\r\n")) or b"\n\n" in raw or b"\n\r\n" in raw):
+        return None  # a blank line, which breaks the repeat only where lines hold commas
+    line = np.frombuffer(b"," * commas + b"\n", dtype=np.uint8)  # each line's separators
+    data = np.frombuffer(raw, dtype=np.uint8)
+    has_cr = b"\r" in raw
+    is_sep, is_lf, is_cr = np.empty((3, min(data.size, _SCAN_BYTES)), dtype=bool)
+    carried, n_lines = line[:0], 0
+    for start in range(0, data.size, _SCAN_BYTES):
+        block = data[start:start + _SCAN_BYTES]
+        sep, lf, cr = is_sep[:block.size], is_lf[:block.size], is_cr[:block.size]
+        np.equal(block, ord("\n"), out=lf)
+        if has_cr:  # each CR must sit right before an LF
+            np.equal(block, ord("\r"), out=cr)
+            after = raw[start + block.size:start + block.size + 1]  # the next block's first byte
+            if not (cr[:-1] <= lf[1:]).all() or (cr[-1] and after != b"\n"):
+                return None
+        np.equal(block, ord(","), out=sep)
+        sep |= lf
+        seps = np.concatenate((carried, block.take(np.flatnonzero(sep))))
+        lines = seps[:seps.size - seps.size % line.size].reshape(-1, line.size)
+        if not (lines == line).all():
+            return None  # a ragged line
+        carried, n_lines = seps[lines.size:], n_lines + lines.shape[0]
+    if carried.size or not raw.endswith(b"\n"):  # left over: a last line, whole without its LF
+        if not np.array_equal(np.append(carried, line[-1]), line):
             return None
-    if (width == crlf).any():  # a blank line: no bytes, or only a CRLF's CR
-        return None
+        n_lines += 1
     return n_lines - 1
 
 

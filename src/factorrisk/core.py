@@ -41,6 +41,9 @@ from .errors import ValidationError
 PROB_TOL = 1e-12
 MIN_ATOM_MASS = 1e-15
 SIGNIFICANT_DIGITS = 12
+# Values per block of round_significant: 1 MB per float64 temporary, in a
+# core's L2 cache.
+_ROUND_BLOCK = 2**17
 # Working-set budget of one chunk of dense profile rows (user distortions);
 # the profile matrix of a chunk takes an eighth of it, so the matrix, the
 # runs it is built from and the callable's own temporaries stay in a
@@ -62,18 +65,37 @@ def round_significant(values) -> np.ndarray:
     by factor value is a deterministic float operation.  Values whose
     magnitude sits beyond 1e+-300 are left unchanged (rounding there would
     overflow the scale and such values are already degenerate as factors).
+    The rounding runs in place on the copy, in blocks (:func:`_round_in_place`).
     """
-    arr = _entered(values)
-    flat = arr.ravel()
-    nz = (flat != 0.0) & np.isfinite(flat)
-    if nz.any():
-        vals = flat[nz]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.floor(np.log10(np.abs(vals)))
-            scale = np.power(10.0, SIGNIFICANT_DIGITS - 1 - mag)
-            rounded = np.round(vals * scale) / scale
-            good = np.isfinite(rounded)
-            flat[nz] = np.where(good, rounded, vals)
+    return _round_in_place(_entered(values))
+
+
+def _round_in_place(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr``, a new C-ordered float array, rounded as
+    :func:`round_significant` rounds, in place: ``_ROUND_BLOCK`` values at a
+    time, so the temporaries stay in cache.  A zero, a non-finite value or
+    one whose scale overflows rounds to a non-finite value and is kept.
+    With ``given``, the factor values ``arr`` was entered from, a
+    non-finite value is rejected, named as it was given."""
+    flat = arr.reshape(-1)
+    scale, rounded = np.empty((2, min(flat.size, _ROUND_BLOCK)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in range(0, flat.size, _ROUND_BLOCK):
+            block = flat[s:s + _ROUND_BLOCK]
+            x, y = scale[:block.size], rounded[:block.size]
+            if given is not None and not np.isfinite(block).all():
+                bad = s + int(np.argmin(np.isfinite(block)))
+                raise ValidationError("factor values must be finite, "
+                                      f"got {np.asarray(given).ravel()[bad].item()!r}")
+            np.abs(block, out=x)
+            np.log10(x, out=x)
+            np.floor(x, out=x)
+            np.subtract(SIGNIFICANT_DIGITS - 1, x, out=x)
+            np.power(10.0, x, out=x)
+            np.multiply(block, x, out=y)
+            np.round(y, out=y)
+            np.divide(y, x, out=y)
+            np.copyto(block, y, where=np.isfinite(y))
     return arr
 
 
@@ -172,16 +194,13 @@ def _probabilities(values, name: str) -> np.ndarray:
 def _factor_matrix(values, n_rows: int, name: str) -> np.ndarray:
     """``values`` as a new, canonically rounded ``n_rows`` x N float matrix,
     N >= 1 and finite; a vector is read as one column."""
-    f = np.asarray(values, dtype=float)
+    f = _entered(values)
     if f.ndim == 1:
         f = f.reshape(-1, 1)
     if f.ndim != 2 or f.shape[0] != n_rows or f.shape[1] < 1:
         raise ValidationError(f"{name} must be a {n_rows} x N matrix, N >= 1, "
                               f"got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValidationError("factor values must be finite, "
-                              f"got {_first(values, ~np.isfinite(f))!r}")
-    return round_significant(f)
+    return _round_in_place(f, values)
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -697,20 +716,31 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
     rank, points = _ranks(values)
     del values  # the caller's gather is freed here, for the peak memory: the support is points[at]
     weighted = np.maximum.reduceat(w, starts) != np.minimum.reduceat(w, starts)
+    any_weighted = weighted.any()
     base = np.arange(n_rows.size, dtype=np.int64) * points.size  # each segment's first key
     key = np.repeat(base, n_rows)
     key += rank
     dtype = rank.dtype
     del rank
-    if weighted.any():
+    if any_weighted:
         key, order = _sorted_keys(key, n_rows.size * points.size)
+        w = w[order]  # in sorted order: freed with the positions before the atoms are built
+        del order
     else:
         key.sort()
     last = np.empty(key.size, dtype=bool)  # where each atom's rows end, in sorted order
     last[-1] = True
     np.not_equal(key[1:], key[:-1], out=last[:-1])
+    if any_weighted:
+        # each sorted row's atom: an atom's rows are in row order, so bincount
+        # adds each atom's weights in row order, as np.add.at does
+        atom = np.cumsum(last)
+        atom -= last
+        masses = np.bincount(atom, weights=w)
+        del atom, w
     ends = np.flatnonzero(last)
     sizes = np.add.reduceat(last, starts, dtype=np.int64)  # each segment's atoms
+    del last
     law_offsets = np.concatenate(([0], np.cumsum(sizes)))
     at = key[ends]
     del key  # freed before the atoms' segment keys, for the peak memory
@@ -719,13 +749,8 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
     ends += 1
     ends -= np.repeat(starts, sizes)  # C, the segment's rows up to the atom
     cum = ends / np.repeat(n_rows, sizes)  # the count rule
-    if weighted.any():
-        # each sorted row's atom: an atom's rows are in row order, so bincount
-        # adds each atom's weights in row order, as np.add.at does
-        atom = np.cumsum(last)
-        atom -= last
-        masses = np.bincount(atom, weights=w[order])
-        del atom, order
+    del ends
+    if any_weighted:
         keep = masses > MIN_ATOM_MASS
         if not keep.all():  # drop, and re-rank where a point lost its last atom
             sizes = np.add.reduceat(keep, law_offsets[:-1], dtype=np.int64)
@@ -737,10 +762,11 @@ def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals
                 at = (np.cumsum(present, dtype=at.dtype) - 1)[at]
                 points = points[present]
         sums = _segment_cumsums(masses, law_offsets)
+        del masses
         # cumsum drift over many atoms is rescaled away, keeping each law's last cum == 1
         sums /= np.repeat(sums[law_offsets[1:] - 1], sizes)
-        weighted = np.repeat(weighted, sizes)
-        cum[weighted] = sums[weighted]
+        np.copyto(cum, sums, where=np.repeat(weighted, sizes))
+        del sums
     return points[at], cum, law_offsets, (_freeze(points), _freeze(at))
 
 

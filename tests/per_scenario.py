@@ -28,6 +28,10 @@ the coupling bound: ``es`` (``scalar.es``'s own formula), ``scenario_means``,
 ``es_composition``, ``transform_family`` and ``hl_bound`` (a merge of the two
 laws' breakpoints per scenario), each over the ``family.laws`` views, and
 ``es_tail_density``'s former build through the public constructor.
+
+``round_significant`` is the former ``core.round_significant``: one pass
+over the whole array that gathers its nonzero finite values, rounds them
+and scatters them back.
 """
 
 from __future__ import annotations
@@ -38,10 +42,32 @@ from factorrisk import (ConditionalLawFamily, JointSample, LevelMap, Scenario, S
                         ScenarioWeighting, StepCDF, ValidationError, VarBox, scalar)
 from factorrisk.conditioning import _interval_label, broadcast_levels
 from factorrisk import core
-from factorrisk.core import MIN_ATOM_MASS, _lazy_labels, round_significant
+from factorrisk.core import MIN_ATOM_MASS, SIGNIFICANT_DIGITS, _entered, _lazy_labels
 from factorrisk.distortion import _es_levels, _var_levels
 
 BATCH_ROWS = 2**14
+
+
+def round_significant(values) -> np.ndarray:
+    """Round to ``SIGNIFICANT_DIGITS`` significant digits, elementwise.
+
+    Factor values are canonicalized this way on ingestion so that grouping
+    by factor value is a deterministic float operation.  Values whose
+    magnitude sits beyond 1e+-300 are left unchanged (rounding there would
+    overflow the scale and such values are already degenerate as factors).
+    """
+    arr = _entered(values)
+    flat = arr.ravel()
+    nz = (flat != 0.0) & np.isfinite(flat)
+    if nz.any():
+        vals = flat[nz]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.floor(np.log10(np.abs(vals)))
+            scale = np.power(10.0, SIGNIFICANT_DIGITS - 1 - mag)
+            rounded = np.round(vals * scale) / scale
+            good = np.isfinite(rounded)
+            flat[nz] = np.where(good, rounded, vals)
+    return arr
 
 
 def from_values(values, weights=None) -> StepCDF:

@@ -1,11 +1,13 @@
 """The vectorized ingest and grouping paths against their per-cell and
 per-scenario definitions.
 
-``read_csv`` parses plain files with one ``np.loadtxt`` and everything else
-with a per-cell loop; both must give the same sample bits or the same
-error.  ``simulate`` must write what ``csv.writer`` writes.  The grouping
-of ``partition_discrete`` and the laws of ``from_sample`` must equal the
-row-unique partition and ``StepCDF.from_values`` per scenario, bit for bit.
+``round_significant`` rounds in blocks and must give the former one-pass
+function's bits.  ``read_csv`` parses plain files with one ``np.loadtxt``
+and everything else with a per-cell loop; both must give the same sample
+bits or the same error.  ``simulate`` must write what ``csv.writer``
+writes.  The grouping of ``partition_discrete`` and the laws of
+``from_sample`` must equal the row-unique partition and
+``StepCDF.from_values`` per scenario, bit for bit.
 """
 
 import contextlib
@@ -33,8 +35,69 @@ from factorrisk import (
     partition_quantile_boxes,
     simulate,
 )
-from factorrisk import cli, conditioning
-from factorrisk.core import Scenario, ScenarioPartition, StepCDF
+from factorrisk import cli, conditioning, core
+from factorrisk.core import Scenario, ScenarioPartition, StepCDF, round_significant
+
+import per_scenario
+
+
+# ------------------------------------------------------------------ rounding
+
+BLOCK = core._ROUND_BLOCK
+# zeros, infinities, NaN, subnormals, the ends of the normal range, magnitudes
+# at the 1e+-300 edge, whole numbers and values tied at the 12th digit
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+           2.225073858507201e-308, 1e-300, -1e-300, 9.99999999999e-301, 1.0000000000001e-300,
+           1e300, -1.2345678901234e300, 1.7976931348623157e308, 1.0, -3.0, 1e11, 99999999999.0,
+           1e12, 123456789012.5, 123456789013.5, -0.5, 1.000000000005, 2.5e-7]
+
+
+@st.composite
+def factor_arrays(draw):
+    """An array of 1, BLOCK - 1, BLOCK, BLOCK + 1 or 2 BLOCK + 3 values
+    mixing ordinary floats, the SPECIAL values, subnormals, magnitudes near
+    1e+-300, whole numbers and 12-digit ties (exact and scaled), with a few
+    drawn floats planted, as a vector, a column or a row."""
+    n = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = rng.choice([-1.0, 1.0], n)
+    ties = rng.integers(10**11, 10**12, n) + 0.5
+    pools = [
+        sign * rng.random(n) * 10.0 ** rng.integers(-15, 16, n),
+        rng.choice(SPECIAL, n),
+        sign * rng.random(n) * 2.2250738585072014e-308,
+        sign * 10.0 ** rng.uniform(-301.0, -299.0, n),
+        sign * 10.0 ** rng.uniform(299.0, 301.0, n),
+        rng.integers(-10**13, 10**13, n).astype(float),
+        sign * ties,
+        sign * ties * 10.0 ** rng.integers(-20, 20, n),
+    ]
+    values = np.choose(rng.integers(0, len(pools), n), pools)
+    planted = draw(st.lists(st.floats() | st.sampled_from(SPECIAL), max_size=6))
+    values[rng.integers(0, n, len(planted))] = planted
+    return values.reshape(draw(st.sampled_from([(-1,), (-1, 1), (1, -1)])))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(factor_arrays())
+def test_round_significant_equals_the_former_pass(values):
+    given_bits = values.tobytes()
+    got, want = round_significant(values), per_scenario.round_significant(values)
+    assert values.tobytes() == given_bits  # the input is not rounded in place
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if np.isfinite(values).all():
+        sample = JointSample(np.zeros(values.shape[0]), values.reshape(values.shape[0], -1))
+        assert sample.factors.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_factor_rejection_names_the_first_bad_value_past_a_block(value):
+    factors = np.ones((BLOCK + 7, 2))
+    factors[BLOCK // 2 + 3, 1] = value
+    factors[-1, 0] = np.inf if np.isnan(value) else np.nan
+    with pytest.raises(ValidationError) as exc:
+        JointSample(np.zeros(BLOCK + 7), factors)
+    assert str(exc.value) == f"factor values must be finite, got {value!r}"
 
 
 # ------------------------------------------------------------------ read_csv
@@ -181,9 +244,43 @@ def csv_like_bytes(draw):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(csv_like_bytes())
-def test_plain_rows_decide_as_the_former_search(raw):
-    assert cli._plain_rows(raw) == _former_plain_rows(raw)
+@given(csv_like_bytes(), st.sampled_from([None, 1, 2, 3, 5, 8]))
+def test_plain_rows_decide_as_the_former_search(raw, scan_bytes):
+    # small scan blocks put every byte of these short files next to a block edge
+    with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes or cli._SCAN_BYTES):
+        assert cli._plain_rows(raw) == _former_plain_rows(raw)
+
+
+# what may fall across a scan block's edge, after a line's three cells: a
+# line end, or bytes that make the file not plain
+EDGE_FEATURES = {"end": b"", "lone cr": b"\r1", "two crs": b"\r\r", "blank": b"{end}",
+                 "ragged": b",1", "short": b"{end}1,1", "quote": b'"1"'}
+
+
+@st.composite
+def block_edge_files(draw):
+    """(file, feature, data lines): a header and lines ``12,345,6``, LF or
+    CRLF ended, longer than one scan block, where a feature and its line
+    end start at a drawn offset before a block edge, so that the edge
+    falls inside or around them; with or without a last line end."""
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    header, line = b"W1,W2,W3" + end, b"12,345,6" + end
+    name = draw(st.sampled_from(sorted(EDGE_FEATURES)))
+    feature = EDGE_FEATURES[name].replace(b"{end}", end) + end
+    at = cli._SCAN_BYTES * draw(st.integers(1, 2)) - draw(st.integers(0, len(feature)))
+    k = (at - len(header) - 5) // len(line)  # whole lines before the feature's line
+    cells = b"1,1," + b"1" * (at - len(header) - k * len(line) - 4)
+    tail = draw(st.integers(1, 3))
+    raw = header + line * k + cells + feature + line * tail
+    return raw if draw(st.booleans()) else raw[:-len(end)], name, k + 1 + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_edge_files())
+def test_plain_rows_decide_as_the_former_search_across_block_edges(case):
+    raw, name, lines = case
+    assert len(raw) > cli._SCAN_BYTES
+    assert cli._plain_rows(raw) == _former_plain_rows(raw) == (lines if name == "end" else None)
 
 
 def test_crlf_twin_reads_to_the_same_bits(tmp_path):
