@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conditioning, coherent, distortion, linear, quantile, regression, scalar, sharing
-from .core import JointSample, StepCDF, from_sample
+from .core import JointSample, StepCDF, _ranks, from_sample
 from .errors import DataFormatError, FactorRiskError
 
 EXIT_OK = 0
@@ -74,12 +74,12 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
     wanted, table = _read_table(
         path, select, "ragged row: expected {expected} cells, got {got} (row {row})",
         "cell is not numeric at (row {row}, col {col}): {cell!r}")
-    bad = ~np.isfinite(table)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    finite = np.isfinite(table)  # the one check: both routes parse non-finite cells
+    if not finite.all():
+        r, c = divmod(int(np.argmin(finite)), len(wanted))
         raise DataFormatError(
             f"cell is not finite at (row {r + 1}, col {wanted[c]}): {float(table[r, c])!r}",
-            row=int(r) + 1, column=wanted[c],
+            row=r + 1, column=wanted[c],
         )
     return JointSample(table[:, 0], table[:, 1:], loss_name=target,
                        factor_names=tuple(wanted[1:]))
@@ -93,14 +93,15 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     returns the wanted names; a repeated name means its first column.
     When the file is plain (see :func:`_plain_rows`) one ``np.loadtxt`` with
     ``comments=None`` parses the wanted columns.  Otherwise, or when that
-    raises, gives another row count or a non-finite value, the per-cell
-    loop parses the file as ``csv.reader`` splits it.  The loop is the only
-    place that rejects a row or a cell, with the ``ragged`` and
-    ``not_numeric`` messages, or a file without data rows, so both routes
-    report the same error.  Where both parse a file they give the same
-    bits: ``np.loadtxt`` rejects some cells that ``float`` takes
-    (``1_0``), which the loop then reads, and no cell is known that it
-    takes and ``float`` rejects.
+    raises or gives another row count, the per-cell loop parses the file as
+    ``csv.reader`` splits it.  The loop is the only place that rejects a
+    row or a cell, with the ``ragged`` and ``not_numeric`` messages, or a
+    file without data rows, so both routes report the same error.  Where
+    both parse a file they give the same bits, non-finite spellings
+    (``nan``, ``-inf``, ``Infinity``, ``1e999``) included: ``np.loadtxt``
+    rejects some cells that ``float`` takes (``1_0``, non-ASCII digits),
+    which the loop then reads, and no cell is known that it takes and
+    ``float`` rejects.  A non-finite value is the caller's to reject.
     """
     raw = path.read_bytes()
     n_rows = _plain_rows(raw)
@@ -191,11 +192,8 @@ def _loadtxt(path: Path, cols: list[int], n_rows: int):
                            ndmin=2, encoding="ascii")
     except ValueError:
         return None
-    # the row count also catches a file changed between the two reads;
-    # non-finite values go through the loop, so float() alone decides them
-    if table.shape[0] != n_rows or not np.isfinite(table).all():
-        return None
-    return table
+    # the row count also catches a file changed between the two reads
+    return table if table.shape[0] == n_rows else None
 
 
 @dataclass(frozen=True)
@@ -386,7 +384,7 @@ def _json_floats(values: np.ndarray, depth: int) -> str:
     if values.ndim > 1:
         items = [_json_floats(row, depth + 1) for row in values]
     else:
-        bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+        index, bits = _ranks(np.asarray(values, dtype=float).view(np.int64))
         spell = float.__repr__ if np.isfinite(values).all() else json.dumps
         items = np.array(list(map(spell, bits.view(float).tolist())), dtype=object)[index].tolist()
     pad = "\n" + "  " * (depth + 1)

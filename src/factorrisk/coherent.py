@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalar
-from .core import (ConditionalLawFamily, StepCDF, _label_source, _level, _previous,
+from .core import (ConditionalLawFamily, StepCDF, _level, _previous,
                    _segment_cumsums, _segment_dots, _segment_es)
 from .errors import ValidationError
 
@@ -113,7 +113,7 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     support, cum = ([1.0], [1.0]) if p == 0 else ([0.0, 1.0 / (1.0 - p)], [p, 1.0])
     n = family.n_scenarios
     return ConditionalLawFamily._from_flat(family.pis, np.tile(support, n), np.tile(cum, n),
-                                           np.arange(n + 1) * len(support), _label_source(family))
+                                           np.arange(n + 1) * len(support), family._labels)
 
 
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",

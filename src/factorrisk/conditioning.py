@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scalar
 from .core import (JointSample, ScenarioPartition, StepCDF, _count, _exactly_one, _level,
-                   _segment_sums, round_significant)
+                   _ranks, _segment_sums, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 
@@ -118,17 +118,19 @@ def _cells(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, np.
 
     The codes fold into one mixed-radix int64 key, first column most
     significant.  Where the next column would overflow it, and where the
-    key ends above 2**16, it is re-ranked to 0..k-1 by a 1-D ``np.unique``,
-    which keeps its order.
+    key ends above 2**16, it is re-ranked to 0..k-1 by its dense rank
+    (:func:`~factorrisk.core._ranks`), which keeps its order.  The rank is
+    int32 below 2**31 positions, so it is widened to int64 before the next
+    column's product, which would stay int32 and could overflow.
     """
     key, size = np.zeros(codes[0].size, dtype=np.int64), 1
     for column, radix in zip(codes, radices):
         if size * radix > 2**63:
-            uniq, key = np.unique(key, return_inverse=True)
-            size = uniq.size
+            key, uniq = _ranks(key)
+            key, size = key.astype(np.int64), uniq.size
         key, size = key * radix + column, size * radix
     if size > 2**16:
-        uniq, key = np.unique(key, return_inverse=True)
+        key, uniq = _ranks(key)
         size = uniq.size
     return _group(key, size)
 
@@ -139,14 +141,15 @@ def partition_discrete(sample: JointSample) -> ScenarioPartition:
     Rows with zero weight are not retained; a factor value seen only on
     zero-weight rows therefore contributes no scenario.
 
-    Each column's values are coded by a 1-D ``np.unique`` and the codes
-    grouped as one mixed-radix key (:func:`_cells`), in place of
+    Each column's values are coded by their dense rank, from one
+    ``argsort`` (:func:`~factorrisk.core._ranks`), and the codes grouped as
+    one mixed-radix key (:func:`_cells`), in place of
     ``np.unique(..., axis=0)`` on the rows.
     """
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
-    columns = [np.unique(col, return_inverse=True) for col in facs.T]
-    order, offsets = _cells([codes for _, codes in columns], [values.size for values, _ in columns])
+    columns = [_ranks(col) for col in facs.T]
+    order, offsets = _cells([codes for codes, _ in columns], [values.size for _, values in columns])
     uniq = facs[order[offsets[:-1]]]  # a cell's members hold equal bits: factors have one zero
     members = rows[order]
     return ScenarioPartition._from_flat(members, offsets,

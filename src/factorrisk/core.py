@@ -103,8 +103,8 @@ def _entered(values) -> np.ndarray:
     """``values`` as a new float array with each -0.0 read as 0.0 (x + 0.0
     is x, and 0.0 at -0.0): the one zero of every value the library takes
     in, since -0.0 and 0.0 are one point of a law."""
-    arr = np.asarray(values, dtype=float)
-    return np.add(arr, 0.0, out=np.empty(arr.shape))  # an array also for a scalar
+    arr = np.array(values, dtype=float, order="C")  # one copy, C-ordered for _round_in_place
+    return np.add(arr, 0.0, out=arr)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -248,8 +248,6 @@ def _equal_weight_atoms(x: np.ndarray):
     last = np.empty(x.size, dtype=bool)
     last[-1] = True
     np.not_equal(x[1:], x[:-1], out=last[:-1])
-    if last.all():  # distinct values: an atom per row
-        return x, np.arange(1, x.size + 1) / x.size
     ends = np.flatnonzero(last)
     support = x[ends]
     ends += 1
@@ -288,8 +286,8 @@ class StepCDF:
         ``simulate`` or subsample column) take one ``np.sort``, and each
         atom's cum is C / n, C the count of values up to it
         (:func:`_equal_weight_atoms`): the left quantile at p is the order
-        statistic of rank min{C : C / n >= p}.  Other weights take
-        ``np.unique``'s argsort and inverse, a ``bincount`` that adds each
+        statistic of rank min{C : C / n >= p}.  Other weights take each
+        value's dense rank (:func:`_ranks`), a ``bincount`` that adds each
         atom's weights in row order, and their cumulative sum.  Equal values
         are equal bits, as values enter with one zero (:func:`_entered`).
         """
@@ -298,9 +296,9 @@ class StepCDF:
         if (w == w[0]).all():
             vals.sort()  # in place: vals is _as_1d's copy
             return cls._of_cum(*_equal_weight_atoms(vals))
-        uniq, inverse = np.unique(vals, return_inverse=True)
+        rank, uniq = _ranks(vals)
         # bincount adds each atom's weights in row order, as np.add.at does
-        return cls._of_masses(uniq, np.bincount(inverse, weights=w, minlength=uniq.size))
+        return cls._of_masses(uniq, np.bincount(rank, weights=w, minlength=uniq.size))
 
     @classmethod
     def _of_masses(cls, support, masses) -> "StepCDF":
@@ -514,9 +512,10 @@ class ScenarioPartition:
         # indices are rejected where the rows meet a sample (from_sample)
         if (np.diff(np.sort(rows)) == 0).any():
             raise ValidationError("scenario row sets must be pairwise disjoint")
+        labels = tuple(s.label for s in scenarios)
         self._set(rows, np.cumsum([0] + [s.rows.size for s in scenarios]),
-                  np.array([s.weight for s in scenarios], dtype=float), None)
-        self.__dict__.update(scenarios=scenarios, labels=tuple(s.label for s in scenarios))
+                  np.array([s.weight for s in scenarios], dtype=float), partial(tuple, labels))
+        self.__dict__.update(scenarios=scenarios, labels=labels)
 
     @classmethod
     def _from_flat(cls, rows, offsets, weights, labels: Callable[[], tuple] | None,
@@ -567,8 +566,8 @@ class ConditionalLawFamily:
     again.  ``ConditionalLawFamily(pis, laws, labels)`` flattens a sequence
     of StepCDF.  The merged support and each atom's index in it, which the
     engines and :meth:`mixture` read, come from the sort that built the
-    laws (``from_sample``), else from one sorting ``np.unique`` when first
-    read.
+    laws (``from_sample``), else from one ``argsort`` (:func:`_ranks`) when
+    first read.
     """
 
     pis: np.ndarray
@@ -588,11 +587,12 @@ class ConditionalLawFamily:
                 raise ValidationError("labels must align with scenarios")
         self._set(pis, np.concatenate([law.support for law in laws]),
                   np.concatenate([law.cum for law in laws]),
-                  np.cumsum([0] + [law.support.size for law in laws]), None)
+                  np.cumsum([0] + [law.support.size for law in laws]),
+                  None if labels is None else partial(tuple, labels))
         self.__dict__.update(laws=laws, labels=labels)
 
     @classmethod
-    def _from_flat(cls, pis, support, cum, offsets, labels: Callable[[], tuple | None] | None,
+    def _from_flat(cls, pis, support, cum, offsets, labels: Callable[[], tuple] | None,
                    grid: tuple | None = None) -> "ConditionalLawFamily":
         """The family of these arrays; ``labels()`` builds the labels when
         first read (a picklable callable; None: no labels); ``grid``, when
@@ -630,7 +630,7 @@ class ConditionalLawFamily:
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
         """The merged support and each atom's index in it, read-only."""
-        points, at = np.unique(self.support, return_inverse=True)
+        at, points = _ranks(self.support)
         return _freeze(points), _freeze(at)
 
     def merged_support(self) -> np.ndarray:
@@ -642,13 +642,14 @@ class ConditionalLawFamily:
 
     def mixture(self) -> StepCDF:
         """The pi-weighted mixture of the conditional laws (marginal of X):
-        ``StepCDF.from_values(support, masses)`` bit for bit, each merged
-        atom's mass one ``bincount`` over the atoms' stored index."""
+        ``StepCDF.from_values(support, masses)`` bit for bit, one ``bincount``
+        over each atom's index in the merged support: of the atoms, where
+        all weigh the same (the count rule C / n), else of their masses."""
+        points, at = self._grid
         masses = self._masses()
         masses *= np.repeat(self.pis, np.diff(self.offsets))
-        if (masses == masses[0]).all():  # equally weighted atoms: the count rule
-            return StepCDF.from_values(self.support)
-        points, at = self._grid
+        if (masses == masses[0]).all():
+            return StepCDF._of_cum(points, np.cumsum(np.bincount(at)) / at.size)
         masses /= masses.sum()  # as from_values normalizes its weights
         return StepCDF._of_masses(points, np.bincount(at, weights=masses, minlength=points.size))
 
@@ -679,15 +680,7 @@ def from_sample(sample: JointSample, partition: ScenarioPartition) -> Conditiona
         label = partition.labels[empty[0]]
         raise ValidationError(f"scenario {label!r} is empty after weight normalization")
     support, cum, law_offsets, grid = _segment_laws(sample.loss[rows], w, offsets, pis)
-    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets,
-                                           _label_source(partition), grid)
-
-
-def _label_source(owner):
-    """Labels for a family built from ``owner``: its label source, or a
-    ``partial`` of its built labels, so the family keeps none of its arrays."""
-    built = owner.__dict__.get("labels")
-    return owner._labels if built is None else partial(tuple, built)
+    return ConditionalLawFamily._from_flat(pis, support, cum, law_offsets, partition._labels, grid)
 
 
 def _segment_laws(values: np.ndarray, w: np.ndarray, offsets: np.ndarray, totals: np.ndarray):
@@ -808,9 +801,6 @@ def _equal_lengths(offsets: np.ndarray):
     """For each length of the segments of ``offsets``: those segments, and
     an index whose row k selects the k-th of them (a (1, L) view for a
     segment alone in its length)."""
-    if offsets.size == 2:  # one segment, as each scalar.es has: nothing to group
-        yield slice(None), np.s_[None, offsets[0]:offsets[1]]
-        return
     sizes = np.diff(offsets)
     by_size = np.argsort(sizes, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist(), by_size.size]
@@ -829,7 +819,7 @@ def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     an equally weighted sample), a segment's sum depends on its length
     alone, so ``values[:k]`` is summed once per distinct length k."""
     if values.size and values[0] != 0 and (values == values[0]).all():
-        lengths, of_length = np.unique(np.diff(offsets), return_inverse=True)
+        of_length, lengths = _ranks(np.diff(offsets))
         return np.array([values[:k].sum() for k in lengths.tolist()])[of_length]
     out = np.empty(offsets.size - 1)
     for segs, positions in _equal_lengths(offsets):
@@ -928,7 +918,10 @@ class ScenarioFunctional:
             r = self.resolve(pi, labels)
             return self.finish(self.row_sums(Y, r), r)
         if self.vectorized:
-            return np.asarray(self.func(Y, pi), dtype=self.result_type)
+            result = np.asarray(self.func(Y, pi), dtype=self.result_type)
+            if result.shape != (len(Y),):  # a wrong shape would be broadcast over the rows
+                raise ValidationError("a vectorized callable must return one value per profile row")
+            return result
         return np.array([self.result_type(self.func(y, pi)) for y in Y])
 
     def row_sums(self, Y: np.ndarray, r: Resolved) -> np.ndarray:
@@ -965,8 +958,8 @@ class _LabelView:
 
 
 def _lazy_labels(family: ConditionalLawFamily):
-    """The labels given to the family (or None), else a :class:`_LabelView`."""
-    return family.labels if family._labels is None else _LabelView(family)
+    """None for a family without labels, else a :class:`_LabelView`."""
+    return None if family._labels is None else _LabelView(family)
 
 
 def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -981,15 +974,6 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     an atom counts from row ``first`` on; at ``first == n_rows`` it never counts."""
     count = np.bincount(scen * (n_rows + 1) + first, minlength=n * (n_rows + 1))
     return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
-
-
-def _callable_rows(fn: ScenarioFunctional, Y: np.ndarray, pis, labels) -> np.ndarray:
-    """A user callable on the profile rows ``Y``: one value per row, or a
-    rejection (a wrong shape would otherwise be broadcast over the rows)."""
-    result = fn.apply(Y, pis, labels)
-    if result.shape != (len(Y),):
-        raise ValidationError("a vectorized callable must return one value per profile row")
-    return result
 
 
 def _scatter_chunk(Y, carried, s, r, lengths, values) -> None:
@@ -1047,7 +1031,7 @@ def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) ->
             _transposed_chunk(Y, carried, s[a:b], r[a:b], values[a:b])
         carried = Y[-1].copy()
         # the callable may return a view of Y, which the next chunk overwrites
-        out[k:k + len(Y)] = _callable_rows(fn, Y, pis, labels)
+        out[k:k + len(Y)] = fn.apply(Y, pis, labels)
     return out
 
 
@@ -1104,8 +1088,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
 
     if fn.result_type is bool or (r is not None and r.cut is not None):
         def value(Y):  # fn on these exact profile rows
-            return _callable_rows(fn, Y, pis, labels) if r is None else fn.finish(
-                fn.row_sums(Y, r), r)
+            return fn.apply(Y, pis, labels) if r is None else fn.finish(fn.row_sums(Y, r), r)
 
         first += at == G  # atoms past the grid never count; column n_blocks is row G - 1
         count = _atom_counts(scen, first, n, n_blocks + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConditionalLawFamily, StepCDF, _first, _label_source, _merged_grid,
+from .core import (ConditionalLawFamily, StepCDF, _first, _merged_grid,
                    _segment_laws, _segment_sums, _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
@@ -156,7 +156,7 @@ def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAl
     support, cum, law_offsets, grid = _segment_laws(allocation.h(agent, family.support), masses,
                                                     offsets, _segment_sums(masses, offsets))
     return ConditionalLawFamily._from_flat(family.pis, support, cum, law_offsets,
-                                           _label_source(family), grid)
+                                           family._labels, grid)
 
 
 def allocation_value_check(allocation: PiecewiseLinearAllocation, agents,

@@ -15,7 +15,11 @@ with equal weights' cum taken as each atom's cumulative row count over n
 The former searches and re-sorts of the quantile-box path are kept too:
 ``interval_codes`` (a binary search per value), ``block_counts`` (the
 sweep's anchor rows and last row, a binary search per scenario and row) and
-``merged_grid`` (two ``np.unique`` of the support).  ``segment_laws`` is
+``merged_grid`` (two ``np.unique`` of the support).  ``ranks`` is the
+former dense rank of every caller of ``core._ranks``: ``np.unique`` with
+its inverse, the two arrays in ``_ranks``' order.  ``mixture`` is the
+former ``mixture()``, the definition: ``StepCDF.from_values`` of the
+support weighted by each atom's pi-scaled mass.  ``segment_laws`` is
 the former ``core._segment_laws``, which took every family, equally
 weighted or not, through the weighted loop over batches of consecutive
 segments of up to ``BATCH_ROWS`` rows (``batches``): position-carrying key
@@ -313,6 +317,16 @@ def block_counts(scen: np.ndarray, at: np.ndarray, n: int, block: int,
 
 def merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
     return family.merged_support(), np.unique(family.support, return_inverse=True)[1]
+
+
+def ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return inverse, uniq
+
+
+def mixture(family: ConditionalLawFamily) -> StepCDF:
+    masses = np.concatenate([pi * law.masses for pi, law in zip(family.pis, family.laws)])
+    return StepCDF.from_values(family.support, masses)
 
 
 

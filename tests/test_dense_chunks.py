@@ -298,13 +298,21 @@ def test_a_view_of_the_rows_outlives_its_chunk(request, monkeypatch, family_name
     assert choquet_factor(family, psi) == xs[0] + first @ np.diff(xs)
 
 
-def test_one_value_per_row_or_a_rejection(gapped_family):
-    # one value for a whole chunk, or for the anchor rows, would otherwise
-    # be broadcast over its rows; the spot checks broadcast and accept both
+def test_one_value_per_row_or_a_rejection(gapped_family, monkeypatch):
+    # one value for a whole chunk, or for the anchor rows, would otherwise be
+    # broadcast over its rows: the spot checks see the wrong shape and reject
     n = gapped_family.n_scenarios
-    psi = psi_custom(lambda V, pi: V[:, :1].max(axis=0), n, vectorized=True)
     with pytest.raises(ValidationError, match="one value per profile row"):
-        choquet_factor(gapped_family, psi)
-    pred = pred_custom(lambda U, pi: (U >= 0.5).all(axis=1)[:1], n, vectorized=True)
+        psi_custom(lambda V, pi: V[:, :1].max(axis=0), n, vectorized=True)
+    with pytest.raises(ValidationError, match="one value per profile row"):
+        pred_custom(lambda U, pi: (U >= 0.5).all(axis=1)[:1], n, vectorized=True)
+    # right on as many rows as the spot checks pass, too few on a longer
+    # chunk (2,000 grid rows) or on more anchor rows (blocks of n rows)
+    psi = psi_custom(lambda V, pi: V.max(axis=1)[:1000], n, vectorized=True)
+    with pytest.raises(ValidationError, match="one value per profile row"):
+        _sweep(gapped_family, psi, np.linspace(-5.0, 45.0, 2000))
+    pred = pred_custom(lambda U, pi: (U >= 0.5).all(axis=1)[:2], n, vectorized=True,
+                       check_pairs=2)
+    monkeypatch.setattr(core, "MIN_SWEEP_BLOCK", 1)
     with pytest.raises(ValidationError, match="one value per profile row"):
         quantile_factor(gapped_family, pred)

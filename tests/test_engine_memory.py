@@ -97,6 +97,13 @@ class TestIngestPeakMemory:
         sample, peak = traced_peak(JointSample, loss, factors)
         assert peak <= 1.5 * _data_bytes(sample)
 
+    def test_joint_sample_of_integer_factors(self):
+        # one float copy of the factors, not a conversion and then a copy
+        rng = np.random.default_rng(1)
+        loss, factors = rng.standard_normal(200_000), rng.integers(-50, 50, (200_000, 3))
+        sample, peak = traced_peak(JointSample, loss, factors)
+        assert peak <= 1.5 * _data_bytes(sample)
+
     def test_read_csv(self, tmp_path):
         path = tmp_path / "s.csv"
         assert cli.main(["simulate", "--n", "200000", "--beta", "1.0,-0.5,0.3", "--seed", "2",

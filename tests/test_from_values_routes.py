@@ -1,12 +1,12 @@
 """The two routes of ``StepCDF.from_values`` against the reference one.
 
 Equally weighted values take one ``np.sort`` and its runs of equal values,
-each atom's cum its row count up to it over n; other weights take
-``np.unique`` and ``bincount``.  Both must equal ``per_scenario.from_values``
-(``np.unique`` for any weights, with the counts of its inverse over n for
-equal weights and a ``bincount`` of the weights otherwise) bit for bit: the
-support, the sign of every zero in it, and the cumulative masses.  Zero runs
-hold both -0.0 and 0.0, which enter as 0.0.
+each atom's cum its row count up to it over n; other weights take each
+value's dense rank (``core._ranks``) and ``bincount``.  Both must equal
+``per_scenario.from_values`` (``np.unique`` for any weights, with the counts
+of its inverse over n for equal weights and a ``bincount`` of the weights
+otherwise) bit for bit: the support, the sign of every zero in it, and the
+cumulative masses.  Zero runs hold both -0.0 and 0.0, which enter as 0.0.
 """
 
 import numpy as np
@@ -107,6 +107,10 @@ class _NoUnique:
         return getattr(np, name)
 
 
+def _no_ranks(values):
+    raise AssertionError("core._ranks called")
+
+
 class TestRouteTaken:
 
     def test_equal_weights_sort_without_unique(self, monkeypatch):
@@ -114,6 +118,7 @@ class TestRouteTaken:
         ties = rng.integers(0, 20, 500).astype(float)
         expected = per_scenario.from_values(ties)
         monkeypatch.setattr(core, "np", _NoUnique())
+        monkeypatch.setattr(core, "_ranks", _no_ranks)
         for weights in (None, np.full(ties.size, 0.25)):
             law = StepCDF.from_values(ties, weights)
             assert law.cum.tobytes() == expected.cum.tobytes()
@@ -122,7 +127,13 @@ class TestRouteTaken:
         assert StepCDF.from_values([0.0, -0.0, 1.0]).support.tobytes() == \
             np.array([0.0, 1.0]).tobytes()
 
-    def test_unequal_weights_use_unique(self, monkeypatch):
+    def test_unequal_weights_use_ranks(self, monkeypatch):
+        calls, ranks = [], core._ranks
         monkeypatch.setattr(core, "np", _NoUnique())
-        with pytest.raises(AssertionError, match="np.unique called"):
-            StepCDF.from_values([1.0, 2.0], [1.0, 2.0])
+        monkeypatch.setattr(core, "_ranks", lambda values: calls.append(values.tolist())
+                            or ranks(values))
+        law = StepCDF.from_values([2.0, 1.0, -0.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+        assert calls == [[2.0, 1.0, 0.0, 2.0]]
+        ref = per_scenario.from_values([2.0, 1.0, 0.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+        assert law.support.tobytes() == ref.support.tobytes()
+        assert law.cum.tobytes() == ref.cum.tobytes()

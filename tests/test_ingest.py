@@ -100,11 +100,37 @@ def test_factor_rejection_names_the_first_bad_value_past_a_block(value):
     assert str(exc.value) == f"factor values must be finite, got {value!r}"
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "strided", "int64"])
+def test_factor_layouts_round_to_the_bits_of_c_ordered_floats(layout):
+    # the factors are copied once, in C order, then rounded in place: a
+    # copy that kept a Fortran layout would be rounded through a reshaped
+    # copy of its own, and kept its given digits
+    rng = np.random.default_rng(4)
+    factors = np.round(rng.standard_normal((BLOCK + 5, 3)) * 1e3) / 7
+    factors[0, 1], factors[1, 2] = 0.1234567890123456, -0.0
+    given = {"fortran": lambda: np.asfortranarray(factors),
+             "transposed": lambda: np.ascontiguousarray(factors.T).T,
+             "strided": lambda: np.repeat(factors, 2, axis=0)[::2],
+             "int64": lambda: factors.astype(np.int64)}[layout]()
+    if layout == "int64":
+        factors = given.astype(float)
+    else:
+        assert not given.flags.c_contiguous and np.array_equal(given, factors)
+        assert given[0, 1] == 0.1234567890123456
+    loss = np.zeros(factors.shape[0])
+    want = per_scenario.round_significant(factors)
+    for got in (JointSample(loss, given).factors, round_significant(given)):
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+    if layout != "int64":
+        assert want[0, 1] == 0.123456789012
+
+
 # ------------------------------------------------------------------ read_csv
 
 NAMES = ["A", "B", "C", " A", "B "]
 # cells a plain file may hold: numbers np.loadtxt reads as float() does,
-# and some it rejects (1_0) or that are not finite, which the loop decides
+# non-finite ones included, and some it rejects (1_0), which the loop decides
 PLAIN_CELLS = ["-0", " 1.5 ", "\t3", "1e5", ".5", "5.", "+7", "\x1c4", "1_0", "nan", "inf",
                "1e400", "abc", ""]
 CELLS = PLAIN_CELLS + ["0x10", '"2.5"', '"1,5"', "\u0661\u0662", "1 2", "Infinity", "-inf"]
@@ -171,12 +197,18 @@ def _write(tmp_path, text, name="data.csv"):
     return path
 
 
-def _loadtxt_calls(path, target, **kwargs):
-    """(the sample read from ``path``, the tables ``_loadtxt`` returned)."""
-    tables = []
-    loadtxt = cli._loadtxt
+@contextlib.contextmanager
+def _loadtxt_spy():
+    """The tables ``cli._loadtxt`` returns inside the block (None: it declined)."""
+    tables, loadtxt = [], cli._loadtxt
     with mock.patch.object(cli, "_loadtxt", lambda *args: tables.append(loadtxt(*args))
                            or tables[-1]):
+        yield tables
+
+
+def _loadtxt_calls(path, target, **kwargs):
+    """(the sample read from ``path``, the tables ``_loadtxt`` returned)."""
+    with _loadtxt_spy() as tables:
         return cli.read_csv(path, target, **kwargs), tables
 
 
@@ -325,6 +357,35 @@ def test_per_cell_errors_keep_their_coordinates(tmp_path):
         cli.read_csv(path, "X")
 
 
+# spellings float() and np.loadtxt both parse (to non-finite values), and
+# some both reject; 1_0 only float() takes, so np.loadtxt leaves it to the loop
+NON_FINITE = ["nan", "NaN", "-nan", "+nan", "inf", "-inf", "Infinity", "-Infinity", "INF",
+              "1e999", "-1e999", " nan"]
+REJECTED = ["nan(1)", "nanq", "snan", "infinit"]
+
+
+@pytest.mark.parametrize("cell", NON_FINITE + REJECTED + ["1_0"])
+@pytest.mark.parametrize("where", ["1,{},2", "{},2,3"])
+def test_non_finite_cells_are_parsed_by_loadtxt_as_by_the_loop(tmp_path, cell, where):
+    body = "".join(f"{i},{i % 3},{i % 5}\n" for i in range(1, 40))
+    path = _write(tmp_path, f"X,W1,W2\n{body}{where.format(cell)}\n4,{cell},6\n")
+    with _loadtxt_spy() as tables:
+        got = _outcome(path, "X", None, ())
+    with mock.patch.object(cli, "_loadtxt", lambda *args: None):
+        loop = _outcome(path, "X", None, ())
+    assert got == loop
+    assert len(tables) == 1 and (tables[0] is not None) == (cell in NON_FINITE)
+    col = "W1" if where.startswith("1,") else "X"
+    if cell in NON_FINITE:
+        message = f"cell is not finite at (row 40, col {col}): {float(cell)!r}"
+    elif cell in REJECTED:
+        message = f"cell is not numeric at (row 40, col {col}): {cell!r}"
+    else:
+        assert got[0] == "ok"
+        return
+    assert got == ("error", message, 40, col)
+
+
 def test_repeated_selection_reads_each_column_once_per_row(tmp_path):
     path = _write(tmp_path, "X,W\n1,2\n3,4\n5,6\n")
     sample = cli.read_csv(path, "X", ["W", "W"])
@@ -355,11 +416,21 @@ def test_read_csv_peak_memory_is_a_few_times_the_file(tmp_path):
 
 # ------------------------------------------------------------------ read_grid
 
-def test_grid_with_nan_diff_round_trips_through_the_per_cell_loop(tmp_path):
+def _grid_bits(grid):
+    return [np.asarray(getattr(grid, name)).tobytes() for name in
+            ("p_values", "q_values", "rho_factor", "rho_plain", "diff")]
+
+
+def test_grid_with_nan_diff_round_trips_through_loadtxt(tmp_path):
     path = _write(tmp_path, "p,q,rho_factor,rho_plain,diff\n"
                             "0.9,0.5,1,0,nan\n0.9,0.7,2,1,1\n"
                             "0.95,0.5,3,0,nan\n0.95,0.7,4,2,1\n")
-    grid = cli.read_grid(path)
+    with _loadtxt_spy() as tables:
+        grid = cli.read_grid(path)
+    assert len(tables) == 1 and tables[0] is not None
+    with mock.patch.object(cli, "_loadtxt", lambda *args: None):
+        assert _grid_bits(cli.read_grid(path)) == _grid_bits(grid)
+    assert np.isnan(grid.diff).tolist() == [True, False, True, False]
     assert grid.p_values.tolist() == [0.9, 0.95]
     assert grid.q_values.tolist() == [0.5, 0.7]
     buf = io.StringIO()

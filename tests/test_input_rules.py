@@ -278,3 +278,23 @@ class TestFactorSpecs:
         spec = GaussianFactorSpec([0.5, -1.0], [[1.0, 0.2], [0.2, 2.0]])
         assert spec.mean.tolist() == [0.5, -1.0]
         assert DiscreteFactorSpec([0.0, 1.0]).values.tolist() == [[0.0], [1.0]]
+
+
+class TestCallableShapes:
+    """A vectorized callable returns one value per profile row; any other
+    shape is rejected when ``psi_custom`` or ``pred_custom`` spot-checks
+    it, with the engine's message (a scalar result once escaped the spot
+    checks as numpy's IndexError)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: psi_custom(lambda V, pi: 0.5, 3, vectorized=True),
+        lambda: psi_custom(lambda V, pi: V[:, :1], 3, vectorized=True),
+        lambda: psi_custom(lambda V, pi: V.max(), 3, vectorized=True),
+        lambda: pred_custom(lambda U, pi: np.array(True), 3, vectorized=True),
+        lambda: pred_custom(lambda U, pi: U >= 0.5, 3, vectorized=True),
+    ])
+    def test_wrong_shapes_are_rejected_at_construction(self, build):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == "a vectorized callable must return one value per profile row"
+

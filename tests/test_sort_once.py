@@ -5,7 +5,7 @@ argsort and number each scenario's atoms by their (scenario, rank) keys; the
 family keeps each atom's rank as its index in the merged support.
 ``_merged_grid``, ``merged_support()``, ``mixture()`` and the sharing
 integrand read that index.  Families built from laws compute it from one
-sorting ``np.unique`` when first read.  Each must equal the former route bit
+argsort (``core._ranks``) when first read.  Each must equal the former route bit
 for bit: ``per_scenario.from_sample`` (a per-scenario argsort),
 ``per_scenario.merged_grid`` (``np.unique`` of the support),
 ``StepCDF.from_values`` for the mixture, and a search of every atom in the
@@ -95,17 +95,12 @@ def _engine_values(family, x_law):
             value, allocation.breakpoints, allocation.slopes]
 
 
-def _mixture_reference(family) -> StepCDF:
-    masses = np.concatenate([pi * law.masses for pi, law in zip(family.pis, family.laws)])
-    return StepCDF.from_values(family.support, masses)
-
-
 def _assert_grid_and_values(family):
     points, at = core._merged_grid(family)
     ref_points, ref_at = per_scenario.merged_grid(family)
     assert _bits(points) == _bits(ref_points) and _bits(at) == _bits(ref_at)
     assert _bits(family.merged_support()) == _bits(ref_points)
-    x_law, ref_law = family.mixture(), _mixture_reference(family)
+    x_law, ref_law = family.mixture(), per_scenario.mixture(family)
     assert _bits(x_law.support) == _bits(ref_law.support)
     assert _bits(x_law.cum) == _bits(ref_law.cum)
     got = _engine_values(family, x_law)
