@@ -564,9 +564,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def _split_names(text: str | None):
-    if text is None:
-        return None
+def _split_names(text: str):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 

@@ -103,6 +103,8 @@ def _entered(values) -> np.ndarray:
     """``values`` as a new float array with each -0.0 read as 0.0 (x + 0.0
     is x, and 0.0 at -0.0): the one zero of every value the library takes
     in, since -0.0 and 0.0 are one point of a law."""
+    if type(values) is np.ndarray and values.dtype == np.float64:  # one pass, into a C-ordered copy
+        return np.add(values, 0.0, out=np.empty(values.shape))
     arr = np.array(values, dtype=float, order="C")  # one copy, C-ordered for _round_in_place
     return np.add(arr, 0.0, out=arr)
 
@@ -629,7 +631,7 @@ class ConditionalLawFamily:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The merged support and each atom's index in it, read-only."""
+        """The merged support and each atom's index in it (int32 where it fits), read-only."""
         at, points = _ranks(self.support)
         return _freeze(points), _freeze(at)
 
@@ -962,13 +964,6 @@ def _lazy_labels(family: ConditionalLawFamily):
     return None if family._labels is None else _LabelView(family)
 
 
-def _merged_grid(family: ConditionalLawFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The merged support and each atom's index in it, for :func:`_sweep`
-    (stored as the rank's 32-bit int where it fits, read as intp)."""
-    points, at = family._grid
-    return points, at.astype(np.intp, copy=False)
-
-
 def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     """Each scenario's count of atoms at rows 0..n_rows - 1, shape (n, n_rows):
     an atom counts from row ``first`` on; at ``first == n_rows`` it never counts."""
@@ -1039,7 +1034,9 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     """``fn`` on the scenario profile at every point of the increasing ``grid``.
 
     ``at`` is each atom's grid index, ``searchsorted(grid, family.support)``;
-    where the grid is the merged support, :func:`_merged_grid` gives it.
+    on the merged support it is ``family._grid[1]`` as stored, int32 where it
+    fits (each product of it is with an intp array or below G, and ``np.cumsum``
+    widens it).  An empty grid gives an empty array, calling no user distortion.
     An exact row reads each scenario's value at its count of atoms at or
     below it; the anchor rows open blocks of max(n, MIN_SWEEP_BLOCK) rows
     and count each atom from block ceil(at / block) on (:func:`_atom_counts`).

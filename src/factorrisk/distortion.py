@@ -34,8 +34,8 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _count, _lazy_labels, _level, _merged_grid, _probabilities,
-                   _scenario_var, _segment_es, _sweep)
+                   _count, _lazy_labels, _level, _probabilities, _scenario_var, _segment_es,
+                   _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -116,9 +116,11 @@ def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
     """Conditional ES on a scenario subevent: rho = ES_p(X | W in B)."""
     p = _level(p, "ES level", "[0, 1)")
     idx = np.unique(np.array([_count(i, "scenario index", 0) for i in subset], dtype=np.int64))
+    if idx.size == 0:
+        raise ValidationError("scenario subset must be nonempty")
 
     def resolve(pi, labels):
-        if idx.size == 0 or idx[-1] >= pi.size:
+        if idx[-1] >= pi.size:
             raise ValidationError("scenario subset out of range")
         w = np.zeros(pi.size)
         w[idx] = pi[idx] / pi[idx].sum()
@@ -173,9 +175,7 @@ def choquet_factor(family: ConditionalLawFamily, psi: ScenarioDistortion) -> flo
     Exact for discrete laws: survivals are evaluated at the merged support
     breakpoints only, where the integrand is piecewise constant.
     """
-    xs, at = _merged_grid(family)
-    if xs.size == 1:
-        return float(xs[0])
+    xs, at = family._grid
     vals = _sweep(family, psi, xs[:-1], at)
     return float(xs[0] + vals @ np.diff(xs))
 

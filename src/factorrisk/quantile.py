@@ -28,7 +28,7 @@ import numpy as np
 from . import scalar
 from .conditioning import VarBox, broadcast_levels, event_law, tail_box
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _count,
-                   _level, _merged_grid, _sweep)
+                   _level, _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -137,7 +137,7 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
     there and the predicate accepts the all-ones profile).  Found by
     bisection of exact rows; see :func:`pred_custom` for its contract.
     """
-    xs, at = _merged_grid(family)
+    xs, at = family._grid
     hits = np.flatnonzero(_sweep(family, pred, xs, at))
     if hits.size == 0:
         raise ValidationError("predicate rejected the all-ones profile")

@@ -161,7 +161,5 @@ def esssup(cdf: StepCDF) -> float:
 def distortion_rho(cdf: StepCDF, lam: DistortionFunction) -> float:
     """Choquet integral of the step CDF under the distortion ``lam``."""
     xs = cdf.support
-    if xs.size == 1:
-        return float(xs[0])
     surv = 1.0 - cdf.cum[:-1]
     return float(xs[0] + lam(surv) @ np.diff(xs))

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConditionalLawFamily, StepCDF, _first, _merged_grid,
-                   _segment_laws, _segment_sums, _sweep)
+from .core import ConditionalLawFamily, StepCDF, _first, _segment_laws, _segment_sums, _sweep
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -51,12 +50,12 @@ class PiecewiseLinearAllocation:
         slopes = np.atleast_2d(np.asarray(self.slopes, dtype=float))
         if xs.ndim != 1 or xs.size == 0 or not np.all(np.diff(xs) > 0):
             raise ValidationError("breakpoints must be strictly increasing")
-        if slopes.shape[1] != max(xs.size - 1, 0) and not (xs.size == 1 and slopes.shape[1] == 0):
+        if slopes.shape[1] != xs.size - 1:
             raise ValidationError("slopes must have one column per support interval")
         outside = ~((slopes >= -TIE_TOL) & (slopes <= 1 + TIE_TOL))
         if outside.any():
             raise ValidationError(f"slopes must be in [0, 1], got {_first(slopes, outside)!r}")
-        if slopes.size and np.any(np.abs(slopes.sum(axis=0) - 1.0) > 1e-9):
+        if np.any(np.abs(slopes.sum(axis=0) - 1.0) > 1e-9):
             raise ValidationError("slopes must sum to 1 on every interval")
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "slopes", np.clip(slopes, 0.0, 1.0))
@@ -68,12 +67,8 @@ class PiecewiseLinearAllocation:
     def h_at_breakpoints(self) -> np.ndarray:
         """h_i(x_k) for every agent i and breakpoint x_k; shape (n, m)."""
         xs = self.breakpoints
-        n = self.n_agents
-        start = np.full(n, xs[0] / n)
-        if xs.size == 1:
-            return start[:, None]
-        inner = self.slopes * np.diff(xs)[None, :]
-        return np.concatenate([start[:, None], start[:, None] + np.cumsum(inner, axis=1)], axis=1)
+        start = np.full((self.n_agents, 1), xs[0] / self.n_agents)
+        return np.concatenate([start, start + np.cumsum(self.slopes * np.diff(xs), axis=1)], axis=1)
 
     def h(self, agent: int, x) -> np.ndarray | float:
         """Evaluate h_agent pointwise (piecewise linear, 1/n outside)."""
@@ -117,11 +112,9 @@ def integrand_matrix(x_law: StepCDF, agents) -> np.ndarray:
     Where ``x_law``'s support is the family's merged support, each atom's
     grid index is the family's stored one; elsewhere the sweep searches it."""
     xs = x_law.support
-    if xs.size == 1:
-        return np.zeros((len(agents), 0))
     rows = []
     for psi, family in agents:
-        points, at = _merged_grid(family)
+        points, at = family._grid
         rows.append(_sweep(family, psi, xs[:-1], at if np.array_equal(points, xs) else None))
     return np.vstack(rows)
 
@@ -138,9 +131,6 @@ def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAlloc
         _check_mixture(x_law, family)
     xs = x_law.support
     vals = integrand_matrix(x_law, agents)
-    if xs.size == 1:
-        slopes = np.zeros((len(agents), 0))
-        return float(xs[0]), PiecewiseLinearAllocation(xs, slopes)
     mins = vals.min(axis=0)
     value = float(xs[0] + mins @ np.diff(xs))
     is_min = vals <= mins[None, :] + TIE_TOL

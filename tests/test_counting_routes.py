@@ -3,11 +3,13 @@
 Box codes are counted one cut at a time (``conditioning._interval_codes``),
 the sweep's block anchors and last row come from per-scenario atom counts
 (``core._atom_counts``), and the merged grid is the index that
-``from_sample`` keeps from its one sort (``core._merged_grid``).
+``from_sample`` keeps from its one sort (``family._grid``, int32 where it
+fits, which the engines read as stored).
 Each must equal the former route kept in ``per_scenario.py`` bit for bit:
-the partition and family arrays, ``_merged_grid`` and the values of
+the partition and family arrays, the grid's values and the values of
 ``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, where the
-engines run once as they are and once with the former routes patched in.
+engines run once as they are and once with the former routes in place:
+the key search patched in and ``np.unique``'s intp grid in the family's cache.
 
 Samples have ties, supports holding both signed zeros or only -0.0,
 single-atom laws, losses offset by 1e9, zero-weight rows and 2 to 300 bins,
@@ -25,7 +27,7 @@ import per_scenario
 from factorrisk import (JointSample, core, distortion, es_distortion, from_sample,
                         inf_convolution, partition_quantile_boxes, pred_esssup_var,
                         pred_var_of_var, psi_indicator_var_var, psi_lambda_of_var,
-                        psi_mean_of_es, quantile, quantile_factor)
+                        psi_mean_of_es, quantile_factor)
 from factorrisk.conditioning import _interval_codes
 
 
@@ -61,14 +63,13 @@ def samples(draw):
 
 
 @contextlib.contextmanager
-def _parent_routes():
-    """The engines with the former key search for atom counts, and the
-    former merged grid, patched in."""
+def _parent_routes(family):
+    """The engines with the former key search for atom counts patched in,
+    and the former merged grid in the family's cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_atom_counts", lambda scen, first, n, n_rows:
                    per_scenario.block_counts(scen, first, n, 1, n_rows))
-        for module in (distortion, quantile):
-            mp.setattr(module, "_merged_grid", per_scenario.merged_grid)
+        mp.setitem(family.__dict__, "_grid", per_scenario.merged_grid(family))
         yield
 
 
@@ -99,12 +100,13 @@ def _assert_same_routes(sample, bins):
     for name in ("pis", "support", "cum", "offsets"):
         assert _bits(getattr(family, name)) == _bits(getattr(ref_family, name)), name
 
-    points, at = core._merged_grid(family)
+    points, at = family._grid
     ref_points, ref_at = per_scenario.merged_grid(family)
-    assert _bits(points) == _bits(ref_points) and _bits(at) == _bits(ref_at)
+    assert _bits(points) == _bits(ref_points)
+    assert at.dtype == np.int32 and np.array_equal(at, ref_at)
     x_law = family.mixture()
     got = _engine_values(family, x_law)
-    with _parent_routes():
+    with _parent_routes(family):
         want = _engine_values(family, x_law)
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 

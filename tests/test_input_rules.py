@@ -26,6 +26,7 @@ from factorrisk import (
     ScenarioWeighting,
     StepCDF,
     VarBox,
+    choquet_factor,
     condition_a_check,
     diff_grid,
     es_composition,
@@ -251,6 +252,17 @@ class TestCounts:
         count = max(minimum, 2)
         for value in (count, float(count), np.int64(count)):
             call(value)
+
+    def test_empty_scenario_subset_is_rejected_at_construction(self):
+        # an empty subset once built and failed only at evaluation, as "out of range"
+        with pytest.raises(ValidationError) as exc:
+            psi_es_on_box(0.5, [])
+        assert str(exc.value) == "scenario subset must be nonempty"
+
+    def test_subset_beyond_the_family_fails_at_evaluation(self):
+        psi = psi_es_on_box(0.5, [2])  # FAMILY has two scenarios
+        with pytest.raises(ValidationError, match="^scenario subset out of range$"):
+            choquet_factor(FAMILY, psi)
 
     def test_nan_trials_no_longer_pass_without_a_trial(self):
         # NaN compared false with 1 and ran no trial, which read "no violation found"

@@ -9,9 +9,12 @@ applied first.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorrisk import (ConditionalLawFamily, DiscreteJointDistribution, JointSample, StepCDF,
                         from_sample, partition_discrete, pred_single_scenario, quantile_factor)
+from factorrisk.core import _entered, round_significant
 from factorrisk.sharing import PiecewiseLinearAllocation, transform_family
 
 # laws holding -0.0 next to laws holding 0.0
@@ -61,3 +64,53 @@ def test_negative_zero_reads_as_zero_everywhere(seed):
         assert not np.signbit(array[array == 0]).any(), name
         assert array.dtype == want[name].dtype and array.shape == want[name].shape, name
         assert array.tobytes() == want[name].tobytes(), name
+
+
+@st.composite
+def entering_values(draw):
+    """Values as they may enter: 0-d, 1-d or 2-d float arrays laid out C, F or
+    strided, holding -0.0 cells, and lists, float32 and int arrays."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ndim = draw(st.integers(0, 2))
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(ndim))
+    base = np.array(np.round(rng.standard_normal(tuple(2 * k for k in shape)), 1))
+    base[rng.random(base.shape) < 0.3] = -0.0
+    layout = draw(st.sampled_from(["C", "F", "strided", "list", "float32", "int"]))
+    values = base[tuple(slice(None, None, 2) for _ in shape)] if shape else base
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        return values
+    if layout == "list":
+        return values.tolist()
+    if layout == "float32":
+        return values.astype(np.float32)
+    if layout == "int":
+        return values.astype(np.int64)
+    return values.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(entering_values())
+def test_entered_is_the_two_step_copy(values):
+    # a float array is added into a new C-ordered array in one pass; any other
+    # input is copied C-ordered and then added in place
+    arr = np.array(values, dtype=float, order="C")
+    want = np.add(arr, 0.0, out=arr)
+    before = np.array(values, copy=True)
+    got = _entered(values)
+    assert type(got) is np.ndarray and got.flags.c_contiguous and got.flags.writeable
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert not np.signbit(got[got == 0]).any()
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(got, values)
+        assert np.array_equal(values, before) and values.tobytes() == before.tobytes()
+
+
+def test_round_significant_rounds_a_0d_input():
+    x = np.array(1.2345678901234567)
+    got = round_significant(x)
+    assert type(got) is np.ndarray and got.shape == ()
+    assert got.tobytes() == round_significant(np.array([1.2345678901234567])).tobytes()
+    assert got != x
+    assert not np.signbit(round_significant(np.array(-0.0)))

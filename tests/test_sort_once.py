@@ -2,16 +2,18 @@
 
 ``from_sample`` (and ``transform_family``) rank all the losses by one
 argsort and number each scenario's atoms by their (scenario, rank) keys; the
-family keeps each atom's rank as its index in the merged support.
-``_merged_grid``, ``merged_support()``, ``mixture()`` and the sharing
-integrand read that index.  Families built from laws compute it from one
-argsort (``core._ranks``) when first read.  Each must equal the former route bit
+family keeps each atom's rank as its index in the merged support, in
+``family._grid`` (int32 where it fits), which the engines,
+``merged_support()``, ``mixture()`` and the sharing integrand read as
+stored.  Families built from laws compute it from one argsort
+(``core._ranks``) when first read.  Each must equal the former route bit
 for bit: ``per_scenario.from_sample`` (a per-scenario argsort),
-``per_scenario.merged_grid`` (``np.unique`` of the support),
+``per_scenario.merged_grid`` (``np.unique`` of the support, an intp index),
 ``StepCDF.from_values`` for the mixture, and a search of every atom in the
 grid for the integrand.  So must the values of ``choquet_factor``,
 ``quantile_factor`` and ``inf_convolution``, which run once as they are and
-once with the former routes patched in.
+once with the former routes in place: ``np.unique``'s grid in the family's
+cache, and the integrand's sweep given no index.
 
 Samples have ties, both signed zeros or only -0.0, zero-weight rows inside
 scenarios, rows so light that their atoms fall under ``MIN_ATOM_MASS`` and
@@ -30,7 +32,7 @@ from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPar
                         core, distortion, es_distortion, from_sample, inf_convolution,
                         partition_discrete, partition_quantile_boxes, pred_esssup_var,
                         pred_var_of_var, psi_indicator_var_var, psi_lambda_of_var,
-                        psi_mean_of_es, quantile, quantile_factor, sharing)
+                        psi_mean_of_es, quantile_factor, sharing)
 from factorrisk.sharing import PiecewiseLinearAllocation, transform_family
 
 
@@ -75,12 +77,12 @@ def sampled_families(draw):
 
 
 @contextlib.contextmanager
-def _former_routes():
+def _former_routes(family):
     """The engines on ``np.unique``'s grid, and the integrand searching its grid."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (distortion, quantile):
-            mp.setattr(module, "_merged_grid", per_scenario.merged_grid)
-        mp.setattr(sharing, "_merged_grid", lambda family: (np.empty(0), None))
+        mp.setitem(family.__dict__, "_grid", per_scenario.merged_grid(family))
+        mp.setattr(sharing, "_sweep", lambda family, fn, grid, at=None:
+                   core._sweep(family, fn, grid))
         yield
 
 
@@ -96,15 +98,16 @@ def _engine_values(family, x_law):
 
 
 def _assert_grid_and_values(family):
-    points, at = core._merged_grid(family)
+    points, at = family._grid
     ref_points, ref_at = per_scenario.merged_grid(family)
-    assert _bits(points) == _bits(ref_points) and _bits(at) == _bits(ref_at)
+    assert _bits(points) == _bits(ref_points)
+    assert at.dtype == np.int32 and np.array_equal(at, ref_at)
     assert _bits(family.merged_support()) == _bits(ref_points)
     x_law, ref_law = family.mixture(), per_scenario.mixture(family)
     assert _bits(x_law.support) == _bits(ref_law.support)
     assert _bits(x_law.cum) == _bits(ref_law.cum)
     got = _engine_values(family, x_law)
-    with _former_routes():
+    with _former_routes(family):
         want = _engine_values(family, x_law)
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
@@ -156,8 +159,9 @@ class TestSortOnce:
         sample = JointSample([1.0, 2.0, 3.0, 1.0, 3.0], [0.0, 0.0, 0.0, 1.0, 1.0],
                              [1.0, 1e-20, 1.0, 1.0, 1.0])
         family = from_sample(sample, partition_discrete(sample))
-        points, at = core._merged_grid(family)
+        points, at = family._grid
         assert points.tolist() == [1.0, 3.0] and at.tolist() == [0, 1, 0, 1]
+        assert at.dtype == np.int32
         _assert_grid_and_values(family)
 
     @pytest.mark.parametrize("seed", range(5))
