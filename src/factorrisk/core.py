@@ -103,8 +103,6 @@ def _entered(values) -> np.ndarray:
     """``values`` as a new float array with each -0.0 read as 0.0 (x + 0.0
     is x, and 0.0 at -0.0): the one zero of every value the library takes
     in, since -0.0 and 0.0 are one point of a law."""
-    if type(values) is np.ndarray and values.dtype == np.float64:  # one pass, into a C-ordered copy
-        return np.add(values, 0.0, out=np.empty(values.shape))
     arr = np.array(values, dtype=float, order="C")  # one copy, C-ordered for _round_in_place
     return np.add(arr, 0.0, out=arr)
 

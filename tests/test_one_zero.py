@@ -93,10 +93,9 @@ def entering_values(draw):
 @settings(max_examples=200, deadline=None)
 @given(entering_values())
 def test_entered_is_the_two_step_copy(values):
-    # a float array is added into a new C-ordered array in one pass; any other
-    # input is copied C-ordered and then added in place
-    arr = np.array(values, dtype=float, order="C")
-    want = np.add(arr, 0.0, out=arr)
+    # a new C-ordered, writeable float array with the bits of values + 0.0,
+    # whatever the input's layout or type
+    want = np.asarray(values, dtype=float) + 0.0
     before = np.array(values, copy=True)
     got = _entered(values)
     assert type(got) is np.ndarray and got.flags.c_contiguous and got.flags.writeable
