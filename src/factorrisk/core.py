@@ -178,6 +178,12 @@ def _count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _rng(seed, *spawn_key) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, or its child spawned at the row indices ``spawn_key``."""
+    seed, key = _count(seed, "seed", 0), tuple(_count(k, "row index", 0) for k in spawn_key)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def _probabilities(values, name: str) -> np.ndarray:
     """``values`` as a new 1-D float array of probabilities: finite,
     nonnegative and summing to 1 within PROB_TOL.  NaN fails; the message
@@ -396,9 +402,12 @@ class DiscreteJointDistribution:
         if not rows:
             raise ValidationError("atom list must be nonempty")
         xs = np.array([r[0] for r in rows], dtype=float)
-        ws = np.array([np.atleast_1d(np.asarray(r[1], dtype=float)) for r in rows])
+        ws = [np.atleast_1d(np.asarray(r[1], dtype=float)) for r in rows]
+        shapes = sorted({w.shape for w in ws})
+        if len(shapes) > 1:
+            raise ValidationError(f"factor vectors must have one length, got shapes {shapes}")
         ps = np.array([r[2] for r in rows], dtype=float)
-        return cls(xs, ws, ps)
+        return cls(xs, np.array(ws), ps)
 
     @property
     def n_factors(self) -> int:
@@ -894,9 +903,10 @@ class ScenarioFunctional:
     scenario distortion, the CDF value F_i(x) for an acceptance predicate.
     ``term`` is elementwise with a per-scenario parameter, ``resolve(pi,
     labels)`` returns the :class:`Resolved` weights, parameters and jump
-    point, and ``outer(s, cut)`` maps the sum (None: the identity).  A user
-    callable ``func`` takes the place of all three; it sees whole profile
-    rows: all of them for a distortion, a few for a predicate (:func:`_sweep`).
+    point, and ``outer(s, cut)`` maps the sum (None: the identity); its
+    labels are None or a :class:`_LabelView` (``iter``, ``in``, ``index``).
+    A user callable ``func`` takes the place of all three and gets no labels;
+    it sees whole profile rows: all for a distortion, a few for a predicate.
     """
 
     term: Callable | None = None
@@ -940,12 +950,6 @@ class _LabelView:
 
     def __init__(self, family: ConditionalLawFamily):
         self._family = family
-
-    def __len__(self) -> int:
-        return self._family.n_scenarios
-
-    def __getitem__(self, i):
-        return self._family.labels[i]
 
     def __iter__(self):
         return iter(self._family.labels)
@@ -994,7 +998,7 @@ def _transposed_chunk(Y, carried, s, r, values) -> None:
     Y[:] = np.repeat(run_values, np.diff(begin, append=n * c)).reshape(n, c).T
 
 
-def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) -> np.ndarray:
+def _dense(fn: ScenarioFunctional, pis, scen, at, y, carried, G: int) -> np.ndarray:
     """A user distortion on every dense profile row, one chunk of rows at a
     time in one reused buffer (see :func:`_sweep`)."""
     n = pis.size
@@ -1024,7 +1028,7 @@ def _dense(fn: ScenarioFunctional, pis, labels, scen, at, y, carried, G: int) ->
             _transposed_chunk(Y, carried, s[a:b], r[a:b], values[a:b])
         carried = Y[-1].copy()
         # the callable may return a view of Y, which the next chunk overwrites
-        out[k:k + len(Y)] = fn.apply(Y, pis, labels)
+        out[k:k + len(Y)] = fn.apply(Y, pis)
     return out
 
 
@@ -1083,7 +1087,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
 
     if fn.result_type is bool or (r is not None and r.cut is not None):
         def value(Y):  # fn on these exact profile rows
-            return fn.apply(Y, pis, labels) if r is None else fn.finish(fn.row_sums(Y, r), r)
+            return fn.apply(Y, pis) if r is None else fn.finish(fn.row_sums(Y, r), r)
 
         first += at == G  # atoms past the grid never count; column n_blocks is row G - 1
         count = _atom_counts(scen, first, n, n_blocks + 1)
@@ -1110,7 +1114,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     y = 1.0 - cum if fn.survival else cum
     below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
     if r is None:
-        return _dense(fn, pis, labels, scen, at, y, below, G)
+        return _dense(fn, pis, scen, at, y, below, G)
     anchors = fn.row_sums(profile(_atom_counts(scen, first, n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)

@@ -34,8 +34,8 @@ import numpy as np
 from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _count, _lazy_labels, _level, _probabilities, _scenario_var, _segment_es,
-                   _sweep)
+                   _count, _lazy_labels, _level, _probabilities, _rng, _scenario_var,
+                   _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -146,7 +146,7 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     it that must outlive the call (a returned view is copied out in time).
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
@@ -230,7 +230,7 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
     """
     trials = _count(trials, "trials", 1)
     pi = _probabilities(pi, "pi")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = pi.size
     chunk = 2048
     done = 0

@@ -28,7 +28,7 @@ import numpy as np
 from . import scalar
 from .conditioning import VarBox, broadcast_levels, event_law, tail_box
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _count,
-                   _level, _sweep)
+                   _level, _rng, _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -46,10 +46,6 @@ class IncreasingSetPredicate(ScenarioFunctional):
     result_type = bool
 
 
-def _reached(u, p):
-    return u >= p
-
-
 def _at_least(s, cut):
     return s >= cut
 
@@ -59,7 +55,7 @@ def _counting(p, weights, cut):
     def resolve(pi, labels):
         w = weights(pi, labels)
         return Resolved(w, np.full(pi.size, p), cut(pi))
-    return IncreasingSetPredicate(_reached, resolve, _at_least)
+    return IncreasingSetPredicate(_at_least, resolve, _at_least)
 
 
 def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
@@ -120,7 +116,7 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
         raise ValidationError("predicate must reject the all-zeros profile")
     if not pred.apply(np.ones((1, n)), pi)[0]:
         raise ValidationError("predicate must accept the all-ones profile")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     lo = rng.random((check_pairs, n))
     hi = np.minimum(lo + rng.random((check_pairs, n)), 1.0)
     accept_lo = pred.apply(lo, pi)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JointSample, StepCDF, _as_1d, _count, _level
+from .core import JointSample, StepCDF, _as_1d, _count, _level, _rng
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
@@ -103,7 +103,7 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
         block = np.empty((min(T - s, _QR_ROWS), k + 1), order="F")
         block[:, 0], block[:, 1:k], block[:, k] = 1.0, W[s:s + _QR_ROWS], y[s:s + _QR_ROWS]
         blocks.append(np.triu(geqrf(block, overwrite_a=1)[0][:k + 1]))
-    r_all = blocks[0] if len(blocks) == 1 else np.triu(geqrf(np.vstack(blocks))[0][:k + 1])
+    r_all = np.triu(geqrf(np.vstack(blocks))[0][:k + 1])
     qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     # collinearity below the 12-digit ingestion rounding counts as deficient
@@ -208,7 +208,7 @@ def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     W = factor_spec.draw(rng, n)
     if W.shape[1] != beta.size:
         raise ValidationError("factor spec dimension must match beta")
@@ -231,10 +231,6 @@ def _rho(fit: RegressionFit, index_var, p: float):
     return fit.beta0 + index_var + fit.sigma * norm_inv(p)
 
 
-def _row_rng(master_seed: int, row_index: int):
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(row_index,)))
-
-
 def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "model",
               master_seed: int = DEFAULT_SEED, row_index: int = 0,
               mc_draws: int = MC_DRAWS) -> float:
@@ -248,14 +244,14 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     min{C : C / n >= p}.
     """
     p = _level(p, "level p", "(0, 1)")
-    return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, row_index)[0]
+    return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, [row_index])[0]
 
 
 def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
-                master_seed: int, mc_draws: int, first_row: int = 0,
+                master_seed: int, mc_draws: int, rows,
                 index: np.ndarray | None = None) -> list[float]:
-    """:func:`plain_var` at each level, row i seeded by (master_seed,
-    first_row + i); the empirical levels are read from one sort of the
+    """:func:`plain_var` at each level, level i seeded by (master_seed,
+    rows[i]); the empirical levels are read from one sort of the
     loss, and the fitted values are computed once, from the factor index
     beta . W when the caller has it (``fit.fitted``'s bits)."""
     if mode not in PLAIN_MODES:
@@ -264,13 +260,14 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
         return scalar.quantiles(data.loss, data.weights, p_values).tolist()
     fitted = fit.beta0 + (data.factors @ fit.beta if index is None else index)
     out = []
-    for row, p in enumerate(p_values, first_row):
-        rng = _row_rng(master_seed, row)
+    for row, p in zip(rows, p_values):
+        rng = _rng(master_seed, row)
         if mode == "model":
             values, weights = fitted + fit.sigma * rng.standard_normal(fitted.size), data.weights
         else:
-            idx = rng.choice(fitted.size, size=mc_draws, p=data.weights)
-            values, weights = fitted[idx] + fit.sigma * rng.standard_normal(mc_draws), None
+            draws = _count(mc_draws, "mc_draws", 1)
+            idx = rng.choice(fitted.size, size=draws, p=data.weights)
+            values, weights = fitted[idx] + fit.sigma * rng.standard_normal(draws), None
         out.append(scalar.quantiles(values, weights, p))
     return out
 
@@ -336,7 +333,7 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     index = data.factors @ fit.beta
     index_vars = scalar.quantiles(index, data.weights, q_values).tolist()
     plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws,
-                         index=index)
+                         range(p_values.size), index)
     rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars])
     rp = np.repeat(plains, q_values.size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -369,7 +366,7 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     _count(max_iter, "max_iter", 0)
     p = _level(p, "level p", "(0, 1)")
     index, lo, hi = data.factors @ fit.beta, 1e-9, 1.0 - 1e-9
-    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, MC_DRAWS, index=index)[0]
+    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, MC_DRAWS, [0], index)[0]
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionalLawFamily, StepCDF, _first, _segment_laws, _segment_sums, _sweep
+from .core import (ConditionalLawFamily, StepCDF, _count, _first, _segment_laws, _segment_sums,
+                   _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -73,7 +74,9 @@ class PiecewiseLinearAllocation:
     def h(self, agent: int, x) -> np.ndarray | float:
         """Evaluate h_agent pointwise (piecewise linear, 1/n outside)."""
         xs = self.breakpoints
-        n = self.n_agents
+        n, agent = self.n_agents, _count(agent, "agent", 0)
+        if agent >= n:
+            raise ValidationError(f"agent must be < n_agents = {n}, got {agent!r}")
         hk = self.h_at_breakpoints()[agent]
         x = np.asarray(x, dtype=float)
         below = xs[0] + np.minimum(x - xs[0], 0.0)
@@ -87,12 +90,10 @@ def _check_agents(agents) -> list[tuple[ScenarioDistortion, ConditionalLawFamily
     agents = list(agents)
     if not agents:
         raise ValidationError("at least one agent is required")
-    out = []
     for psi, family in agents:
         if not isinstance(psi, ScenarioDistortion) or not isinstance(family, ConditionalLawFamily):
             raise ValidationError("each agent must be a (ScenarioDistortion, family) pair")
-        out.append((psi, family))
-    return out
+    return agents
 
 
 def _check_mixture(x_law: StepCDF, family: ConditionalLawFamily):

@@ -52,6 +52,7 @@ from factorrisk import (
 )
 from factorrisk import scalar
 from factorrisk.distortion import _es_levels, _var_levels
+from factorrisk.sharing import transform_family
 from factorrisk.errors import ValidationError
 
 LAW = StepCDF(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
@@ -214,6 +215,9 @@ class TestFactorMatrices:
         assert str(exc.value) == message
 
 
+# three agents over FAMILY's support
+ALLOCATION = PiecewiseLinearAllocation([1.0, 2.0], [[0.5], [0.25], [0.25]])
+
 # each count site: a call taking the count, its name and its minimum
 COUNT_SITES = {
     "condition_a_check trials": (lambda n: condition_a_check(psi_mean(), [0.5, 0.5], trials=n),
@@ -233,12 +237,35 @@ COUNT_SITES = {
     "psi_es_on_box subset": (lambda n: psi_es_on_box(0.5, (1, n)), "scenario index", 0),
     "find_matching_q max_iter": (lambda n: find_matching_q(FIT, SAMPLE, 0.95, max_iter=n),
                                  "max_iter", 0),
+    # every seeded stream comes from core._rng, which checks the seed and the row index
+    "simulate seed": (lambda n: simulate(0.0, [1.0], 1.0, DiscreteFactorSpec([0.0, 1.0]), 10,
+                                         seed=n), "seed", 0),
+    "psi_custom seed": (lambda n: psi_custom(lambda v, pi: float(v @ pi), 2, seed=n), "seed", 0),
+    "pred_custom seed": (lambda n: pred_custom(lambda c, pi: bool(c.min() >= 0.5), 2, seed=n),
+                         "seed", 0),
+    "condition_a_check seed": (lambda n: condition_a_check(psi_mean(), [0.5, 0.5], trials=10,
+                                                           seed=n), "seed", 0),
+    **{f"{mode} {site}": (call, name, 0) for mode in ("model", "model-mc") for site, call, name in (
+        ("plain_var seed", lambda n, m=mode: plain_var(FIT, SAMPLE, 0.9, m, n, mc_draws=100),
+         "seed"),
+        ("plain_var row_index", lambda n, m=mode: plain_var(FIT, SAMPLE, 0.9, m, row_index=n,
+                                                             mc_draws=100), "row index"),
+        ("diff_grid seed", lambda n, m=mode: diff_grid(FIT, SAMPLE, [0.9, 0.95], [0.5], m, n,
+                                                        mc_draws=100), "seed"),
+        ("find_matching_q seed", lambda n, m=mode: find_matching_q(FIT, SAMPLE, 0.95, m, n),
+         "seed"))},
+    "plain_var mc_draws": (lambda n: plain_var(FIT, SAMPLE, 0.9, "model-mc", mc_draws=n),
+                           "mc_draws", 1),
+    "diff_grid mc_draws": (lambda n: diff_grid(FIT, SAMPLE, [0.9], [0.5], "model-mc",
+                                               mc_draws=n), "mc_draws", 1),
+    "allocation agent": (lambda n: ALLOCATION.h(n, 1.5), "agent", 0),
+    "transform_family agent": (lambda n: transform_family(FAMILY, ALLOCATION, n), "agent", 0),
 }
 
 
 class TestCounts:
     @pytest.mark.parametrize("site", list(COUNT_SITES))
-    @pytest.mark.parametrize("bad", [NAN, np.inf, 2.5, "3", None, "below"])
+    @pytest.mark.parametrize("bad", [NAN, np.inf, 2.5, "3", None, "below", 1.5])
     def test_one_message_form(self, site, bad):
         call, name, minimum = COUNT_SITES[site]
         value = minimum - 1 if bad == "below" else bad

@@ -199,7 +199,7 @@ class TestOlsFit:
     @pytest.mark.parametrize("rows, blocks", [(500, 1), (2**14, 1), (40_000, 3)])
     def test_block_qr_forms_no_q(self, monkeypatch, rows, blocks):
         """A fit runs one unpivoted ``geqrf`` per row block of [1 | W | y],
-        one more on the stacked R blocks when there are several, and one
+        one more on the stacked R blocks (one block too), and one
         pivoted ``qr_multiply`` on the (N+1) x (N+1) R of [1 | W], whose
         LAPACK calls are one pivoted factorization and one product with the
         stored reflectors: no Q formed, no least-squares solver."""
@@ -233,9 +233,7 @@ class TestOlsFit:
         W = rng.standard_normal((rows, 3))
         ols_fit(JointSample(W.sum(axis=1) + rng.standard_normal(rows), W))
         sizes = [min(2**14, rows - s) for s in range(0, rows, 2**14)]
-        want = [("geqrf", (b, 5)) for b in sizes]
-        if blocks > 1:
-            want.append(("geqrf", (5 * blocks, 5)))
+        want = [("geqrf", (b, 5)) for b in sizes] + [("geqrf", (5 * blocks, 5))]
         assert geqrf == want
         assert calls == [("qr_multiply", (4, 4))]
         assert sorted(lapack) == ["geqp3", "ormqr"]
