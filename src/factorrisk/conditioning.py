@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import scalar
-from .core import (JointSample, ScenarioPartition, StepCDF, _count, _exactly_one, _level,
-                   _ranks, _segment_sums, round_significant)
+from .core import (JointSample, ScenarioPartition, StepCDF, _cells, _count, _exactly_one,
+                   _level, _ranks, _segment_sums, round_significant)
 from .errors import EmptyEventError, ValidationError
 
 
@@ -102,54 +102,20 @@ def _retained_rows(sample: JointSample) -> np.ndarray:
     return np.flatnonzero(sample.weights > 0)
 
 
-def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stable argsort of ``key`` in [0, size), which lists the groups in
-    key order and each group's positions in order, and the offsets of the
-    nonempty groups in it."""
-    counts = np.bincount(key, minlength=size)
-    # numpy sorts 16-bit keys stably by radix, about 6x faster than int64 keys
-    order = np.argsort(key.astype(np.uint16) if size <= 2**16 else key, kind="stable")
-    return order, np.concatenate(([0], np.cumsum(counts[counts > 0])))
-
-
-def _cells(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions grouped by their vector of per-column codes, cells in
-    lexicographic order (see :func:`_group`).
-
-    The codes fold into one mixed-radix int64 key, first column most
-    significant.  Where the next column would overflow it, and where the
-    key ends above 2**16, it is re-ranked to 0..k-1 by its dense rank
-    (:func:`~factorrisk.core._ranks`), which keeps its order.  The rank is
-    int32 below 2**31 positions, so it is widened to int64 before the next
-    column's product, which would stay int32 and could overflow.
-    """
-    key, size = np.zeros(codes[0].size, dtype=np.int64), 1
-    for column, radix in zip(codes, radices):
-        if size * radix > 2**63:
-            key, uniq = _ranks(key)
-            key, size = key.astype(np.int64), uniq.size
-        key, size = key * radix + column, size * radix
-    if size > 2**16:
-        key, uniq = _ranks(key)
-        size = uniq.size
-    return _group(key, size)
-
-
 def partition_discrete(sample: JointSample) -> ScenarioPartition:
     """One scenario per distinct factor vector, in lexicographic label order.
 
     Rows with zero weight are not retained; a factor value seen only on
     zero-weight rows therefore contributes no scenario.
 
-    Each column's values are coded by their dense rank, from one
-    ``argsort`` (:func:`~factorrisk.core._ranks`), and the codes grouped as
-    one mixed-radix key (:func:`_cells`), in place of
-    ``np.unique(..., axis=0)`` on the rows.
+    The columns' dense ranks (:func:`~factorrisk.core._ranks`) are grouped
+    as one mixed-radix key by one stable sort (:func:`~factorrisk.core._cells`,
+    as a ``DiscreteJointDistribution``'s atoms), not ``np.unique(axis=0)``.
     """
     rows = _retained_rows(sample)
     facs = sample.factors[rows]
-    columns = [_ranks(col) for col in facs.T]
-    order, offsets = _cells([codes for codes, _ in columns], [values.size for _, values in columns])
+    codes, values = zip(*[_ranks(col) for col in facs.T])
+    order, offsets = _cells(codes, [v.size for v in values])
     uniq = facs[order[offsets[:-1]]]  # a cell's members hold equal bits: factors have one zero
     members = rows[order]
     return ScenarioPartition._from_flat(members, offsets,
@@ -169,9 +135,9 @@ def partition_quantile_boxes(sample: JointSample, bins_per_factor: int) -> Scena
     the order statistics of rank ceil(k T / bins)), into left-open
     right-closed intervals (the lowest interval absorbs everything below).
     Empty boxes are dropped.
-    Ties can merge cuts, which the partition's ``cuts`` show.  A box's
-    counted interval codes (:func:`_interval_codes`) form one mixed-radix
-    key (:func:`_cells`), and its label string is built from them when read.
+    Ties can merge cuts, which the partition's ``cuts`` show.  The boxes'
+    interval codes (:func:`_interval_codes`) are grouped by
+    :func:`~factorrisk.core._cells`; a label is built from them when read.
     """
     bins = _count(bins_per_factor, "bins_per_factor", 1)
     rows = _retained_rows(sample)

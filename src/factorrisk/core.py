@@ -356,8 +356,10 @@ class DiscreteJointDistribution:
     Atoms are canonicalized on construction: factor values rounded to 12
     significant digits, atoms sorted lexicographically by (w, x), equal
     (w, x) pairs merged by summing mass, and atoms lighter than 1e-15
-    dropped with the remaining mass renormalized.  Canonicalization is
-    idempotent, so any two atom orderings of the same joint law produce
+    dropped with the remaining mass renormalized.  The canonical order
+    comes from the same cells as ``partition_discrete``'s: the dense ranks
+    of each w column and of x grouped by :func:`_cells`.  Canonicalization
+    is idempotent, so any two atom orderings of the same joint law produce
     identical objects and identical downstream risk values.
     """
 
@@ -374,13 +376,11 @@ class DiscreteJointDistribution:
         if np.any(ps <= 0):
             raise ValidationError("atom masses must be positive")
 
-        order = np.lexsort(np.column_stack([xs, ws[:, ::-1]]).T)
-        xs, ws, ps = xs[order], ws[order], ps[order]
-        key = np.column_stack([ws, xs])
-        new_atom = np.ones(xs.size, dtype=bool)
-        new_atom[1:] = np.any(key[1:] != key[:-1], axis=1)
-        merged_p = np.bincount(np.cumsum(new_atom) - 1, weights=ps)
-        xs, ws = xs[new_atom], ws[new_atom]
+        codes, values = zip(*[_ranks(col) for col in (*ws.T, xs)])
+        order, offsets = _cells(codes, [v.size for v in values])
+        first = order[offsets[:-1]]
+        merged_p = np.bincount(np.repeat(np.arange(first.size), np.diff(offsets)), weights=ps[order])
+        xs, ws = xs[first], ws[first]
         keep = merged_p > MIN_ATOM_MASS
         xs, ws, merged_p = xs[keep], ws[keep], merged_p[keep]
         if xs.size == 0:
@@ -804,6 +804,27 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(ranks)
     rank[order] = ranks
     return rank, points
+
+
+def _cells(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions grouped by their vector of per-column codes, cells in
+    lexicographic order and each cell's positions in order, and the cells'
+    offsets in it: one stable sort (:func:`_sorted_keys`), at any number of
+    cells, of the codes folded into one mixed-radix int64 key, first column
+    most significant.  Where the next column would overflow the key, it is
+    re-ranked to its dense rank (:func:`_ranks`), which keeps its order;
+    that rank is int32 below 2**31 positions, so it is widened to int64.
+    """
+    key, size = np.zeros(codes[0].size, dtype=np.int64), 1
+    for column, radix in zip(codes, radices):
+        if size * radix > 2**63:
+            key, uniq = _ranks(key)
+            key, size = key.astype(np.int64), uniq.size
+        key *= radix  # in place: no temporary of n keys per column
+        key += column
+        size *= radix
+    key, order = _sorted_keys(key, size)
+    return order, np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [key.size]))
 
 
 def _equal_lengths(offsets: np.ndarray):

@@ -67,9 +67,14 @@ class PiecewiseLinearAllocation:
 
     def h_at_breakpoints(self) -> np.ndarray:
         """h_i(x_k) for every agent i and breakpoint x_k; shape (n, m)."""
+        return np.reshape([self._row(i) for i in range(self.n_agents)],
+                          (self.n_agents, self.breakpoints.size))
+
+    def _row(self, agent: int) -> np.ndarray:
+        """h_agent(x_k) at every breakpoint x_k, from the agent's own slopes: O(m)."""
         xs = self.breakpoints
-        start = np.full((self.n_agents, 1), xs[0] / self.n_agents)
-        return np.concatenate([start, start + np.cumsum(self.slopes * np.diff(xs), axis=1)], axis=1)
+        start = xs[0] / self.n_agents
+        return np.concatenate(([start], start + np.cumsum(self.slopes[agent] * np.diff(xs))))
 
     def h(self, agent: int, x) -> np.ndarray | float:
         """Evaluate h_agent pointwise (piecewise linear, 1/n outside)."""
@@ -77,12 +82,11 @@ class PiecewiseLinearAllocation:
         n, agent = self.n_agents, _count(agent, "agent", 0)
         if agent >= n:
             raise ValidationError(f"agent must be < n_agents = {n}, got {agent!r}")
-        hk = self.h_at_breakpoints()[agent]
         x = np.asarray(x, dtype=float)
         below = xs[0] + np.minimum(x - xs[0], 0.0)
         above = np.maximum(x - xs[-1], 0.0)
         inside = np.clip(x, xs[0], xs[-1])
-        out = np.interp(inside, xs, hk) + (below - xs[0]) / n + above / n
+        out = np.interp(inside, xs, self._row(agent)) + (below - xs[0]) / n + above / n
         return float(out) if out.ndim == 0 else out
 
 

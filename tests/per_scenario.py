@@ -35,7 +35,11 @@ laws' breakpoints per scenario), each over the ``family.laws`` views, and
 
 ``round_significant`` is the former ``core.round_significant``: one pass
 over the whole array that gathers its nonzero finite values, rounds them
-and scatters them back.
+and scatters them back.  ``discrete_joint`` is the former canonical atom
+list of ``DiscreteJointDistribution``: one ``np.lexsort`` by (w, x) and a
+row-by-row compare of neighbours.  ``h_at_breakpoints`` is the former
+``PiecewiseLinearAllocation.h_at_breakpoints``: one n x m cumsum of every
+agent's slopes.
 """
 
 from __future__ import annotations
@@ -405,3 +409,29 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     else:
         law = StepCDF(np.array([0.0, 1.0 / (1.0 - p)]), np.array([p, 1.0]))
     return ConditionalLawFamily(family.pis, (law,) * family.n_scenarios, family.labels)
+
+
+def discrete_joint(xs, ws, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xs = core._as_1d(xs, "xs")
+    ws = core._factor_matrix(ws, xs.size, "ws")
+    ps = core._probabilities(ps, "atom masses")
+    order = np.lexsort(np.column_stack([xs, ws[:, ::-1]]).T)
+    xs, ws, ps = xs[order], ws[order], ps[order]
+    key = np.column_stack([ws, xs])
+    new_atom = np.ones(xs.size, dtype=bool)
+    new_atom[1:] = np.any(key[1:] != key[:-1], axis=1)
+    merged_p = np.bincount(np.cumsum(new_atom) - 1, weights=ps)
+    xs, ws = xs[new_atom], ws[new_atom]
+    keep = merged_p > MIN_ATOM_MASS
+    xs, ws, merged_p = xs[keep], ws[keep], merged_p[keep]
+    total = merged_p.sum()
+    if abs(total - 1.0) > 1e-13:
+        merged_p = merged_p / total
+    return xs, ws, merged_p
+
+
+def h_at_breakpoints(allocation) -> np.ndarray:
+    xs = allocation.breakpoints
+    start = np.full((allocation.n_agents, 1), xs[0] / allocation.n_agents)
+    return np.concatenate([start, start + np.cumsum(allocation.slopes * np.diff(xs), axis=1)],
+                          axis=1)

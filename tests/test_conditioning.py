@@ -125,9 +125,15 @@ def _scan_group(key, size):
     return np.concatenate(groups), np.cumsum([0] + [g.size for g in groups])
 
 
+def _scan_cells(codes, radices):
+    """The cells as one full scan per cell over the lexicographic rank of each code vector."""
+    _, key = np.unique(np.column_stack(codes), axis=0, return_inverse=True)
+    return _scan_group(key.reshape(-1), key.max() + 1)
+
+
 def _same_partition_as_scan(build, sample):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conditioning, "_group", _scan_group)
+        mp.setattr(conditioning, "_cells", _scan_cells)
         scanned = build(sample)
     grouped = build(sample)
     assert grouped.n_scenarios == scanned.n_scenarios

@@ -200,9 +200,10 @@ class TestCountRoute:
             for partition in partitions:
                 from_sample(sample, partition)
         weighted = JointSample(sample.loss, factors, rng.random(3000))
+        partition = partition_quantile_boxes(weighted, 4)  # its cells are sorted by _sorted_keys too
         with mock.patch.object(core, "_sorted_keys", wraps=core._sorted_keys) as sort, \
                 mock.patch.object(core, "_segment_cumsums", wraps=core._segment_cumsums) as sums:
-            from_sample(weighted, partition_quantile_boxes(weighted, 4))
+            from_sample(weighted, partition)
         assert sort.call_count == sums.call_count == 1
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import per_scenario
 from factorrisk import (ConditionalLawFamily, DiscreteJointDistribution, JointSample, Scenario,
                         ScenarioPartition, StepCDF, ValidationError, choquet_factor,
-                        compose_es_mean, compose_var_distortion, conditioning, core, from_sample,
+                        compose_es_mean, compose_var_distortion, core, from_sample,
                         identity_distortion, partition_discrete, partition_quantile_boxes,
                         pred_single_scenario, pred_var_of_var, psi_mean_of_es, psi_mean_of_var,
                         quantile_factor)
@@ -153,7 +153,7 @@ class TestAgainstPerScenarioReference:
         radices = [2**33, 2**31, 3]
         codes = [rng.integers(0, r, 100) for r in radices]
         codes = [np.concatenate([c, c[::-1]]) for c in codes]  # two rows per cell
-        order, offsets = conditioning._cells(codes, radices)
+        order, offsets = core._cells(codes, radices)
         _, inverse = np.unique(np.column_stack(codes), axis=0, return_inverse=True)
         assert _same(order, np.argsort(inverse.reshape(-1), kind="stable"))
         assert _same(offsets, np.arange(0, 201, 2))
@@ -163,7 +163,7 @@ class TestAgainstPerScenarioReference:
         n = 2**16 + 5
         key = np.concatenate([np.arange(n), rng.integers(0, n, 2 * n)])
         key[key == 17] = 18  # an empty group
-        order, offsets = conditioning._group(key, n)
+        order, offsets = core._cells([key], [n])
         assert _same(order, np.argsort(key, kind="stable"))
         assert _same(np.diff(offsets), np.bincount(key)[np.bincount(key) > 0])
 

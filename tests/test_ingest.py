@@ -35,7 +35,7 @@ from factorrisk import (
     partition_quantile_boxes,
     simulate,
 )
-from factorrisk import cli, conditioning, core
+from factorrisk import cli, core
 from factorrisk.core import Scenario, ScenarioPartition, StepCDF, round_significant
 
 import per_scenario
@@ -579,7 +579,7 @@ def test_group_keeps_row_order_within_groups(n_groups):
     rng = np.random.default_rng(n_groups)
     inverse = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, 3 * n_groups)])
     rows = rng.permutation(inverse.size) * 2
-    grouped, offsets = conditioning._group(inverse, n_groups)
+    grouped, offsets = core._cells([inverse], [n_groups])
     groups = np.split(rows[grouped], offsets[1:-1])
     order = np.argsort(inverse, kind="mergesort")
     ends = np.cumsum(np.bincount(inverse, minlength=n_groups))

@@ -3,7 +3,7 @@
 Every dense rank in the package comes from ``core._ranks`` (one argsort):
 the weighted ``StepCDF.from_values``, a family's merged grid, the length
 table of ``_segment_sums``, the column codes of ``partition_discrete``, the
-re-ranks of ``conditioning._cells`` and the bit table of
+re-ranks of ``core._cells`` and the bit table of
 ``cli._json_floats``.  It must give ``np.unique(..., return_inverse=True)``'s
 two arrays (``per_scenario.ranks``) bit for bit, on floats with ties and on
 int64 keys across the whole range.  ``_cells`` re-ranks its mixed-radix key
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import per_scenario
 from factorrisk import (ConditionalLawFamily, JointSample, PiecewiseLinearAllocation, Scenario,
-                        ScenarioPartition, StepCDF, conditioning, core, es_tail_density,
+                        ScenarioPartition, StepCDF, core, es_tail_density,
                         from_sample, partition_discrete, partition_quantile_boxes)
 from factorrisk.sharing import transform_family
 
@@ -106,7 +106,7 @@ class TestCellsPastSixtyThreeBits:
         rng = np.random.default_rng(radix)
         codes = [rng.integers(0, radix, 3000) for _ in range(4)]
         codes[2][::7] = codes[2][0]
-        order, offsets = conditioning._cells([c.copy() for c in codes], [radix] * 4)
+        order, offsets = core._cells([c.copy() for c in codes], [radix] * 4)
         _, inverse = np.unique(np.column_stack(codes), axis=0, return_inverse=True)
         want = np.argsort(inverse, kind="stable")
         assert order.tolist() == want.tolist()
