@@ -45,15 +45,10 @@ SIGNIFICANT_DIGITS = 12
 # core's L2 cache.
 _ROUND_BLOCK = 2**17
 # Working-set budget of one chunk of dense profile rows (user distortions);
-# the profile matrix of a chunk takes an eighth of it, so the matrix, the
-# runs it is built from and the callable's own temporaries stay in a
-# core's L2 cache.
+# the profile state and the copy handed to the callable take an eighth of it
+# each, so both, the atoms set into the state and the callable's own
+# temporaries stay in a core's L2 cache.
 DENSE_CHUNK_BYTES = 4 * 2**20
-# A dense chunk is scattered into a copy of the carried row where its
-# changed cells are at most this share of it, else built transposed: the
-# measured crossover, where a changed cell's scatter costs about five
-# cells of the transposed build.
-DENSE_SCATTER_SHARE = 0.2
 # Exact anchor rows open every block of max(n, this) grid rows (see _sweep).
 MIN_SWEEP_BLOCK = 256
 
@@ -359,8 +354,11 @@ class DiscreteJointDistribution:
     dropped with the remaining mass renormalized.  The canonical order
     comes from the same cells as ``partition_discrete``'s: the dense ranks
     of each w column and of x grouped by :func:`_cells`.  Canonicalization
-    is idempotent, so any two atom orderings of the same joint law produce
-    identical objects and identical downstream risk values.
+    is idempotent: the canonical object builds itself again bit for bit.
+    The masses of a merged (w, x) pair are summed in the order the atoms
+    were given, so two orderings of one joint law can differ in the last
+    bits of ``ps``: masses 0.1, 0.2, 0.3 merge to 0.6000000000000001, and
+    0.3, 0.2, 0.1 to 0.6.
     """
 
     xs: np.ndarray
@@ -994,62 +992,27 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
 
 
-def _scatter_chunk(Y, carried, s, r, lengths, values) -> None:
-    """Write a dense chunk ``Y`` (c rows, n columns, C-contiguous) as the
-    carried row plus one run per atom: atom i of scenario s[i] holds
-    values[i] on rows r[i] .. r[i] + lengths[i] - 1, by one flat scatter."""
-    n = Y.shape[1]
-    Y[:] = carried
-    first = np.cumsum(lengths) - lengths  # each run's first changed cell
-    cell = np.arange(lengths.sum()) * n
-    Y.reshape(-1)[cell + np.repeat((r - first) * n + s, lengths)] = np.repeat(values, lengths)
-
-
-def _transposed_chunk(Y, carried, s, r, values) -> None:
-    """The chunk of :func:`_scatter_chunk`, written one scenario per row as
-    consecutive runs (the carried value up to the scenario's first atom,
-    then one run per atom) and copied transposed into ``Y``."""
-    c, n = Y.shape
-    scenarios = np.arange(n)
-    at_run = np.arange(1, s.size + 1) + s  # each atom's run follows its scenario's carried run
-    carried_run = scenarios + np.searchsorted(s, scenarios)
-    run_values, begin = np.empty(n + s.size), np.empty(n + s.size, dtype=np.intp)
-    run_values[carried_run], begin[carried_run] = carried, scenarios * c
-    run_values[at_run], begin[at_run] = values, s * c + r
-    Y[:] = np.repeat(run_values, np.diff(begin, append=n * c)).reshape(n, c).T
-
-
-def _dense(fn: ScenarioFunctional, pis, scen, at, y, carried, G: int) -> np.ndarray:
-    """A user distortion on every dense profile row, one chunk of rows at a
-    time in one reused buffer (see :func:`_sweep`)."""
+def _dense(fn: ScenarioFunctional, pis, scen, at, y, state, S: int, G: int) -> np.ndarray:
+    """A user distortion on every dense profile row in S calls, call j on grid
+    rows j, j + S, j + 2S, ...: ``state`` holds them for j = 0, and each
+    later call's rows are the state with that call's atoms set (see :func:`_sweep`)."""
     n = pis.size
-    step = max(1, DENSE_CHUNK_BYTES // (64 * n))
-    live = np.flatnonzero(at < G)
-    live = live[np.argsort(at[live] // step, kind="stable")]  # (scenario, row) order per chunk
-    s, values, r = scen[live], y[live], at[live]
-    chunk = r // step
-    r -= chunk * step  # the row within its chunk
-    n_chunks = -(-G // step)
-    bounds = np.searchsorted(chunk, np.arange(n_chunks + 1))
-    # each atom's run ends at its scenario's next atom in the chunk, or at
-    # the chunk's end; of atoms sharing a row, the last gets the row
-    lengths = np.minimum(G - chunk * step, step)
-    same = (s[1:] == s[:-1]) & (chunk[1:] == chunk[:-1])
-    lengths[:-1][same] = r[1:][same]
-    lengths -= r
-    cells = np.bincount(chunk, weights=lengths, minlength=n_chunks)  # changed cells per chunk
-    buffer = np.empty((min(step, G), n))
+    keep = at < G  # of a scenario's atoms on one grid row, the last sets it
+    keep[:-1] &= (at[1:] != at[:-1]) | (scen[1:] != scen[:-1])
+    live = np.flatnonzero(keep)
+    row, chunk = np.divmod(at[live], S)
+    chunk, order = _sorted_keys(chunk.astype(np.int64), S)
+    live = live[order]
+    cell, values = row[order].astype(np.intp) * n + scen[live], y[live]
+    bounds = np.searchsorted(chunk, np.arange(S + 1))
+    flat, work = state.reshape(-1), np.empty_like(state)
     out = np.empty(G, dtype=fn.result_type)
-    for j, k in enumerate(range(0, G, step)):
-        Y = buffer[:G - k]
-        a, b = bounds[j], bounds[j + 1]
-        if cells[j] <= DENSE_SCATTER_SHARE * Y.size:
-            _scatter_chunk(Y, carried, s[a:b], r[a:b], lengths[a:b], values[a:b])
-        else:
-            _transposed_chunk(Y, carried, s[a:b], r[a:b], values[a:b])
-        carried = Y[-1].copy()
-        # the callable may return a view of Y, which the next chunk overwrites
-        out[k:k + len(Y)] = fn.apply(Y, pis)
+    for j in range(S):
+        if j:  # chunk 0's atoms are in the anchor rows already
+            flat[cell[bounds[j]:bounds[j + 1]]] = values[bounds[j]:bounds[j + 1]]
+        c = -(-(G - j) // S)
+        np.copyto(work[:c], state[:c])  # the callable may write into its matrix
+        out[j::S] = fn.apply(work[:c], pis)  # or return a view of it
     return out
 
 
@@ -1079,16 +1042,17 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     or above it, so one ``bincount`` of the changes and a cumulative sum,
     restarted from the exact anchor in every block, give every row's sum.
 
-    A user distortion (``psi_custom``) sees dense rows in chunks of
-    DENSE_CHUNK_BYTES / 64 / n rows, each built in one reused buffer from
-    the carried row (the previous chunk's last; survival 1 below the grid)
-    plus one run per atom, up to its scenario's next atom or the chunk's
-    end: a flat scatter of the runs where they cover at most
-    DENSE_SCATTER_SHARE of the chunk (:func:`_scatter_chunk`), else one
-    ``np.repeat`` of the runs laid out one scenario per row, copied
-    transposed (:func:`_transposed_chunk`).  Each value is a copy of 1 - cum
-    or of the carried row, so the rows equal the per-cell lookup bit for
-    bit.  Every matrix is C-contiguous and valid only during the call.
+    A user distortion (``psi_custom``) sees dense rows in S = ceil(G / step)
+    calls, step = DENSE_CHUNK_BYTES / 64 / n rows: call j gets grid rows
+    j, j + S, j + 2S, ...  Moving from call j to j + 1 moves every row up by
+    one grid point, so one state matrix carries the rows: it starts as the
+    anchor rows of blocks of S rows, and before call j only the atoms on
+    grid rows j + iS are set into it, so each atom is written once over the
+    whole sweep.  The callable gets a copy of the state's first
+    ceil((G - j) / S) rows, which it may write into.  Each value is a copy of
+    1 - cum or 1, so the rows equal the per-cell lookup bit for bit.  Every
+    matrix is C-contiguous and valid only during the call.  An empty grid
+    calls no callable.
     """
     grid = np.asarray(grid, dtype=float)
     pis, n, G = family.pis, family.n_scenarios, grid.size
@@ -1133,9 +1097,13 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
         return np.repeat(v[[j - 1, -1]], [hi, G - hi])
 
     y = 1.0 - cum if fn.survival else cum
-    below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
     if r is None:
-        return _dense(fn, pis, scen, at, y, below, G)
+        if G == 0:
+            return np.empty(0, dtype=fn.result_type)
+        S = -(-G // max(1, DENSE_CHUNK_BYTES // (64 * n)))
+        state = profile(_atom_counts(scen, -(-at // S), n, -(-G // S)))
+        return _dense(fn, pis, scen, at, y, state, S, G)
+    below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
     anchors = fn.row_sums(profile(_atom_counts(scen, first, n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])
     before = np.roll(contrib, 1)

@@ -17,7 +17,7 @@ time and O(T) memory for T atoms: each atom changes one scenario's term
 once, and a cumulative sum, restarted from an exact row every block,
 carries the profile; a 0/1 one (a jump at ``Resolved.cut``) is bisected on
 exact rows.  A user callable from :func:`psi_custom` is evaluated on dense
-survival rows instead, a bounded chunk of breakpoints at a time.
+survival rows instead, a bounded chunk of every S-th breakpoint at a time.
 
 Built-in distortions cover the distorted/averaged conditional VaR and ES
 families; composition helpers evaluate the same measures through their
@@ -33,9 +33,9 @@ import numpy as np
 
 from . import scalar
 from .conditioning import LevelMap, event_law
-from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
-                   _count, _lazy_labels, _level, _probabilities, _rng, _scenario_var,
-                   _segment_es, _sweep)
+from .core import (DENSE_CHUNK_BYTES, ConditionalLawFamily, JointSample, Resolved,
+                   ScenarioFunctional, StepCDF, _count, _lazy_labels, _level, _probabilities,
+                   _rng, _scenario_var, _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -49,7 +49,9 @@ class ScenarioDistortion(ScenarioFunctional):
     matrix of survival vectors, ``pi`` the scenario weights, and the result
     has length m.  Built-ins are ``outer(sum_i w_i term(v_i, a_i))`` (see
     :class:`~factorrisk.core.ScenarioFunctional`); a custom ``func`` must
-    be reentrant, as the engine may call it on chunks of breakpoints.
+    be reentrant, as the engine calls it on chunks of breakpoints: a chunk's
+    rows are every S-th breakpoint, so a row's value must depend on that
+    row alone.  The matrix it gets is a copy it may write into.
     """
 
     def __call__(self, v, pi, labels=None) -> float:
@@ -140,27 +142,35 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     """Wrap a user functional, spot-checking monotonicity and normalization.
 
     Monotonicity is sampled on ``check_pairs`` random ordered pairs; a pass
-    is evidence, not proof.  The profile ``func`` receives (one row,
-    or a matrix of rows when vectorized) is valid only during the call: the
-    next rows are built in the same buffer, so keep a copy of any part of
-    it that must outlive the call (a returned view is copied out in time).
+    is evidence, not proof.  The engine hands ``func`` the breakpoints in
+    S chunks, chunk j holding breakpoints j, j + S, j + 2S, ... (one row at
+    a time, or a matrix of rows when vectorized), so a row's value must
+    depend on that row alone; the spot check hands it its profiles in
+    chunks of the same size.  The profile is a copy, which ``func`` may
+    write into, and is valid only during the call: the next rows are built
+    in the same buffer, so keep a copy of any part of it that must outlive
+    the call (a returned view is copied out in time).
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = _rng(seed)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
+    step = max(1, DENSE_CHUNK_BYTES // (64 * n))  # the engine's chunk of rows
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
         hi = psi(np.ones(n), pi)
         if abs(lo) > 1e-12 or abs(hi - 1.0) > 1e-12:
             raise ValidationError("custom distortion must map 0 -> 0 and 1 -> 1")
-        # the upper profiles are made in the lower ones' buffer once those
-        # are evaluated, so the callable's temporaries never meet two matrices
+        # the callable sees the lower profiles as the engine's rows, chunks
+        # of copies it may write into; the upper ones continue the stream in
+        # the lower ones' rows, once all those are evaluated
         a = rng.random((check_pairs, n))
-        va = psi.apply(a, pi).copy()  # the callable may return a view of its rows
-        a += rng.random((check_pairs, n))
-        vb = psi.apply(np.minimum(a, 1.0, out=a), pi)
-        if np.any(vb < va - 1e-12):
-            raise ValidationError("custom distortion failed the monotonicity spot check")
+        chunks = range(0, check_pairs, step)
+        va = np.concatenate([psi.apply(a[k:k + step].copy(), pi) for k in chunks])
+        for k in chunks:
+            b = a[k:k + step]
+            b += rng.random(b.shape)
+            if np.any(psi.apply(np.minimum(b, 1.0, out=b), pi) < va[k:k + step] - 1e-12):
+                raise ValidationError("custom distortion failed the monotonicity spot check")
     return psi
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConditionalLawFamily, StepCDF, _count, _first, _segment_laws, _segment_sums,
-                   _sweep)
+from .core import (ConditionalLawFamily, StepCDF, _as_1d, _count, _first, _segment_laws,
+                   _segment_sums, _sweep)
 from .distortion import ScenarioDistortion, choquet_factor
 from .errors import ValidationError
 
@@ -47,9 +47,12 @@ class PiecewiseLinearAllocation:
     slopes: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.breakpoints, dtype=float)
+        given, xs = self.breakpoints, _as_1d(self.breakpoints, "breakpoints")
+        if (isinstance(given, np.ndarray) and given.dtype == xs.dtype
+                and np.array_equal(given.view(np.int64), xs.view(np.int64))):
+            xs = given  # already entered (a law's support): hold no second copy of it
         slopes = np.atleast_2d(np.asarray(self.slopes, dtype=float))
-        if xs.ndim != 1 or xs.size == 0 or not np.all(np.diff(xs) > 0):
+        if not np.all(np.diff(xs) > 0):
             raise ValidationError("breakpoints must be strictly increasing")
         if slopes.shape[1] != xs.size - 1:
             raise ValidationError("slopes must have one column per support interval")
@@ -72,21 +75,20 @@ class PiecewiseLinearAllocation:
 
     def _row(self, agent: int) -> np.ndarray:
         """h_agent(x_k) at every breakpoint x_k, from the agent's own slopes: O(m)."""
-        xs = self.breakpoints
-        start = xs[0] / self.n_agents
+        xs, n, agent = self.breakpoints, self.n_agents, _count(agent, "agent", 0)
+        if agent >= n:
+            raise ValidationError(f"agent must be < n_agents = {n}, got {agent!r}")
+        start = xs[0] / n
         return np.concatenate(([start], start + np.cumsum(self.slopes[agent] * np.diff(xs))))
 
     def h(self, agent: int, x) -> np.ndarray | float:
         """Evaluate h_agent pointwise (piecewise linear, 1/n outside)."""
-        xs = self.breakpoints
-        n, agent = self.n_agents, _count(agent, "agent", 0)
-        if agent >= n:
-            raise ValidationError(f"agent must be < n_agents = {n}, got {agent!r}")
+        xs, n, row = self.breakpoints, self.n_agents, self._row(agent)
         x = np.asarray(x, dtype=float)
         below = xs[0] + np.minimum(x - xs[0], 0.0)
         above = np.maximum(x - xs[-1], 0.0)
         inside = np.clip(x, xs[0], xs[-1])
-        out = np.interp(inside, xs, self._row(agent)) + (below - xs[0]) / n + above / n
+        out = np.interp(inside, xs, row) + (below - xs[0]) / n + above / n
         return float(out) if out.ndim == 0 else out
 
 
@@ -146,10 +148,16 @@ def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAlloc
 def transform_family(family: ConditionalLawFamily, allocation: PiecewiseLinearAllocation,
                      agent: int) -> ConditionalLawFamily:
     """Conditional laws of h_agent(X): ``StepCDF.from_values(h(law.support),
-    law.masses)`` for each law, bit for bit, with the whole support mapped once."""
+    law.masses)`` for each law, bit for bit, with the whole support mapped once.
+    Where the family's merged support is the breakpoints, h at each atom is
+    the agent's row at the atom's stored index, plus the 0.0 that ``h``
+    adds there for its terms outside the support (it reads -0.0 as 0.0)."""
     masses, offsets = family._masses(), family.offsets
-    support, cum, law_offsets, grid = _segment_laws(allocation.h(agent, family.support), masses,
-                                                    offsets, _segment_sums(masses, offsets))
+    points, at = family._grid
+    h = (allocation._row(agent)[at] + 0.0 if np.array_equal(points, allocation.breakpoints)
+         else allocation.h(agent, family.support))
+    support, cum, law_offsets, grid = _segment_laws(h, masses, offsets,
+                                                    _segment_sums(masses, offsets))
     return ConditionalLawFamily._from_flat(family.pis, support, cum, law_offsets,
                                            family._labels, grid)
 

@@ -26,6 +26,15 @@ def cdf_matrix(family: ConditionalLawFamily, xs) -> np.ndarray:
     return np.column_stack([law.cdf(xs) for law in family.laws])
 
 
+def dense_choquet(family: ConditionalLawFamily, psi) -> float:
+    """The Choquet sum of ``psi`` on the dense survival rows of the merged support."""
+    xs = family.merged_support()
+    if xs.size == 1:
+        return float(xs[0])
+    vals = psi.apply(1 - cdf_matrix(family, xs[:-1]), family.pis, family.labels)
+    return float(xs[0] + vals @ np.diff(xs))
+
+
 def dense_quantile(family: ConditionalLawFamily, pred) -> float:
     """The first merged-support point whose dense CDF row ``pred`` accepts."""
     xs = family.merged_support()

@@ -1,10 +1,15 @@
 """The profile rows a custom callable receives from ``core._sweep``.
 
-A custom distortion sees whole profile matrices, one chunk of consecutive
-grid rows at a time.  Every matrix it receives, stacked in order, must
-equal ``1 - cdf_matrix(family, grid)`` element for element, and be
+A custom distortion sees whole profile matrices in S = ceil(G / step)
+calls for a grid of G points and chunks of ``step`` rows: call j gets the
+grid rows j, j + S, j + 2S, ..., ceil((G - j) / S) of them.  Every matrix
+it receives, put back on its grid rows (call j's row i on row j + iS),
+must equal ``1 - cdf_matrix(family, grid)`` element for element, and be
 C-contiguous, so that a callable's bits do not depend on how the rows were
-built.
+built.  A row callable's Choquet value equals the dense formula bit for
+bit; a vectorized one whose BLAS product gives a row different last bits
+by its place in the batch is within 1e-12 of it.  An empty grid calls
+nothing.
 
 A custom predicate is read on exact rows only: one matrix of the block
 anchor rows and the last row, then at most ceil(log2 block) + 1 single
@@ -12,24 +17,20 @@ rows of the block that holds the change.  Every matrix it receives is
 C-contiguous, each of its rows equals the ``cdf_matrix(family, grid)`` row
 of a grid point, and the values equal the predicate on the dense matrix.
 A predicate that is not upward closed gets a row it accepts whose row
-below it rejects (or row 0).
+below it rejects (or row 0).  A predicate builds no dense chunk (a spy on
+``core._dense``).
 
 The grids cover the merged support, a coarse subset of it (several atoms
 of one scenario on one grid row) and points below, between and above all
 atoms.  Chunks of 1 to 4 rows (``DENSE_CHUNK_BYTES`` patched) and the
 default size are covered, and for predicates blocks of 1 to 4 rows
-(``MIN_SWEEP_BLOCK`` patched) and the default; in the hand-built family
-some scenarios have their first atom several rows after a chunk's first
-row, and some have no atom at all inside a chunk.
-
-A chunk is built by one of two routes, chosen by its count of changed
-cells against ``DENSE_SCATTER_SHARE``: a scatter of the atoms' runs into
-the carried row, or the runs laid out one scenario per row and copied
-transposed.  Patching the share to 1 sends every chunk to the scatter
-route, and to -1 every chunk to the transposed one; each must give the
-same matrices, also on a family of more than 2,000 scenarios.  The matrix
-lives in one buffer that the next chunk overwrites, so a callable that
-returns a view of it must still give the per-cell value.
+(``MIN_SWEEP_BLOCK`` patched) and the default; the families range from 5
+hand-built scenarios, some with their first atom late on the grid, to
+more than 2,000 quantile boxes.  The chunks are built in one state matrix
+that carries over from call to call, and the callable gets a copy of it:
+a callable that writes into its matrix (the "scatter" cases), reads it
+through its transpose (the "transposed" cases) or returns a view of it
+must still see and give the per-cell values.
 """
 
 import math
@@ -53,7 +54,7 @@ from factorrisk import (
 )
 from factorrisk import core
 from factorrisk.core import _sweep
-from oracles import cdf_matrix, dense_quantile
+from oracles import cdf_matrix, dense_choquet, dense_quantile
 
 
 def _law(support, masses):
@@ -154,6 +155,52 @@ def _chunk_rows(monkeypatch, family, rows):
     return max(1, core.DENSE_CHUNK_BYTES // (64 * family.n_scenarios))
 
 
+def _visit_order(G, step):
+    """The grid row of each profile row a distortion receives, in order:
+    call j of S = ceil(G / step) gets rows j, j + S, j + 2S, ..."""
+    S = -(-G // step)
+    return np.concatenate([np.arange(j, G, S) for j in range(S)])
+
+
+def _interleaved(seen, step):
+    """The matrices a distortion received, put back on their grid rows,
+    once their count is S = ceil(G / step) and call j's rows ceil((G - j) / S)."""
+    G = sum(len(m) for m in seen)
+    S = -(-G // step)
+    assert [len(m) for m in seen] == [-(-(G - j) // S) for j in range(S)]
+    rows = np.empty((G, seen[0].shape[1]))
+    rows[_visit_order(G, step)] = np.vstack(seen)
+    return rows
+
+
+def _spy(monkeypatch, name):
+    """Patch ``core.<name>`` with a spy that counts its calls."""
+    calls, target = [], getattr(core, name)
+
+    def counted(*args):
+        calls.append(None)
+        return target(*args)
+    monkeypatch.setattr(core, name, counted)
+    return calls
+
+
+def _scattering_mean(Y, pi):
+    """The mean of the rows, then other values scattered into the matrix."""
+    value = Y @ pi
+    Y[:, ::2] = -1.0
+    Y[::3] = 2.0
+    return value
+
+
+def _transposed_mean(Y, pi):
+    """The mean of the rows, read through the matrix's transpose."""
+    return pi @ Y.T
+
+
+# the two ways a callable here treats the matrix it receives
+MATRIX_ROUTES = {"scatter": _scattering_mean, "transposed": _transposed_mean}
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, None])
 @pytest.mark.parametrize("grid_name", ["support", "coarse", "off-atom"])
 @pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
@@ -164,8 +211,7 @@ class TestProfileRows:
         grid = _grids(family)[grid_name]
         step = _chunk_rows(monkeypatch, family, rows)
         seen, out = _recorded(family, psi_custom, _mean, grid, vectorized=True)
-        assert [len(m) for m in seen[:-1]] == [step] * (len(seen) - 1)
-        assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(family, grid))
+        assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(family, grid))
         assert out.shape == (grid.size,)
 
     def test_predicate_sees_cdf_rows(self, request, monkeypatch, family_name,
@@ -182,11 +228,12 @@ class TestProfileRows:
 
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_row_callable_sees_survival_rows(gapped_family, monkeypatch, rows):
-    grid = _grids(gapped_family)["coarse"]
-    _chunk_rows(monkeypatch, gapped_family, rows)
+    # one call per row, in the order of the chunks' rows
+    grid = _grids(gapped_family)["support"]
+    step = _chunk_rows(monkeypatch, gapped_family, rows)
     seen, out = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=False)
     expected = 1.0 - cdf_matrix(gapped_family, grid)
-    assert np.array_equal(np.vstack(seen), expected)
+    assert np.array_equal(np.vstack(seen), expected[_visit_order(grid.size, step)])
     assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
 
 
@@ -197,7 +244,7 @@ def test_default_chunks_split_a_long_grid():
     assert grid.size > 2 * step  # several full chunks at the default size
     seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
     assert len(seen) == -(-grid.size // step)
-    assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(family, grid))
+    assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(family, grid))
 
 
 def test_single_point_grids(gapped_family):
@@ -207,42 +254,26 @@ def test_single_point_grids(gapped_family):
         assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))
 
 
-# every chunk's count of changed cells lies in [0, its size]
-ROUTE_SHARES = {"scatter": 1.0, "transposed": -1.0}
-
-
-def _count_routes(monkeypatch, share):
-    """Patch the route share; count the chunks each route builds."""
-    calls = dict.fromkeys(ROUTE_SHARES, 0)
-    for name in ROUTE_SHARES:
-        route = getattr(core, f"_{name}_chunk")
-
-        def counted(*args, _route=route, _name=name):
-            calls[_name] += 1
-            return _route(*args)
-        monkeypatch.setattr(core, f"_{name}_chunk", counted)
-    monkeypatch.setattr(core, "DENSE_SCATTER_SHARE", share)
-    return calls
-
-
-@pytest.mark.parametrize("route", list(ROUTE_SHARES))
+@pytest.mark.parametrize("route", list(MATRIX_ROUTES))
 @pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("family_name, every", [("gapped_family", 1), ("box_family", 1),
                                                 ("many_family", 8)])
 def test_each_route_builds_every_chunk(request, monkeypatch, family_name, every, rows, route):
+    # the state the chunks are built in survives a callable that writes into
+    # its matrix; a predicate on the same grid builds no chunk
     family = request.getfixturevalue(family_name)
-    calls = _count_routes(monkeypatch, ROUTE_SHARES[route])
-    _chunk_rows(monkeypatch, family, rows)
+    dense = _spy(monkeypatch, "_dense")
+    step = _chunk_rows(monkeypatch, family, rows)
     for grid in _grids(family, every).values():
         F = cdf_matrix(family, grid)
-        seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
-        assert np.array_equal(np.vstack(seen), 1.0 - F)
-        built = sum(calls.values())
+        seen, _ = _recorded(family, psi_custom, MATRIX_ROUTES[route], grid, vectorized=True)
+        assert np.array_equal(_interleaved(seen, step), 1.0 - F)
+        built = len(dense)
         seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
-        assert sum(calls.values()) == built  # a predicate builds no chunk
+        assert len(dense) == built  # a predicate builds no chunk
         _assert_exact_rows(seen, F, max(family.n_scenarios, core.MIN_SWEEP_BLOCK))
         assert np.array_equal(out, _half_at_median(F, family.pis))
-    assert calls[route] > 0 and sum(calls.values()) == calls[route]
+    assert len(dense) == len(_grids(family, every))
 
 
 @pytest.mark.parametrize("rows", [1, 2, None])
@@ -275,27 +306,125 @@ def test_a_predicate_not_upward_closed_gets_an_accepted_row_above_a_rejected_one
     assert quantile_factor(gapped_family, pred) == grid[hit]
 
 
-def test_a_chunk_of_changed_cells_only_scatters_at_share_one(gapped_family, monkeypatch):
-    # every atom lies below the one grid point, so every cell of the chunk changes
-    calls = _count_routes(monkeypatch, 1.0)
-    grid = np.array([100.0])
+def test_atoms_below_the_grid_are_all_in_the_anchor_rows(gapped_family, monkeypatch):
+    # every atom lies below the three grid points, so the first chunk's rows
+    # hold every atom and the later chunks set none
+    dense = _spy(monkeypatch, "_dense")
+    step = _chunk_rows(monkeypatch, gapped_family, 1)
+    grid = np.array([100.0, 101.0, 102.0])
     seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
-    assert calls == {"scatter": 1, "transposed": 0}
-    assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))
+    assert len(dense) == 1 and len(seen) == 3
+    assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(gapped_family, grid))
+    assert (np.vstack(seen) == 0.0).all()
 
 
-@pytest.mark.parametrize("route", list(ROUTE_SHARES))
+def _first_column_after_scattering(V, pi):
+    V[:, 1:] = -1.0
+    return V[:, 0]
+
+
+# a callable may return a view of its matrix: a column of it after writing
+# into the rest, or a row of its transpose
+FIRST_COLUMN = {"scatter": _first_column_after_scattering, "transposed": lambda V, pi: V.T[0]}
+
+
+@pytest.mark.parametrize("route", list(FIRST_COLUMN))
 @pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
 def test_a_view_of_the_rows_outlives_its_chunk(request, monkeypatch, family_name, route):
     # the matrix is valid only during the call; the returned view is copied out in time
     family = request.getfixturevalue(family_name)
-    _count_routes(monkeypatch, ROUTE_SHARES[route])
     _chunk_rows(monkeypatch, family, 2)
-    psi = psi_custom(lambda V, pi: V[:, 0], family.n_scenarios, vectorized=True)
+    psi = psi_custom(FIRST_COLUMN[route], family.n_scenarios, vectorized=True)
     xs = family.merged_support()
     first = np.ascontiguousarray(1.0 - cdf_matrix(family, xs[:-1])[:, 0])
     assert np.array_equal(_sweep(family, psi, xs[:-1]), first)
     assert choquet_factor(family, psi) == xs[0] + first @ np.diff(xs)
+
+
+def _es_mean(t):
+    def psi(V, pi):
+        return (np.minimum(V, t) / t) @ pi
+    return psi
+
+
+def _es_mean_in_place(t):
+    def psi(V, pi):  # writes min(V, t) / t into its matrix
+        np.minimum(V, t, out=V)
+        V /= t
+        return V @ pi
+    return psi
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("family_name", ["gapped_family", "box_family", "many_family"])
+def test_custom_choquet_values_equal_the_dense_formula(request, monkeypatch, family_name, rows):
+    # a row callable bit for bit; a vectorized one, whose BLAS product may give
+    # a row other last bits by its place in the batch, within 1e-12, also one
+    # that writes into its matrix
+    family = request.getfixturevalue(family_name)
+    _chunk_rows(monkeypatch, family, rows)
+    n = family.n_scenarios
+    row = psi_custom(lambda v, pi: float((np.minimum(v, 0.1) / 0.1) @ pi), n, check_pairs=20)
+    assert choquet_factor(family, row) == dense_choquet(family, row)
+    for make in (_es_mean, _es_mean_in_place):
+        psi = psi_custom(make(0.1), n, vectorized=True)
+        assert abs(choquet_factor(family, psi) - dense_choquet(family, psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_a_callable_that_writes_into_its_rows_sees_the_dense_rows(gapped_family, monkeypatch,
+                                                                  vectorized):
+    def scribble(Y, pi):
+        value = Y @ pi
+        Y[...] = -1.0
+        return value
+
+    grid = _grids(gapped_family)["support"]
+    step = _chunk_rows(monkeypatch, gapped_family, 2)
+    seen, out = _recorded(gapped_family, psi_custom, scribble, grid, vectorized=vectorized)
+    expected = 1.0 - cdf_matrix(gapped_family, grid)
+    if vectorized:
+        assert np.array_equal(_interleaved(seen, step), expected)
+    else:
+        assert np.array_equal(np.vstack(seen), expected[_visit_order(grid.size, step)])
+    assert np.allclose(out, expected @ gapped_family.pis, rtol=0.0, atol=1e-15)
+
+
+def test_the_spot_check_hands_copies_in_engine_chunks():
+    # the pairs are the former ones, the lower profiles a draw of
+    # (check_pairs, n) values after the random weights and the upper ones
+    # the next draw added and capped at 1, but the callable sees them in
+    # chunks of the engine's size, the lower ones as copies it may write into
+    n, pairs = 300, 1000
+    step = core.DENSE_CHUNK_BYTES // (64 * n)
+    assert step < pairs
+    seen = []
+
+    def scribble(Y, pi):
+        seen.append(np.array(Y))
+        value = (np.minimum(Y, 0.1) / 0.1) @ pi
+        Y[...] = -1.0
+        return value
+
+    psi_custom(scribble, n, vectorized=True, check_pairs=pairs)
+    rng = core._rng(0)
+    rng.random(n)  # the random weights
+    chunks = -(-pairs // step)
+    for i in range(2):
+        lower = rng.random((pairs, n))
+        upper = np.minimum(lower + rng.random((pairs, n)), 1.0)
+        got = seen[i * (2 + 2 * chunks):(i + 1) * (2 + 2 * chunks)]
+        assert np.array_equal(got[0], np.zeros((1, n))) and np.array_equal(got[1], np.ones((1, n)))
+        assert all(len(m) <= step for m in got[2:])
+        assert np.array_equal(np.vstack(got[2:2 + chunks]), lower)
+        assert np.array_equal(np.vstack(got[2 + chunks:]), upper)
+    assert len(seen) == 2 * (2 + 2 * chunks)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_an_empty_grid_calls_nothing(gapped_family, vectorized):
+    seen, out = _recorded(gapped_family, psi_custom, _mean, np.empty(0), vectorized=vectorized)
+    assert seen == [] and out.shape == (0,) and out.dtype == float
 
 
 def test_one_value_per_row_or_a_rejection(gapped_family, monkeypatch):

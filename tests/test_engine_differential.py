@@ -53,7 +53,8 @@ from factorrisk import (
 from factorrisk import core
 from factorrisk.core import PROB_TOL
 from factorrisk.sharing import integrand_matrix
-from oracles import cdf_matrix, choquet_riemann_oracle, dense_quantile, oracle_tolerance
+from oracles import (cdf_matrix, choquet_riemann_oracle, dense_choquet, dense_quantile,
+                     oracle_tolerance)
 
 # exact-tie fractions, and levels reaching towards 1
 SPECIAL_LEVELS = (0.25, 0.5, 0.75, 1 / 3, 2 / 3, 1 / 9, 0.9, 0.99, 1 - 1e-9, 1 - 1e-12)
@@ -98,14 +99,6 @@ def draw_levels(data, fam, level_strategy):
 
 def tolerance(fam) -> float:
     return 1e-12 * max(1.0, float(np.abs(fam.merged_support()).max()))
-
-
-def dense_choquet(fam, psi) -> float:
-    xs = fam.merged_support()
-    if xs.size == 1:
-        return float(xs[0])
-    vals = psi.apply(1 - cdf_matrix(fam, xs[:-1]), fam.pis, fam.labels)
-    return float(xs[0] + vals @ np.diff(xs))
 
 
 def dense_integrand(fam, psi) -> np.ndarray:

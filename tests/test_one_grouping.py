@@ -12,7 +12,11 @@ takes ``_sorted_keys``' argsort and must equal a stable-argsort grouping.
 ``PiecewiseLinearAllocation.h`` reads one agent's row, from its own
 slopes; every row must equal the former n x m formula
 (``per_scenario.h_at_breakpoints``) bit for bit, and
-``allocation_value_check`` must never build all the rows.
+``allocation_value_check`` must never build all the rows.  The
+breakpoints are taken in as every other value is (``core._as_1d``: finite,
+-0.0 read as 0.0), and ``transform_family`` reads h on a family whose
+merged support is the breakpoints from the agent's row at each atom's
+stored index, bit for bit as ``h(agent, family.support)``.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from hypothesis import strategies as st
 import per_scenario
 from conftest import random_sharing_fixture
 from factorrisk import (DiscreteJointDistribution, JointSample, PiecewiseLinearAllocation,
-                        allocation_value_check, core, inf_convolution, partition_discrete,
+                        ValidationError, allocation_value_check, core, from_sample,
+                        inf_convolution, partition_discrete, partition_quantile_boxes,
                         psi_indicator_var_var, psi_mean_of_es)
+from factorrisk.sharing import transform_family
 from factorrisk.core import MIN_ATOM_MASS
 
 
@@ -102,6 +108,16 @@ class TestCanonicalAtoms:
         assert cells.call_count == 1
         assert dist.ws[:, 0].tolist() == [0.0, 1.0, 1.0] and dist.xs.tolist() == [2.0, 1.0, 2.0]
 
+    def test_merged_masses_sum_in_the_given_order(self):
+        atoms = [(0.0, 0.0, 0.1), (0.0, 0.0, 0.2), (0.0, 0.0, 0.3), (1.0, 0.0, 0.4)]
+        forward = DiscreteJointDistribution.from_atoms(atoms)
+        backward = DiscreteJointDistribution.from_atoms(atoms[2::-1] + atoms[3:])
+        assert forward.ps.tolist() == [0.6000000000000001, 0.4]
+        assert backward.ps.tolist() == [0.6, 0.4]
+        for dist in (forward, backward):  # idempotent: each builds itself again
+            again = DiscreteJointDistribution(dist.xs, dist.ws, dist.ps)
+            assert _bits(again.ps) == _bits(dist.ps) and _bits(again.xs) == _bits(dist.xs)
+
 
 class TestWideKeys:
 
@@ -138,6 +154,14 @@ def _allocations(rng):
             yield PiecewiseLinearAllocation(xs, slopes)
 
 
+def _allocation_on(rng, xs, n):
+    """Whole intervals to one agent, some split equally, so ties and zero slopes."""
+    slopes = np.zeros((n, xs.size - 1))
+    slopes[rng.integers(0, n, xs.size - 1), np.arange(xs.size - 1)] = 1.0
+    slopes[:, rng.random(xs.size - 1) < 0.2] = 1.0 / n
+    return PiecewiseLinearAllocation(xs, slopes)
+
+
 class TestAgentRows:
 
     def test_rows_equal_the_former_formula(self):
@@ -155,6 +179,61 @@ class TestAgentRows:
                               + (xs[0] + np.minimum(x - xs[0], 0.0) - xs[0]) / n
                               + np.maximum(x - xs[-1], 0.0) / n)
                     assert _bits(allocation.h(agent, x)) == _bits(former)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_breakpoints_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="breakpoints must be finite"):
+            PiecewiseLinearAllocation([0.0, bad], [[1.0]])
+
+    @pytest.mark.parametrize("given", [[-0.0, 1.0], np.array([-0.0, 1.0])])
+    def test_a_negative_zero_breakpoint_is_zero(self, given):
+        allocation = PiecewiseLinearAllocation(given, [[0.5], [0.5]])
+        assert _bits(allocation.breakpoints) == _bits([0.0, 1.0])
+        assert _bits(allocation.h_at_breakpoints()) == _bits([[0.0, 0.5], [0.0, 0.5]])
+
+    def test_entered_breakpoints_are_held_as_given(self):
+        # a law's support is already entered: the allocation holds no second copy
+        support = np.array([-1.5, 0.0, 2.0])
+        assert PiecewiseLinearAllocation(support, [[1.0, 1.0]]).breakpoints is support
+
+    def test_transform_reads_the_row_at_the_stored_index(self):
+        # families with tied losses, zeros (some given as -0.0) and a
+        # breakpoint at 0, discrete and in quantile boxes, equally weighted
+        # and weighted; one allocation on the merged support, one on a
+        # superset of it, which keeps the pointwise h
+        rng = np.random.default_rng(44)
+        families = []
+        for T, decimals, weighted in ((300, 0, False), (2000, 1, False), (5000, 2, True)):
+            loss = np.round(rng.standard_normal(T) * 3, decimals)
+            loss[rng.random(T) < 0.1] = -0.0
+            loss[rng.random(T) < 0.1] = 0.0
+            weights = rng.random(T) + 0.5 if weighted else None
+            discrete = JointSample(loss, rng.integers(0, 3, (T, 1)).astype(float), weights)
+            boxed = JointSample(loss, rng.standard_normal((T, 2)), weights)
+            families.append(from_sample(discrete, partition_discrete(discrete)))
+            families.append(from_sample(boxed, partition_quantile_boxes(boxed, 3)))
+        # a first breakpoint of -5e-324: its agent row starts at -5e-324 / 3 = -0.0
+        tiny = JointSample(np.array([-5e-324, 0.0, 1.0, 1.0, 2.0, -0.0]),
+                           np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]))
+        families.append(from_sample(tiny, partition_discrete(tiny)))
+        for family in families:
+            xs = family.merged_support()
+            assert (xs == 0.0).any()
+            on_grid = _allocation_on(rng, xs, 3)
+            wider = _allocation_on(rng, np.union1d(xs, xs[:-1] + np.diff(xs) / 2), 3)
+            for allocation, stored in ((on_grid, True), (wider, False)):
+                for agent in range(3):
+                    with mock.patch.object(PiecewiseLinearAllocation, "h",
+                                           wraps=allocation.h) as h:
+                        mapped = transform_family(family, allocation, agent)
+                    assert h.call_count == (0 if stored else 1)
+                    want = per_scenario.transform_family(family, allocation, agent)
+                    for a, b in ((mapped.support, want.support), (mapped.cum, want.cum),
+                                 (mapped.offsets, want.offsets)):
+                        assert _bits(a) == _bits(b)
+                    if stored:
+                        row = allocation._row(agent)[family._grid[1]] + 0.0
+                        assert _bits(row) == _bits(allocation.h(agent, family.support))
 
     def test_no_agents_keep_the_matrix_shape(self):
         allocation = PiecewiseLinearAllocation(np.array([1.5]), np.empty((0, 0)))
