@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -30,7 +31,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 GRID_HEADER = ("p", "q", "rho_factor", "rho_plain", "diff")
-# Bytes per block of _plain_rows' scan, in a core's L2 cache with its masks.
+# Bytes per block of _plain_rows' LF count and CR check, in a core's L2 cache
+# with its masks.
 _SCAN_BYTES = 2**18
 
 
@@ -91,17 +93,18 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
 
     ``select`` gets the stripped header names (None for an empty file) and
     returns the wanted names; a repeated name means its first column.
-    When the file is plain (see :func:`_plain_rows`) one ``np.loadtxt`` with
-    ``comments=None`` parses the wanted columns.  Otherwise, or when that
-    raises or gives another row count, the per-cell loop parses the file as
-    ``csv.reader`` splits it.  The loop is the only place that rejects a
-    row or a cell, with the ``ragged`` and ``not_numeric`` messages, or a
-    file without data rows, so both routes report the same error.  Where
-    both parse a file they give the same bits, non-finite spellings
-    (``nan``, ``-inf``, ``Infinity``, ``1e999``) included: ``np.loadtxt``
-    rejects some cells that ``float`` takes (``1_0``, non-ASCII digits),
-    which the loop then reads, and no cell is known that it takes and
-    ``float`` rejects.  A non-finite value is the caller's to reject.
+    When the file's bytes allow it (see :func:`_plain_rows`) one
+    ``np.loadtxt`` parses every line to one field per header cell
+    (:func:`_loadtxt`).  Otherwise, or when that raises or gives another
+    row count, the per-cell loop parses the file as ``csv.reader`` splits
+    it.  The loop is the only place that rejects a row or a cell, with the
+    ``ragged`` and ``not_numeric`` messages, or a file without data rows,
+    so both routes report the same error.  Where both parse a file they
+    give the same bits, non-finite spellings (``nan``, ``-inf``,
+    ``Infinity``, ``1e999``) included: ``np.loadtxt`` rejects some cells
+    that ``float`` takes (``1_0``, non-ASCII digits), which the loop then
+    reads, and no cell is known that it takes and ``float`` rejects.  A
+    non-finite value is the caller's to reject.
     """
     raw = path.read_bytes()
     n_rows = _plain_rows(raw)
@@ -110,7 +113,7 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     if n_rows:
         header = [name.strip() for name in first.decode("ascii").split(",")]
         wanted = select(header)
-        table = _loadtxt(path, [header.index(name) for name in wanted], n_rows)
+        table = _loadtxt(path, len(header), [header.index(name) for name in wanted], n_rows)
         if table is not None:
             return wanted, table
     values = []
@@ -137,63 +140,50 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
 
 
 def _plain_rows(raw: bytes) -> int | None:
-    """The number of data lines of a plain file, else None (so 0 or None
-    both send a file to the per-cell loop).
+    """The number of lines after the header, else None (so 0 or None both
+    send a file to the per-cell loop).
 
-    A file is plain when ``csv.reader`` would split each of its lines at
-    every comma: it is ASCII, holds no quote or NUL byte, no CR outside a
-    CRLF line end and no blank line, and every line has as many commas as
-    the header.  The file's bytes are scanned ``_SCAN_BYTES`` at a time:
-    each block's separators (commas and LFs), after those of a line the
-    last block's end cut, must repeat the header's commas and one LF, the
-    end of an unterminated last line counting as an LF.
+    The lines are counted where ``csv.reader`` ends them when the file is
+    ASCII, holds no quote or NUL byte, does not start with a line end, and
+    each of its CRs ends a CRLF; otherwise the count is None.  The LFs are
+    counted and the CRs checked ``_SCAN_BYTES`` at a time, each block with
+    the next one's first byte.  Blank lines and lines of another width are
+    counted here and left to :func:`_loadtxt`.
     """
-    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+    if (not raw.isascii() or b'"' in raw or b"\0" in raw or raw.endswith(b"\r")
+            or raw.startswith((b"\n", b"\r\n"))):
         return None
-    end = raw.find(b"\n")
-    commas = raw.count(b",", 0, end if end >= 0 else None)
-    if not commas and (raw.startswith((b"\n", b"\r\n")) or b"\n\n" in raw or b"\n\r\n" in raw):
-        return None  # a blank line, which breaks the repeat only where lines hold commas
-    line = np.frombuffer(b"," * commas + b"\n", dtype=np.uint8)  # each line's separators
     data = np.frombuffer(raw, dtype=np.uint8)
-    has_cr = b"\r" in raw
-    is_sep, is_lf, is_cr = np.empty((3, min(data.size, _SCAN_BYTES)), dtype=bool)
-    carried, n_lines = line[:0], 0
+    has_cr, n_lf = b"\r" in raw, 0
     for start in range(0, data.size, _SCAN_BYTES):
-        block = data[start:start + _SCAN_BYTES]
-        sep, lf, cr = is_sep[:block.size], is_lf[:block.size], is_cr[:block.size]
-        np.equal(block, ord("\n"), out=lf)
-        if has_cr:  # each CR must sit right before an LF
-            np.equal(block, ord("\r"), out=cr)
-            after = raw[start + block.size:start + block.size + 1]  # the next block's first byte
-            if not (cr[:-1] <= lf[1:]).all() or (cr[-1] and after != b"\n"):
-                return None
-        np.equal(block, ord(","), out=sep)
-        sep |= lf
-        seps = np.concatenate((carried, block.take(np.flatnonzero(sep))))
-        lines = seps[:seps.size - seps.size % line.size].reshape(-1, line.size)
-        if not (lines == line).all():
-            return None  # a ragged line
-        carried, n_lines = seps[lines.size:], n_lines + lines.shape[0]
-    if carried.size or not raw.endswith(b"\n"):  # left over: a last line, whole without its LF
-        if not np.array_equal(np.append(carried, line[-1]), line):
-            return None
-        n_lines += 1
-    return n_lines - 1
+        block = data[start:start + _SCAN_BYTES + 1]  # and the next block's first byte
+        lf = np.equal(block, ord("\n"))
+        n_lf += np.count_nonzero(lf[:_SCAN_BYTES])
+        if has_cr and not (np.equal(block[:-1], ord("\r")) <= lf[1:]).all():
+            return None  # a CR not right before an LF
+    return n_lf - raw.endswith(b"\n")
 
 
-def _loadtxt(path: Path, cols: list[int], n_rows: int):
-    """The ``cols`` of a plain file's data lines, or None where the
-    per-cell loop must decide."""
+def _loadtxt(path: Path, width: int, cols: list[int], n_rows: int):
+    """The ``cols`` of a file's ``n_rows`` data lines of ``width`` cells
+    each, or None where the per-cell loop must decide.
+
+    Each line is parsed to one field per cell, a float for a wanted column
+    and one byte of text for any other, so ``np.loadtxt`` rejects a line of
+    another width; it skips a blank line, which the row count catches.
+    """
+    dtype = [(str(j), "f8" if j in cols else "S1") for j in range(width)]
     try:
-        # the file is read again: np.loadtxt reads a path in large blocks,
-        # but a list of lines one str at a time, slower and larger
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, usecols=cols,
-                           ndmin=2, encoding="ascii")
+        with warnings.catch_warnings():  # numpy warns of a file whose data lines are blank
+            warnings.simplefilter("ignore")
+            # the file is read again: np.loadtxt reads a path in large blocks,
+            # but a list of lines one str at a time, slower and larger
+            fields = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                                ndmin=1, encoding="ascii")
     except ValueError:
         return None
     # the row count also catches a file changed between the two reads
-    return table if table.shape[0] == n_rows else None
+    return np.column_stack([fields[str(j)] for j in cols]) if fields.shape[0] == n_rows else None
 
 
 @dataclass(frozen=True)

@@ -1034,7 +1034,8 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     takes the last row's value.  A probe is the row below the bracket with
     each scenario's last atom in the bracket up to the probe set, and the
     bracket keeps only its own atoms.  That is at most ceil(log2 block)
-    single rows, equal to the dense formula's bit for bit.  A predicate that
+    single rows, equal to the dense formula's bit for bit.  A user predicate
+    gets a copy of each matrix, which it may write into.  A predicate that
     is not upward closed gets an accepted row whose row below is rejected.
 
     Continuous built-ins take O(T log T) time and O(T) memory for T atoms:
@@ -1071,8 +1072,8 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
         return 1.0 - F if fn.survival else F
 
     if fn.result_type is bool or (r is not None and r.cut is not None):
-        def value(Y):  # fn on these exact profile rows
-            return fn.apply(Y, pis) if r is None else fn.finish(fn.row_sums(Y, r), r)
+        def value(Y):  # fn on these exact profile rows; a user predicate gets a copy
+            return fn.apply(Y.copy(), pis) if r is None else fn.finish(fn.row_sums(Y, r), r)
 
         first += at == G  # atoms past the grid never count; column n_blocks is row G - 1
         count = _atom_counts(scen, first, n, n_blocks + 1)

@@ -106,8 +106,9 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     ``func`` sees exact CDF rows (one at a time, or a C-contiguous matrix
     when vectorized, which must return one value per row): the block
     anchors and the last row, then at most ceil(log2 block) + 1 single rows
-    (``core._sweep``).  A predicate that passes the spot check but is not
-    upward closed gets a row it accepts whose row below it rejects (or row 0).
+    (``core._sweep``).  Each matrix is a copy, which ``func`` may write
+    into.  A predicate that passes the spot check but is not upward closed
+    gets a row it accepts whose row below it rejects (or row 0).
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)

@@ -16,9 +16,10 @@ anchor rows and the last row, then at most ceil(log2 block) + 1 single
 rows of the block that holds the change.  Every matrix it receives is
 C-contiguous, each of its rows equals the ``cdf_matrix(family, grid)`` row
 of a grid point, and the values equal the predicate on the dense matrix.
-A predicate that is not upward closed gets a row it accepts whose row
-below it rejects (or row 0).  A predicate builds no dense chunk (a spy on
-``core._dense``).
+A predicate gets a copy of each matrix, so one that writes into it finds
+the same value as one that only reads it.  A predicate that is not upward
+closed gets a row it accepts whose row below it rejects (or row 0).  A
+predicate builds no dense chunk (a spy on ``core._dense``).
 
 The grids cover the merged support, a coarse subset of it (several atoms
 of one scenario on one grid row) and points below, between and above all
@@ -284,6 +285,36 @@ def test_predicate_value_equals_the_dense_first_hit(request, monkeypatch, family
     monkeypatch.setattr(core, "_dense", None)  # a predicate never takes the dense route
     pred = pred_custom(_half_at_median, family.n_scenarios, vectorized=True)
     assert quantile_factor(family, pred) == dense_quantile(family, pred)
+
+
+@pytest.fixture(scope="module")
+def nine_boxes():
+    spec = GaussianFactorSpec(np.zeros(2), np.eye(2))
+    sample = simulate(0.1, (1.0, -0.5), 0.8, spec, n=3000, seed=1)
+    return from_sample(sample, partition_quantile_boxes(sample, 3))
+
+
+def _zeroing(U, pi):
+    """``_half_at_median``, which then zeroes the matrix (or row) it received."""
+    accepted = _half_at_median(U, pi)
+    U[...] = 0.0
+    return accepted
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("rows", [1, 4, None])
+@pytest.mark.parametrize("family_name", ["gapped_family", "box_family", "nine_boxes"])
+def test_a_predicate_may_write_into_its_matrix(request, monkeypatch, family_name, rows,
+                                               vectorized):
+    # each probe row is handed over as a copy, so the bisection's next base row is intact
+    family = request.getfixturevalue(family_name)
+    _block_rows(monkeypatch, family, rows)
+    reads = pred_custom(_half_at_median, family.n_scenarios, vectorized=vectorized)
+    writes = pred_custom(_zeroing, family.n_scenarios, vectorized=vectorized)
+    want = dense_quantile(family, reads)
+    assert quantile_factor(family, writes) == quantile_factor(family, reads) == want
+    if family_name == "nine_boxes":
+        assert want == 0.13018120509753872
 
 
 @pytest.mark.parametrize("rows", [1, 2, None])

@@ -14,6 +14,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -139,9 +142,9 @@ CELLS = PLAIN_CELLS + ["0x10", '"2.5"', '"1,5"', "\u0661\u0662", "1 2", "Infinit
 @st.composite
 def csv_files(draw):
     """Text of a small CSV and a column selection.  Half the files are
-    plain (see cli._plain_rows), with LF or CRLF line ends; the rest may
-    also hold quotes, bare CRs, blank lines, ragged rows, a BOM and
-    non-ASCII digits."""
+    plain (ASCII, each line as wide as the header, read by np.loadtxt),
+    with LF or CRLF line ends; the rest may also hold quotes, bare CRs,
+    blank lines, ragged rows, a BOM and non-ASCII digits."""
     plain = draw(st.booleans())
     header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4))
     number = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
@@ -173,6 +176,8 @@ def _outcome(path, target, factors, skip):
         sample = cli.read_csv(path, target, factors, skip)
     except DataFormatError as exc:
         return ("error", str(exc), exc.row, exc.column)
+    except (UnicodeDecodeError, csv.Error) as exc:  # a file csv.reader cannot read
+        return (type(exc).__name__, str(exc))
     return ("ok", sample.loss.tobytes(), sample.factors.tobytes(), sample.factors.shape,
             sample.loss_name, sample.factor_names)
 
@@ -206,6 +211,15 @@ def _loadtxt_spy():
         yield tables
 
 
+def _routes(path, target, factors=None, skip=()):
+    """(``read_csv``'s outcome, the tables ``_loadtxt`` returned, the per-cell loop's outcome)."""
+    with _loadtxt_spy() as tables:
+        got = _outcome(path, target, factors, skip)
+    with mock.patch.object(cli, "_plain_rows", lambda raw: None):
+        loop = _outcome(path, target, factors, skip)
+    return got, tables, loop
+
+
 def _loadtxt_calls(path, target, **kwargs):
     """(the sample read from ``path``, the tables ``_loadtxt`` returned)."""
     with _loadtxt_spy() as tables:
@@ -220,6 +234,11 @@ def test_plain_file_takes_the_loadtxt_route(tmp_path):
     assert sample.factors[:, 0].tolist() == [2.0, 3.0, 2.0]
 
 
+# a blank line, a blank CRLF line and an extra cell: counted by the scan,
+# rejected by np.loadtxt's parse of one field per header cell
+OTHER_WIDTH = ["X,W\n1,2\n\n3,4\n", "X,W\r\n\r\n3,4\n", "X,W\n1,2,\n"]
+
+
 @pytest.mark.parametrize("text, rows", [
     ("X,W\n1,2\n3,4", 2),
     ("X,W\r\n1,2\r\n3,4\n", 2),     # CRLF line ends
@@ -227,18 +246,68 @@ def test_plain_file_takes_the_loadtxt_route(tmp_path):
     ('X,W\n1,"2"\n', None),        # quote
     ("X,W\r1,2\n", None),          # CR alone
     ("X,W\n1,2\r\r\n", None),      # CR before CRLF
-    ("X,W\n1,2\n\n3,4\n", None),   # blank line
-    ("X,W\r\n\r\n3,4\n", None),   # blank CRLF line
-    ("X,W\n1,2,\n", None),         # extra cell
+    (OTHER_WIDTH[0], 3),
+    (OTHER_WIDTH[1], 2),
+    (OTHER_WIDTH[2], 1),
     ("\ufeffX,W\n1,2\n", None),    # BOM
 ])
 def test_plain_rows(text, rows):
     assert cli._plain_rows(text.encode("utf-8")) == rows
 
 
+@pytest.mark.parametrize("text", OTHER_WIDTH)
+def test_loadtxt_declines_a_line_of_another_width(tmp_path, text):
+    got, tables, loop = _routes(_write(tmp_path, text), "X")
+    assert tables == [None] and got == loop
+    assert got[1].startswith("ragged row: expected 2 cells, got ")
+
+
+@pytest.mark.parametrize("text", ["\nX,W\n1,2\n", "\r\nX,W\n1,2\n", "\nX\n1\n",
+                                  "\n", "\r\n1,2\r\n"])
+@pytest.mark.parametrize("target", ["X", ""])
+def test_a_file_starting_with_a_line_end_goes_to_the_per_cell_loop(tmp_path, text, target):
+    path = _write(tmp_path, text)
+    assert cli._plain_rows(path.read_bytes()) is None
+    got, tables, loop = _routes(path, target)
+    assert tables == [] and got == loop and got[0] == "error"
+
+
+def test_unread_text_cells_and_repeated_names_take_one_loadtxt(tmp_path):
+    # 300-byte text cells in an unread column, which np.loadtxt reads into one byte,
+    # and a repeated header name, which means its first column
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(200, 3)).tolist()
+    lines = ["X,note,W,X"] + [f"{x!r},{'n' * 300}{i},{w!r},{z!r}"
+                              for i, (x, w, z) in enumerate(rows)]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    for factors in (None, ["W", "X", "W"]):
+        got, tables, loop = _routes(path, "X", factors, ("note",))
+        assert len(tables) == 1 and tables[0] is not None
+        assert got == loop and got[0] == "ok"
+    x, w = np.array(rows)[:, :2].T
+    assert got[1] == x.tobytes()
+    assert got[2] == round_significant(np.column_stack([w, x, w])).tobytes()
+
+
+def test_a_header_and_a_blank_line_is_a_ragged_row_with_nothing_else_on_stderr(tmp_path):
+    # np.loadtxt warns on stderr that the input holds no data, unless silenced
+    path = _write(tmp_path, "X,W\n\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-m", "factorrisk.cli", "measure", "--data", str(path),
+                          "--target", "X", "--measure", "mes", "--alpha", "0.5"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == cli.EXIT_DATA and run.stdout == ""
+    assert run.stderr == "data error: ragged row: expected 2 cells, got 0 (row 1)\n"
+
+
 def _former_plain_rows(raw: bytes) -> int | None:
-    """``cli._plain_rows`` as it was: LFs and commas found apart, and the
-    commas of each line counted by a search of the comma positions."""
+    """The former scanner's decision, the reference for which files
+    np.loadtxt reads: None for a file that is not ASCII, holds a quote or
+    NUL byte, a CR outside a CRLF, a blank line or a line with another
+    count of commas than the first (commas found by a search of the comma
+    positions), else its number of data lines."""
     if not raw.isascii() or b'"' in raw or b"\0" in raw:
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -275,12 +344,34 @@ def csv_like_bytes(draw):
     return end.join(lines) + draw(st.sampled_from([b"", end]))
 
 
+def _counted_lines(raw: bytes) -> int | None:
+    """What ``cli._plain_rows`` gives: None for a file that is not ASCII,
+    holds a quote or NUL byte, starts with a line end or has a CR outside a
+    CRLF, else its lines after the first, blank and ragged ones included."""
+    if (not raw.isascii() or b'"' in raw or b"\0" in raw or raw.startswith((b"\n", b"\r\n"))
+            or raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    return max(len(raw.splitlines()) - 1, 0)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(csv_like_bytes(), st.sampled_from([None, 1, 2, 3, 5, 8]))
 def test_plain_rows_decide_as_the_former_search(raw, scan_bytes):
     # small scan blocks put every byte of these short files next to a block edge
-    with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes or cli._SCAN_BYTES):
-        assert cli._plain_rows(raw) == _former_plain_rows(raw)
+    former = _former_plain_rows(raw)
+    assert former is None or former == _counted_lines(raw)
+    names = [name.strip() for name in raw.split(b"\n")[0].decode("latin-1").split(",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes or cli._SCAN_BYTES):
+            assert cli._plain_rows(raw) == _counted_lines(raw)
+            got, tables, loop = _routes(path, names[0], names[-1:])
+    assert got == loop
+    # np.loadtxt returns a table for the files the former scan passed, where
+    # every wanted cell parses (each cell here parses alike in both routes)
+    assert len(tables) <= 1
+    assert any(t is not None for t in tables) == (bool(former) and loop[0] == "ok")
 
 
 # what may fall across a scan block's edge, after a line's three cells: a
@@ -312,7 +403,10 @@ def block_edge_files(draw):
 def test_plain_rows_decide_as_the_former_search_across_block_edges(case):
     raw, name, lines = case
     assert len(raw) > cli._SCAN_BYTES
-    assert cli._plain_rows(raw) == _former_plain_rows(raw) == (lines if name == "end" else None)
+    assert _former_plain_rows(raw) == (lines if name == "end" else None)
+    # a blank or short line adds a line; the ragged one is counted, for np.loadtxt to reject
+    counted = {"end": lines, "ragged": lines, "blank": lines + 1, "short": lines + 1}.get(name)
+    assert cli._plain_rows(raw) == _counted_lines(raw) == counted
 
 
 def test_crlf_twin_reads_to_the_same_bits(tmp_path):
@@ -335,14 +429,17 @@ def test_crlf_twin_reads_to_the_same_bits(tmp_path):
      "ragged row: expected 2 cells, got 0 (row 2)"),
 ])
 def test_stray_crs_go_to_the_per_cell_loop(tmp_path, text, expected):
+    # a lone CR fails the byte check; a blank CRLF line is counted, and
+    # np.loadtxt's row count declines it
     path = _write(tmp_path, text)
-    assert cli._plain_rows(path.read_bytes()) is None
-    try:
-        sample, tables = _loadtxt_calls(path, "X")
-    except DataFormatError as exc:
-        assert str(exc) == expected
-    else:
-        assert tables == [] and sample.loss.tolist() == expected
+    with _loadtxt_spy() as tables:
+        try:
+            got = cli.read_csv(path, "X").loss.tolist()
+        except DataFormatError as exc:
+            got = str(exc)
+    assert got == expected
+    assert tables == ([] if isinstance(expected, list) else [None])
+    assert (cli._plain_rows(path.read_bytes()) is None) == (tables == [])
 
 
 def test_per_cell_errors_keep_their_coordinates(tmp_path):
