@@ -24,7 +24,7 @@ evaluations are exact finite sums rather than approximations.
 
 ``ScenarioFunctional`` is the common form of the scenario distortions and
 acceptance predicates, and ``_sweep`` is the one engine that evaluates
-them on every point of a grid (see its docstring).
+them on the points of a family's merged support (see its docstring).
 """
 
 from __future__ import annotations
@@ -992,14 +992,18 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     return np.cumsum(count.reshape(n, n_rows + 1)[:, :n_rows], axis=1)
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of dense profile rows for n scenarios, from ``DENSE_CHUNK_BYTES``
+    as it is when called: the engine's chunks and ``psi_custom``'s spot checks."""
+    return max(1, DENSE_CHUNK_BYTES // (64 * n))
+
+
 def _dense(fn: ScenarioFunctional, pis, scen, at, y, state, S: int, G: int) -> np.ndarray:
     """A user distortion on every dense profile row in S calls, call j on grid
-    rows j, j + S, j + 2S, ...: ``state`` holds them for j = 0, and each
-    later call's rows are the state with that call's atoms set (see :func:`_sweep`)."""
+    rows j, j + S, j + 2S, ...: ``state`` holds them for j = 0, and each later
+    call's rows are the state with that call's atoms, each on its own row, set."""
     n = pis.size
-    keep = at < G  # of a scenario's atoms on one grid row, the last sets it
-    keep[:-1] &= (at[1:] != at[:-1]) | (scen[1:] != scen[:-1])
-    live = np.flatnonzero(keep)
+    live = np.flatnonzero(at < G)
     row, chunk = np.divmod(at[live], S)
     chunk, order = _sorted_keys(chunk.astype(np.int64), S)
     live = live[order]
@@ -1016,13 +1020,14 @@ def _dense(fn: ScenarioFunctional, pis, scen, at, y, state, S: int, G: int) -> n
     return out
 
 
-def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) -> np.ndarray:
-    """``fn`` on the scenario profile at every point of the increasing ``grid``.
+def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, G: int) -> np.ndarray:
+    """``fn`` on the scenario profile at the first G = m - 1 or m points of
+    the family's merged support of m points, ``family._grid[0][:G]``.
 
-    ``at`` is each atom's grid index, ``searchsorted(grid, family.support)``;
-    on the merged support it is ``family._grid[1]`` as stored, int32 where it
-    fits (each product of it is with an intp array or below G, and ``np.cumsum``
-    widens it).  An empty grid gives an empty array, calling no user distortion.
+    Each atom's grid row is its stored index in it, ``family._grid[1]``, int32
+    where it fits (each product of it is with an intp array or below G, and
+    ``np.cumsum`` widens it); at G = m - 1 the atoms on row G are past the
+    swept points.  G = 0 gives an empty array, calling no user distortion.
     An exact row reads each scenario's value at its count of atoms at or
     below it; the anchor rows open blocks of max(n, MIN_SWEEP_BLOCK) rows
     and count each atom from block ceil(at / block) on (:func:`_atom_counts`).
@@ -1039,29 +1044,25 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     is not upward closed gets an accepted row whose row below is rejected.
 
     Continuous built-ins take O(T log T) time and O(T) memory for T atoms:
-    each atom changes its scenario's term once, at the first grid point at
-    or above it, so one ``bincount`` of the changes and a cumulative sum,
-    restarted from the exact anchor in every block, give every row's sum.
+    each atom changes its scenario's term once, on its own grid row, so one
+    ``bincount`` of the changes and a cumulative sum, restarted from the
+    exact anchor in every block, give every row's sum.
 
     A user distortion (``psi_custom``) sees dense rows in S = ceil(G / step)
-    calls, step = DENSE_CHUNK_BYTES / 64 / n rows: call j gets grid rows
-    j, j + S, j + 2S, ...  Moving from call j to j + 1 moves every row up by
+    calls, step = :func:`_chunk_rows` rows: call j gets grid rows j, j + S,
+    j + 2S, ...  Moving from call j to j + 1 moves every row up by
     one grid point, so one state matrix carries the rows: it starts as the
     anchor rows of blocks of S rows, and before call j only the atoms on
     grid rows j + iS are set into it, so each atom is written once over the
     whole sweep.  The callable gets a copy of the state's first
     ceil((G - j) / S) rows, which it may write into.  Each value is a copy of
     1 - cum or 1, so the rows equal the per-cell lookup bit for bit.  Every
-    matrix is C-contiguous and valid only during the call.  An empty grid
-    calls no callable.
+    matrix is C-contiguous and valid only during the call.
     """
-    grid = np.asarray(grid, dtype=float)
-    pis, n, G = family.pis, family.n_scenarios, grid.size
+    pis, n, at = family.pis, family.n_scenarios, family._grid[1]
     labels = _lazy_labels(family)
     starts, cum = family.offsets[:-1], family.cum
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
-    if at is None:
-        at = np.searchsorted(grid, family.support, side="left")
     r = None if fn.func is not None else fn.resolve(pis, labels)
     block = max(n, MIN_SWEEP_BLOCK)
     n_blocks = -(-G // block)
@@ -1101,7 +1102,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, grid, at=None) 
     if r is None:
         if G == 0:
             return np.empty(0, dtype=fn.result_type)
-        S = -(-G // max(1, DENSE_CHUNK_BYTES // (64 * n)))
+        S = -(-G // _chunk_rows(n))
         state = profile(_atom_counts(scen, -(-at // S), n, -(-G // S)))
         return _dense(fn, pis, scen, at, y, state, S, G)
     below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid

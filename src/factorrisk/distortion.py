@@ -33,9 +33,9 @@ import numpy as np
 
 from . import scalar
 from .conditioning import LevelMap, event_law
-from .core import (DENSE_CHUNK_BYTES, ConditionalLawFamily, JointSample, Resolved,
-                   ScenarioFunctional, StepCDF, _count, _lazy_labels, _level, _probabilities,
-                   _rng, _scenario_var, _segment_es, _sweep)
+from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
+                   _chunk_rows, _count, _lazy_labels, _level, _probabilities, _rng,
+                   _scenario_var, _segment_es, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -154,7 +154,7 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = _rng(seed)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
-    step = max(1, DENSE_CHUNK_BYTES // (64 * n))  # the engine's chunk of rows
+    step = _chunk_rows(n)  # the engine's chunk of rows
     for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
         lo = psi(np.zeros(n), pi)
         hi = psi(np.ones(n), pi)
@@ -185,8 +185,8 @@ def choquet_factor(family: ConditionalLawFamily, psi: ScenarioDistortion) -> flo
     Exact for discrete laws: survivals are evaluated at the merged support
     breakpoints only, where the integrand is piecewise constant.
     """
-    xs, at = family._grid
-    vals = _sweep(family, psi, xs[:-1], at)
+    xs = family._grid[0]
+    vals = _sweep(family, psi, xs.size - 1)
     return float(xs[0] + vals @ np.diff(xs))
 
 

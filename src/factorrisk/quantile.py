@@ -134,8 +134,8 @@ def quantile_factor(family: ConditionalLawFamily, pred: IncreasingSetPredicate) 
     there and the predicate accepts the all-ones profile).  Found by
     bisection of exact rows; see :func:`pred_custom` for its contract.
     """
-    xs, at = family._grid
-    hits = np.flatnonzero(_sweep(family, pred, xs, at))
+    xs = family._grid[0]
+    hits = np.flatnonzero(_sweep(family, pred, xs.size))
     if hits.size == 0:
         raise ValidationError("predicate rejected the all-ones profile")
     return float(xs[hits[0]])

@@ -12,10 +12,13 @@ the agents attaining the minimum there (ties split equally).  Allocations
 are piecewise linear with slopes in [0, 1] summing to one, anchored at
 h_i(0) = 0, so the sum of the parts is exactly the identity.
 
-Each agent's integrand row comes from the same engine as
-:func:`~factorrisk.distortion.choquet_factor` (``core._sweep``), evaluated
-on the support of X: O(T log T) time and O(T) memory per built-in agent
-(exact rows only for a 0/1 one), chunks of dense rows for a custom one.
+Every entry point first checks each agent's family against X: its mixture
+must have X's support, and a cum within ``MIXTURE_TOL`` of X's.  So each
+agent's integrand row comes from the same engine as
+:func:`~factorrisk.distortion.choquet_factor` (``core._sweep``), a sweep of
+the family's own merged support: O(T log T) time and O(T) memory per
+built-in agent (exact rows only for a 0/1 one), chunks of dense rows for a
+custom one.
 """
 
 from __future__ import annotations
@@ -92,37 +95,32 @@ class PiecewiseLinearAllocation:
         return float(out) if out.ndim == 0 else out
 
 
-def _check_agents(agents) -> list[tuple[ScenarioDistortion, ConditionalLawFamily]]:
+def _check_agents(agents, x_law: StepCDF) -> list[tuple[ScenarioDistortion, ConditionalLawFamily]]:
+    """The (distortion, family) pairs, each distinct family checked once: its
+    mixture's support must equal X's and its cum be within MIXTURE_TOL of X's."""
     agents = list(agents)
     if not agents:
         raise ValidationError("at least one agent is required")
     for psi, family in agents:
         if not isinstance(psi, ScenarioDistortion) or not isinstance(family, ConditionalLawFamily):
             raise ValidationError("each agent must be a (ScenarioDistortion, family) pair")
+    for family in {id(family): family for _, family in agents}.values():
+        mixture = family.mixture()
+        if not (np.array_equal(mixture.support, x_law.support)
+                and np.max(np.abs(mixture.cum - x_law.cum)) <= MIXTURE_TOL):
+            raise ValidationError("agent family does not reproduce the marginal law of X")
     return agents
 
 
-def _check_mixture(x_law: StepCDF, family: ConditionalLawFamily):
-    mixture = family.mixture()
-    if np.array_equal(mixture.support, x_law.support):  # the union grid, where cdf is cum
-        gap = np.abs(mixture.cum - x_law.cum)
-    else:
-        grid = np.union1d(x_law.support, mixture.support)
-        gap = np.abs(mixture.cdf(grid) - x_law.cdf(grid))
-    if np.max(gap) > MIXTURE_TOL:
-        raise ValidationError("agent family does not reproduce the marginal law of X")
-
-
 def integrand_matrix(x_law: StepCDF, agents) -> np.ndarray:
-    """psi_i evaluated on every support interval; shape (n_agents, m-1).
-
-    Where ``x_law``'s support is the family's merged support, each atom's
-    grid index is the family's stored one; elsewhere the sweep searches it."""
-    xs = x_law.support
-    rows = []
-    for psi, family in agents:
-        points, at = family._grid
-        rows.append(_sweep(family, psi, xs[:-1], at if np.array_equal(points, xs) else None))
+    """psi_i evaluated on every support interval of X; shape (n_agents, m-1):
+    each checked family's sweep of its own merged support, read at X's points
+    where it holds more, which its mixture drops (under ``MIN_ATOM_MASS``)."""
+    xs, rows = x_law.support, []
+    for psi, family in _check_agents(agents, x_law):
+        points = family._grid[0]
+        row = _sweep(family, psi, points.size - 1)
+        rows.append(row if points.size == xs.size else row[np.searchsorted(points, xs[:-1])])
     return np.vstack(rows)
 
 
@@ -130,12 +128,9 @@ def inf_convolution(x_law: StepCDF, agents) -> tuple[float, PiecewiseLinearAlloc
     """Minimal aggregate risk over comonotone allocations, with an optimizer.
 
     Every agent family must be a conditional decomposition of the same
-    ``x_law`` (mixture identity within 1e-10).  Returns the optimal value
-    and the equal-tie-split optimal allocation.
+    ``x_law`` (its mixture on X's support, within 1e-10).  Returns the
+    optimal value and the equal-tie-split optimal allocation.
     """
-    agents = _check_agents(agents)
-    for family in {id(family): family for _, family in agents}.values():
-        _check_mixture(x_law, family)
     xs = x_law.support
     vals = integrand_matrix(x_law, agents)
     mins = vals.min(axis=0)
@@ -167,14 +162,15 @@ def allocation_value_check(allocation: PiecewiseLinearAllocation, agents,
     """Aggregate risk of an explicit allocation, recomputed from scratch.
 
     Each agent's term is the Choquet evaluation of its distortion on the
-    conditional laws of h_i(X); this is the feasibility side of the sharing
-    problem and never goes below the inf-convolution value.
+    conditional laws of h_i(X), of agents checked as in :func:`inf_convolution`;
+    this is the feasibility side of the sharing problem and never goes below
+    the inf-convolution value.
     """
-    agents = _check_agents(agents)
-    if allocation.n_agents != len(agents):
-        raise ValidationError("allocation and agent list are misaligned")
     if not np.array_equal(allocation.breakpoints, x_law.support):
         raise ValidationError("allocation breakpoints must equal the support of X")
+    agents = _check_agents(agents, x_law)
+    if allocation.n_agents != len(agents):
+        raise ValidationError("allocation and agent list are misaligned")
     total = 0.0
     for i, (psi, family) in enumerate(agents):
         total += choquet_factor(transform_family(family, allocation, i), psi)

@@ -1,10 +1,11 @@
 """The profile rows a custom callable receives from ``core._sweep``.
 
+The engine sweeps the first G points of a family's own merged support.
 A custom distortion sees whole profile matrices in S = ceil(G / step)
-calls for a grid of G points and chunks of ``step`` rows: call j gets the
-grid rows j, j + S, j + 2S, ..., ceil((G - j) / S) of them.  Every matrix
-it receives, put back on its grid rows (call j's row i on row j + iS),
-must equal ``1 - cdf_matrix(family, grid)`` element for element, and be
+calls for chunks of ``step`` rows: call j gets the grid rows j, j + S,
+j + 2S, ..., ceil((G - j) / S) of them.  Every matrix it receives, put
+back on its grid rows (call j's row i on row j + iS), must equal
+``1 - cdf_matrix(family, grid)`` element for element, and be
 C-contiguous, so that a callable's bits do not depend on how the rows were
 built.  A row callable's Choquet value equals the dense formula bit for
 bit; a vectorized one whose BLAS product gives a row different last bits
@@ -21,10 +22,15 @@ the same value as one that only reads it.  A predicate that is not upward
 closed gets a row it accepts whose row below it rejects (or row 0).  A
 predicate builds no dense chunk (a spy on ``core._dense``).
 
-The grids cover the merged support, a coarse subset of it (several atoms
-of one scenario on one grid row) and points below, between and above all
-atoms.  Chunks of 1 to 4 rows (``DENSE_CHUNK_BYTES`` patched) and the
-default size are covered, and for predicates blocks of 1 to 4 rows
+Each sweep runs at G = m and G = m - 1 for a merged support of m points.
+The families are each family on its own support and the family with its
+atoms moved up onto a coarse subset of its support (several atoms of one
+scenario merge on one point) or onto points between its atoms: at each
+point that receives an atom, a moved family's CDF is the family's, so its
+rows must equal the family's own CDF at those points.  Chunks of 1 to 4
+rows (``DENSE_CHUNK_BYTES`` patched, read through ``core._chunk_rows`` by
+the engine and ``psi_custom``'s spot checks alike) and the default size
+are covered, and for predicates blocks of 1 to 4 rows
 (``MIN_SWEEP_BLOCK`` patched) and the default; the families range from 5
 hand-built scenarios, some with their first atom late on the grid, to
 more than 2,000 quantile boxes.  The chunks are built in one state matrix
@@ -101,17 +107,39 @@ def many_family():
     return family
 
 
-def _grids(family, every=1):
-    support = family.merged_support()[::every]
-    mids = (support[1:] + support[:-1]) / 2
+def _on_grid(family, grid):
+    """``family`` with each atom moved up to the first point of ``grid`` at or
+    above it (its top atom at most ``grid[-1]``): at every point that
+    receives an atom, its CDF is the family's, bit for bit."""
+    laws = []
+    for law in family.laws:
+        to = np.searchsorted(grid, law.support)
+        last = np.append(to[1:] != to[:-1], True)  # of the atoms on one point, the last
+        laws.append(StepCDF(grid[to[last]], law.cum[last]))
+    return ConditionalLawFamily(family.pis, tuple(laws))
+
+
+def _families(family, every=1):
+    """Families to sweep, by name: ``family`` on its own support (or moved up
+    onto every ``every``-th point of it), and moved up onto a coarse subset
+    of those points or onto points between them and above them."""
+    support = family.merged_support()
+    points = np.append(support[:-1:every], support[-1])
+    mids = (points[1:] + points[:-1]) / 2
     return {
-        "support": support,
-        "coarse": support[::7],
-        "off-atom": np.concatenate([[support[0] - 1.0], mids[::3], [support[-1] + 1.0]]),
+        "support": family if every == 1 else _on_grid(family, points),
+        "coarse": _on_grid(family, np.append(points[:-1:7], points[-1])),
+        "off-atom": _on_grid(family, np.append(mids[::3], points[-1] + 1.0)),
     }
 
 
-def _recorded(family, make, fn_of, grid, vectorized):
+def _sizes(family):
+    """The sweep lengths G = m and m - 1 on a merged support of m points."""
+    m = family._grid[0].size
+    return m, m - 1
+
+
+def _recorded(family, make, fn_of, G, vectorized):
     """(a copy of every matrix the callable received, in order; the output)."""
     seen = []
 
@@ -123,7 +151,7 @@ def _recorded(family, make, fn_of, grid, vectorized):
 
     fn = make(record, family.n_scenarios, vectorized=vectorized)
     seen.clear()  # the constructor's spot checks
-    return seen, _sweep(family, fn, grid)
+    return seen, _sweep(family, fn, G)
 
 
 def _mean(Y, pi):
@@ -153,7 +181,7 @@ def _assert_exact_rows(seen, F, block):
 def _chunk_rows(monkeypatch, family, rows):
     if rows is not None:
         monkeypatch.setattr(core, "DENSE_CHUNK_BYTES", rows * 64 * family.n_scenarios)
-    return max(1, core.DENSE_CHUNK_BYTES // (64 * family.n_scenarios))
+    return core._chunk_rows(family.n_scenarios)
 
 
 def _visit_order(G, step):
@@ -209,50 +237,54 @@ class TestProfileRows:
     def test_distortion_sees_survival_rows(self, request, monkeypatch, family_name,
                                            grid_name, rows):
         family = request.getfixturevalue(family_name)
-        grid = _grids(family)[grid_name]
+        swept = _families(family)[grid_name]
         step = _chunk_rows(monkeypatch, family, rows)
-        seen, out = _recorded(family, psi_custom, _mean, grid, vectorized=True)
-        assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(family, grid))
-        assert out.shape == (grid.size,)
+        for G in _sizes(swept):
+            seen, out = _recorded(swept, psi_custom, _mean, G, vectorized=True)
+            grid = swept.merged_support()[:G]
+            assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(family, grid))
+            assert out.shape == (G,)
 
     def test_predicate_sees_cdf_rows(self, request, monkeypatch, family_name,
                                      grid_name, rows):
         # a predicate takes no chunks: ``rows`` is the smallest block here
         family = request.getfixturevalue(family_name)
-        grid = _grids(family)[grid_name]
+        swept = _families(family)[grid_name]
         block = _block_rows(monkeypatch, family, rows)
-        seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
-        F = cdf_matrix(family, grid)
-        _assert_exact_rows(seen, F, block)
-        assert np.array_equal(out, _half_at_median(F, family.pis))
+        for G in _sizes(swept):
+            seen, out = _recorded(swept, pred_custom, _half_at_median, G, vectorized=True)
+            F = cdf_matrix(family, swept.merged_support()[:G])
+            _assert_exact_rows(seen, F, block)
+            assert np.array_equal(out, _half_at_median(F, family.pis))
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_row_callable_sees_survival_rows(gapped_family, monkeypatch, rows):
     # one call per row, in the order of the chunks' rows
-    grid = _grids(gapped_family)["support"]
     step = _chunk_rows(monkeypatch, gapped_family, rows)
-    seen, out = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=False)
-    expected = 1.0 - cdf_matrix(gapped_family, grid)
-    assert np.array_equal(np.vstack(seen), expected[_visit_order(grid.size, step)])
-    assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
+    for G in _sizes(gapped_family):
+        seen, out = _recorded(gapped_family, psi_custom, _mean, G, vectorized=False)
+        expected = 1.0 - cdf_matrix(gapped_family, gapped_family.merged_support()[:G])
+        assert np.array_equal(np.vstack(seen), expected[_visit_order(G, step)])
+        assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
 
 
 def test_default_chunks_split_a_long_grid():
     family = _boxes(30_000, 4)
     grid = family.merged_support()
-    step = max(1, core.DENSE_CHUNK_BYTES // (64 * family.n_scenarios))
+    step = core._chunk_rows(family.n_scenarios)
     assert grid.size > 2 * step  # several full chunks at the default size
-    seen, _ = _recorded(family, psi_custom, _mean, grid, vectorized=True)
+    seen, _ = _recorded(family, psi_custom, _mean, grid.size, vectorized=True)
     assert len(seen) == -(-grid.size // step)
     assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(family, grid))
 
 
 def test_single_point_grids(gapped_family):
-    for x in (-10.0, 2.65, 100.0):
-        grid = np.array([x])
-        seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
-        assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid))
+    # one row: the whole of a one-point support, or the first of two points
+    for grid in ([100.0], [2.65, 100.0], [0.25, 40.0]):
+        family = _on_grid(gapped_family, np.array(grid))
+        seen, _ = _recorded(family, psi_custom, _mean, 1, vectorized=True)
+        assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid[:1]))
 
 
 @pytest.mark.parametrize("route", list(MATRIX_ROUTES))
@@ -265,16 +297,18 @@ def test_each_route_builds_every_chunk(request, monkeypatch, family_name, every,
     family = request.getfixturevalue(family_name)
     dense = _spy(monkeypatch, "_dense")
     step = _chunk_rows(monkeypatch, family, rows)
-    for grid in _grids(family, every).values():
-        F = cdf_matrix(family, grid)
-        seen, _ = _recorded(family, psi_custom, MATRIX_ROUTES[route], grid, vectorized=True)
-        assert np.array_equal(_interleaved(seen, step), 1.0 - F)
-        built = len(dense)
-        seen, out = _recorded(family, pred_custom, _half_at_median, grid, vectorized=True)
-        assert len(dense) == built  # a predicate builds no chunk
-        _assert_exact_rows(seen, F, max(family.n_scenarios, core.MIN_SWEEP_BLOCK))
-        assert np.array_equal(out, _half_at_median(F, family.pis))
-    assert len(dense) == len(_grids(family, every))
+    swept = _families(family, every).values()
+    for moved in swept:
+        for G in _sizes(moved):
+            F = cdf_matrix(family, moved.merged_support()[:G])
+            seen, _ = _recorded(moved, psi_custom, MATRIX_ROUTES[route], G, vectorized=True)
+            assert np.array_equal(_interleaved(seen, step), 1.0 - F)
+            built = len(dense)
+            seen, out = _recorded(moved, pred_custom, _half_at_median, G, vectorized=True)
+            assert len(dense) == built  # a predicate builds no chunk
+            _assert_exact_rows(seen, F, max(family.n_scenarios, core.MIN_SWEEP_BLOCK))
+            assert np.array_equal(out, _half_at_median(F, family.pis))
+    assert len(dense) == 2 * len(swept)
 
 
 @pytest.mark.parametrize("rows", [1, 2, None])
@@ -331,22 +365,10 @@ def test_a_predicate_not_upward_closed_gets_an_accepted_row_above_a_rejected_one
     k = np.flatnonzero(accepted)[0]
     assert accepted[k] and not accepted[k + 1:].all() and accepted[-1]  # accept, reject, accept
     pred = pred_custom(accept, gapped_family.n_scenarios, vectorized=True)
-    out = _sweep(gapped_family, pred, grid)
+    out = _sweep(gapped_family, pred, grid.size)
     hit = np.flatnonzero(out)[0]
     assert out[hit:].all() and accepted[hit] and (hit == 0 or not accepted[hit - 1])
     assert quantile_factor(gapped_family, pred) == grid[hit]
-
-
-def test_atoms_below_the_grid_are_all_in_the_anchor_rows(gapped_family, monkeypatch):
-    # every atom lies below the three grid points, so the first chunk's rows
-    # hold every atom and the later chunks set none
-    dense = _spy(monkeypatch, "_dense")
-    step = _chunk_rows(monkeypatch, gapped_family, 1)
-    grid = np.array([100.0, 101.0, 102.0])
-    seen, _ = _recorded(gapped_family, psi_custom, _mean, grid, vectorized=True)
-    assert len(dense) == 1 and len(seen) == 3
-    assert np.array_equal(_interleaved(seen, step), 1.0 - cdf_matrix(gapped_family, grid))
-    assert (np.vstack(seen) == 0.0).all()
 
 
 def _first_column_after_scattering(V, pi):
@@ -368,7 +390,7 @@ def test_a_view_of_the_rows_outlives_its_chunk(request, monkeypatch, family_name
     psi = psi_custom(FIRST_COLUMN[route], family.n_scenarios, vectorized=True)
     xs = family.merged_support()
     first = np.ascontiguousarray(1.0 - cdf_matrix(family, xs[:-1])[:, 0])
-    assert np.array_equal(_sweep(family, psi, xs[:-1]), first)
+    assert np.array_equal(_sweep(family, psi, xs.size - 1), first)
     assert choquet_factor(family, psi) == xs[0] + first @ np.diff(xs)
 
 
@@ -410,15 +432,15 @@ def test_a_callable_that_writes_into_its_rows_sees_the_dense_rows(gapped_family,
         Y[...] = -1.0
         return value
 
-    grid = _grids(gapped_family)["support"]
     step = _chunk_rows(monkeypatch, gapped_family, 2)
-    seen, out = _recorded(gapped_family, psi_custom, scribble, grid, vectorized=vectorized)
-    expected = 1.0 - cdf_matrix(gapped_family, grid)
-    if vectorized:
-        assert np.array_equal(_interleaved(seen, step), expected)
-    else:
-        assert np.array_equal(np.vstack(seen), expected[_visit_order(grid.size, step)])
-    assert np.allclose(out, expected @ gapped_family.pis, rtol=0.0, atol=1e-15)
+    for G in _sizes(gapped_family):
+        seen, out = _recorded(gapped_family, psi_custom, scribble, G, vectorized=vectorized)
+        expected = 1.0 - cdf_matrix(gapped_family, gapped_family.merged_support()[:G])
+        if vectorized:
+            assert np.array_equal(_interleaved(seen, step), expected)
+        else:
+            assert np.array_equal(np.vstack(seen), expected[_visit_order(G, step)])
+        assert np.allclose(out, expected @ gapped_family.pis, rtol=0.0, atol=1e-15)
 
 
 def test_the_spot_check_hands_copies_in_engine_chunks():
@@ -427,7 +449,7 @@ def test_the_spot_check_hands_copies_in_engine_chunks():
     # the next draw added and capped at 1, but the callable sees them in
     # chunks of the engine's size, the lower ones as copies it may write into
     n, pairs = 300, 1000
-    step = core.DENSE_CHUNK_BYTES // (64 * n)
+    step = core._chunk_rows(n)
     assert step < pairs
     seen = []
 
@@ -452,9 +474,29 @@ def test_the_spot_check_hands_copies_in_engine_chunks():
     assert len(seen) == 2 * (2 + 2 * chunks)
 
 
+def test_the_spot_check_and_the_engine_read_the_patched_chunk_size(monkeypatch):
+    # both take their chunk from core._chunk_rows when called, so with
+    # DENSE_CHUNK_BYTES patched to 3 rows of n = 4 both hand 3 rows at a time
+    n = 4
+    monkeypatch.setattr(core, "DENSE_CHUNK_BYTES", 64 * n * 3)
+    seen = []
+
+    def record(Y, pi):
+        seen.append(len(Y))
+        return (np.minimum(Y, 0.1) / 0.1) @ pi
+
+    psi = psi_custom(record, n, vectorized=True, check_pairs=10)
+    assert seen == 2 * ([1, 1] + 2 * [3, 3, 3, 1])  # per weight: 0, 1, lower, upper
+    family = ConditionalLawFamily(np.full(n, 0.25),
+                                  tuple(_law(np.arange(k, 40.0, n), np.ones(10)) for k in range(n)))
+    seen.clear()
+    _sweep(family, psi, 39)
+    assert seen == 13 * [3]
+
+
 @pytest.mark.parametrize("vectorized", [True, False])
 def test_an_empty_grid_calls_nothing(gapped_family, vectorized):
-    seen, out = _recorded(gapped_family, psi_custom, _mean, np.empty(0), vectorized=vectorized)
+    seen, out = _recorded(gapped_family, psi_custom, _mean, 0, vectorized=vectorized)
     assert seen == [] and out.shape == (0,) and out.dtype == float
 
 
@@ -469,8 +511,11 @@ def test_one_value_per_row_or_a_rejection(gapped_family, monkeypatch):
     # right on as many rows as the spot checks pass, too few on a longer
     # chunk (2,000 grid rows) or on more anchor rows (blocks of n rows)
     psi = psi_custom(lambda V, pi: V.max(axis=1)[:1000], n, vectorized=True)
+    points = np.linspace(-5.0, 45.0, 2000)
+    wide = ConditionalLawFamily(gapped_family.pis,
+                                tuple(_law(points[k::n], np.ones(400)) for k in range(n)))
     with pytest.raises(ValidationError, match="one value per profile row"):
-        _sweep(gapped_family, psi, np.linspace(-5.0, 45.0, 2000))
+        _sweep(wide, psi, points.size)
     pred = pred_custom(lambda U, pi: (U >= 0.5).all(axis=1)[:2], n, vectorized=True,
                        check_pairs=2)
     monkeypatch.setattr(core, "MIN_SWEEP_BLOCK", 1)

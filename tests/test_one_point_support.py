@@ -3,12 +3,13 @@
 The distortion and quantile measures are rho = x_(1) + sum_k psi(s_k) *
 (x_(k+1) - x_(k)) over the merged support.  On a one-point support the sum
 is empty, so every engine, closed form and sharing routine returns x_(1)
-bit for bit through its general route: the sweep over an empty grid gives
-an empty array on each of its three routes (continuous, step, dense), and
-no user distortion is called with an empty matrix.
+bit for bit through its general route: the sweep of G = m - 1 = 0 points
+gives an empty array on each of its three routes (continuous, step, dense),
+and no user distortion is called with an empty matrix.
 
-``choquet_factor``, ``quantile_factor`` and ``integrand_matrix`` hand the
-sweep the family's stored index, ``family._grid[1]``, as it is.
+``choquet_factor`` and ``integrand_matrix`` sweep the first m - 1 points of
+the family's merged support and ``quantile_factor`` all m of them, each
+atom on its row in the family's stored index, ``family._grid[1]``.
 """
 
 import numpy as np
@@ -67,11 +68,8 @@ class TestOnePointSupport:
         for family in _families(x):
             calls = []
             routes = _routes(family.n_scenarios, calls)
-            points, at = family._grid
             for name, psi in routes.items():
-                for index in (None, at):
-                    swept = core._sweep(family, psi, points[:-1], index)
-                    assert swept.shape == (0,), name
+                assert core._sweep(family, psi, 0).shape == (0,), name
                 value = distortion.choquet_factor(family, psi)
                 assert _bits(value) == _bits(_want(x)), name
             assert calls == []
@@ -133,9 +131,9 @@ class TestOnePointSupport:
 def test_engines_hand_the_sweep_the_stored_index(monkeypatch):
     seen = []
 
-    def spy(family, fn, grid, at=None):
-        seen.append((family, at))
-        return core._sweep(family, fn, grid, at)
+    def spy(family, fn, G):
+        seen.append((family, G))
+        return core._sweep(family, fn, G)
     for module in (distortion, quantile, sharing):
         monkeypatch.setattr(module, "_sweep", spy)
     rng = np.random.default_rng(3)
@@ -144,6 +142,6 @@ def test_engines_hand_the_sweep_the_stored_index(monkeypatch):
     distortion.choquet_factor(family, psi_mean_of_es(0.7))
     quantile_factor(family, pred_var_of_var(0.9, 0.5))
     integrand_matrix(family.mixture(), [(psi_indicator_var_var(0.6, 0.5), family)])
-    assert len(seen) == 3
-    assert all(f is family and at is family._grid[1] for f, at in seen)
+    m = family._grid[0].size
+    assert [(f is family, G) for f, G in seen] == [(True, m - 1), (True, m), (True, m - 1)]
     assert family._grid[1].dtype == np.int32

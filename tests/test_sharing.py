@@ -3,19 +3,24 @@ import pytest
 
 from factorrisk import (
     ConditionalLawFamily,
+    JointSample,
     PiecewiseLinearAllocation,
     StepCDF,
     ValidationError,
     allocation_value_check,
     choquet_factor,
+    from_sample,
     inf_convolution,
+    partition_discrete,
     psi_indicator_var_var,
+    psi_custom,
     psi_mean_of_es,
+    psi_mean_of_var,
     quantile_factor,
     pred_var_of_var,
 )
-from factorrisk.sharing import MIXTURE_TOL
-from oracles import sharing_sweep_oracle
+from factorrisk.sharing import MIXTURE_TOL, integrand_matrix
+from oracles import cdf_matrix, sharing_sweep_oracle
 from conftest import random_sharing_fixture, transform_family
 
 
@@ -102,6 +107,43 @@ class TestInfConvolutionD1:
         inf_convolution(x_law, [(psi, d1_family), (psi, d1_family)])
         assert builds == [d1_family]
 
+    @pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+    def test_an_atom_the_families_lack_is_rejected(self, d1_family, where):
+        # X with one more atom, of mass 1e-12: its CDF is within MIXTURE_TOL of
+        # the family's everywhere, but the family's merged support is not X's
+        x_law = d1_family.mixture()
+        xs = x_law.support
+        extra = {"bottom": xs[0] - 1.0, "middle": (xs[1] + xs[2]) / 2, "top": xs[-1] + 1.0}[where]
+        law = StepCDF.from_values(np.append(xs, extra), np.append(x_law.masses, 1e-12))
+        assert law.support.size == xs.size + 1
+        agents = [(psi_mean_of_es(0.5), d1_family)]
+        allocation = PiecewiseLinearAllocation(law.support, np.ones((1, xs.size)))
+        for call in (lambda: inf_convolution(law, agents), lambda: integrand_matrix(law, agents),
+                     lambda: allocation_value_check(allocation, agents, law)):
+            with pytest.raises(ValidationError,
+                               match="^agent family does not reproduce the marginal law of X$"):
+                call()
+
+    def test_points_the_mixture_drops_are_read_past(self):
+        # the scenario of the two 1e-20 rows holds the atoms -1 and 2.5, which
+        # the mixture weighs under MIN_ATOM_MASS and drops: X's support is the
+        # family's merged support less those points, and each row is the
+        # family's sweep read at X's points
+        sample = JointSample([-1.0, 2.5, 0.0, 1.0, 2.0, 3.0], [1, 1, 0, 0, 0, 0],
+                             [1e-20, 1e-20, 1.0, 1.0, 1.0, 1.0])
+        family = from_sample(sample, partition_discrete(sample))
+        x_law = family.mixture()
+        assert family.merged_support().tolist() == [-1.0, 0.0, 1.0, 2.0, 2.5, 3.0]
+        assert x_law.support.tolist() == [0.0, 1.0, 2.0, 3.0]
+        custom = psi_custom(lambda V, pi: (np.minimum(V, 0.5) / 0.5) @ pi, 2, vectorized=True)
+        agents = [(psi_mean_of_es(0.5), family), (psi_indicator_var_var(0.75, 0.5), family),
+                  (custom, family)]
+        survival = 1.0 - cdf_matrix(family, x_law.support[:-1])
+        dense = [psi.apply(survival, family.pis) for psi, _ in agents]
+        assert np.allclose(integrand_matrix(x_law, agents), dense, rtol=0.0, atol=1e-12)
+        value, allocation = inf_convolution(x_law, agents)
+        assert allocation_value_check(allocation, agents, x_law) == pytest.approx(value, abs=1e-10)
+
     def test_second_family_mismatch_rejected(self, d1_family):
         shifted = transform_family(d1_family, lambda x: x + 1.0)
         psi = psi_mean_of_es(0.5)
@@ -110,6 +152,26 @@ class TestInfConvolutionD1:
 
 
 class TestAllocationInvariants:
+    def test_agents_of_another_loss_are_rejected(self):
+        # an allocation of X checked against families of 0.01 X would read
+        # 0.01582855778841513, below the optimum 1.3443020878554202
+        rng = np.random.default_rng(3)
+        loss, factor = rng.normal(size=400), rng.integers(0, 3, 400)
+
+        def agents(scale):
+            sample = JointSample(loss * scale, factor)
+            family = from_sample(sample, partition_discrete(sample))
+            return [(psi_mean_of_es(0.9), family), (psi_mean_of_var(0.9), family)]
+
+        own = agents(1.0)
+        x_law = own[0][1].mixture()
+        value, allocation = inf_convolution(x_law, own)
+        assert value == 1.3443020878554202
+        assert allocation_value_check(allocation, own, x_law) == pytest.approx(value, abs=1e-10)
+        with pytest.raises(ValidationError,
+                           match="^agent family does not reproduce the marginal law of X$"):
+            allocation_value_check(allocation, agents(0.01), x_law)
+
     def test_feasibility_of_outputs(self):
         rng = np.random.default_rng(81)
         for _ in range(60):

@@ -9,11 +9,10 @@ stored.  Families built from laws compute it from one argsort
 (``core._ranks``) when first read.  Each must equal the former route bit
 for bit: ``per_scenario.from_sample`` (a per-scenario argsort),
 ``per_scenario.merged_grid`` (``np.unique`` of the support, an intp index),
-``StepCDF.from_values`` for the mixture, and a search of every atom in the
-grid for the integrand.  So must the values of ``choquet_factor``,
-``quantile_factor`` and ``inf_convolution``, which run once as they are and
-once with the former routes in place: ``np.unique``'s grid in the family's
-cache, and the integrand's sweep given no index.
+and ``StepCDF.from_values`` for the mixture.  So must the values of
+``choquet_factor``, ``quantile_factor`` and ``inf_convolution``, which run
+once as they are and once with the former route in place: ``np.unique``'s
+grid, with its intp index, in the family's cache.
 
 Samples have ties, both signed zeros or only -0.0, zero-weight rows inside
 scenarios, rows so light that their atoms fall under ``MIN_ATOM_MASS`` and
@@ -28,11 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_scenario
-from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPartition, StepCDF,
-                        core, distortion, es_distortion, from_sample, inf_convolution,
+from factorrisk import (ConditionalLawFamily, JointSample, Scenario, ScenarioPartition,
+                        distortion, es_distortion, from_sample, inf_convolution,
                         partition_discrete, partition_quantile_boxes, pred_esssup_var,
                         pred_var_of_var, psi_indicator_var_var, psi_lambda_of_var,
-                        psi_mean_of_es, quantile_factor, sharing)
+                        psi_mean_of_es, quantile_factor)
 from factorrisk.sharing import PiecewiseLinearAllocation, transform_family
 
 
@@ -78,11 +77,9 @@ def sampled_families(draw):
 
 @contextlib.contextmanager
 def _former_routes(family):
-    """The engines on ``np.unique``'s grid, and the integrand searching its grid."""
+    """The engines on ``np.unique``'s grid."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(family.__dict__, "_grid", per_scenario.merged_grid(family))
-        mp.setattr(sharing, "_sweep", lambda family, fn, grid, at=None:
-                   core._sweep(family, fn, grid))
         yield
 
 
@@ -177,13 +174,3 @@ class TestSortOnce:
         zeros = family.support[family.support == 0]
         assert zeros.size == 3 and not np.signbit(zeros).any()
         _assert_grid_and_values(family)
-
-    def test_integrand_searches_a_foreign_grid(self):
-        # x_law's support differs from the family's points: the stored index
-        # would name the wrong rows, so the integrand searches the grid
-        sample = JointSample(np.arange(6.0), [0, 0, 0, 1, 1, 1])
-        family = from_sample(sample, partition_discrete(sample))
-        grid = np.array([-1.0, 0.5, 2.0, 2.5, 5.0, 7.0])
-        psi = psi_mean_of_es(0.5)
-        got = sharing.integrand_matrix(StepCDF(grid, np.arange(1, 7) / 6), [(psi, family)])
-        assert _bits(got[0]) == _bits(core._sweep(family, psi, grid[:-1]))
