@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conditioning, coherent, distortion, linear, quantile, regression, scalar, sharing
-from .core import JointSample, StepCDF, _ranks, from_sample
-from .errors import DataFormatError, FactorRiskError
+from .core import JointSample, StepCDF, _count, _ranks, from_sample
+from .errors import DataFormatError, FactorRiskError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,8 +50,6 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
     by a per-cell loop otherwise; see :func:`_read_table`.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"no such file: {path}")
     skip = tuple(skip)
 
     def select(header):
@@ -104,9 +102,15 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     ``Infinity``, ``1e999``) included: ``np.loadtxt`` rejects some cells
     that ``float`` takes (``1_0``, non-ASCII digits), which the loop then
     reads, and no cell is known that it takes and ``float`` rejects.  A
-    non-finite value is the caller's to reject.
+    non-finite value is the caller's to reject.  A file that cannot be read,
+    or is not UTF-8 text, is a data error that names it.
     """
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise DataFormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     n_rows = _plain_rows(raw)
     first = raw[:raw.find(b"\n")]
     del raw  # freed before np.loadtxt reads the file again, for the peak memory
@@ -117,26 +121,41 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
         if table is not None:
             return wanted, table
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        header = None if header is None else [name.strip() for name in header]
-        wanted = select(header)
-        cols = [header.index(name) for name in wanted]
-        for r, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise DataFormatError(ragged.format(expected=len(header), got=len(row), row=r),
-                                      row=r)
-            for name, j in zip(wanted, cols):
-                cell = row[j].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataFormatError(not_numeric.format(row=r, col=name, cell=cell),
-                                          row=r, column=name) from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            header = None if header is None else [name.strip() for name in header]
+            wanted = select(header)
+            cols = [header.index(name) for name in wanted]
+            for r, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        ragged.format(expected=len(header), got=len(row), row=r), row=r)
+                for name, j in zip(wanted, cols):
+                    cell = row[j].strip()
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise DataFormatError(not_numeric.format(row=r, col=name, cell=cell),
+                                              row=r, column=name) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not values:
         raise DataFormatError("file contains a header but no data rows")
     return wanted, np.array(values).reshape(-1, len(wanted))
+
+
+def _not_utf8(path: Path) -> DataFormatError:
+    """The data error for a file that is not UTF-8 text: it names the
+    line of the first bad byte, counting LFs (line 1 is the header)."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return DataFormatError(f"not UTF-8 text at line {line} of {path}")
+    return DataFormatError(f"not UTF-8 text: {path}")  # the file changed between the reads
 
 
 def _plain_rows(raw: bytes) -> int | None:
@@ -288,6 +307,11 @@ def run(request: MeasureRequest) -> dict:
     warnings: list[str] = []
     n_scenarios = None
     if measure.on_family:
+        # at most one quantile cut per row: more bins are refused before
+        # partition_quantile_boxes builds its bins - 1 levels
+        if request.bins is not None and _count(request.bins, "bins_per_factor", 1) > sample.n_rows:
+            raise ValidationError(f"--bins must be at most the {sample.n_rows} data rows, "
+                                  f"got {request.bins!r}")
         partition = (conditioning.partition_discrete(sample) if request.bins is None
                      else conditioning.partition_quantile_boxes(sample, request.bins))
         data = from_sample(sample, partition)
@@ -336,7 +360,7 @@ def write_grid(grid: regression.DiffGrid, target) -> None:
     text = _csv_lines(GRID_HEADER, np.column_stack(
         [grid.p, grid.q, grid.rho_factor, grid.rho_plain, grid.diff]), "\n")
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8", newline="")
+        _write_output(target, text)
     else:
         target.write(text)
 
@@ -410,9 +434,18 @@ def regression_report(fit: regression.RegressionFit, title: str = "") -> str:
     return "\n".join(lines)
 
 
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to the ``--output`` path as given, line ends and all; a
+    path that cannot be written is a usage error that names it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write_output(output, text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

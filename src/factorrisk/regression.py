@@ -14,13 +14,21 @@ by seeds derived deterministically from a master seed and the grid row, so
 repeated evaluations agree bit for bit.  Equally weighted data build no
 law: each quantile is an order statistic (``scalar.quantiles``), and a grid
 reads all its q levels from one sort of beta . W.
-scipy is imported inside ``ols_fit``, its only user, so importing the
-package loads numpy alone.
+``ols_fit``'s row blocks and a Diff grid's p rows run on the calling thread
+and up to one helper thread per further core (:func:`_map`): numpy and
+LAPACK release the GIL, each piece writes only its own output, and the
+outputs are the sequential ones bit for bit; no option selects this.
+scipy is imported inside ``ols_fit``, its only user, and
+``concurrent.futures`` inside ``_map``, so importing the package loads
+numpy alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,6 +73,41 @@ class RegressionFit:
         return self.beta0 + np.asarray(factors, dtype=float) @ self.beta
 
 
+def _map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in order.
+
+    The calling thread and up to min(len(items), os.cpu_count()) - 1 helper
+    threads each take the next item from a shared index, so the caller works
+    too, and its heap serves most of the allocations.  A helper's exception
+    re-raises here, after every helper has stopped.  With one item or one
+    CPU the same loop runs inline and no thread starts.
+    """
+    items = list(items)
+    out = [None] * len(items)
+    taken, lock = itertools.count(), threading.Lock()
+
+    def work():
+        while True:
+            with lock:  # each index goes to one thread
+                i = next(taken)
+            if i >= len(items):
+                return
+            out[i] = fn(items[i])
+
+    n_helpers = min(len(items), os.cpu_count() or 1) - 1
+    if n_helpers < 1:
+        work()
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_helpers) as pool:
+        helpers = [pool.submit(work) for _ in range(n_helpers)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return out
+
+
 def _design(data: JointSample, target, factors):
     if target is None and factors is None:
         y = data.loss
@@ -82,7 +125,8 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     """Least squares of the target on the factors plus a constant.
 
     A tall-skinny QR factors [1 | W | y] in blocks of ``_QR_ROWS`` rows,
-    then their stacked R blocks: R's last column holds Q'y, and no T x
+    independent pieces spread over the cores by :func:`_map`, then their
+    stacked R blocks in index order: R's last column holds Q'y, and no T x
     (N+1) design is built.  The pivoted QR of R's (N+1) x (N+1) corner,
     which never forms Q, decides the rank and solves, un-permuted.  The
     residual scale uses the degrees-of-freedom corrected divisor T - N - 1.
@@ -98,12 +142,13 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     k = n_fac + 1
     all_names = ("const",) + tuple(names)
     geqrf, = sla.get_lapack_funcs(("geqrf",), (W,))
-    blocks = []
-    for s in range(0, T, _QR_ROWS):
+
+    def block_r(s):
         block = np.empty((min(T - s, _QR_ROWS), k + 1), order="F")
         block[:, 0], block[:, 1:k], block[:, k] = 1.0, W[s:s + _QR_ROWS], y[s:s + _QR_ROWS]
-        blocks.append(np.triu(geqrf(block, overwrite_a=1)[0][:k + 1]))
-    r_all = np.triu(geqrf(np.vstack(blocks))[0][:k + 1])
+        return np.triu(geqrf(block, overwrite_a=1)[0][:k + 1])
+
+    r_all = np.triu(geqrf(np.vstack(_map(block_r, range(0, T, _QR_ROWS))))[0][:k + 1])
     qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     # collinearity below the 12-digit ingestion rounding counts as deficient
@@ -253,23 +298,29 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
     """:func:`plain_var` at each level, level i seeded by (master_seed,
     rows[i]); the empirical levels are read from one sort of the
     loss, and the fitted values are computed once, from the factor index
-    beta . W when the caller has it (``fit.fitted``'s bits)."""
+    beta . W when the caller has it (``fit.fitted``'s bits).  The drawn
+    levels are independent pieces, spread over the cores by :func:`_map`;
+    each builds fitted + sigma * z in place, the same bits."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
         return scalar.quantiles(data.loss, data.weights, p_values).tolist()
     fitted = fit.beta0 + (data.factors @ fit.beta if index is None else index)
-    out = []
-    for row, p in zip(rows, p_values):
-        rng = _rng(master_seed, row)
+
+    def level_var(rng_p):
+        rng, p = rng_p
         if mode == "model":
-            values, weights = fitted + fit.sigma * rng.standard_normal(fitted.size), data.weights
+            values, weights, shift = rng.standard_normal(fitted.size), data.weights, fitted
         else:
             draws = _count(mc_draws, "mc_draws", 1)
             idx = rng.choice(fitted.size, size=draws, p=data.weights)
-            values, weights = fitted[idx] + fit.sigma * rng.standard_normal(draws), None
-        out.append(scalar.quantiles(values, weights, p))
-    return out
+            values, weights, shift = rng.standard_normal(draws), None, fitted[idx]
+        values *= fit.sigma
+        values += shift
+        return scalar.quantiles(values, weights, p)
+
+    # the generators are built in row order, here; their draws run on the cores
+    return _map(level_var, [(_rng(master_seed, row), p) for row, p in zip(rows, p_values)])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from factorrisk import (
     partition_discrete,
     simulate,
 )
-from factorrisk import cli, regression
+from factorrisk import cli, conditioning, regression
 from factorrisk.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -293,6 +293,81 @@ class TestMainExitCodes:
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == f"numeric rejection: out of memory: {message}\n"
         assert not out.exists()
+
+
+class TestUnreadableInputAndUnwritableOutput:
+    """A ``--data`` that cannot be read or is not UTF-8 is a data error, an
+    ``--output`` that cannot be written a usage error, each naming its path,
+    with no traceback."""
+
+    def test_data_naming_a_directory(self, tmp_path, capsys):
+        rc = main(["measure", "--data", str(tmp_path), "--target", "X", "--measure", "mes",
+                   "--alpha", "0.5"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: cannot read {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("text, line", [
+        (b"X,W\n1,0\n2,\xff\n3,1\n", 3),
+        (b"X,\xe9W\n1,0\n", 1),
+        (b"X,W\r\n1,0\r\n2,1\r\n3,\xc3(\r\n", 4),
+    ])
+    def test_data_that_is_not_utf8(self, tmp_path, capsys, text, line):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text)
+        rc = main(["measure", "--data", str(path), "--target", "X", "--measure", "mes",
+                   "--alpha", "0.5"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: not UTF-8 text at line {line} of "
+                                           f"{path}\n")
+
+    @pytest.mark.parametrize("output, reason", [
+        ("", "Is a directory"),
+        ("missing/out.csv", "No such file or directory"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["measure", "--measure", "mes", "--alpha", "0.5"],
+        ["heatmap", "--p", "0.9", "--q", "0.5"],
+        ["regress"],
+    ])
+    def test_output_that_cannot_be_written(self, d1_csv, tmp_path, capsys, command, output,
+                                           reason):
+        target = tmp_path / output if output else tmp_path
+        rc = main([command[0], "--data", d1_csv, "--target", "X", *command[1:],
+                   "--output", str(target)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: cannot write --output {target}: "
+                                           f"{reason}\n")
+        assert not (tmp_path / "missing").exists()
+
+
+class TestOversizedBins:
+    """More ``--bins`` than data rows are a numeric rejection raised before
+    ``partition_quantile_boxes`` builds its levels, so 10**9 or 10**20 bins
+    allocate nothing; as many bins as rows still run."""
+
+    @pytest.mark.parametrize("bins", [9, 10**5, 10**9, 10**20])
+    def test_rejected_before_the_levels(self, d1_csv, capsys, monkeypatch, bins):
+        def arange(*args, **kwargs):
+            raise AssertionError("the levels were built")
+        monkeypatch.setattr(conditioning.np, "arange", arange)
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", "var-var",
+                   "--p", "0.9", "--q", "0.5", "--bins", str(bins)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr() == (
+            "", f"numeric rejection: --bins must be at most the 8 data rows, got {bins}\n")
+
+    def test_as_many_bins_as_rows(self, d1_csv, capsys):
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", "var-var",
+                   "--p", "0.9", "--q", "0.5", "--bins", "8"])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["nScenarios"] == 2  # W takes two values
+
+    def test_bins_below_one_keep_their_message(self, d1_csv, capsys):
+        rc = main(["measure", "--data", d1_csv, "--target", "X", "--measure", "mean-es",
+                   "--p", "0.9", "--bins", "0"])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric rejection: bins_per_factor must be an integer >= 1, got 0\n")
 
 
 class TestRegressionReport:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from factorrisk import (
     plain_var,
     simulate,
 )
+from factorrisk.regression import _map
 
 
 def phi(x: float) -> float:
@@ -234,7 +236,9 @@ class TestOlsFit:
         ols_fit(JointSample(W.sum(axis=1) + rng.standard_normal(rows), W))
         sizes = [min(2**14, rows - s) for s in range(0, rows, 2**14)]
         want = [("geqrf", (b, 5)) for b in sizes] + [("geqrf", (5 * blocks, 5))]
-        assert geqrf == want
+        # the block QRs run on the cores in any order; the stacked R is factored last
+        assert sorted(geqrf[:-1]) == sorted(want[:-1])
+        assert geqrf[-1] == want[-1]
         assert calls == [("qr_multiply", (4, 4))]
         assert sorted(lapack) == ["geqp3", "ormqr"]
 
@@ -379,6 +383,18 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout.splitlines()
     assert out == ["[]", "False"]
+
+
+def test_package_import_loads_no_thread_pool():
+    """``concurrent.futures`` is imported by the first call that runs on
+    helper threads, not by ``import factorrisk``."""
+    code = "import sys, factorrisk\nprint('concurrent.futures' in sys.modules)\n"
+    src = str(Path(factorrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout.splitlines()
+    assert out == ["False"]
 
 
 class TestSimulate:
@@ -638,3 +654,121 @@ class TestIndexLawBuiltOnce:
         for p_values, q_values in (([0.9, 1.0], [0.5]), ([0.9], [0.0, 0.5])):
             with pytest.raises(ValidationError, match="levels"):
                 diff_grid(fit, data, p_values, q_values)
+
+
+def _one_cpu(call):
+    """``call()`` with ``os.cpu_count()`` reporting one CPU: every piece runs inline."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 1)
+        return call()
+
+
+def _threads_after(call):
+    """``call()``'s result, checking that it left no thread running."""
+    before = threading.active_count()
+    result = call()
+    assert threading.active_count() == before
+    return result
+
+
+class TestWorkOnEveryCore:
+    """``ols_fit``'s row blocks and a grid's p rows run on the caller and
+    helper threads (``regression._map``), with the bits of one thread: the
+    host's CPU count, and four CPUs (three helpers on any host), give the
+    bytes of one CPU."""
+
+    CPUS = [None, 4]
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("rows, weighted", [(500, False), (2 * 2**14 + 1, False),
+                                                (2 * 2**14 + 1, True)])
+    def test_fit_bytes(self, monkeypatch, cpus, rows, weighted):
+        rng = np.random.default_rng(rows)
+        W = rng.standard_normal((rows, 4))
+        weights = rng.random(rows) + 0.1 if weighted else None
+        sample = JointSample(0.3 + W @ [1.0, -0.5, 0.2, 0.1] + rng.standard_normal(rows), W,
+                             weights)
+        want = _one_cpu(lambda: ols_fit(sample))
+        self._cpus(monkeypatch, cpus)
+        got = _threads_after(lambda: ols_fit(sample))
+        for name in ("coef", "stderr", "residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.sigma.hex() == want.sigma.hex()
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("mode", ["model", "model-mc", "empirical"])
+    @pytest.mark.parametrize("make", [_gaussian_sample, _weighted_sample],
+                             ids=["equal", "weighted"])
+    def test_grid_bytes_and_rows(self, monkeypatch, cpus, mode, make):
+        data = make()
+        fit = ols_fit(data)
+        p_values, q_values = [0.9, 0.95, 0.975, 0.99, 0.995], [0.5, 0.9]
+        want = _one_cpu(lambda: diff_grid(fit, data, p_values, q_values, mode, 7,
+                                          mc_draws=5000))
+        self._cpus(monkeypatch, cpus)
+        got = _threads_after(lambda: diff_grid(fit, data, p_values, q_values, mode, 7,
+                                               mc_draws=5000))
+        for name in ("rho_factor", "rho_plain", "diff"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        rows = [plain_var(fit, data, p, mode, 7, row_index=i, mc_draws=5000)
+                for i, p in enumerate(p_values)]
+        assert np.array(rows).tobytes() == got.rho_plain[::len(q_values)].tobytes()
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_mc_draws_rejected_on_the_cores(self, monkeypatch, cpus):
+        data = _gaussian_sample()
+        fit = ols_fit(data)
+        self._cpus(monkeypatch, cpus)
+        with pytest.raises(ValidationError) as exc:
+            _threads_after(lambda: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5], "model-mc",
+                                             mc_draws=0))
+        assert str(exc.value) == "mc_draws must be an integer >= 1, got 0"
+
+    def test_map_keeps_order_and_reraises_a_helper_error(self, monkeypatch):
+        """The results come back in item order; an error that only a helper
+        thread meets raises in the caller, after the helpers have stopped."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _threads_after(lambda: _map(lambda x: x * x, range(50))) == \
+            [x * x for x in range(50)]
+        caller, helper_took_one = threading.current_thread(), threading.Event()
+
+        def fn(x):
+            if threading.current_thread() is caller:
+                # the caller holds its item until a helper has taken one
+                assert helper_took_one.wait(60)
+                return x
+            helper_took_one.set()
+            raise ValidationError("failed on a helper thread")
+        with pytest.raises(ValidationError, match="failed on a helper thread"):
+            _threads_after(lambda: _map(fn, [0, 1]))
+
+    def test_map_takes_each_item_once_under_stress(self, monkeypatch):
+        """Eight threads on any host and a 1 us switch interval: every item is
+        taken by exactly one thread, and each result lands at its index."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _threads_after(lambda: _map(lambda x: taken.append(x) or -x, range(5000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(5000))
+        assert got == [-x for x in range(5000)]
+
+    def test_one_item_or_one_cpu_starts_no_thread(self, monkeypatch):
+        caller, before = threading.current_thread(), threading.active_count()
+
+        def fn(x):
+            assert threading.current_thread() is caller
+            assert threading.active_count() == before
+            return -x
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _map(fn, [3]) == [-3] and _map(fn, []) == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert _map(fn, range(5)) == [0, -1, -2, -3, -4]
