@@ -29,7 +29,10 @@ them on the points of a family's merged support (see its docstring).
 
 from __future__ import annotations
 
+import itertools
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, ClassVar, Iterable, NamedTuple
@@ -49,6 +52,9 @@ _ROUND_BLOCK = 2**17
 # each, so both, the atoms set into the state and the callable's own
 # temporaries stay in a core's L2 cache.
 DENSE_CHUNK_BYTES = 4 * 2**20
+# Chunks per thread of a custom distortion's sweep, at the least: a range
+# of chunks pays for its own state and thread (see _dense).
+_MIN_RANGE_CHUNKS = 32
 # Exact anchor rows open every block of max(n, this) grid rows (see _sweep).
 MIN_SWEEP_BLOCK = 256
 
@@ -985,6 +991,52 @@ def _lazy_labels(family: ConditionalLawFamily):
     return None if family._labels is None else _LabelView(family)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map(fn, items, inline: bool = False) -> list:
+    """``[fn(x) for x in items]``, in order.
+
+    The calling thread and up to min(len(items), :func:`_cpus`) - 1 helper
+    threads (plain ``threading.Thread`` s) each take the next item from a
+    shared index, so the caller works too, and its heap serves most of the
+    allocations.  The first exception, on any thread, stops every thread
+    after its current item and re-raises here, once every helper has
+    stopped.  With one item, one CPU or ``inline`` (the caller's floor on
+    work per item) the same loop runs inline and no thread starts.
+    """
+    items = list(items)
+    out, errors = [None] * len(items), []
+    taken, lock = itertools.count(), threading.Lock()
+
+    def work():
+        try:
+            while not errors:
+                with lock:  # each index goes to one thread
+                    i = next(taken)
+                if i >= len(items):
+                    return
+                out[i] = fn(items[i])
+        except BaseException as exc:  # re-raised on the caller
+            errors.append(exc)
+
+    n_helpers = 0 if inline else min(len(items), _cpus()) - 1
+    helpers = [threading.Thread(target=work) for _ in range(n_helpers)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
 def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
     """Each scenario's count of atoms at rows 0..n_rows - 1, shape (n, n_rows):
     an atom counts from row ``first`` on; at ``first == n_rows`` it never counts."""
@@ -998,10 +1050,15 @@ def _chunk_rows(n: int) -> int:
     return max(1, DENSE_CHUNK_BYTES // (64 * n))
 
 
-def _dense(fn: ScenarioFunctional, pis, scen, at, y, state, S: int, G: int) -> np.ndarray:
+def _dense(fn: ScenarioFunctional, pis, scen, at, y, profile, S: int, G: int) -> np.ndarray:
     """A user distortion on every dense profile row in S calls, call j on grid
-    rows j, j + S, j + 2S, ...: ``state`` holds them for j = 0, and each later
-    call's rows are the state with that call's atoms, each on its own row, set."""
+    rows j, j + S, j + 2S, ...  The calls run in contiguous ranges through
+    :func:`_map`: for a vectorized callable one per usable CPU, each of at
+    least ``_MIN_RANGE_CHUNKS`` calls; else one, on the calling thread.  A
+    range that starts at call j0 starts from its own state, the ``profile``
+    at grid rows j0 + iS, and each later call's rows are the state with that
+    call's atoms, each on its own row, set.  The states and the copies the
+    callable gets are allocated here, on the calling thread."""
     n = pis.size
     live = np.flatnonzero(at < G)
     row, chunk = np.divmod(at[live], S)
@@ -1009,14 +1066,25 @@ def _dense(fn: ScenarioFunctional, pis, scen, at, y, state, S: int, G: int) -> n
     live = live[order]
     cell, values = row[order].astype(np.intp) * n + scen[live], y[live]
     bounds = np.searchsorted(chunk, np.arange(S + 1))
-    flat, work = state.reshape(-1), np.empty_like(state)
     out = np.empty(G, dtype=fn.result_type)
-    for j in range(S):
-        if j:  # chunk 0's atoms are in the anchor rows already
-            flat[cell[bounds[j]:bounds[j + 1]]] = values[bounds[j]:bounds[j + 1]]
-        c = -(-(G - j) // S)
-        np.copyto(work[:c], state[:c])  # the callable may write into its matrix
-        out[j::S] = fn.apply(work[:c], pis)  # or return a view of it
+
+    def run(task):
+        j0, j1, state, work = task
+        flat = state.reshape(-1)
+        for j in range(j0, j1):
+            if j > j0:  # call j0's atoms are in its state already
+                flat[cell[bounds[j]:bounds[j + 1]]] = values[bounds[j]:bounds[j + 1]]
+            c = -(-(G - j) // S)
+            np.copyto(work[:c], state[:c])  # the callable may write into its matrix
+            out[j::S] = fn.apply(work[:c], pis)  # or return a view of it
+
+    k = max(1, min(S // _MIN_RANGE_CHUNKS, _cpus())) if fn.vectorized else 1
+    tasks = []
+    for j0, j1 in itertools.pairwise([S * i // k for i in range(k + 1)]):
+        # an atom counts from the first of these rows at or above it (at - j0 > -S)
+        state = profile(_atom_counts(scen, -(-(at - j0) // S), n, -(-(G - j0) // S)))
+        tasks.append((j0, j1, state, np.empty_like(state)))
+    _map(run, tasks)
     return out
 
 
@@ -1057,7 +1125,13 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, G: int) -> np.n
     whole sweep.  The callable gets a copy of the state's first
     ceil((G - j) / S) rows, which it may write into.  Each value is a copy of
     1 - cum or 1, so the rows equal the per-cell lookup bit for bit.  Every
-    matrix is C-contiguous and valid only during the call.
+    matrix is C-contiguous and valid only during the call.  A vectorized
+    callable's S calls run in contiguous ranges of at least
+    ``_MIN_RANGE_CHUNKS`` calls, one per usable CPU, each from its own state
+    (:func:`_dense`): it may be called from several threads at once, in any
+    order of j, so it must keep no state between calls; each call gets the
+    same matrix, so the output is the one-thread output bit for bit.  A row
+    callable runs every call on the calling thread, in the order of j.
     """
     pis, n, at = family.pis, family.n_scenarios, family._grid[1]
     labels = _lazy_labels(family)
@@ -1102,9 +1176,7 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, G: int) -> np.n
     if r is None:
         if G == 0:
             return np.empty(0, dtype=fn.result_type)
-        S = -(-G // _chunk_rows(n))
-        state = profile(_atom_counts(scen, -(-at // S), n, -(-G // S)))
-        return _dense(fn, pis, scen, at, y, state, S, G)
+        return _dense(fn, pis, scen, at, y, profile, -(-G // _chunk_rows(n)), G)
     below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
     anchors = fn.row_sums(profile(_atom_counts(scen, first, n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])

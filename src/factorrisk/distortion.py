@@ -17,7 +17,8 @@ time and O(T) memory for T atoms: each atom changes one scenario's term
 once, and a cumulative sum, restarted from an exact row every block,
 carries the profile; a 0/1 one (a jump at ``Resolved.cut``) is bisected on
 exact rows.  A user callable from :func:`psi_custom` is evaluated on dense
-survival rows instead, a bounded chunk of every S-th breakpoint at a time.
+survival rows instead, a bounded chunk of every S-th breakpoint at a time,
+a vectorized one in one range of chunks per usable CPU.
 
 Built-in distortions cover the distorted/averaged conditional VaR and ES
 families; composition helpers evaluate the same measures through their
@@ -51,7 +52,9 @@ class ScenarioDistortion(ScenarioFunctional):
     :class:`~factorrisk.core.ScenarioFunctional`); a custom ``func`` must
     be reentrant, as the engine calls it on chunks of breakpoints: a chunk's
     rows are every S-th breakpoint, so a row's value must depend on that
-    row alone.  The matrix it gets is a copy it may write into.
+    row alone.  A vectorized one may be called from several threads at
+    once, in any chunk order, so it must keep no state between calls.  The
+    matrix it gets is a copy it may write into.
     """
 
     def __call__(self, v, pi, labels=None) -> float:
@@ -146,10 +149,16 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     S chunks, chunk j holding breakpoints j, j + S, j + 2S, ... (one row at
     a time, or a matrix of rows when vectorized), so a row's value must
     depend on that row alone; the spot check hands it its profiles in
-    chunks of the same size.  The profile is a copy, which ``func`` may
-    write into, and is valid only during the call: the next rows are built
-    in the same buffer, so keep a copy of any part of it that must outlive
-    the call (a returned view is copied out in time).
+    chunks of the same size.  A vectorized ``func`` on a long grid is
+    called from several threads at once, one contiguous range of chunks
+    per usable CPU, so the chunks come in any order: it must keep no state
+    between calls (numpy releases the GIL in its array work, which is what
+    runs in parallel).  A row ``func`` is called on the calling thread
+    only, chunk after chunk.  Each call gets the same rows as on one
+    thread, so the result is the same bit for bit.  The profile is a copy,
+    which ``func`` may write into, and is valid only during the call: the
+    next rows are built in the same buffer, so keep a copy of any part of
+    it that must outlive the call (a returned view is copied out in time).
     """
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = _rng(seed)

@@ -15,26 +15,28 @@ repeated evaluations agree bit for bit.  Equally weighted data build no
 law: each quantile is an order statistic (``scalar.quantiles``), and a grid
 reads all its q levels from one sort of beta . W.
 ``ols_fit``'s row blocks and a Diff grid's p rows run on the calling thread
-and up to one helper thread per further core (:func:`_map`): numpy and
-LAPACK release the GIL, each piece writes only its own output, and the
-outputs are the sequential ones bit for bit; no option selects this.
-scipy is imported inside ``ols_fit``, its only user, and
-``concurrent.futures`` inside ``_map``, so importing the package loads
-numpy alone.
+and up to one plain helper thread per further usable CPU (``core._map``,
+which also runs a custom distortion's dense chunks): numpy and LAPACK
+release the GIL, each piece writes only its own output, and the outputs
+are the sequential ones bit for bit; no option selects this.  A call with
+fewer than ``_MIN_ITEM_ROWS`` rows per item (a grid on fewer rows, a fit
+whose second block is shorter) runs inline, where a thread costs more than
+it saves.  A vectorized ``psi_custom`` callable may therefore be called
+from several threads at once, in any chunk order, and must keep no state
+between calls; row callables stay on the calling thread.  scipy is
+imported inside ``ols_fit``, its only user, so importing the package loads
+numpy alone and starts no thread.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import JointSample, StepCDF, _as_1d, _count, _level, _rng
+from .core import JointSample, StepCDF, _as_1d, _count, _level, _map, _rng
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
@@ -42,6 +44,10 @@ PLAIN_MODES = ("model", "model-mc", "empirical")
 DEFAULT_SEED = 20260808
 MC_DRAWS = 10**6
 _QR_ROWS = 2**14  # rows per in-cache block of ols_fit's QR: 128 KB per float64 column
+# Rows of work per item below which a _map call runs inline: a helper
+# thread's start, join and GIL hand-offs cost about what it saves at 12,000
+# to 24,000 rows per item (ols_fit's second block, a grid's drawn levels).
+_MIN_ITEM_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -71,41 +77,6 @@ class RegressionFit:
 
     def fitted(self, factors: np.ndarray) -> np.ndarray:
         return self.beta0 + np.asarray(factors, dtype=float) @ self.beta
-
-
-def _map(fn, items) -> list:
-    """``[fn(x) for x in items]``, in order.
-
-    The calling thread and up to min(len(items), os.cpu_count()) - 1 helper
-    threads each take the next item from a shared index, so the caller works
-    too, and its heap serves most of the allocations.  A helper's exception
-    re-raises here, after every helper has stopped.  With one item or one
-    CPU the same loop runs inline and no thread starts.
-    """
-    items = list(items)
-    out = [None] * len(items)
-    taken, lock = itertools.count(), threading.Lock()
-
-    def work():
-        while True:
-            with lock:  # each index goes to one thread
-                i = next(taken)
-            if i >= len(items):
-                return
-            out[i] = fn(items[i])
-
-    n_helpers = min(len(items), os.cpu_count() or 1) - 1
-    if n_helpers < 1:
-        work()
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(n_helpers) as pool:
-        helpers = [pool.submit(work) for _ in range(n_helpers)]
-        work()
-        for helper in helpers:
-            helper.result()
-    return out
 
 
 def _design(data: JointSample, target, factors):
@@ -148,7 +119,10 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
         block[:, 0], block[:, 1:k], block[:, k] = 1.0, W[s:s + _QR_ROWS], y[s:s + _QR_ROWS]
         return np.triu(geqrf(block, overwrite_a=1)[0][:k + 1])
 
-    r_all = np.triu(geqrf(np.vstack(_map(block_r, range(0, T, _QR_ROWS))))[0][:k + 1])
+    blocks = range(0, T, _QR_ROWS)
+    # the second block is the smaller of the first two
+    stacked = np.vstack(_map(block_r, blocks, min(T - _QR_ROWS, _QR_ROWS) < _MIN_ITEM_ROWS))
+    r_all = np.triu(geqrf(stacked)[0][:k + 1])
     qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     # collinearity below the 12-digit ingestion rounding counts as deficient
@@ -306,13 +280,13 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
     if mode == "empirical":
         return scalar.quantiles(data.loss, data.weights, p_values).tolist()
     fitted = fit.beta0 + (data.factors @ fit.beta if index is None else index)
+    draws = fitted.size if mode == "model" else _count(mc_draws, "mc_draws", 1)
 
     def level_var(rng_p):
         rng, p = rng_p
         if mode == "model":
             values, weights, shift = rng.standard_normal(fitted.size), data.weights, fitted
         else:
-            draws = _count(mc_draws, "mc_draws", 1)
             idx = rng.choice(fitted.size, size=draws, p=data.weights)
             values, weights, shift = rng.standard_normal(draws), None, fitted[idx]
         values *= fit.sigma
@@ -320,7 +294,8 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
         return scalar.quantiles(values, weights, p)
 
     # the generators are built in row order, here; their draws run on the cores
-    return _map(level_var, [(_rng(master_seed, row), p) for row, p in zip(rows, p_values)])
+    return _map(level_var, [(_rng(master_seed, row), p) for row, p in zip(rows, p_values)],
+                draws < _MIN_ITEM_ROWS)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,15 @@ that carries over from call to call, and the callable gets a copy of it:
 a callable that writes into its matrix (the "scatter" cases), reads it
 through its transpose (the "transposed" cases) or returns a view of it
 must still see and give the per-cell values.
+
+A vectorized callable's calls run in ranges on helper threads, so they
+come in any order: the tests that put the calls back on their grid rows
+by call order run at one usable CPU (``one_cpu``), and
+``TestDenseOnEveryCore`` checks the ranges at 2 and 4 CPUs.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -53,9 +59,11 @@ from factorrisk import (
     ValidationError,
     choquet_factor,
     from_sample,
+    inf_convolution,
     partition_quantile_boxes,
     pred_custom,
     psi_custom,
+    psi_mean_of_es,
     quantile_factor,
     simulate,
 )
@@ -230,6 +238,14 @@ def _transposed_mean(Y, pi):
 MATRIX_ROUTES = {"scatter": _scattering_mean, "transposed": _transposed_mean}
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: a custom distortion's calls come in the order j = 0, 1, ...,
+    which the tests that put them back on their grid rows by call read."""
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+
+
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, None])
 @pytest.mark.parametrize("grid_name", ["support", "coarse", "off-atom"])
 @pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
@@ -269,6 +285,7 @@ def test_row_callable_sees_survival_rows(gapped_family, monkeypatch, rows):
         assert np.array_equal(out, np.array([float(y @ gapped_family.pis) for y in expected]))
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_default_chunks_split_a_long_grid():
     family = _boxes(30_000, 4)
     grid = family.merged_support()
@@ -287,6 +304,7 @@ def test_single_point_grids(gapped_family):
         assert np.array_equal(np.vstack(seen), 1.0 - cdf_matrix(gapped_family, grid[:1]))
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("route", list(MATRIX_ROUTES))
 @pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("family_name, every", [("gapped_family", 1), ("box_family", 1),
@@ -521,3 +539,165 @@ def test_one_value_per_row_or_a_rejection(gapped_family, monkeypatch):
     monkeypatch.setattr(core, "MIN_SWEEP_BLOCK", 1)
     with pytest.raises(ValidationError, match="one value per profile row"):
         quantile_factor(gapped_family, pred)
+
+
+@pytest.fixture(scope="module")
+def wide_family():
+    """512 quantile boxes (3 factors at 8 bins), the shape of the benchmark's
+    custom-distortion job at a tenth of its rows."""
+    spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
+    sample = simulate(0.1, (1.0, -0.5, 0.3), 0.8, spec, n=5000, seed=1)
+    family = from_sample(sample, partition_quantile_boxes(sample, 8))
+    assert family.n_scenarios == 512
+    return family
+
+
+def _threads_after(call):
+    """``call()``'s result, checking that it left no thread running."""
+    before = threading.active_count()
+    result = call()
+    assert threading.active_count() == before
+    return result
+
+
+def _at_cpus(monkeypatch, cpus, call):
+    """``call()`` with ``cpus`` usable CPUs, leaving no thread running."""
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    return _threads_after(call)
+
+
+class TestDenseOnEveryCore:
+    """A vectorized custom distortion's calls run in contiguous ranges of
+    chunks on the calling thread and helper threads (``core._map``), one
+    range per usable CPU, each from its own state.  At 2 and 4 patched CPUs
+    (one and three helpers on any host), with ``_MIN_RANGE_CHUNKS`` patched
+    to 1 so that small sweeps spread too, every output is the one-CPU
+    output bit for bit, each call still gets one strided chunk, and every
+    helper has stopped when the sweep returns.  A row callable, and a sweep
+    of fewer than two ranges of ``_MIN_RANGE_CHUNKS`` chunks, stay on the
+    calling thread."""
+
+    CPUS = [2, 4]
+
+    @pytest.fixture(autouse=True)
+    def every_range(self, monkeypatch):
+        monkeypatch.setattr(core, "_MIN_RANGE_CHUNKS", 1)
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("family_name", ["gapped_family", "wide_family"])
+    def test_bits_of_one_cpu(self, request, monkeypatch, family_name, rows, cpus):
+        family = request.getfixturevalue(family_name)
+        _chunk_rows(monkeypatch, family, rows)
+        for make in (_es_mean, _es_mean_in_place):
+            psi = psi_custom(make(0.1), family.n_scenarios, vectorized=True)
+            for name, moved in _families(family).items():
+                for G in _sizes(moved):
+                    want = _at_cpus(monkeypatch, 1, lambda: _sweep(moved, psi, G))
+                    got = _at_cpus(monkeypatch, cpus, lambda: _sweep(moved, psi, G))
+                    assert got.tobytes() == want.tobytes(), (name, G)
+                want = _at_cpus(monkeypatch, 1, lambda: choquet_factor(moved, psi))
+                got = _at_cpus(monkeypatch, cpus, lambda: choquet_factor(moved, psi))
+                assert got.hex() == want.hex(), name
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("family_name", ["gapped_family", "wide_family"])
+    def test_sharing_bits_of_one_cpu(self, request, monkeypatch, family_name, cpus):
+        # a custom agent beside a built-in one: value and slopes of one CPU
+        family = request.getfixturevalue(family_name)
+        _chunk_rows(monkeypatch, family, 2)
+        agents = [(psi_custom(_es_mean(0.2), family.n_scenarios, vectorized=True), family),
+                  (psi_mean_of_es(0.9), family)]
+        x_law = family.mixture()
+        want = _at_cpus(monkeypatch, 1, lambda: inf_convolution(x_law, agents))
+        got = _at_cpus(monkeypatch, cpus, lambda: inf_convolution(x_law, agents))
+        assert got[0].hex() == want[0].hex()
+        assert got[1].slopes.tobytes() == want[1].slopes.tobytes()
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("family_name", ["gapped_family", "box_family"])
+    def test_each_call_gets_one_strided_chunk(self, request, monkeypatch, family_name, rows,
+                                              cpus):
+        # the calls come in any order: each matrix equals the survival rows
+        # j, j + S, j + 2S, ... of exactly one j, and each j comes once
+        family = request.getfixturevalue(family_name)
+        step = _chunk_rows(monkeypatch, family, rows)
+        for moved in _families(family).values():
+            for G in _sizes(moved):
+                expected = 1.0 - cdf_matrix(family, moved.merged_support()[:G])
+                seen, _ = _at_cpus(monkeypatch, cpus, lambda: _recorded(
+                    moved, psi_custom, _scattering_mean, G, vectorized=True))
+                S = -(-G // step)
+                calls = [[j for j in range(S) if np.array_equal(m, expected[j::S])]
+                         for m in seen]
+                assert all(len(js) == 1 for js in calls)
+                assert sorted(js[0] for js in calls) == list(range(S))
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_a_helper_error_raises_on_the_caller(self, gapped_family, monkeypatch, cpus):
+        # the caller holds its first call of the sweep until a helper has
+        # made one, which raises
+        caller, hold, helper_called = threading.current_thread(), threading.Event(), \
+            threading.Event()
+
+        def fn(V, pi):
+            if threading.current_thread() is caller:
+                assert not hold.is_set() or helper_called.wait(60)
+                return _mean(V, pi)
+            helper_called.set()
+            raise ValidationError("failed on a helper thread")
+
+        psi = psi_custom(fn, gapped_family.n_scenarios, vectorized=True)  # on the caller
+        _chunk_rows(monkeypatch, gapped_family, 1)
+        hold.set()
+        with pytest.raises(ValidationError, match="failed on a helper thread"):
+            _at_cpus(monkeypatch, cpus, lambda: choquet_factor(gapped_family, psi))
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_what_stays_on_the_caller(self, gapped_family, monkeypatch, cpus, vectorized):
+        # a row callable on every chunk of 1 row, and a vectorized one on a
+        # one-chunk sweep; the sweeps give the bits of one CPU
+        caller, threads = threading.current_thread(), set()
+
+        def fn(V, pi):
+            threads.add(threading.current_thread())
+            return _mean(V, pi)
+
+        psi = psi_custom(fn, gapped_family.n_scenarios, vectorized=vectorized)
+        _chunk_rows(monkeypatch, gapped_family, 1 if not vectorized else 10**6)
+        G = gapped_family._grid[0].size
+        want = _at_cpus(monkeypatch, 1, lambda: _sweep(gapped_family, psi, G))
+        threads.clear()
+        got = _at_cpus(monkeypatch, cpus, lambda: _sweep(gapped_family, psi, G))
+        assert threads == {caller}
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_floor_keeps_short_sweeps_on_the_caller(self, gapped_family, monkeypatch):
+        # two ranges need 2 * _MIN_RANGE_CHUNKS chunks: one fewer runs every
+        # call on the caller; with that many, a helper takes a range (a caller
+        # that takes one holds its first call until a helper has made one)
+        caller, threads = threading.current_thread(), set()
+        hold, helper_called = threading.Event(), threading.Event()
+
+        def fn(V, pi):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is not caller:
+                helper_called.set()
+            elif hold.is_set():
+                assert helper_called.wait(60)
+            return _mean(V, pi)
+
+        psi = psi_custom(fn, gapped_family.n_scenarios, vectorized=True)
+        _chunk_rows(monkeypatch, gapped_family, 1)  # G calls of one row
+        G = gapped_family._grid[0].size
+        monkeypatch.setattr(core, "_MIN_RANGE_CHUNKS", G // 2 + 1)
+        threads.clear()
+        _at_cpus(monkeypatch, 4, lambda: _sweep(gapped_family, psi, G))
+        assert threads == {caller}
+        monkeypatch.setattr(core, "_MIN_RANGE_CHUNKS", G // 2)
+        threads.clear()
+        hold.set()
+        _at_cpus(monkeypatch, 4, lambda: _sweep(gapped_family, psi, G))
+        assert threads - {caller}

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from factorrisk import (
     plain_var,
     simulate,
 )
-from factorrisk.regression import _map
+from factorrisk import core, regression
+from factorrisk.core import _map
 
 
 def phi(x: float) -> float:
@@ -386,15 +388,26 @@ def test_package_import_loads_no_scipy():
 
 
 def test_package_import_loads_no_thread_pool():
-    """``concurrent.futures`` is imported by the first call that runs on
-    helper threads, not by ``import factorrisk``."""
-    code = "import sys, factorrisk\nprint('concurrent.futures' in sys.modules)\n"
+    """``import factorrisk`` starts no thread and loads no
+    ``concurrent.futures``.  A grid whose rows run on helper threads, plain
+    ``threading.Thread`` s, leaves no thread and loads no thread pool
+    (``concurrent.futures.thread``; scipy's linear algebra, which
+    ``ols_fit`` loads, imports ``concurrent.futures`` itself)."""
+    code = (
+        "import sys, threading, numpy as np, factorrisk\n"
+        "from factorrisk import core, regression\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "core._cpus, regression._MIN_ITEM_ROWS = (lambda: 2), 0\n"
+        "data = factorrisk.JointSample(np.arange(50.0) % 7, np.arange(50.0))\n"
+        "factorrisk.diff_grid(factorrisk.ols_fit(data), data, [0.9, 0.95], [0.5])\n"
+        "print('concurrent.futures.thread' in sys.modules, threading.active_count())\n"
+    )
     src = str(Path(factorrisk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout.splitlines()
-    assert out == ["False"]
+    assert out == ["False 1", "False 1"]
 
 
 class TestSimulate:
@@ -657,9 +670,9 @@ class TestIndexLawBuiltOnce:
 
 
 def _one_cpu(call):
-    """``call()`` with ``os.cpu_count()`` reporting one CPU: every piece runs inline."""
+    """``call()`` with one usable CPU (``core._cpus``): every piece runs inline."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 1)
+        mp.setattr(core, "_cpus", lambda: 1)
         return call()
 
 
@@ -673,16 +686,19 @@ def _threads_after(call):
 
 class TestWorkOnEveryCore:
     """``ols_fit``'s row blocks and a grid's p rows run on the caller and
-    helper threads (``regression._map``), with the bits of one thread: the
-    host's CPU count, and four CPUs (three helpers on any host), give the
-    bytes of one CPU."""
+    helper threads (``core._map``), with the bits of one thread: the
+    process's usable CPUs, and four CPUs (three helpers on any host), give
+    the bytes of one CPU.  The floor on rows per item is patched to 0, so
+    the small samples here spread too; what stays under it is
+    ``test_small_calls_stay_on_the_caller``'s."""
 
     CPUS = [None, 4]
 
     @staticmethod
     def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(regression, "_MIN_ITEM_ROWS", 0)
         if cpus is not None:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
 
     @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("rows, weighted", [(500, False), (2 * 2**14 + 1, False),
@@ -732,7 +748,7 @@ class TestWorkOnEveryCore:
     def test_map_keeps_order_and_reraises_a_helper_error(self, monkeypatch):
         """The results come back in item order; an error that only a helper
         thread meets raises in the caller, after the helpers have stopped."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
         assert _threads_after(lambda: _map(lambda x: x * x, range(50))) == \
             [x * x for x in range(50)]
         caller, helper_took_one = threading.current_thread(), threading.Event()
@@ -747,10 +763,27 @@ class TestWorkOnEveryCore:
         with pytest.raises(ValidationError, match="failed on a helper thread"):
             _threads_after(lambda: _map(fn, [0, 1]))
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_map_stops_after_an_error(self, monkeypatch, failing):
+        """The first error, on the caller or a helper, stops every thread
+        after its current item: of 1,000 items that each sleep 1 ms (which
+        releases the GIL), a few are taken, not all."""
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        taken = []
+
+        def fn(x):
+            taken.append(x)
+            if x == failing:
+                raise ValidationError("item failed")
+            time.sleep(1e-3)
+        with pytest.raises(ValidationError, match="item failed"):
+            _threads_after(lambda: _map(fn, range(1000)))
+        assert failing in taken and len(taken) < 100
+
     def test_map_takes_each_item_once_under_stress(self, monkeypatch):
         """Eight threads on any host and a 1 us switch interval: every item is
         taken by exactly one thread, and each result lands at its index."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(core, "_cpus", lambda: 8)
         taken = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -768,7 +801,32 @@ class TestWorkOnEveryCore:
             assert threading.current_thread() is caller
             assert threading.active_count() == before
             return -x
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(core, "_cpus", lambda: 4)
         assert _map(fn, [3]) == [-3] and _map(fn, []) == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert _map(fn, range(5), inline=True) == [0, -1, -2, -3, -4]
+        monkeypatch.setattr(core, "_cpus", lambda: 1)
         assert _map(fn, range(5)) == [0, -1, -2, -3, -4]
+
+    def test_small_calls_stay_on_the_caller(self, monkeypatch):
+        """Under ``_MIN_ITEM_ROWS`` rows per item no thread starts at four
+        CPUs: a grid on 4,000 rows (each drawn level 4,000 rows, or
+        ``mc_draws``) and a fit whose second block holds one row; a fit of
+        two full blocks spreads."""
+        started = []
+        thread = threading.Thread
+
+        def spy(*args, **kwargs):
+            started.append(None)
+            return thread(*args, **kwargs)
+        monkeypatch.setattr(core, "_cpus", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", spy)
+        data = _gaussian_sample()
+        fit = _threads_after(lambda: ols_fit(data))
+        for mode, draws in (("model", regression.MC_DRAWS), ("model-mc", 5000)):
+            _threads_after(lambda: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5], mode,
+                                             mc_draws=draws))
+        rng = np.random.default_rng(5)
+        for rows in (2**14 + 1, 2 * 2**14):
+            W = rng.standard_normal((rows, 2))
+            _threads_after(lambda: ols_fit(JointSample(W @ [1.0, -0.5] + rng.random(rows), W)))
+        assert len(started) == 1  # the one helper of the two-block fit
