@@ -1046,8 +1046,28 @@ def _atom_counts(scen, first, n: int, n_rows: int) -> np.ndarray:
 
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of dense profile rows for n scenarios, from ``DENSE_CHUNK_BYTES``
-    as it is when called: the engine's chunks and ``psi_custom``'s spot checks."""
+    as it is when called: the engine's chunks and :func:`_spot_check`'s."""
     return max(1, DENSE_CHUNK_BYTES // (64 * n))
+
+
+def _spot_check(fn: ScenarioFunctional, weightings, check_pairs: int, rng, messages) -> None:
+    """A user callable's poles and ``check_pairs`` random ordered pairs, under each weighting:
+    0 and 1 within 1e-12 (``messages`` 0 and 1), then one draw of lower profiles, walked in
+    :func:`_chunk_rows` chunks.  The callable gets a copy of a chunk, which then becomes its
+    upper profiles in place (the next draw added, capped at 1); an upper value more than
+    1e-12 below its lower one fails (``messages`` 2).  A chunked draw is the whole draw."""
+    for pi in weightings:
+        for pole, message in zip((0.0, 1.0), messages):
+            if abs(float(fn.apply(np.full((1, pi.size), pole), pi)[0]) - pole) > 1e-12:
+                raise ValidationError(message)
+        draw, step = rng.random((check_pairs, pi.size)), _chunk_rows(pi.size)
+        for k in range(0, check_pairs, step):
+            rows = draw[k:k + step]
+            lower = fn.apply(rows.copy(), pi)
+            rows += rng.random(rows.shape)
+            if np.any(fn.apply(np.minimum(rows, 1.0, out=rows), pi) < lower - 1e-12):
+                raise ValidationError(messages[2])
+        del draw, rows  # before the next weighting's draw
 
 
 def _dense(fn: ScenarioFunctional, pis, scen, at, y, profile, S: int, G: int) -> np.ndarray:
@@ -1138,15 +1158,20 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, G: int) -> np.n
     starts, cum = family.offsets[:-1], family.cum
     scen = np.repeat(np.arange(n), np.diff(family.offsets))
     r = None if fn.func is not None else fn.resolve(pis, labels)
-    block = max(n, MIN_SWEEP_BLOCK)
-    n_blocks = -(-G // block)
-    first = -(-at // block)  # the first block anchor at or above each atom
 
     def profile(count: np.ndarray) -> np.ndarray:
         F = np.ascontiguousarray(np.where(count > 0, cum[starts[:, None] + count - 1], 0.0).T)
         return 1.0 - F if fn.survival else F
 
-    if fn.result_type is bool or (r is not None and r.cut is not None):
+    if r is None and fn.result_type is not bool:  # a user distortion: dense rows
+        if G == 0:
+            return np.empty(0, dtype=fn.result_type)
+        y = 1.0 - cum if fn.survival else cum
+        return _dense(fn, pis, scen, at, y, profile, -(-G // _chunk_rows(n)), G)
+    block = max(n, MIN_SWEEP_BLOCK)
+    n_blocks = -(-G // block)
+    first = -(-at // block)  # the first block anchor at or above each atom
+    if fn.result_type is bool or r.cut is not None:
         def value(Y):  # fn on these exact profile rows; a user predicate gets a copy
             return fn.apply(Y.copy(), pis) if r is None else fn.finish(fn.row_sums(Y, r), r)
 
@@ -1173,10 +1198,6 @@ def _sweep(family: ConditionalLawFamily, fn: ScenarioFunctional, G: int) -> np.n
         return np.repeat(v[[j - 1, -1]], [hi, G - hi])
 
     y = 1.0 - cum if fn.survival else cum
-    if r is None:
-        if G == 0:
-            return np.empty(0, dtype=fn.result_type)
-        return _dense(fn, pis, scen, at, y, profile, -(-G // _chunk_rows(n)), G)
     below = np.full(n, 1.0 if fn.survival else 0.0)  # the profile below the grid
     anchors = fn.row_sums(profile(_atom_counts(scen, first, n, n_blocks)), r)
     contrib = r.w[scen] * fn.term(y, r.a[scen])

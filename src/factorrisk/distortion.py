@@ -36,7 +36,7 @@ from . import scalar
 from .conditioning import LevelMap, event_law
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, StepCDF,
                    _chunk_rows, _count, _lazy_labels, _level, _probabilities, _rng,
-                   _scenario_var, _segment_es, _sweep)
+                   _scenario_var, _segment_es, _spot_check, _sweep)
 from .errors import ValidationError
 
 CONDITION_A_SLACK = 1e-12
@@ -148,13 +148,14 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     is evidence, not proof.  The engine hands ``func`` the breakpoints in
     S chunks, chunk j holding breakpoints j, j + S, j + 2S, ... (one row at
     a time, or a matrix of rows when vectorized), so a row's value must
-    depend on that row alone; the spot check hands it its profiles in
-    chunks of the same size.  A vectorized ``func`` on a long grid is
-    called from several threads at once, one contiguous range of chunks
-    per usable CPU, so the chunks come in any order: it must keep no state
-    between calls (numpy releases the GIL in its array work, which is what
-    runs in parallel).  A row ``func`` is called on the calling thread
-    only, chunk after chunk.  Each call gets the same rows as on one
+    depend on that row alone.  The spot check (``core._spot_check``)
+    hands it its profiles in chunks of the same size, as copies: each
+    chunk's lower profiles, then its upper ones.  A vectorized ``func`` on
+    a long grid is called from several threads at once, one contiguous
+    range of chunks per usable CPU, so the chunks come in any order: it
+    must keep no state between calls (numpy releases the GIL in its array
+    work, which is what runs in parallel).  A row ``func`` is called on the
+    calling thread only, chunk after chunk.  Each call gets the same rows as on one
     thread, so the result is the same bit for bit.  The profile is a copy,
     which ``func`` may write into, and is valid only during the call: the
     next rows are built in the same buffer, so keep a copy of any part of
@@ -163,23 +164,9 @@ def psi_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     psi = ScenarioDistortion(func=func, vectorized=vectorized)
     rng = _rng(seed)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
-    step = _chunk_rows(n)  # the engine's chunk of rows
-    for pi in (np.full(n, 1.0 / n), _random_simplex(rng, n)):
-        lo = psi(np.zeros(n), pi)
-        hi = psi(np.ones(n), pi)
-        if abs(lo) > 1e-12 or abs(hi - 1.0) > 1e-12:
-            raise ValidationError("custom distortion must map 0 -> 0 and 1 -> 1")
-        # the callable sees the lower profiles as the engine's rows, chunks
-        # of copies it may write into; the upper ones continue the stream in
-        # the lower ones' rows, once all those are evaluated
-        a = rng.random((check_pairs, n))
-        chunks = range(0, check_pairs, step)
-        va = np.concatenate([psi.apply(a[k:k + step].copy(), pi) for k in chunks])
-        for k in chunks:
-            b = a[k:k + step]
-            b += rng.random(b.shape)
-            if np.any(psi.apply(np.minimum(b, 1.0, out=b), pi) < va[k:k + step] - 1e-12):
-                raise ValidationError("custom distortion failed the monotonicity spot check")
+    poles = "custom distortion must map 0 -> 0 and 1 -> 1"
+    _spot_check(psi, (np.full(n, 1.0 / n), _random_simplex(rng, n)), check_pairs, rng,
+                (poles, poles, "custom distortion failed the monotonicity spot check"))
     return psi
 
 
@@ -245,13 +232,15 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
     psi(f1) + psi(f2) >= psi(g1) + psi(g2) - 1e-12.  Returns the first
     violating witness, or None if all trials pass.  A pass is evidence of
     coherence, never a certificate: the inequality quantifies over an
-    infinite function class.
+    infinite function class.  ``psi`` gets the quadruples' profiles in
+    chunks of at most min(2048, ``core._chunk_rows(n)``) rows, the engine's
+    chunk size, one matrix of g1, f1, f2 or g2 rows per call.
     """
     trials = _count(trials, "trials", 1)
     pi = _probabilities(pi, "pi")
     rng = _rng(seed)
     n = pi.size
-    chunk = 2048
+    chunk = min(2048, _chunk_rows(n))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)

@@ -65,15 +65,18 @@ class ScenarioWeighting:
             return self.values.copy()
         if family.labels is None:
             raise ValidationError("label-keyed weighting needs scenario labels")
+        position = {}  # each label's first position
+        for i, label in enumerate(family.labels):
+            position.setdefault(label, i)
         out = np.zeros(family.n_scenarios)
         for label, w in self.by_label.items():
-            if label not in family.labels:
+            if label not in position:
                 if w > 0:
                     raise ValidationError(
                         f"weight on scenario {label!r}, which has zero probability"
                     )
                 continue
-            out[family.labels.index(label)] = w
+            out[position[label]] = w
         return out
 
 

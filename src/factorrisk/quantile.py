@@ -28,7 +28,7 @@ import numpy as np
 from . import scalar
 from .conditioning import VarBox, broadcast_levels, event_law, tail_box
 from .core import (ConditionalLawFamily, JointSample, Resolved, ScenarioFunctional, _count,
-                   _level, _rng, _sweep)
+                   _level, _rng, _spot_check, _sweep)
 from .errors import EmptyEventError, NullQuantileEventError, ValidationError
 
 
@@ -106,24 +106,19 @@ def pred_custom(func: Callable, n_scenarios: int, *, vectorized: bool = False,
     ``func`` sees exact CDF rows (one at a time, or a C-contiguous matrix
     when vectorized, which must return one value per row): the block
     anchors and the last row, then at most ceil(log2 block) + 1 single rows
-    (``core._sweep``).  Each matrix is a copy, which ``func`` may write
-    into.  A predicate that passes the spot check but is not upward closed
-    gets a row it accepts whose row below it rejects (or row 0).
+    (``core._sweep``).  The spot check (``core._spot_check``) hands it the
+    poles, then ``check_pairs`` random ordered pairs in chunks of the
+    engine's size (``core._chunk_rows``): each chunk's lower profiles, then
+    its upper ones.  Each matrix is a copy, which ``func`` may write into.
+    A predicate that passes the spot check but is not upward closed gets a
+    row it accepts whose row below it rejects (or row 0).
     """
     pred = IncreasingSetPredicate(func=func, vectorized=vectorized)
     n, check_pairs = _count(n_scenarios, "n_scenarios", 1), _count(check_pairs, "check_pairs", 1)
-    pi = np.full(n, 1.0 / n)
-    if pred.apply(np.zeros((1, n)), pi)[0]:
-        raise ValidationError("predicate must reject the all-zeros profile")
-    if not pred.apply(np.ones((1, n)), pi)[0]:
-        raise ValidationError("predicate must accept the all-ones profile")
-    rng = _rng(seed)
-    lo = rng.random((check_pairs, n))
-    hi = np.minimum(lo + rng.random((check_pairs, n)), 1.0)
-    accept_lo = pred.apply(lo, pi)
-    accept_hi = pred.apply(hi, pi)
-    if np.any(accept_lo & ~accept_hi):
-        raise ValidationError("predicate failed the upward-closure spot check")
+    _spot_check(pred, (np.full(n, 1.0 / n),), check_pairs, _rng(seed),
+                ("predicate must reject the all-zeros profile",
+                 "predicate must accept the all-ones profile",
+                 "predicate failed the upward-closure spot check"))
     return pred
 
 

@@ -29,7 +29,8 @@ scenario merge on one point) or onto points between its atoms: at each
 point that receives an atom, a moved family's CDF is the family's, so its
 rows must equal the family's own CDF at those points.  Chunks of 1 to 4
 rows (``DENSE_CHUNK_BYTES`` patched, read through ``core._chunk_rows`` by
-the engine and ``psi_custom``'s spot checks alike) and the default size
+the engine and the spot check of ``psi_custom`` and ``pred_custom`` alike)
+and the default size
 are covered, and for predicates blocks of 1 to 4 rows
 (``MIN_SWEEP_BLOCK`` patched) and the default; the families range from 5
 hand-built scenarios, some with their first atom late on the grid, to
@@ -464,8 +465,9 @@ def test_a_callable_that_writes_into_its_rows_sees_the_dense_rows(gapped_family,
 def test_the_spot_check_hands_copies_in_engine_chunks():
     # the pairs are the former ones, the lower profiles a draw of
     # (check_pairs, n) values after the random weights and the upper ones
-    # the next draw added and capped at 1, but the callable sees them in
-    # chunks of the engine's size, the lower ones as copies it may write into
+    # the next draw added and capped at 1, but the callable sees them chunk
+    # by chunk, in chunks of the engine's size: a chunk's lower rows, as a
+    # copy it may write into, then the same chunk's upper rows
     n, pairs = 300, 1000
     step = core._chunk_rows(n)
     assert step < pairs
@@ -487,9 +489,36 @@ def test_the_spot_check_hands_copies_in_engine_chunks():
         got = seen[i * (2 + 2 * chunks):(i + 1) * (2 + 2 * chunks)]
         assert np.array_equal(got[0], np.zeros((1, n))) and np.array_equal(got[1], np.ones((1, n)))
         assert all(len(m) <= step for m in got[2:])
-        assert np.array_equal(np.vstack(got[2:2 + chunks]), lower)
-        assert np.array_equal(np.vstack(got[2 + chunks:]), upper)
+        assert [len(m) for m in got[2::2]] == [len(m) for m in got[3::2]]
+        assert np.array_equal(np.vstack(got[2::2]), lower)
+        assert np.array_equal(np.vstack(got[3::2]), upper)
     assert len(seen) == 2 * (2 + 2 * chunks)
+
+
+def test_the_predicate_spot_check_hands_copies_in_engine_chunks():
+    # one weighting, the uniform one: the lower profiles are the seed's first
+    # (check_pairs, n) draw and the upper ones the next draw added and capped
+    # at 1, handed chunk by chunk, a chunk's lower rows as a copy
+    n, pairs, seed = 300, 1000, 5
+    step = core._chunk_rows(n)
+    assert step < pairs
+    seen = []
+
+    def scribble(U, pi):
+        seen.append(np.array(U))
+        accepted = _half_at_median(U, pi)
+        U[...] = -1.0
+        return accepted
+
+    pred_custom(scribble, n, vectorized=True, check_pairs=pairs, seed=seed)
+    rng = core._rng(seed)
+    lower = rng.random((pairs, n))
+    upper = np.minimum(lower + rng.random((pairs, n)), 1.0)
+    assert np.array_equal(seen[0], np.zeros((1, n))) and np.array_equal(seen[1], np.ones((1, n)))
+    assert all(len(m) <= step for m in seen[2:])
+    assert [len(m) for m in seen[2::2]] == [len(m) for m in seen[3::2]]
+    assert np.array_equal(np.vstack(seen[2::2]), lower)
+    assert np.array_equal(np.vstack(seen[3::2]), upper)
 
 
 def test_the_spot_check_and_the_engine_read_the_patched_chunk_size(monkeypatch):
@@ -504,7 +533,8 @@ def test_the_spot_check_and_the_engine_read_the_patched_chunk_size(monkeypatch):
         return (np.minimum(Y, 0.1) / 0.1) @ pi
 
     psi = psi_custom(record, n, vectorized=True, check_pairs=10)
-    assert seen == 2 * ([1, 1] + 2 * [3, 3, 3, 1])  # per weight: 0, 1, lower, upper
+    # per weight: 0, 1, then each chunk's lower and upper rows
+    assert seen == 2 * ([1, 1] + [3, 3, 3, 3, 3, 3, 1, 1])
     family = ConditionalLawFamily(np.full(n, 0.25),
                                   tuple(_law(np.arange(k, 40.0, n), np.ones(10)) for k in range(n)))
     seen.clear()

@@ -5,7 +5,9 @@ At T = 5e4 rows and n = 512 quantile boxes the dense (support x scenarios)
 matrix alone is 205 MB; the built-in engine must stay in O(T) memory, and a
 custom callable in a bounded number of dense chunks.  Ingest (``JointSample``,
 ``read_csv``, ``simulate``) must peak at a small multiple of the loss and
-factor arrays it returns.  Peaks are measured with tracemalloc, which numpy
+factor arrays it returns.  At n = 4,096 scenarios the spot check of a custom
+callable holds its (check_pairs, n) lower draw and engine-sized chunks, and
+``condition_a_check`` chunks only.  Peaks are measured with tracemalloc, which numpy
 reports its buffers to.
 """
 
@@ -19,13 +21,16 @@ from factorrisk import (
     JointSample,
     choquet_factor,
     compose_es_mean,
+    condition_a_check,
     from_sample,
     inf_convolution,
     partition_discrete,
     partition_quantile_boxes,
+    pred_custom,
     pred_var_of_var,
     psi_custom,
     psi_indicator_var_var,
+    psi_mean,
     psi_mean_of_es,
     quantile_factor,
     simulate,
@@ -82,6 +87,31 @@ class TestPeakMemory:
         value, peak = traced_peak(choquet_factor, wide_family, psi)
         assert peak < 2 * DENSE_CHUNK_BYTES
         assert value == pytest.approx(compose_es_mean(wide_family, 0.9), abs=1e-12)
+
+
+SPOT_N, PAIRS = 4096, 1000  # the spot checks' default check_pairs
+
+
+def _half_at_median(U, pi):
+    return (U >= 0.5) @ pi >= 0.5
+
+
+class TestSpotCheckPeakMemory:
+    LIMIT = 1.25 * 8 * PAIRS * SPOT_N  # the lower draw and a quarter more
+
+    def test_psi_custom(self):
+        _, peak = traced_peak(lambda: psi_custom(_es_mean, SPOT_N, vectorized=True))
+        assert peak < self.LIMIT
+
+    def test_pred_custom(self):
+        _, peak = traced_peak(lambda: pred_custom(_half_at_median, SPOT_N, vectorized=True))
+        assert peak < self.LIMIT
+
+    def test_condition_a_check(self):
+        pi = np.full(SPOT_N, 1.0 / SPOT_N)
+        witness, peak = traced_peak(condition_a_check, psi_mean(), pi, 2048)
+        assert witness is None
+        assert peak < 8e6
 
 
 def _data_bytes(sample):

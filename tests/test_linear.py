@@ -3,13 +3,17 @@ import pytest
 
 from factorrisk import (
     EmptyEventError,
+    GaussianFactorSpec,
     JointSample,
     ScenarioWeighting,
     ValidationError,
     choquet_factor,
+    from_sample,
     linear_factor,
     mes,
+    partition_quantile_boxes,
     psi_mean,
+    simulate,
 )
 from conftest import family_of, random_discrete_dist, random_joint_pair
 
@@ -26,6 +30,21 @@ class TestLinearFactorD1:
 
     def test_by_label(self, d1_family):
         assert linear_factor(d1_family, {0.0: 0.25, 1.0: 0.75}) == pytest.approx(4.375)
+
+
+def test_by_label_equals_the_vector_on_many_boxes():
+    # one weight per label of more than 2,000 quantile boxes, keyed in
+    # reverse order: each weight lands on its label's scenario
+    spec = GaussianFactorSpec(np.zeros(7), np.eye(7))
+    sample = simulate(0.1, (1.0, -0.5, 0.3, 0.2, -0.1, 0.4, 0.6), 0.8, spec, n=8000, seed=5)
+    family = from_sample(sample, partition_quantile_boxes(sample, 3))
+    assert family.n_scenarios > 2000
+    q = np.random.default_rng(4).random(family.n_scenarios)
+    q /= q.sum()
+    by_label = dict(zip(reversed(family.labels), q[::-1]))
+    resolved = ScenarioWeighting.of(by_label).resolve(family)
+    assert resolved.tobytes() == ScenarioWeighting.of(q).resolve(family).tobytes()
+    assert linear_factor(family, by_label) == linear_factor(family, q)
 
 
 class TestWeightingValidation:
