@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--p", required=True, help="comma-separated p levels")
     h.add_argument("--q", required=True, help="comma-separated q levels")
     h.add_argument("--seed", type=int, default=regression.DEFAULT_SEED)
-    h.add_argument("--plain-var", dest="plain_var", choices=("model", "empirical"),
+    h.add_argument("--plain-var", dest="plain_var", choices=regression.PLAIN_MODES,
                    default="model")
     h.add_argument("--output", default=None)
 

@@ -234,7 +234,9 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
     coherence, never a certificate: the inequality quantifies over an
     infinite function class.  ``psi`` gets the quadruples' profiles in
     chunks of at most min(2048, ``core._chunk_rows(n)``) rows, the engine's
-    chunk size, one matrix of g1, f1, f2 or g2 rows per call.
+    chunk size, one matrix of g1, f1, f2 or g2 rows per call.  Each call
+    gets a copy, so a callable that writes into its matrix leaves the
+    witness rows as drawn.
     """
     trials = _count(trials, "trials", 1)
     pi = _probabilities(pi, "pi")
@@ -251,8 +253,8 @@ def condition_a_check(psi: ScenarioDistortion, pi, trials: int = 10_000,
         t = rng.random((m, n))
         f1 = g1 + t * (g2 - g1)
         f2 = g2 - t * (g2 - g1)
-        lhs = psi.apply(f1, pi) + psi.apply(f2, pi)
-        rhs = psi.apply(g1, pi) + psi.apply(g2, pi)
+        lhs = psi.apply(f1.copy(), pi) + psi.apply(f2.copy(), pi)
+        rhs = psi.apply(g1.copy(), pi) + psi.apply(g2.copy(), pi)
         bad = np.flatnonzero(lhs < rhs - CONDITION_A_SLACK)
         if bad.size:
             i = int(bad[0])

@@ -40,9 +40,8 @@ from .core import JointSample, StepCDF, _as_1d, _count, _level, _map, _rng
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
-PLAIN_MODES = ("model", "model-mc", "empirical")
+PLAIN_MODES = ("model", "empirical")
 DEFAULT_SEED = 20260808
-MC_DRAWS = 10**6
 _QR_ROWS = 2**14  # rows per in-cache block of ols_fit's QR: 128 KB per float64 column
 # Rows of work per item below which a _map call runs inline: a helper
 # thread's start, join and GIL hand-offs cost about what it saves at 12,000
@@ -241,8 +240,16 @@ def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
                  q: float) -> float:
     """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
     p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1)")
-    index = factor_sample.factors @ fit.beta
+    index = _index(fit, factor_sample)
     return _rho(fit, scalar.quantiles(index, factor_sample.weights, q), p)
+
+
+def _index(fit: RegressionFit, sample: JointSample) -> np.ndarray:
+    """The factor index beta . W of each row of ``sample``."""
+    if sample.n_factors != fit.beta.size:
+        raise ValidationError(f"the sample has {sample.n_factors} factors but the fit has "
+                              f"{fit.beta.size}")
+    return sample.factors @ fit.beta
 
 
 def _rho(fit: RegressionFit, index_var, p: float):
@@ -251,24 +258,21 @@ def _rho(fit: RegressionFit, index_var, p: float):
 
 
 def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "model",
-              master_seed: int = DEFAULT_SEED, row_index: int = 0,
-              mc_draws: int = MC_DRAWS) -> float:
+              master_seed: int = DEFAULT_SEED, row_index: int = 0) -> float:
     """The benchmark VaR_p(X) under the fitted model or the raw target.
 
     ``model`` draws one noise term per observation on top of the fitted
-    values, ``model-mc`` convolves fitted values with noise over
-    ``mc_draws`` resamples, ``empirical`` takes the weighted quantile of
-    the observed target column.  Each is the left quantile of its values
+    values, ``empirical`` takes the weighted quantile of the observed
+    target column.  Each is the left quantile of its values
     (``scalar.quantiles``): with equal weights, the order statistic of rank
     min{C : C / n >= p}.
     """
     p = _level(p, "level p", "(0, 1)")
-    return _plain_vars(fit, data, [p], mode, master_seed, mc_draws, [row_index])[0]
+    return _plain_vars(fit, data, [p], mode, master_seed, [row_index])[0]
 
 
 def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
-                master_seed: int, mc_draws: int, rows,
-                index: np.ndarray | None = None) -> list[float]:
+                master_seed: int, rows, index: np.ndarray | None = None) -> list[float]:
     """:func:`plain_var` at each level, level i seeded by (master_seed,
     rows[i]); the empirical levels are read from one sort of the
     loss, and the fitted values are computed once, from the factor index
@@ -279,23 +283,18 @@ def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
         return scalar.quantiles(data.loss, data.weights, p_values).tolist()
-    fitted = fit.beta0 + (data.factors @ fit.beta if index is None else index)
-    draws = fitted.size if mode == "model" else _count(mc_draws, "mc_draws", 1)
+    fitted = fit.beta0 + (_index(fit, data) if index is None else index)
 
     def level_var(rng_p):
         rng, p = rng_p
-        if mode == "model":
-            values, weights, shift = rng.standard_normal(fitted.size), data.weights, fitted
-        else:
-            idx = rng.choice(fitted.size, size=draws, p=data.weights)
-            values, weights, shift = rng.standard_normal(draws), None, fitted[idx]
+        values = rng.standard_normal(fitted.size)
         values *= fit.sigma
-        values += shift
-        return scalar.quantiles(values, weights, p)
+        values += fitted
+        return scalar.quantiles(values, data.weights, p)
 
     # the generators are built in row order, here; their draws run on the cores
     return _map(level_var, [(_rng(master_seed, row), p) for row, p in zip(rows, p_values)],
-                draws < _MIN_ITEM_ROWS)
+                fitted.size < _MIN_ITEM_ROWS)
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ class DiffGrid:
 
 def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
               q_values: Sequence[float], plain_mode: str = "model",
-              master_seed: int = DEFAULT_SEED, mc_draws: int = MC_DRAWS) -> DiffGrid:
+              master_seed: int = DEFAULT_SEED) -> DiffGrid:
     """Evaluate the factor/plain comparison over a Cartesian level grid.
 
     The plain VaR is computed once per p row with a seed derived from
@@ -356,9 +355,9 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     q_values = _level(list(q_values), "q levels", "(0, 1)")
     if p_values.size == 0 or q_values.size == 0:
         raise ValidationError("level lists must be nonempty")
-    index = data.factors @ fit.beta
+    index = _index(fit, data)
     index_vars = scalar.quantiles(index, data.weights, q_values).tolist()
-    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed, mc_draws,
+    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed,
                          range(p_values.size), index)
     rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars])
     rp = np.repeat(plains, q_values.size)
@@ -369,7 +368,7 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
 
 def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
                     plain_mode: str = "model", master_seed: int = DEFAULT_SEED,
-                    tol: float = 1e-6, max_iter: int = 60) -> float:
+                    tol: float = 1e-6) -> float:
     """The level q0 where the factor measure meets the plain VaR_p(X).
 
     diff(q) = rho(X, W) / plain - 1 is a step function of q: it keeps the
@@ -383,16 +382,14 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
 
     Requires diff to change sign between q = 1e-9 and 1 - 1e-9; otherwise
     the boundary diffs are reported in the error (a factor-free model is
-    already matching everywhere).  ``tol`` (>= 0) and ``max_iter`` (an
-    integer >= 0) are checked and have no effect: they set the former
-    bisection's stopping rule.
+    already matching everywhere).  ``tol`` (>= 0) is checked and has no
+    effect: it set the former bisection's stopping rule.
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
-    _count(max_iter, "max_iter", 0)
     p = _level(p, "level p", "(0, 1)")
-    index, lo, hi = data.factors @ fit.beta, 1e-9, 1.0 - 1e-9
-    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, MC_DRAWS, [0], index)[0]
+    index, lo, hi = _index(fit, data), 1e-9, 1.0 - 1e-9
+    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, [0], index)[0]
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():

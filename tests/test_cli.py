@@ -420,6 +420,13 @@ class TestAgentSpecs:
             values.append(choquet_factor(family, psi))
         assert values == [3.0, 3.0, 6.0]
 
+    def test_an_empty_parameter_is_skipped(self, d1_csv):
+        sample = read_csv(d1_csv, "X")
+        (psi, family), (want_psi, want_family) = (
+            _agent_spec(token, sample, {}) for token in ("var-var:p=0.75,,q=0.9@W",
+                                                         "var-var:p=0.75,q=0.9@W"))
+        assert choquet_factor(family, psi) == choquet_factor(want_family, want_psi) == 6.0
+
     @pytest.mark.parametrize("token, message", [
         ("var-var:q=0.5@W", "needs p=<level>"),
         ("var-es:p=0.9@W", "unknown agent measure 'var-es'; use var-var, mean-es, mean-var"),

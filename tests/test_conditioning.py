@@ -211,6 +211,10 @@ class TestLevelMap:
         g = LevelMap.of(0.4).resolve(3)
         assert np.allclose(g, 0.4)
 
+    def test_an_instance_is_taken_as_it_is(self):
+        levels = LevelMap(values=[0.2, 0.6])
+        assert LevelMap.of(levels) is levels
+
     def test_vector_and_labels(self):
         g = LevelMap.of([0.2, 0.6]).resolve(2)
         assert g.tolist() == [0.2, 0.6]

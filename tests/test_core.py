@@ -27,6 +27,11 @@ class TestStepCDF:
         assert cdf.cdf(3.0) == 1.0
         assert cdf.cdf(99.0) == 1.0
 
+    def test_survival_is_one_minus_the_cdf(self):
+        cdf = StepCDF(np.array([1.0, 3.0]), np.array([0.25, 1.0]))
+        assert cdf.survival(2.0) == 0.75
+        assert cdf.survival(np.array([0.0, 1.0, 3.0])).tolist() == [1.0, 0.75, 0.0]
+
     def test_from_values_merges_and_normalizes(self):
         cdf = StepCDF.from_values([2.0, 1.0, 2.0], [1.0, 1.0, 2.0])
         assert np.allclose(cdf.support, [1.0, 2.0])
@@ -54,6 +59,11 @@ class TestDiscreteJointDistribution:
         assert d1_dist.xs[0] == 1.0 and d1_dist.ws[0, 0] == 0.0
         assert d1_dist.xs[-1] == 8.0 and d1_dist.ws[-1, 0] == 1.0
         assert np.allclose(d1_dist.ps, 0.125)
+
+    def test_n_factors(self, d1_dist):
+        assert d1_dist.n_factors == 1
+        assert DiscreteJointDistribution([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]],
+                                         [0.5, 0.5]).n_factors == 2
 
     def test_marginal_d1(self, d1_dist):
         m = marginal(d1_dist)

@@ -209,6 +209,23 @@ class TestConditionA:
         assert np.all(witness.f1 <= witness.g2 + 1e-15)
         assert np.allclose(witness.f1 + witness.f2, witness.g1 + witness.g2)
 
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_a_callable_writing_into_its_matrix_leaves_the_witness(self, n):
+        def reads(V, pi):
+            return ((V >= 0.75) @ pi >= 0.5).astype(float)
+
+        def writes(V, pi):
+            out = reads(V, pi)
+            V[...] = -7.0
+            return out
+        pi = np.full(n, 1.0 / n)
+        got, want = (condition_a_check(psi_custom(fn, n, vectorized=True), pi, trials=1000,
+                                       seed=1) for fn in (writes, reads))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert want.f1.min() >= 0.0
+
 
 class TestSubadditivity:
     def test_mean_of_es_subadditive_on_random_pairs(self):

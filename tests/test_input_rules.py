@@ -235,8 +235,6 @@ COUNT_SITES = {
     "pred_custom check_pairs": (lambda n: pred_custom(lambda c, pi: bool(c.min() >= 0.5), 2,
                                                       check_pairs=n), "check_pairs", 1),
     "psi_es_on_box subset": (lambda n: psi_es_on_box(0.5, (1, n)), "scenario index", 0),
-    "find_matching_q max_iter": (lambda n: find_matching_q(FIT, SAMPLE, 0.95, max_iter=n),
-                                 "max_iter", 0),
     # every seeded stream comes from core._rng, which checks the seed and the row index
     "simulate seed": (lambda n: simulate(0.0, [1.0], 1.0, DiscreteFactorSpec([0.0, 1.0]), 10,
                                          seed=n), "seed", 0),
@@ -245,19 +243,13 @@ COUNT_SITES = {
                          "seed", 0),
     "condition_a_check seed": (lambda n: condition_a_check(psi_mean(), [0.5, 0.5], trials=10,
                                                            seed=n), "seed", 0),
-    **{f"{mode} {site}": (call, name, 0) for mode in ("model", "model-mc") for site, call, name in (
-        ("plain_var seed", lambda n, m=mode: plain_var(FIT, SAMPLE, 0.9, m, n, mc_draws=100),
-         "seed"),
-        ("plain_var row_index", lambda n, m=mode: plain_var(FIT, SAMPLE, 0.9, m, row_index=n,
-                                                             mc_draws=100), "row index"),
-        ("diff_grid seed", lambda n, m=mode: diff_grid(FIT, SAMPLE, [0.9, 0.95], [0.5], m, n,
-                                                        mc_draws=100), "seed"),
-        ("find_matching_q seed", lambda n, m=mode: find_matching_q(FIT, SAMPLE, 0.95, m, n),
-         "seed"))},
-    "plain_var mc_draws": (lambda n: plain_var(FIT, SAMPLE, 0.9, "model-mc", mc_draws=n),
-                           "mc_draws", 1),
-    "diff_grid mc_draws": (lambda n: diff_grid(FIT, SAMPLE, [0.9], [0.5], "model-mc",
-                                               mc_draws=n), "mc_draws", 1),
+    "model plain_var seed": (lambda n: plain_var(FIT, SAMPLE, 0.9, "model", n), "seed", 0),
+    "model plain_var row_index": (lambda n: plain_var(FIT, SAMPLE, 0.9, "model", row_index=n),
+                                  "row index", 0),
+    "model diff_grid seed": (lambda n: diff_grid(FIT, SAMPLE, [0.9, 0.95], [0.5], "model", n),
+                             "seed", 0),
+    "model find_matching_q seed": (lambda n: find_matching_q(FIT, SAMPLE, 0.95, "model", n),
+                                   "seed", 0),
     "allocation agent": (lambda n: ALLOCATION.h(n, 1.5), "agent", 0),
     "transform_family agent": (lambda n: transform_family(FAMILY, ALLOCATION, n), "agent", 0),
 }

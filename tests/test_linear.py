@@ -31,6 +31,15 @@ class TestLinearFactorD1:
     def test_by_label(self, d1_family):
         assert linear_factor(d1_family, {0.0: 0.25, 1.0: 0.75}) == pytest.approx(4.375)
 
+    def test_zero_weight_on_a_label_the_family_lacks(self, d1_family):
+        assert linear_factor(d1_family, {0.0: 0.25, 1.0: 0.75, 2.0: 0.0}) == \
+            linear_factor(d1_family, {0.0: 0.25, 1.0: 0.75})
+
+    def test_an_instance_is_taken_as_it_is(self, d1_family):
+        weighting = ScenarioWeighting(physical=True)
+        assert ScenarioWeighting.of(weighting) is weighting
+        assert linear_factor(d1_family, weighting) == linear_factor(d1_family, "physical")
+
 
 def test_by_label_equals_the_vector_on_many_boxes():
     # one weight per label of more than 2,000 quantile boxes, keyed in

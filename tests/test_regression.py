@@ -502,16 +502,16 @@ class TestDiffGrid:
         grid = diff_grid(fit, data, [0.9, 0.95], [0.5, 0.6], master_seed=3)
         assert grid.p.tolist() == [0.9, 0.9, 0.95, 0.95]
         assert grid.q.tolist() == [0.5, 0.6, 0.5, 0.6]
+        assert grid.n_rows == 4
 
     def test_plain_modes(self):
         spec = GaussianFactorSpec(np.zeros(1), np.eye(1))
         data = simulate(0.0, [1.0], 1.0, spec, 50000, seed=41)
         fit = ols_fit(data)
         model = plain_var(fit, data, 0.95, "model", master_seed=1)
-        mc = plain_var(fit, data, 0.95, "model-mc", master_seed=1, mc_draws=200000)
         emp = plain_var(fit, data, 0.95, "empirical")
         target = math.sqrt(2.0) * norm_inv(0.95)
-        for value in (model, mc, emp):
+        for value in (model, emp):
             assert value == pytest.approx(target, abs=0.05)
 
     def test_empirical_mode_has_no_randomness(self):
@@ -548,12 +548,12 @@ class TestFindMatchingQ:
             find_matching_q(fit, sample, 0.95, master_seed=1)
 
 
-def _reference_grid(fit, data, p_values, q_values, mode, seed, mc_draws):
+def _reference_grid(fit, data, p_values, q_values, mode, seed):
     """The grid cell by cell: one plain_var per p row (each refitting the
     values or rebuilding the loss law), one gaussian_rho per cell."""
     rf, rp = [], []
     for i, p in enumerate(p_values):
-        plain = plain_var(fit, data, p, mode, seed, i, mc_draws)
+        plain = plain_var(fit, data, p, mode, seed, i)
         for q in q_values:
             rf.append(gaussian_rho(fit, data, p, q))
             rp.append(plain)
@@ -628,13 +628,12 @@ class TestIndexLawBuiltOnce:
     Q = [0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
 
     @pytest.mark.parametrize("make", SAMPLES)
-    @pytest.mark.parametrize("mode", ["model", "model-mc", "empirical"])
+    @pytest.mark.parametrize("mode", ["model", "empirical"])
     def test_grid_equals_cell_by_cell_route(self, make, mode):
         data = make()
         fit = ols_fit(data)
-        grid = diff_grid(fit, data, self.P, self.Q, plain_mode=mode, master_seed=7,
-                         mc_draws=20_000)
-        rf, rp = _reference_grid(fit, data, self.P, self.Q, mode, 7, 20_000)
+        grid = diff_grid(fit, data, self.P, self.Q, plain_mode=mode, master_seed=7)
+        rf, rp = _reference_grid(fit, data, self.P, self.Q, mode, 7)
         assert np.array_equal(grid.rho_factor, rf)
         assert np.array_equal(grid.rho_plain, rp)
 
@@ -649,17 +648,15 @@ class TestIndexLawBuiltOnce:
         assert q0 == _sorted_matching_q(fit, data, 0.95, 8)
         assert abs(q0 - _reference_matching_q(fit, data, 0.95, 8, 0.0)) <= np.spacing(q0)
 
-    def test_tol_and_max_iter_have_no_effect(self):
+    def test_tol_has_no_effect(self):
         data = _gaussian_sample()
         fit = ols_fit(data)
         q0 = find_matching_q(fit, data, 0.95, master_seed=8)
-        for tol, max_iter in ((0.0, 60), (1e-6, 0), (0.5, 3)):
-            assert find_matching_q(fit, data, 0.95, master_seed=8, tol=tol,
-                                   max_iter=max_iter) == q0
-        for tol, max_iter, name in ((math.nan, 60, "tol"), (-1e-6, 60, "tol"),
-                                    (0.0, 2.5, "max_iter"), (0.0, -1, "max_iter")):
-            with pytest.raises(ValidationError, match=name):
-                find_matching_q(fit, data, 0.95, master_seed=8, tol=tol, max_iter=max_iter)
+        for tol in (0.0, 1e-6, 0.5):
+            assert find_matching_q(fit, data, 0.95, master_seed=8, tol=tol) == q0
+        for tol in (math.nan, -1e-6):
+            with pytest.raises(ValidationError, match="tol"):
+                find_matching_q(fit, data, 0.95, master_seed=8, tol=tol)
 
     def test_grid_rejects_out_of_range_level(self):
         data = _gaussian_sample()
@@ -717,33 +714,20 @@ class TestWorkOnEveryCore:
         assert got.sigma.hex() == want.sigma.hex()
 
     @pytest.mark.parametrize("cpus", CPUS)
-    @pytest.mark.parametrize("mode", ["model", "model-mc", "empirical"])
+    @pytest.mark.parametrize("mode", ["model", "empirical"])
     @pytest.mark.parametrize("make", [_gaussian_sample, _weighted_sample],
                              ids=["equal", "weighted"])
     def test_grid_bytes_and_rows(self, monkeypatch, cpus, mode, make):
         data = make()
         fit = ols_fit(data)
         p_values, q_values = [0.9, 0.95, 0.975, 0.99, 0.995], [0.5, 0.9]
-        want = _one_cpu(lambda: diff_grid(fit, data, p_values, q_values, mode, 7,
-                                          mc_draws=5000))
+        want = _one_cpu(lambda: diff_grid(fit, data, p_values, q_values, mode, 7))
         self._cpus(monkeypatch, cpus)
-        got = _threads_after(lambda: diff_grid(fit, data, p_values, q_values, mode, 7,
-                                               mc_draws=5000))
+        got = _threads_after(lambda: diff_grid(fit, data, p_values, q_values, mode, 7))
         for name in ("rho_factor", "rho_plain", "diff"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        rows = [plain_var(fit, data, p, mode, 7, row_index=i, mc_draws=5000)
-                for i, p in enumerate(p_values)]
+        rows = [plain_var(fit, data, p, mode, 7, row_index=i) for i, p in enumerate(p_values)]
         assert np.array(rows).tobytes() == got.rho_plain[::len(q_values)].tobytes()
-
-    @pytest.mark.parametrize("cpus", CPUS)
-    def test_mc_draws_rejected_on_the_cores(self, monkeypatch, cpus):
-        data = _gaussian_sample()
-        fit = ols_fit(data)
-        self._cpus(monkeypatch, cpus)
-        with pytest.raises(ValidationError) as exc:
-            _threads_after(lambda: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5], "model-mc",
-                                             mc_draws=0))
-        assert str(exc.value) == "mc_draws must be an integer >= 1, got 0"
 
     def test_map_keeps_order_and_reraises_a_helper_error(self, monkeypatch):
         """The results come back in item order; an error that only a helper
@@ -807,11 +791,19 @@ class TestWorkOnEveryCore:
         monkeypatch.setattr(core, "_cpus", lambda: 1)
         assert _map(fn, range(5)) == [0, -1, -2, -3, -4]
 
+    def test_cpus_without_an_affinity_mask(self, monkeypatch):
+        """Where the platform has no affinity mask, the host's CPU count, or 1
+        when the host cannot tell."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert core._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert core._cpus() == 1
+
     def test_small_calls_stay_on_the_caller(self, monkeypatch):
         """Under ``_MIN_ITEM_ROWS`` rows per item no thread starts at four
-        CPUs: a grid on 4,000 rows (each drawn level 4,000 rows, or
-        ``mc_draws``) and a fit whose second block holds one row; a fit of
-        two full blocks spreads."""
+        CPUs: a grid on 4,000 rows (each drawn level 4,000 rows) and a fit
+        whose second block holds one row; a fit of two full blocks spreads."""
         started = []
         thread = threading.Thread
 
@@ -822,9 +814,7 @@ class TestWorkOnEveryCore:
         monkeypatch.setattr(threading, "Thread", spy)
         data = _gaussian_sample()
         fit = _threads_after(lambda: ols_fit(data))
-        for mode, draws in (("model", regression.MC_DRAWS), ("model-mc", 5000)):
-            _threads_after(lambda: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5], mode,
-                                             mc_draws=draws))
+        _threads_after(lambda: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5], "model"))
         rng = np.random.default_rng(5)
         for rows in (2**14 + 1, 2 * 2**14):
             W = rng.standard_normal((rows, 2))

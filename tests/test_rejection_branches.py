@@ -19,7 +19,7 @@ from factorrisk import (ConditionalLawFamily, DensityFamily, DiffGrid, DiscreteF
                         GaussianFactorSpec, JointSample, LevelMap, PiecewiseLinearAllocation,
                         ScenarioWeighting, StepCDF, ValidationError, VarBox,
                         allocation_value_check, coherent_sup, covar, diff_grid, es_composition,
-                        es_on_event, es_tail_density, find_matching_q, hl_bound,
+                        es_on_event, es_tail_density, find_matching_q, gaussian_rho, hl_bound,
                         inf_convolution, ols_fit, piecewise_linear_distortion, plain_var,
                         pred_custom, pred_single_scenario, psi_mean, quantile_factor, simulate)
 from factorrisk.cli import EXIT_DATA, EXIT_USAGE, main, read_csv
@@ -40,6 +40,7 @@ def _regression():
 
 
 FIT, SAMPLE = _regression()
+THREE_FACTORS = JointSample(SAMPLE.loss, np.column_stack([SAMPLE.factors, SAMPLE.loss]))
 
 
 def _zero_plain():
@@ -158,7 +159,7 @@ REJECTIONS = {
         ValidationError, "factor spec dimension must match beta"),
     "regression.py:262 plain-var mode": (
         lambda: plain_var(FIT, SAMPLE, 0.9, "nope"),
-        ValidationError, "plain-var mode must be one of ('model', 'model-mc', 'empirical')"),
+        ValidationError, "plain-var mode must be one of ('model', 'empirical')"),
     "regression.py:298 grid column": (
         lambda: DiffGrid(np.array([0.9]), np.array([0.5]), np.array([1.0, 2.0]), np.array([1.0]),
                          np.array([0.0])),
@@ -211,13 +212,14 @@ REJECTIONS = {
     "sharing.py transform_family agent above": (
         lambda: transform_family(FAMILY, TWO_AGENTS, np.int64(5)), ValidationError,
         "agent must be < n_agents = 2, got 5"),
-    # numpy's "negative dimensions are not allowed"
-    "regression.py mc_draws": (
-        lambda: plain_var(FIT, SAMPLE, 0.9, "model-mc", mc_draws=-5), ValidationError,
-        "mc_draws must be an integer >= 1, got -5"),
-    "regression.py diff_grid mc_draws": (
-        lambda: diff_grid(FIT, SAMPLE, [0.9], [0.5], "model-mc", mc_draws=-5), ValidationError,
-        "mc_draws must be an integer >= 1, got -5"),
+    # numpy's "matmul: Input operand 1 has a mismatch in its core dimension 0"
+    **{f"regression.py {name} factor count": (
+        call, ValidationError, "the sample has 3 factors but the fit has 2")
+       for name, call in (
+           ("gaussian_rho", lambda: gaussian_rho(FIT, THREE_FACTORS, 0.9, 0.5)),
+           ("plain_var", lambda: plain_var(FIT, THREE_FACTORS, 0.9, "model")),
+           ("diff_grid", lambda: diff_grid(FIT, THREE_FACTORS, [0.9], [0.5])),
+           ("find_matching_q", lambda: find_matching_q(FIT, THREE_FACTORS, 0.95)))},
 }
 
 
