@@ -71,9 +71,7 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
             raise DataFormatError("no factor columns left after selection")
         return [target] + chosen
 
-    wanted, table = _read_table(
-        path, select, "ragged row: expected {expected} cells, got {got} (row {row})",
-        "cell is not numeric at (row {row}, col {col}): {cell!r}")
+    wanted, table = _read_table(path, select)
     finite = np.isfinite(table)  # the one check: both routes parse non-finite cells
     if not finite.all():
         r, c = divmod(int(np.argmin(finite)), len(wanted))
@@ -85,7 +83,7 @@ def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
                        factor_names=tuple(wanted[1:]))
 
 
-def _read_table(path: Path, select, ragged: str, not_numeric: str):
+def _read_table(path: Path, select):
     """The names ``select(header)`` picks and their float columns, one row
     per data line.
 
@@ -95,15 +93,14 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
     ``np.loadtxt`` parses every line to one field per header cell
     (:func:`_loadtxt`).  Otherwise, or when that raises or gives another
     row count, the per-cell loop parses the file as ``csv.reader`` splits
-    it.  The loop is the only place that rejects a row or a cell, with the
-    ``ragged`` and ``not_numeric`` messages, or a file without data rows,
-    so both routes report the same error.  Where both parse a file they
-    give the same bits, non-finite spellings (``nan``, ``-inf``,
-    ``Infinity``, ``1e999``) included: ``np.loadtxt`` rejects some cells
-    that ``float`` takes (``1_0``, non-ASCII digits), which the loop then
-    reads, and no cell is known that it takes and ``float`` rejects.  A
-    non-finite value is the caller's to reject.  A file that cannot be read,
-    or is not UTF-8 text, is a data error that names it.
+    it.  The loop is the only place that rejects a row or a cell, or a file
+    without data rows, so both routes report the same error.  Where both
+    parse a file they give the same bits, non-finite spellings (``nan``,
+    ``-inf``, ``Infinity``, ``1e999``) included: ``np.loadtxt`` rejects
+    some cells that ``float`` takes (``1_0``, non-ASCII digits), which the
+    loop then reads, and no cell is known that it takes and ``float``
+    rejects.  A non-finite value is the caller's to reject.  A file that
+    cannot be read, or is not UTF-8 text, is a data error that names it.
     """
     try:
         raw = path.read_bytes()
@@ -130,15 +127,16 @@ def _read_table(path: Path, select, ragged: str, not_numeric: str):
             cols = [header.index(name) for name in wanted]
             for r, row in enumerate(rows, start=1):
                 if len(row) != len(header):
-                    raise DataFormatError(
-                        ragged.format(expected=len(header), got=len(row), row=r), row=r)
+                    raise DataFormatError(f"ragged row: expected {len(header)} cells, "
+                                          f"got {len(row)} (row {r})", row=r)
                 for name, j in zip(wanted, cols):
                     cell = row[j].strip()
                     try:
                         values.append(float(cell))
                     except ValueError:
-                        raise DataFormatError(not_numeric.format(row=r, col=name, cell=cell),
-                                              row=r, column=name) from None
+                        raise DataFormatError(
+                            f"cell is not numeric at (row {r}, col {name}): {cell!r}",
+                            row=r, column=name) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if not values:
@@ -354,39 +352,11 @@ def _csv_lines(header, table: np.ndarray, end: str = "\r\n") -> str:
         (line * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks)
 
 
-def write_grid(grid: regression.DiffGrid, target) -> None:
-    """Emit a Diff grid as long-format CSV at 9 significant digits to a
-    path or a text stream."""
-    text = _csv_lines(GRID_HEADER, np.column_stack(
-        [grid.p, grid.q, grid.rho_factor, grid.rho_plain, grid.diff]), "\n")
-    if isinstance(target, (str, Path)):
-        _write_output(target, text)
-    else:
-        target.write(text)
-
-
-def read_grid(path) -> regression.DiffGrid:
-    """Parse a Diff grid written by :func:`write_grid`."""
-    def select(header):
-        if header is None or tuple(header) != GRID_HEADER:
-            raise DataFormatError(f"expected header {','.join(GRID_HEADER)}")
-        return list(GRID_HEADER)
-
-    _, table = _read_table(Path(path), select, "ragged row (row {row})",
-                           "cell is not numeric at (row {row}, col {col})")
-    p, q, rho_factor, rho_plain, diff = table.T
-    # p-major: the first p block holds the q levels, each block's first row its p
-    breaks = np.flatnonzero(p[1:] != p[:1])
-    n_q = int(breaks[0]) + 1 if breaks.size else max(p.size, 1)
-    p_values, q_values = p[::n_q], q[:n_q]
-    n = p.size
-    bad = np.flatnonzero((p != np.repeat(p_values, n_q)[:n])
-                         | (q != np.tile(q_values, p_values.size)[:n]))
-    if bad.size or n % n_q:
-        row = int(bad[0]) + 1 if bad.size else n
-        raise DataFormatError(f"row {row} breaks the p-major product of the grid's p and q "
-                              f"levels (p {p_values.tolist()}, q {q_values.tolist()})", row=row)
-    return regression.DiffGrid(p_values, q_values, rho_factor, rho_plain, diff)
+def write_grid(grid: regression.DiffGrid, output: str | None = None) -> None:
+    """Emit a Diff grid as long-format CSV at 9 significant digits to the
+    ``output`` path, or to stdout when it is None (see :func:`_emit`)."""
+    _emit(_csv_lines(GRID_HEADER, np.column_stack(
+        [grid.p, grid.q, grid.rho_factor, grid.rho_plain, grid.diff]), "\n"), output)
 
 
 def _json_floats(values: np.ndarray, depth: int) -> str:
@@ -635,7 +605,7 @@ def _dispatch(args) -> int:
         fit = regression.ols_fit(sample)
         grid = regression.diff_grid(fit, sample, _floats(args.p), _floats(args.q),
                                     plain_mode=args.plain_var, master_seed=args.seed)
-        write_grid(grid, args.output or sys.stdout)
+        write_grid(grid, args.output)
         return EXIT_OK
 
     if args.command == "share":

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JointSample, StepCDF, _as_1d, _count, _level, _map, _rng
+from .core import JointSample, StepCDF, _as_1d, _count, _first, _level, _map, _rng
 from . import scalar
 from .errors import RankDeficientError, ValidationError
 
@@ -75,7 +75,7 @@ class RegressionFit:
         return np.concatenate(([self.beta0], self.beta))
 
     def fitted(self, factors: np.ndarray) -> np.ndarray:
-        return self.beta0 + np.asarray(factors, dtype=float) @ self.beta
+        return self.beta0 + _fit_factors(self, factors, "the factor matrix") @ self.beta
 
 
 def _design(data: JointSample, target, factors):
@@ -223,9 +223,13 @@ def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
              seed: int = DEFAULT_SEED) -> JointSample:
     """Draw a deterministic sample of the regression model under a seed."""
     n = _count(n, "n", 1)
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    for name, value in (("beta0", beta0), ("beta", beta), ("sigma", sigma)):
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValidationError(f"{name} must be finite, got {_first(value, ~finite)!r}")
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
     rng = _rng(seed)
     W = factor_spec.draw(rng, n)
     if W.shape[1] != beta.size:
@@ -244,12 +248,19 @@ def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
     return _rho(fit, scalar.quantiles(index, factor_sample.weights, q), p)
 
 
+def _fit_factors(fit: RegressionFit, factors, what: str) -> np.ndarray:
+    """``factors`` (a (T, N) matrix or a row of N) as a float array, checked
+    to hold the fit's N factors; ``what`` names it in the message."""
+    factors = np.asarray(factors, dtype=float)
+    n = factors.shape[-1] if factors.ndim else 0
+    if n != fit.beta.size:
+        raise ValidationError(f"{what} has {n} factors but the fit has {fit.beta.size}")
+    return factors
+
+
 def _index(fit: RegressionFit, sample: JointSample) -> np.ndarray:
     """The factor index beta . W of each row of ``sample``."""
-    if sample.n_factors != fit.beta.size:
-        raise ValidationError(f"the sample has {sample.n_factors} factors but the fit has "
-                              f"{fit.beta.size}")
-    return sample.factors @ fit.beta
+    return _fit_factors(fit, sample.factors, "the sample") @ fit.beta
 
 
 def _rho(fit: RegressionFit, index_var, p: float):
@@ -314,6 +325,8 @@ class DiffGrid:
     diff: np.ndarray
 
     def __post_init__(self):
+        for name in ("p_values", "q_values", "rho_factor", "rho_plain", "diff"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         size = self.p_values.size * self.q_values.size
         for name in ("rho_factor", "rho_plain", "diff"):
             if getattr(self, name).size != size:
@@ -321,7 +334,7 @@ class DiffGrid:
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = self.rho_factor / self.rho_plain - 1.0
         ok = self.rho_plain != 0
-        # tolerance admits grids re-read from 9-significant-digit text
+        # tolerance admits a diff by another float expression, as (rf - rp) / rp
         slack = 1e-7 * (1.0 + np.abs(expected[ok]))
         if np.any(np.abs(self.diff[ok] - expected[ok]) > slack) or np.any(~np.isnan(self.diff[~ok])):
             raise ValidationError("diff column is inconsistent with its definition")

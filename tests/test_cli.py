@@ -26,7 +26,6 @@ from factorrisk.cli import (
     _agent_spec,
     main,
     read_csv,
-    read_grid,
     regression_report,
     run,
     write_grid,
@@ -137,24 +136,32 @@ class TestGridRoundTrip:
         fit = ols_fit(data)
         return diff_grid(fit, data, [0.9, 0.95], [0.5, 0.7], master_seed=4)
 
-    def test_write_read_write_is_identical(self, tmp_path):
+    @staticmethod
+    def _parse(path):
+        """The header and the columns of a written grid, read back by numpy."""
+        header = path.read_text().splitlines()[0]
+        return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+    def test_write_read_write_is_identical(self, tmp_path, capsys):
         grid = self._grid()
-        first = tmp_path / "grid.csv"
-        write_grid(grid, first)
-        parsed = read_grid(first)
-        second = tmp_path / "grid2.csv"
-        write_grid(parsed, second)
-        assert first.read_text() == second.read_text()
+        path = tmp_path / "grid.csv"
+        write_grid(grid, str(path))
+        _, (p, q, rho_factor, rho_plain, diff) = self._parse(path)
+        n_q = grid.q_values.size
+        write_grid(regression.DiffGrid(p[::n_q], q[:n_q], rho_factor, rho_plain, diff))
+        assert capsys.readouterr().out == path.read_text()
 
     def test_read_reproduces_values_at_9_digits(self, tmp_path):
         grid = self._grid()
         path = tmp_path / "grid.csv"
-        write_grid(grid, path)
-        parsed = read_grid(path)
-        assert np.allclose(parsed.rho_factor, grid.rho_factor, rtol=1e-8)
-        assert parsed.p.tolist() == grid.p.tolist()
-        header = path.read_text().splitlines()[0]
+        write_grid(grid, str(path))
+        header, (p, q, rho_factor, rho_plain, diff) = self._parse(path)
         assert header == "p,q,rho_factor,rho_plain,diff"
+        # p-major: each p level holds every q level in turn
+        assert p.tolist() == [0.9, 0.9, 0.95, 0.95] and q.tolist() == [0.5, 0.7, 0.5, 0.7]
+        assert np.allclose(rho_factor, grid.rho_factor, rtol=1e-8, atol=0)
+        assert np.allclose(rho_plain, grid.rho_plain, rtol=1e-8, atol=0)
+        assert np.allclose(diff, grid.diff, rtol=1e-8, atol=0)
 
 
 class TestMainExitCodes:

@@ -302,6 +302,15 @@ def test_a_header_and_a_blank_line_is_a_ragged_row_with_nothing_else_on_stderr(t
     assert run.stderr == "data error: ragged row: expected 2 cells, got 0 (row 1)\n"
 
 
+def test_a_header_without_data_rows_is_a_data_error(tmp_path):
+    path = _write(tmp_path, "X,W1\n")
+    with pytest.raises(DataFormatError, match=r"^file contains a header but no data rows$"):
+        cli.read_csv(path, "X")
+    assert _cli(["measure", "--data", str(path), "--target", "X", "--measure", "mes",
+                 "--alpha", "0.5"]) == (cli.EXIT_DATA, "",
+                                        "data error: file contains a header but no data rows\n")
+
+
 def _former_plain_rows(raw: bytes) -> int | None:
     """The former scanner's decision, the reference for which files
     np.loadtxt reads: None for a file that is not ASCII, holds a quote or
@@ -511,45 +520,6 @@ def test_read_csv_peak_memory_is_a_few_times_the_file(tmp_path):
     assert peak < 8 * path.stat().st_size
 
 
-# ------------------------------------------------------------------ read_grid
-
-def _grid_bits(grid):
-    return [np.asarray(getattr(grid, name)).tobytes() for name in
-            ("p_values", "q_values", "rho_factor", "rho_plain", "diff")]
-
-
-def test_grid_with_nan_diff_round_trips_through_loadtxt(tmp_path):
-    path = _write(tmp_path, "p,q,rho_factor,rho_plain,diff\n"
-                            "0.9,0.5,1,0,nan\n0.9,0.7,2,1,1\n"
-                            "0.95,0.5,3,0,nan\n0.95,0.7,4,2,1\n")
-    with _loadtxt_spy() as tables:
-        grid = cli.read_grid(path)
-    assert len(tables) == 1 and tables[0] is not None
-    with mock.patch.object(cli, "_loadtxt", lambda *args: None):
-        assert _grid_bits(cli.read_grid(path)) == _grid_bits(grid)
-    assert np.isnan(grid.diff).tolist() == [True, False, True, False]
-    assert grid.p_values.tolist() == [0.9, 0.95]
-    assert grid.q_values.tolist() == [0.5, 0.7]
-    buf = io.StringIO()
-    cli.write_grid(grid, buf)
-    assert buf.getvalue() == path.read_text()
-
-
-@pytest.mark.parametrize("text, message", [
-    ("p,q\n", "expected header"),
-    ("p,q,rho_factor,rho_plain,diff\n", r"^file contains a header but no data rows$"),
-    ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1\n", r"^ragged row \(row 1\)$"),
-    ("p,q,rho_factor,rho_plain,diff\n0.9,x,1,1,0\n", r"^cell is not numeric at \(row 1, col q\)$"),
-    ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1,0\n0.9,0.7,1,1,0\n0.95,0.5,1,1,0\n"
-     "0.95,0.5,1,1,0\n", r"^row 4 breaks the p-major product .*\(p \[0.9, 0.95\], q \[0.5, 0.7\]\)$"),
-    ("p,q,rho_factor,rho_plain,diff\n0.9,0.5,1,1,0\n0.9,0.7,1,1,0\n0.95,0.5,1,1,0\n",
-     r"^row 3 breaks the p-major product"),
-])
-def test_grid_errors_keep_their_messages(tmp_path, text, message):
-    with pytest.raises(DataFormatError, match=message):
-        cli.read_grid(_write(tmp_path, text))
-
-
 # ------------------------------------------------------------------ writers
 
 def _cli(argv):
@@ -557,6 +527,19 @@ def _cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_heatmap_of_a_zero_loss_writes_nan_diffs(tmp_path):
+    # a zero loss fits to zero coefficients and sigma: every rho is 0 and diff is 0 / 0
+    path = _write(tmp_path, "X,W1\n0,0\n0,1\n0,0\n0,1\n0,2\n")
+    code, out, err = _cli(["heatmap", "--data", str(path), "--target", "X", "--p", "0.9,0.95",
+                           "--q", "0.5,0.7", "--plain-var", "empirical"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.splitlines()[0] == "p,q,rho_factor,rho_plain,diff"
+    p, q, rho_factor, rho_plain, diff = np.loadtxt(io.StringIO(out), delimiter=",",
+                                                   skiprows=1).T
+    assert p.tolist() == [0.9, 0.9, 0.95, 0.95] and q.tolist() == [0.5, 0.7, 0.5, 0.7]
+    assert rho_factor.tolist() == rho_plain.tolist() == [0.0] * 4 and np.isnan(diff).all()
 
 
 @pytest.mark.parametrize("argv, spec", [

@@ -22,7 +22,7 @@ from factorrisk import (ConditionalLawFamily, DensityFamily, DiffGrid, DiscreteF
                         es_on_event, es_tail_density, find_matching_q, gaussian_rho, hl_bound,
                         inf_convolution, ols_fit, piecewise_linear_distortion, plain_var,
                         pred_custom, pred_single_scenario, psi_mean, quantile_factor, simulate)
-from factorrisk.cli import EXIT_DATA, EXIT_USAGE, main, read_csv
+from factorrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main, read_csv
 from factorrisk.sharing import transform_family
 
 LAW = StepCDF([1.0, 2.0], [0.5, 1.0])
@@ -237,6 +237,29 @@ def test_every_agent_index_below_the_count_is_read():
     assert [alloc.h(i, 2.0) for i in (0, 1, np.int64(1), 1.0)] == [0.75, 1.25, 1.25, 1.25]
 
 
+def test_fitted_checks_the_factor_count():
+    # numpy's matmul ValueError before the check
+    for factors, n in ((np.ones((4, 3)), 3), (np.float64(1.0), 0)):
+        with pytest.raises(ValidationError) as exc:
+            FIT.fitted(factors)
+        assert str(exc.value) == f"the factor matrix has {n} factors but the fit has 2"
+    rows = SAMPLE.factors
+    assert FIT.fitted(rows).tobytes() == (FIT.beta0 + rows @ FIT.beta).tobytes()
+    assert FIT.fitted(rows[3].tolist()) == FIT.beta0 + rows[3] @ FIT.beta
+
+
+def test_diff_grid_takes_lists():
+    # a list column raised AttributeError: 'list' object has no attribute 'size'
+    grid = DiffGrid([0.9], [0.5], [2.0], [1.0], [1.0])
+    assert grid.p.tolist() == [0.9] and grid.q.tolist() == [0.5] and grid.diff.tolist() == [1.0]
+    with pytest.raises(ValidationError, match=r"^grid column rho_factor must have 1 rows$"):
+        DiffGrid([0.9], [0.5], [2.0, 3.0], [1.0], [1.0])
+    columns = [np.array([0.9]), np.array([0.5]), np.array([2.0]), np.array([1.0]), np.array([1.0])]
+    grid = DiffGrid(*columns)
+    assert all(getattr(grid, name) is column for name, column in zip(
+        ("p_values", "q_values", "rho_factor", "rho_plain", "diff"), columns))
+
+
 def test_a_small_mass_shortfall_is_renormalized():
     """ps summing to 1 - 5e-13 pass the 1e-12 check and are scaled to total 1."""
     ps = [0.5, 0.5 - 5e-13]
@@ -281,6 +304,13 @@ CLI_REJECTIONS = {
                       EXIT_USAGE, "usage error: at least one agent spec is required"),
     "640 discrete factor": (["simulate", "--n", "10", "--beta", "1,2", "--discrete-values", "0,1"],
                             EXIT_USAGE, "usage error: discrete scalar values imply a single factor"),
+    # each blamed the loss: "loss must be finite, got nan"
+    "simulate beta0": (["simulate", "--n", "10", "--beta0", "inf", "--beta", "1"], EXIT_NUMERIC,
+                       "numeric rejection: beta0 must be finite, got inf"),
+    "simulate beta": (["simulate", "--n", "10", "--beta", "1,nan"], EXIT_NUMERIC,
+                      "numeric rejection: beta must be finite, got nan"),
+    "simulate sigma": (["simulate", "--n", "10", "--beta", "1", "--sigma", "nan"], EXIT_NUMERIC,
+                       "numeric rejection: sigma must be finite, got nan"),
 }
 
 
