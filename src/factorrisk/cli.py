@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conditioning, coherent, distortion, linear, quantile, regression, scalar, sharing
-from .core import JointSample, StepCDF, _count, _ranks, from_sample
+from .core import JointSample, StepCDF, _as_1d, _count, _ranks, from_sample
 from .errors import DataFormatError, FactorRiskError, ValidationError
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ class UsageError(FactorRiskError):
 
 
 def read_csv(path, target: str, factors=None, skip=()) -> JointSample:
-    """Parse a headered CSV into a column-addressable sample.
+    """Parse a headered CSV into a sample: the one place columns are chosen.
 
     ``target`` names the loss column; ``factors`` defaults to every other
     non-skipped column.  Decimal points only; malformed cells are rejected
@@ -626,7 +626,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     # simulate, the last of the subcommands the parser admits
-    beta = _floats(args.beta)
+    beta = _as_1d(_floats(args.beta), "beta")
     if args.discrete_values:
         spec = regression.DiscreteFactorSpec(np.asarray(_floats(args.discrete_values)))
         if len(beta) != 1:

@@ -343,12 +343,6 @@ class StepCDF:
     def mean(self) -> float:
         return float(self.support @ self.masses)
 
-    def shift_scale(self, shift: float = 0.0, scale: float = 1.0) -> "StepCDF":
-        """Law of ``scale * X + shift`` for scale > 0."""
-        if scale <= 0:
-            raise ValidationError("scale must be positive")
-        return StepCDF(scale * self.support + shift, self.cum)
-
 
 @dataclass(frozen=True)
 class DiscreteJointDistribution:
@@ -455,14 +449,6 @@ class JointSample:
     @property
     def n_factors(self) -> int:
         return self.factors.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        """Look up a named column (the loss column or any factor column)."""
-        if self.loss_name is not None and name == self.loss_name:
-            return self.loss
-        if self.factor_names is not None and name in self.factor_names:
-            return self.factors[:, self.factor_names.index(name)]
-        raise ValidationError(f"unknown column {name!r}")
 
     def subsample(self, mask) -> "JointSample":
         """Rows selected by boolean mask, weights renormalized."""

@@ -78,21 +78,11 @@ class RegressionFit:
         return self.beta0 + _fit_factors(self, factors, "the factor matrix") @ self.beta
 
 
-def _design(data: JointSample, target, factors):
-    if target is None and factors is None:
-        y = data.loss
-        X = data.factors
-        names = data.factor_names or tuple(f"W{j + 1}" for j in range(data.n_factors))
-        return y, X, names
-    if target is None or factors is None:
-        raise ValidationError("select both target and factors, or neither")
-    y = data.column(target)
-    cols = [data.column(name) for name in factors]
-    return y, np.column_stack(cols), tuple(factors)
-
-
-def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
-    """Least squares of the target on the factors plus a constant.
+def ols_fit(data: JointSample) -> RegressionFit:
+    """Least squares of ``data.loss`` on every column of ``data.factors``
+    plus a constant.  Columns are chosen once, when the sample is built
+    (``read_csv``'s ``target``, ``factors`` and ``skip``); the names are
+    ``data.factor_names``, or W1, W2, ... when the sample has none.
 
     A tall-skinny QR factors [1 | W | y] in blocks of ``_QR_ROWS`` rows,
     independent pieces spread over the cores by :func:`_map`, then their
@@ -105,7 +95,8 @@ def ols_fit(data: JointSample, target=None, factors=None) -> RegressionFit:
     from scipy import linalg as sla
     from scipy import special
 
-    y, W, names = _design(data, target, factors)
+    y, W = data.loss, data.factors
+    names = data.factor_names or tuple(f"W{j + 1}" for j in range(data.n_factors))
     T, n_fac = W.shape
     if T <= n_fac + 1:
         raise ValidationError(f"need more than N+1={n_fac + 1} observations, got {T}")
@@ -235,7 +226,8 @@ def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
     if W.shape[1] != beta.size:
         raise ValidationError("factor spec dimension must match beta")
     eps = rng.standard_normal(n)
-    x = beta0 + W @ beta + sigma * eps
+    with np.errstate(over="ignore", invalid="ignore"):  # JointSample rejects a non-finite loss
+        x = beta0 + W @ beta + sigma * eps
     names = tuple(f"W{j + 1}" for j in range(beta.size))
     return JointSample(x, W, loss_name="X", factor_names=names)
 

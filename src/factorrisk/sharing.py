@@ -71,11 +71,6 @@ class PiecewiseLinearAllocation:
     def n_agents(self) -> int:
         return self.slopes.shape[0]
 
-    def h_at_breakpoints(self) -> np.ndarray:
-        """h_i(x_k) for every agent i and breakpoint x_k; shape (n, m)."""
-        return np.reshape([self._row(i) for i in range(self.n_agents)],
-                          (self.n_agents, self.breakpoints.size))
-
     def _row(self, agent: int) -> np.ndarray:
         """h_agent(x_k) at every breakpoint x_k, from the agent's own slopes: O(m)."""
         xs, n, agent = self.breakpoints, self.n_agents, _count(agent, "agent", 0)

@@ -50,7 +50,7 @@ class TestReadCsv:
         sample = read_csv(path, target="RI", skip=("date",))
         assert sample.n_rows == 3
         assert sample.factor_names == ("RF", "RM-RF")
-        assert sample.column("RF").tolist() == [0.1, 0.4, 0.7]
+        assert sample.factors[:, 0].tolist() == [0.1, 0.4, 0.7]
 
     def test_blank_cell_coordinates(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -136,14 +136,6 @@ class TestJointSample:
         with pytest.raises(ValidationError):
             JointSample(np.array([1.0]), np.array([0.0]), np.array([0.0]))
 
-    def test_named_columns(self):
-        s = JointSample(np.array([1.0]), np.array([[2.0, 3.0]]),
-                        loss_name="RI", factor_names=("RF", "DEF"))
-        assert s.column("RI")[0] == 1.0
-        assert s.column("DEF")[0] == 3.0
-        with pytest.raises(ValidationError):
-            s.column("nope")
-
 
 def test_constructors_leave_the_callers_arrays_writeable():
     loss, factors, weights = np.arange(5.0), np.zeros((5, 1)), np.ones(5)

@@ -12,7 +12,7 @@ takes ``_sorted_keys``' argsort and must equal a stable-argsort grouping.
 ``PiecewiseLinearAllocation.h`` reads one agent's row, from its own
 slopes; every row must equal the former n x m formula
 (``per_scenario.h_at_breakpoints``) bit for bit, and
-``allocation_value_check`` must never build all the rows.  The
+``allocation_value_check`` must build each agent's row once.  The
 breakpoints are taken in as every other value is (``core._as_1d``: finite,
 -0.0 read as 0.0), and ``transform_family`` reads h on a family whose
 merged support is the breakpoints from the agent's row at each atom's
@@ -169,7 +169,6 @@ class TestAgentRows:
         for _ in range(10):
             for allocation in _allocations(rng):
                 want = per_scenario.h_at_breakpoints(allocation)
-                assert _bits(allocation.h_at_breakpoints()) == _bits(want)
                 xs = allocation.breakpoints
                 x = np.concatenate((xs, xs[:-1] + np.diff(xs) / 3, [xs[0] - 1.0, xs[-1] + 2.0]))
                 n = allocation.n_agents
@@ -189,7 +188,7 @@ class TestAgentRows:
     def test_a_negative_zero_breakpoint_is_zero(self, given):
         allocation = PiecewiseLinearAllocation(given, [[0.5], [0.5]])
         assert _bits(allocation.breakpoints) == _bits([0.0, 1.0])
-        assert _bits(allocation.h_at_breakpoints()) == _bits([[0.0, 0.5], [0.0, 0.5]])
+        assert _bits([allocation._row(i) for i in range(2)]) == _bits([[0.0, 0.5], [0.0, 0.5]])
 
     def test_entered_breakpoints_are_held_as_given(self):
         # a law's support is already entered: the allocation holds no second copy
@@ -235,10 +234,6 @@ class TestAgentRows:
                         row = allocation._row(agent)[family._grid[1]] + 0.0
                         assert _bits(row) == _bits(allocation.h(agent, family.support))
 
-    def test_no_agents_keep_the_matrix_shape(self):
-        allocation = PiecewiseLinearAllocation(np.array([1.5]), np.empty((0, 0)))
-        assert allocation.h_at_breakpoints().shape == (0, 1)
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_32_agent_check(self, seed):
         rng = np.random.default_rng(seed)
@@ -248,9 +243,10 @@ class TestAgentRows:
                                          float(rng.uniform(0.2, 0.9))), fam)
                   for i, fam in enumerate(families)]
         value, allocation = inf_convolution(x_law, agents)
-        with mock.patch.object(PiecewiseLinearAllocation, "h_at_breakpoints",
-                               side_effect=AssertionError("every row was built")):
+        with mock.patch.object(PiecewiseLinearAllocation, "_row", autospec=True,
+                               side_effect=PiecewiseLinearAllocation._row) as row:
             got = allocation_value_check(allocation, agents, x_law)
+        assert sorted(c.args[1] for c in row.call_args_list) == list(range(32))  # one row each
         with mock.patch.object(PiecewiseLinearAllocation, "_row",
                                lambda self, agent: per_scenario.h_at_breakpoints(self)[agent]):
             assert allocation_value_check(allocation, agents, x_law) == got

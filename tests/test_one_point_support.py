@@ -119,7 +119,7 @@ class TestOnePointSupport:
         for slopes, n in (([], 1), (np.zeros((3, 0)), 3)):
             allocation = PiecewiseLinearAllocation([x], slopes)
             assert allocation.n_agents == n and allocation.slopes.shape == (n, 0)
-            assert _bits(allocation.h_at_breakpoints()) == _bits(np.full((n, 1), x / n))
+            assert _bits([allocation._row(i) for i in range(n)]) == _bits(np.full((n, 1), x / n))
             for agent in range(n):  # slope 1/n on the whole line
                 assert allocation.h(agent, x) == x / n
                 assert allocation.h(agent, [x - 2.0, x + 4.0]).tolist() == [x / n - 2.0 / n,

@@ -261,15 +261,6 @@ class TestOlsFit:
             tracemalloc.stop()
         assert peak <= 10e6
 
-    def test_named_column_selection(self):
-        rng = np.random.default_rng(96)
-        cols = rng.standard_normal((300, 3))
-        y = 1.0 + cols[:, 0] - cols[:, 2] + 0.01 * rng.standard_normal(300)
-        sample = JointSample(y, cols, loss_name="RI", factor_names=("RF", "SMB", "DEF"))
-        fit = ols_fit(sample, target="RI", factors=("RF", "DEF"))
-        assert fit.names == ("const", "RF", "DEF")
-        assert fit.beta[0] == pytest.approx(1.0, abs=0.01)
-
     def test_zero_residual_fit_has_nan_inference(self):
         fit = ols_fit(JointSample(np.zeros(10), np.arange(10.0)))
         assert not fit.residuals.any()

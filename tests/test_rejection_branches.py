@@ -66,8 +66,6 @@ REJECTIONS = {
     "core.py:274 StepCDF lengths": (
         lambda: StepCDF([1.0, 2.0], [1.0]),
         ValidationError, "support and cum must have equal length"),
-    "core.py:342 shift_scale": (
-        lambda: LAW.shift_scale(1.0, 0.0), ValidationError, "scale must be positive"),
     "core.py:367 atom arrays": (
         lambda: DiscreteJointDistribution([1.0, 2.0], [[0.0], [1.0]], [1.0]),
         ValidationError, "atom arrays must align: xs (M,), ws (M,N), ps (M,)"),
@@ -137,9 +135,6 @@ REJECTIONS = {
     "quantile.py:158 mode": (
         lambda: covar(SAMPLE, 0.5, 0.9, mode="nope"),
         ValidationError, "unknown conditioning mode 'nope'"),
-    "regression.py:75 target alone": (
-        lambda: ols_fit(SAMPLE, target="X"),
-        ValidationError, "select both target and factors, or neither"),
     "regression.py:97 too few rows": (
         lambda: ols_fit(JointSample([1.0, 2.0, 3.0], [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])),
         ValidationError, "need more than N+1=3 observations, got 3"),
@@ -311,6 +306,13 @@ CLI_REJECTIONS = {
                       "numeric rejection: beta must be finite, got nan"),
     "simulate sigma": (["simulate", "--n", "10", "--beta", "1", "--sigma", "nan"], EXIT_NUMERIC,
                        "numeric rejection: sigma must be finite, got nan"),
+    # numpy's overflow warning went to stderr first (an error under this suite's filter)
+    "simulate overflow": (["simulate", "--n", "10", "--beta", "1e308", "--sigma", "1e308"],
+                          EXIT_NUMERIC, "numeric rejection: loss must be finite, got inf"),
+    "simulate no beta": (["simulate", "--n", "10", "--beta", ","], EXIT_NUMERIC,
+                         "numeric rejection: beta must be nonempty"),
+    "simulate no discrete beta": (["simulate", "--n", "10", "--beta", ",", "--discrete-values",
+                                   "0,1"], EXIT_NUMERIC, "numeric rejection: beta must be nonempty"),
 }
 
 

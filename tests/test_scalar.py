@@ -106,7 +106,7 @@ class TestDistortionRho:
             a = float(rng.uniform(-5, 5))
             scale = float(rng.uniform(0.1, 4.0))
             base = distortion_rho(cdf, lam)
-            shifted = distortion_rho(cdf.shift_scale(shift=a, scale=scale), lam)
+            shifted = distortion_rho(StepCDF(scale * cdf.support + a, cdf.cum), lam)
             assert shifted == pytest.approx(scale * base + a, abs=1e-12)
 
     def test_comonotonic_additivity(self):

@@ -181,7 +181,7 @@ class TestAllocationInvariants:
             slopes = allocation.slopes
             assert np.all(slopes >= 0) and np.all(slopes <= 1)
             assert np.allclose(slopes.sum(axis=0), 1.0, atol=1e-12)
-            hk = allocation.h_at_breakpoints()
+            hk = np.array([allocation.h(i, allocation.breakpoints) for i in range(3)])
             assert np.allclose(hk.sum(axis=0), allocation.breakpoints, atol=1e-12)
             diffs = np.diff(hk, axis=1)
             assert np.all(diffs >= -1e-12)
