@@ -104,8 +104,11 @@ def _entered(values) -> np.ndarray:
     """``values`` as a new float array with each -0.0 read as 0.0 (x + 0.0
     is x, and 0.0 at -0.0): the one zero of every value the library takes
     in, since -0.0 and 0.0 are one point of a law."""
-    arr = np.array(values, dtype=float, order="C")  # one copy, C-ordered for _round_in_place
-    return np.add(arr, 0.0, out=arr)
+    arr = np.asarray(values)  # no copy of an array
+    if arr.dtype.kind not in "biuf":  # strings, objects, None: read as float(), NaN for None
+        arr = np.asarray(values, dtype=float)
+    # one pass, numbers cast as read, into a new C-ordered array for _round_in_place
+    return np.add(arr, 0.0, out=np.empty(arr.shape), dtype=float)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

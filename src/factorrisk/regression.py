@@ -14,24 +14,30 @@ by seeds derived deterministically from a master seed and the grid row, so
 repeated evaluations agree bit for bit.  Equally weighted data build no
 law: each quantile is an order statistic (``scalar.quantiles``), and a grid
 reads all its q levels from one sort of beta . W.
-``ols_fit``'s row blocks and a Diff grid's p rows run on the calling thread
-and up to one plain helper thread per further usable CPU (``core._map``,
-which also runs a custom distortion's dense chunks): numpy and LAPACK
-release the GIL, each piece writes only its own output, and the outputs
-are the sequential ones bit for bit; no option selects this.  A call with
-fewer than ``_MIN_ITEM_ROWS`` rows per item (a grid on fewer rows, a fit
-whose second block is shorter) runs inline, where a thread costs more than
-it saves.  A vectorized ``psi_custom`` callable may therefore be called
-from several threads at once, in any chunk order, and must keep no state
-between calls; row callables stay on the calling thread.  scipy is
+The passes over the T rows run on the calling thread and up to one plain
+helper thread per further usable CPU (``core._map``, which also runs a
+custom distortion's dense chunks): ``ols_fit``'s block QRs and then its
+residual blocks, the factor index beta . W over row ranges, a Diff grid's
+drawn p rows, the one level's draw of ``plain_var`` and
+``find_matching_q`` beside the index, and an empirical grid's two sorts
+(the index and the loss).  numpy, BLAS and LAPACK release the GIL, each
+piece writes only its own output, and the outputs are the sequential ones
+bit for bit; no option selects this.  A call with fewer than
+``_MIN_ITEM_ROWS`` rows per item (a grid or a draw on fewer rows, a fit or
+an index whose second block is shorter) runs inline, where a thread costs
+more than it saves.  A vectorized ``psi_custom`` callable may therefore be
+called from several threads at once, in any chunk order, and must keep no
+state between calls; row callables stay on the calling thread.  scipy is
 imported inside ``ols_fit``, its only user, so importing the package loads
 numpy alone and starts no thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -88,9 +94,12 @@ def ols_fit(data: JointSample) -> RegressionFit:
     independent pieces spread over the cores by :func:`_map`, then their
     stacked R blocks in index order: R's last column holds Q'y, and no T x
     (N+1) design is built.  The pivoted QR of R's (N+1) x (N+1) corner,
-    which never forms Q, decides the rank and solves, un-permuted.  The
-    residual scale uses the degrees-of-freedom corrected divisor T - N - 1.
-    Rank deficiency is rejected with the offending column names.
+    which never forms Q, decides the rank and solves, un-permuted.  A
+    second :func:`_map` over row blocks writes the residuals and sums their
+    dots with the design, block by block, for the orthogonality check; the
+    residual scale is one dot of the whole residual vector, with the
+    degrees-of-freedom corrected divisor T - N - 1.  Rank deficiency is
+    rejected with the offending column names.
     """
     from scipy import linalg as sla
     from scipy import special
@@ -109,9 +118,9 @@ def ols_fit(data: JointSample) -> RegressionFit:
         block[:, 0], block[:, 1:k], block[:, k] = 1.0, W[s:s + _QR_ROWS], y[s:s + _QR_ROWS]
         return np.triu(geqrf(block, overwrite_a=1)[0][:k + 1])
 
-    blocks = range(0, T, _QR_ROWS)
-    # the second block is the smaller of the first two
-    stacked = np.vstack(_map(block_r, blocks, min(T - _QR_ROWS, _QR_ROWS) < _MIN_ITEM_ROWS))
+    ranges, inline = _row_ranges(T)
+    # a lone last row is a QR block of its own here: the stacked R keeps its bits
+    stacked = np.vstack(_map(block_r, range(0, T, _QR_ROWS), inline))
     r_all = np.triu(geqrf(stacked)[0][:k + 1])
     qty, r, piv = sla.qr_multiply(r_all[:k, :k], r_all[:k, k], mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -124,7 +133,18 @@ def ols_fit(data: JointSample) -> RegressionFit:
     unpivot = np.argsort(piv)
     coef = sla.solve_triangular(r, qty)[unpivot]
     rinv = sla.solve_triangular(r, np.eye(k))  # (X'X)^-1 = P R^-1 R^-T P'
-    residuals = y - (coef[0] + W @ coef[1:])
+    residuals = np.empty(T)
+
+    def block_residuals(rows):
+        """The rows' residuals y - (c0 + W c), written in place, and their
+        partial dots [sum r, r'W] for the orthogonality check."""
+        a, b = rows
+        part = np.matmul(W[a:b], coef[1:], out=residuals[a:b])
+        part += coef[0]
+        np.subtract(y[a:b], part, out=part)
+        return np.concatenate(([part.sum()], part @ W[a:b]))
+
+    partials = _map(block_residuals, ranges, inline)
     dof = T - n_fac - 1
     sse = float(residuals @ residuals)
     sigma = math.sqrt(sse / dof)
@@ -137,7 +157,7 @@ def ols_fit(data: JointSample) -> RegressionFit:
     # residuals at ingestion-rounding scale carry no direction; ||X_j|| = ||R e_j||
     resid_norm, col_norms = math.sqrt(sse), np.linalg.norm(r_all, axis=0)
     if resid_norm > 1e-10 * max(1.0, col_norms[k]):
-        dots = np.concatenate(([residuals.sum()], residuals @ W))
+        dots = sum(partials)  # in block order
         if (np.abs(dots) / (resid_norm * col_norms[:k]) > 1e-8).any():
             raise ValidationError("residuals are not orthogonal to the design")
     return RegressionFit(
@@ -250,9 +270,35 @@ def _fit_factors(fit: RegressionFit, factors, what: str) -> np.ndarray:
     return factors
 
 
+def _row_ranges(T: int) -> tuple[list, bool]:
+    """The row ranges of a pass over T rows, ``_QR_ROWS`` rows each, and
+    whether :func:`_map` runs them inline (the second, the smaller of the
+    first two, is shorter than ``_MIN_ITEM_ROWS``).  A lone last row joins
+    the range before it: numpy takes a one-row product W[a:b] @ v as a dot,
+    whose sum runs in another order than a matrix product's, so every row
+    has the whole product's bits."""
+    cuts = [*range(0, max(T - 1, 1), _QR_ROWS), T]
+    return list(itertools.pairwise(cuts)), min(T - _QR_ROWS, _QR_ROWS) < _MIN_ITEM_ROWS
+
+
+def _index_jobs(fit: RegressionFit, sample: JointSample, out: np.ndarray) -> tuple[list, bool]:
+    """Jobs that write the factor index beta . W of ``sample``'s rows into
+    ``out``, W[a:b] @ beta over :func:`_row_ranges` (the bits of W @ beta),
+    and whether :func:`_map` runs them inline."""
+    W = _fit_factors(fit, sample.factors, "the sample")
+    ranges, inline = _row_ranges(W.shape[0])
+    return [partial(np.matmul, W[a:b], fit.beta, out=out[a:b]) for a, b in ranges], inline
+
+
 def _index(fit: RegressionFit, sample: JointSample) -> np.ndarray:
-    """The factor index beta . W of each row of ``sample``."""
-    return _fit_factors(fit, sample.factors, "the sample") @ fit.beta
+    """The factor index beta . W of each row of ``sample``, on the cores."""
+    index = np.empty(sample.n_rows)
+    _map(_call, *_index_jobs(fit, sample, index))
+    return index
+
+
+def _call(job):
+    return job()
 
 
 def _rho(fit: RegressionFit, index_var, p: float):
@@ -271,33 +317,45 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     min{C : C / n >= p}.
     """
     p = _level(p, "level p", "(0, 1)")
-    return _plain_vars(fit, data, [p], mode, master_seed, [row_index])[0]
+    return _plain_vars(fit, data, [p], mode, master_seed, [row_index])[0][0]
 
 
 def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
-                master_seed: int, rows, index: np.ndarray | None = None) -> list[float]:
+                master_seed: int, rows, index: np.ndarray | None = None):
     """:func:`plain_var` at each level, level i seeded by (master_seed,
-    rows[i]); the empirical levels are read from one sort of the
-    loss, and the fitted values are computed once, from the factor index
-    beta . W when the caller has it (``fit.fitted``'s bits).  The drawn
-    levels are independent pieces, spread over the cores by :func:`_map`;
-    each builds fitted + sigma * z in place, the same bits."""
+    rows[i]), and the factor index beta . W: ``index`` as given, else
+    computed for the drawn levels (None for empirical ones).  The empirical
+    levels are read from one sort of the loss; the drawn ones build the
+    fitted values once, from the index (``fit.fitted``'s bits), and each
+    builds fitted + sigma * z in place, the same bits.  The draws are
+    independent pieces, spread over the cores by :func:`_map`; with no
+    ``index`` given, the one level's draw runs beside the index."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     if mode == "empirical":
-        return scalar.quantiles(data.loss, data.weights, p_values).tolist()
-    fitted = fit.beta0 + (_index(fit, data) if index is None else index)
+        return scalar.quantiles(data.loss, data.weights, p_values).tolist(), index
+    n, inline = data.n_rows, data.n_rows < _MIN_ITEM_ROWS
+    # the generators are built in row order, here; their draws run on the cores
+    draws = [(partial(_rng(master_seed, row).standard_normal, n), p)
+             for row, p in zip(rows, p_values)]
+    if index is None:
+        (draw, p), = draws
+        # one flat _map, into arrays allocated here: glibc keeps what a helper
+        # thread frees in its own arena, and a nested _map's thread opens one
+        z, index = np.empty(n), np.empty(n)
+        jobs, _ = _index_jobs(fit, data, index)
+        _map(_call, [partial(draw, out=z), *jobs], inline)
+        draws = [(lambda: z, p)]
+    fitted = fit.beta0 + index
 
-    def level_var(rng_p):
-        rng, p = rng_p
-        values = rng.standard_normal(fitted.size)
+    def level_var(draw_p):
+        draw, p = draw_p
+        values = draw()
         values *= fit.sigma
         values += fitted
         return scalar.quantiles(values, data.weights, p)
 
-    # the generators are built in row order, here; their draws run on the cores
-    return _map(level_var, [(_rng(master_seed, row), p) for row, p in zip(rows, p_values)],
-                fitted.size < _MIN_ITEM_ROWS)
+    return _map(level_var, draws, inline), index
 
 
 @dataclass(frozen=True)
@@ -361,10 +419,16 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     if p_values.size == 0 or q_values.size == 0:
         raise ValidationError("level lists must be nonempty")
     index = _index(fit, data)
-    index_vars = scalar.quantiles(index, data.weights, q_values).tolist()
-    plains = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed,
-                         range(p_values.size), index)
-    rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars])
+    sort_index = partial(scalar.quantiles, index, data.weights, q_values)
+    if plain_mode == "empirical":  # the index and the loss sorted side by side
+        index_vars, plains = _map(
+            _call, [sort_index, partial(scalar.quantiles, data.loss, data.weights, p_values)],
+            index.size < _MIN_ITEM_ROWS)
+    else:
+        index_vars = sort_index()
+        plains, _ = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed,
+                                range(p_values.size), index)
+    rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars.tolist()])
     rp = np.repeat(plains, q_values.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.where(rp != 0, rf / rp - 1.0, np.nan)
@@ -385,6 +449,14 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     :func:`gaussian_rho`) has the sign of diff(1e-9); with other weights it
     is the law's cum at its last such atom.
 
+    C is counted by one threshold.  As a float function of the index value
+    x, diff = fl(fl(fl(beta0 + x) + sigma * Ninv(p)) / plain) - 1 is monotone,
+    because IEEE rounding is: it rises in x when plain > 0 and falls when
+    plain < 0.  So the values where diff keeps its sign are those below one
+    float t, which a bisection over the floats' bit patterns finds in at
+    most 64 scalar evaluations, and one comparison pass over the index (or
+    the law's support) counts them.  The result is a Python float.
+
     Requires diff to change sign between q = 1e-9 and 1 - 1e-9; otherwise
     the boundary diffs are reported in the error (a factor-free model is
     already matching everywhere).  ``tol`` (>= 0) is checked and has no
@@ -392,9 +464,10 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
-    p = _level(p, "level p", "(0, 1)")
-    index, lo, hi = _index(fit, data), 1e-9, 1.0 - 1e-9
-    plain = _plain_vars(fit, data, [p], plain_mode, master_seed, [0], index)[0]
+    p, lo, hi = _level(p, "level p", "(0, 1)"), 1e-9, 1.0 - 1e-9
+    (plain,), index = _plain_vars(fit, data, [p], plain_mode, master_seed, [0])
+    if index is None:  # the empirical plain VaR reads no index
+        index = _index(fit, data)
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():
@@ -411,6 +484,29 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
             f"diff does not change sign over q: diff({lo:g})={d_lo:.6g}, "
             f"diff({hi:g})={d_hi:.6g}"
         )
-    diff = _rho(fit, points, p) / plain - 1.0
-    count = np.count_nonzero(diff < 0 if d_lo < 0 else diff > 0)
+
+    def keeps_sign(x):  # diff at x has the sign of d_lo
+        diff = _rho(fit, x, p) / plain - 1.0
+        return diff < 0 if d_lo < 0 else diff > 0
+
+    count = int(np.count_nonzero(points < _threshold(keeps_sign, *ends.tolist())))
     return count / points.size if cum is None else float(cum[count - 1])
+
+
+def _threshold(holds, lo: float, hi: float) -> float:
+    """The least float t at which ``holds`` fails, for a predicate true at
+    ``lo``, false at ``hi`` and monotone in x (true below any float where
+    it holds), which -0.0 and 0.0 meet alike: it holds exactly at x < t.
+    A bisection over the floats in order, as integers, of at most 64 calls."""
+    def key(x):  # sign-magnitude bits to two's complement; both zeros at 0
+        bits = int(np.array(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+    def value(k):
+        return float(np.array(k if k >= 0 else -k - 2**63, np.int64).view(np.float64))
+
+    a, b = key(lo), key(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if holds(value(mid)) else (a, mid)
+    return value(b)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import factorrisk
@@ -26,8 +28,9 @@ from factorrisk import (
     plain_var,
     simulate,
 )
-from factorrisk import core, regression
+from factorrisk import core, regression, scalar
 from factorrisk.core import _map
+from factorrisk.regression import RegressionFit
 
 
 def phi(x: float) -> float:
@@ -594,6 +597,92 @@ def _sorted_matching_q(fit, data, p, seed):
     return q0
 
 
+def _vectorized_matching_q(fit, data, p, mode):
+    """find_matching_q as one vectorized diff over every point: the count of
+    points whose diff has the sign of diff(1e-9); None where diff keeps its sign."""
+    plain = plain_var(fit, data, p, mode)
+    index, shift = data.factors @ fit.beta, fit.sigma * norm_inv(p)
+    if (data.weights == data.weights[0]).all():
+        points, cum = index, None
+        ends = np.array([scalar.quantiles(index, None, 1e-9),
+                         scalar.quantiles(index, None, 1.0 - 1e-9)])
+    else:
+        law = StepCDF.from_values(index, data.weights)
+        points, cum = law.support, law.cum
+        ends = scalar.var(law, [1e-9, 1.0 - 1e-9])
+    d_lo, d_hi = ((fit.beta0 + ends + shift) / plain - 1.0).tolist()
+    if not (d_lo < 0 < d_hi or d_hi < 0 < d_lo):
+        return None
+    diff = (fit.beta0 + points + shift) / plain - 1.0
+    count = np.count_nonzero(diff < 0 if d_lo < 0 else diff > 0)
+    return count / points.size if cum is None else float(cum[count - 1])
+
+
+# integer values tie with each other and with an integer match point; +-0.0 are one point
+_POINTS = st.one_of(st.integers(-6, 6).map(float), st.sampled_from([-0.0, 0.0]),
+                    st.floats(-8, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(_POINTS, min_size=2, max_size=40),
+       beta0=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-4, 4)),
+       shift=st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-4, 4)),
+       plain=st.one_of(st.integers(-6, 6).map(float), st.floats(-8, 8)).filter(bool))
+def test_threshold_count_equals_the_vectorized_count(points, beta0, shift, plain):
+    """diff(x) = (beta0 + x + shift) / plain - 1 is monotone in x (rising for
+    plain > 0, falling for plain < 0), so the points where it keeps the sign
+    of diff(min) are those below one threshold: np.count_nonzero of the
+    vectorized diff, the equal-weight route's count, for either sign of plain."""
+    points = np.array(points)
+    ends = [points.min() + 0.0, points.max() + 0.0]
+    with np.errstate(over="ignore"):  # a tiny plain: diff overflows to +-inf, still monotone
+        d_lo, d_hi = ((beta0 + np.array(ends) + shift) / plain - 1.0).tolist()
+        diff = (beta0 + points + shift) / plain - 1.0
+    assume(d_lo < 0 < d_hi or d_hi < 0 < d_lo)
+    want = np.count_nonzero(diff < 0 if d_lo < 0 else diff > 0)
+
+    def keeps_sign(x):
+        d = (beta0 + x + shift) / plain - 1.0
+        return d < 0 if d_lo < 0 else d > 0
+    assert np.count_nonzero(points < regression._threshold(keeps_sign, *ends)) == want
+
+
+def _index_fit(beta0, beta, sigma):
+    """A fit holding only what find_matching_q and plain_var read."""
+    nan = np.full(2, np.nan)
+    return RegressionFit(beta0=beta0, beta=np.array([beta]), sigma=sigma, stderr=nan,
+                         tstat=nan, pvalue=nan, ci95=np.full((2, 2), np.nan),
+                         residuals=nan, dof=1, names=("const", "W1"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal", "weighted"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain>0", "plain<0"])
+def test_matching_q_equals_the_vectorized_count(weighted, sign, data):
+    """find_matching_q's threshold count is the vectorized count, on the
+    equal-weight route and the weighted law's support, with integer indices
+    tied at the match point; its value is a Python float either way."""
+    n = data.draw(st.integers(2, 30))
+    factor = data.draw(st.lists(_POINTS, min_size=n, max_size=n))
+    loss = data.draw(st.lists(st.integers(1, 6).map(float) | st.floats(0.5, 8), min_size=n,
+                              max_size=n))
+    weights = (data.draw(st.lists(st.integers(1, 4).map(float), min_size=n, max_size=n))
+               if weighted else None)
+    sample = JointSample(sign * np.array(loss), factor, weights)
+    fit = _index_fit(data.draw(st.sampled_from([0.0, 1.0, -0.5])),
+                     data.draw(st.sampled_from([1.0, -1.0, 0.5])),
+                     data.draw(st.sampled_from([0.0, 0.25])))
+    p = data.draw(st.floats(0.05, 0.95))
+    want = _vectorized_matching_q(fit, sample, p, "empirical")
+    if want is None:
+        with pytest.raises(ValidationError, match="does not change sign"):
+            find_matching_q(fit, sample, p, "empirical")
+        return
+    got = find_matching_q(fit, sample, p, "empirical")
+    assert type(got) is float and got.hex() == want.hex()
+
+
 def _gaussian_sample():
     spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
     return simulate(0.5, [1.0, -0.5, 0.25], 0.8, spec, 4000, seed=61)
@@ -673,11 +762,13 @@ def _threads_after(call):
 
 
 class TestWorkOnEveryCore:
-    """``ols_fit``'s row blocks and a grid's p rows run on the caller and
-    helper threads (``core._map``), with the bits of one thread: the
-    process's usable CPUs, and four CPUs (three helpers on any host), give
-    the bytes of one CPU.  The floor on rows per item is patched to 0, so
-    the small samples here spread too; what stays under it is
+    """``ols_fit``'s row blocks, the index's row ranges, a grid's p rows,
+    the one level's draw beside the index and an empirical grid's two sorts
+    run on the caller and helper threads (``core._map``), with the bits of
+    one thread: the process's usable CPUs, and four CPUs (three helpers on
+    any host), give the bytes of one CPU.  The floor on rows per item is
+    patched to 0, so the small samples here spread too, except where a test
+    sizes its sample around the real floor; what stays under it is
     ``test_small_calls_stay_on_the_caller``'s."""
 
     CPUS = [None, 4]
@@ -719,6 +810,31 @@ class TestWorkOnEveryCore:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         rows = [plain_var(fit, data, p, mode, 7, row_index=i) for i, p in enumerate(p_values)]
         assert np.array(rows).tobytes() == got.rho_plain[::len(q_values)].tobytes()
+
+    @pytest.mark.parametrize("rows", [2**14 - 1, 2**14 + 1, 2 * 2**14 + 1])
+    @pytest.mark.parametrize("mode", ["model", "empirical"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["equal", "weighted"])
+    def test_plain_match_and_grid_bytes_at_the_floor(self, monkeypatch, rows, mode, weighted):
+        """At the real floor, on each side of it and with a one-row last
+        block: plain_var, find_matching_q (a Python float on both routes) and
+        the grid at 1, 2 and 4 CPUs are the bytes of one CPU."""
+        rng = np.random.default_rng(rows)
+        W = rng.standard_normal((rows, 3))
+        weights = rng.random(rows) + 0.1 if weighted else None
+        data = JointSample(0.5 + W @ [1.0, -0.5, 0.25] + 0.8 * rng.standard_normal(rows), W,
+                           weights)
+        fit = ols_fit(data)
+
+        def outputs():
+            grid = diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5, 0.9], mode, 7)
+            q0 = find_matching_q(fit, data, 0.95, mode, 7)
+            assert type(q0) is float
+            return (np.array([plain_var(fit, data, 0.95, mode, 7, 2), q0]).tobytes(),
+                    grid.rho_factor.tobytes(), grid.rho_plain.tobytes(), grid.diff.tobytes())
+        want = _one_cpu(outputs)
+        for cpus in (2, 4):
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            assert _threads_after(outputs) == want, cpus
 
     def test_map_keeps_order_and_reraises_a_helper_error(self, monkeypatch):
         """The results come back in item order; an error that only a helper
@@ -794,7 +910,8 @@ class TestWorkOnEveryCore:
     def test_small_calls_stay_on_the_caller(self, monkeypatch):
         """Under ``_MIN_ITEM_ROWS`` rows per item no thread starts at four
         CPUs: a grid on 4,000 rows (each drawn level 4,000 rows) and a fit
-        whose second block holds one row; a fit of two full blocks spreads."""
+        whose second block holds one row; a fit of two full blocks spreads,
+        one helper for its block QRs and one for its residual blocks."""
         started = []
         thread = threading.Thread
 
@@ -810,4 +927,4 @@ class TestWorkOnEveryCore:
         for rows in (2**14 + 1, 2 * 2**14):
             W = rng.standard_normal((rows, 2))
             _threads_after(lambda: ols_fit(JointSample(W @ [1.0, -0.5] + rng.random(rows), W)))
-        assert len(started) == 1  # the one helper of the two-block fit
+        assert len(started) == 2  # the two-block fit's helper, once per pass
