@@ -152,17 +152,23 @@ _INTERVALS = {"(0, 1)": (operator.lt, operator.lt), "(0, 1]": (operator.lt, oper
               "[0, 1)": (operator.le, operator.lt), "[0, 1]": (operator.le, operator.le)}
 
 
-def _level(value, name: str, interval: str):
+def _level(value, name: str, interval: str, ndim: int | None = None):
     """``value``, a level or an array of levels, checked to be in ``interval``
     (a key of ``_INTERVALS``): a float, or a float array.  NaN lies in none;
-    the message names the first value outside as it was given."""
+    the message names the first value outside as it was given.  ``ndim``,
+    where given, is the shape rule: 0 for one level, 1 for a list of them."""
     low, high = _INTERVALS[interval]
     if isinstance(value, (float, int)):  # the common case, without numpy
+        if ndim == 1:
+            raise ValidationError(f"{name} must be one-dimensional, got shape ()")
         if low(0, value) and high(value, 1):
             return float(value)
         outside = True
     else:
         arr = np.asarray(value, dtype=float)
+        if ndim is not None and arr.ndim != ndim:
+            must = "a single level" if ndim == 0 else "one-dimensional"
+            raise ValidationError(f"{name} must be {must}, got shape {arr.shape}")
         outside = ~(low(0, arr) & high(arr, 1))
         if not outside.any():
             return arr if arr.ndim else float(arr)

@@ -17,10 +17,12 @@ reads all its q levels from one sort of beta . W.
 The passes over the T rows run on the calling thread and up to one plain
 helper thread per further usable CPU (``core._map``, which also runs a
 custom distortion's dense chunks): ``ols_fit``'s block QRs and then its
-residual blocks, the factor index beta . W over row ranges, a Diff grid's
-drawn p rows, the one level's draw of ``plain_var`` and
-``find_matching_q`` beside the index, and an empirical grid's two sorts
-(the index and the loss).  numpy, BLAS and LAPACK release the GIL, each
+residual blocks, and the two passes that ``gaussian_rho``, model
+``plain_var``, ``diff_grid`` and ``find_matching_q`` each make, one
+``_passes`` call: first the factor index beta . W over row ranges, with a
+lone drawn level's noise beside it; then all that reads the index or the
+loss, the index's sort at the q levels, each drawn p level, or one sort of
+the loss at the p levels.  numpy, BLAS and LAPACK release the GIL, each
 piece writes only its own output, and the outputs are the sequential ones
 bit for bit; no option selects this.  A call with fewer than
 ``_MIN_ITEM_ROWS`` rows per item (a grid or a draw on fewer rows, a fit or
@@ -88,7 +90,9 @@ def ols_fit(data: JointSample) -> RegressionFit:
     """Least squares of ``data.loss`` on every column of ``data.factors``
     plus a constant.  Columns are chosen once, when the sample is built
     (``read_csv``'s ``target``, ``factors`` and ``skip``); the names are
-    ``data.factor_names``, or W1, W2, ... when the sample has none.
+    ``data.factor_names``, or W1, W2, ... when the sample has none.  The
+    fit weighs every row equally whatever ``data.weights`` holds: a sample
+    weighted 1..50 fits the coefficients of the unweighted one.
 
     A tall-skinny QR factors [1 | W | y] in blocks of ``_QR_ROWS`` rows,
     independent pieces spread over the cores by :func:`_map`, then their
@@ -180,7 +184,7 @@ def norm_inv(p: float) -> float:
     it.  Boundary levels rejected."""
     import statistics
 
-    return statistics.NormalDist().inv_cdf(_level(p, "level p", "(0, 1)"))
+    return statistics.NormalDist().inv_cdf(_level(p, "level p", "(0, 1)", 0))
 
 
 @dataclass(frozen=True)
@@ -252,14 +256,6 @@ def simulate(beta0: float, beta, sigma: float, factor_spec, n: int,
     return JointSample(x, W, loss_name="X", factor_names=names)
 
 
-def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
-                 q: float) -> float:
-    """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
-    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1)")
-    index = _index(fit, factor_sample)
-    return _rho(fit, scalar.quantiles(index, factor_sample.weights, q), p)
-
-
 def _fit_factors(fit: RegressionFit, factors, what: str) -> np.ndarray:
     """``factors`` (a (T, N) matrix or a row of N) as a float array, checked
     to hold the fit's N factors; ``what`` names it in the message."""
@@ -281,22 +277,6 @@ def _row_ranges(T: int) -> tuple[list, bool]:
     return list(itertools.pairwise(cuts)), min(T - _QR_ROWS, _QR_ROWS) < _MIN_ITEM_ROWS
 
 
-def _index_jobs(fit: RegressionFit, sample: JointSample, out: np.ndarray) -> tuple[list, bool]:
-    """Jobs that write the factor index beta . W of ``sample``'s rows into
-    ``out``, W[a:b] @ beta over :func:`_row_ranges` (the bits of W @ beta),
-    and whether :func:`_map` runs them inline."""
-    W = _fit_factors(fit, sample.factors, "the sample")
-    ranges, inline = _row_ranges(W.shape[0])
-    return [partial(np.matmul, W[a:b], fit.beta, out=out[a:b]) for a, b in ranges], inline
-
-
-def _index(fit: RegressionFit, sample: JointSample) -> np.ndarray:
-    """The factor index beta . W of each row of ``sample``, on the cores."""
-    index = np.empty(sample.n_rows)
-    _map(_call, *_index_jobs(fit, sample, index))
-    return index
-
-
 def _call(job):
     return job()
 
@@ -304,6 +284,13 @@ def _call(job):
 def _rho(fit: RegressionFit, index_var, p: float):
     """The closed form at the index quantile ``index_var`` (a value or an array)."""
     return fit.beta0 + index_var + fit.sigma * norm_inv(p)
+
+
+def gaussian_rho(fit: RegressionFit, factor_sample: JointSample, p: float,
+                 q: float) -> float:
+    """Closed-form factor measure beta0 + VaR_q(beta . W) + sigma * Ninv(p)."""
+    p, q = _level(p, "level p", "(0, 1)", 0), _level(q, "level q", "(0, 1)", 0)
+    return _rho(fit, _passes(fit, factor_sample, q, [], "model", None, [])[1], p)
 
 
 def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "model",
@@ -316,46 +303,56 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     (``scalar.quantiles``): with equal weights, the order statistic of rank
     min{C : C / n >= p}.
     """
-    p = _level(p, "level p", "(0, 1)")
-    return _plain_vars(fit, data, [p], mode, master_seed, [row_index])[0][0]
+    p = _level(p, "level p", "(0, 1)", 0)
+    if mode == "empirical":  # the loss alone: no index, and no seed read
+        return scalar.quantiles(data.loss, data.weights, p)
+    return _passes(fit, data, None, [p], mode, master_seed, [row_index])[2][0]
 
 
-def _plain_vars(fit: RegressionFit, data: JointSample, p_values, mode: str,
-                master_seed: int, rows, index: np.ndarray | None = None):
-    """:func:`plain_var` at each level, level i seeded by (master_seed,
-    rows[i]), and the factor index beta . W: ``index`` as given, else
-    computed for the drawn levels (None for empirical ones).  The empirical
-    levels are read from one sort of the loss; the drawn ones build the
-    fitted values once, from the index (``fit.fitted``'s bits), and each
-    builds fitted + sigma * z in place, the same bits.  The draws are
-    independent pieces, spread over the cores by :func:`_map`; with no
-    ``index`` given, the one level's draw runs beside the index."""
+def _passes(fit: RegressionFit, data: JointSample, q_values, p_values, mode: str,
+            master_seed, rows):
+    """The factor index beta . W of ``data``'s rows, its quantiles at
+    ``q_values`` (None where none is read) and :func:`plain_var` at each of
+    ``p_values``, level i seeded by (master_seed, rows[i]): two flat
+    :func:`_map` passes over the rows, the one route of ``gaussian_rho``,
+    model ``plain_var``, ``diff_grid`` and ``find_matching_q``.
+
+    The first writes the index, W[a:b] @ beta over :func:`_row_ranges`
+    (the bits of W @ beta), and the noise of a lone drawn level beside it,
+    into arrays allocated here: glibc keeps what a helper thread frees in
+    its own arena, and a nested map's thread would open one.  The second
+    runs what reads them: the index's sort at ``q_values``; each drawn
+    level's fitted + sigma * z, built in place from the index
+    (``fit.fitted``'s bits), and its quantile; or one sort of the loss at
+    every p.  A pass with a drawn level or a sort runs inline under
+    ``_MIN_ITEM_ROWS`` rows, the index alone as :func:`_row_ranges` says."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
+    W, n = _fit_factors(fit, data.factors, "the sample"), data.n_rows
+    index, (ranges, inline) = np.empty(n), _row_ranges(n)
+    first = [partial(np.matmul, W[a:b], fit.beta, out=index[a:b]) for a, b in ranges]
+    second = [] if q_values is None else [partial(scalar.quantiles, index, data.weights, q_values)]
+    draws = []
     if mode == "empirical":
-        return scalar.quantiles(data.loss, data.weights, p_values).tolist(), index
-    n, inline = data.n_rows, data.n_rows < _MIN_ITEM_ROWS
-    # the generators are built in row order, here; their draws run on the cores
-    draws = [(partial(_rng(master_seed, row).standard_normal, n), p)
-             for row, p in zip(rows, p_values)]
-    if index is None:
-        (draw, p), = draws
-        # one flat _map, into arrays allocated here: glibc keeps what a helper
-        # thread frees in its own arena, and a nested _map's thread opens one
-        z, index = np.empty(n), np.empty(n)
-        jobs, _ = _index_jobs(fit, data, index)
-        _map(_call, [partial(draw, out=z), *jobs], inline)
-        draws = [(lambda: z, p)]
-    fitted = fit.beta0 + index
+        second.append(partial(scalar.quantiles, data.loss, data.weights, p_values))
+    else:  # the generators are built in row order, here; their draws run on the cores
+        draws = [partial(_rng(master_seed, row).standard_normal, n) for row in rows]
+    if len(draws) == 1:
+        z = np.empty(n)
+        first, draws, inline = [partial(draws[0], out=z), *first], [lambda: z], n < _MIN_ITEM_ROWS
 
-    def level_var(draw_p):
-        draw, p = draw_p
+    def level_var(draw, p):
         values = draw()
         values *= fit.sigma
         values += fitted
         return scalar.quantiles(values, data.weights, p)
 
-    return _map(level_var, draws, inline), index
+    _map(_call, first, inline)
+    fitted = fit.beta0 + index if draws else None
+    out = _map(_call, second + [partial(level_var, *d) for d in zip(draws, p_values)],
+               n < _MIN_ITEM_ROWS)
+    index_vars = None if q_values is None else out.pop(0)
+    return index, index_vars, out.pop().tolist() if mode == "empirical" else out
 
 
 @dataclass(frozen=True)
@@ -381,12 +378,13 @@ class DiffGrid:
         for name in ("rho_factor", "rho_plain", "diff"):
             if getattr(self, name).size != size:
                 raise ValidationError(f"grid column {name} must have {size} rows")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = self.rho_factor / self.rho_plain - 1.0
         ok = self.rho_plain != 0
-        # tolerance admits a diff by another float expression, as (rf - rp) / rp
-        slack = 1e-7 * (1.0 + np.abs(expected[ok]))
-        if np.any(np.abs(self.diff[ok] - expected[ok]) > slack) or np.any(~np.isnan(self.diff[~ok])):
+        with np.errstate(all="ignore"):
+            expected = self.rho_factor[ok] / self.rho_plain[ok] - 1.0
+            gap = np.abs(self.diff[ok] - expected)
+        # tolerance admits a diff by another float expression, as (rf - rp) / rp;
+        # a NaN gap (a NaN diff, or inf - inf) admits none
+        if not np.all(gap <= 1e-7 * (1.0 + np.abs(expected))) or np.any(~np.isnan(self.diff[~ok])):
             raise ValidationError("diff column is inconsistent with its definition")
 
     @property
@@ -414,20 +412,12 @@ def diff_grid(fit: RegressionFit, data: JointSample, p_values: Sequence[float],
     one sort of it, and the fitted values behind the benchmark are built
     from it; output order is p-major.
     """
-    p_values = _level(list(p_values), "p levels", "(0, 1)")
-    q_values = _level(list(q_values), "q levels", "(0, 1)")
+    p_values = _level(p_values, "p levels", "(0, 1)", 1)
+    q_values = _level(q_values, "q levels", "(0, 1)", 1)
     if p_values.size == 0 or q_values.size == 0:
         raise ValidationError("level lists must be nonempty")
-    index = _index(fit, data)
-    sort_index = partial(scalar.quantiles, index, data.weights, q_values)
-    if plain_mode == "empirical":  # the index and the loss sorted side by side
-        index_vars, plains = _map(
-            _call, [sort_index, partial(scalar.quantiles, data.loss, data.weights, p_values)],
-            index.size < _MIN_ITEM_ROWS)
-    else:
-        index_vars = sort_index()
-        plains, _ = _plain_vars(fit, data, p_values.tolist(), plain_mode, master_seed,
-                                range(p_values.size), index)
+    _, index_vars, plains = _passes(fit, data, q_values, p_values.tolist(), plain_mode,
+                                    master_seed, range(p_values.size))
     rf = np.array([_rho(fit, v, p) for p in p_values.tolist() for v in index_vars.tolist()])
     rp = np.repeat(plains, q_values.size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -464,10 +454,8 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
-    p, lo, hi = _level(p, "level p", "(0, 1)"), 1e-9, 1.0 - 1e-9
-    (plain,), index = _plain_vars(fit, data, [p], plain_mode, master_seed, [0])
-    if index is None:  # the empirical plain VaR reads no index
-        index = _index(fit, data)
+    p, lo, hi = _level(p, "level p", "(0, 1)", 0), 1e-9, 1.0 - 1e-9
+    index, _, (plain,) = _passes(fit, data, None, [p], plain_mode, master_seed, [0])
     if plain == 0:
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():

@@ -270,6 +270,17 @@ class TestOlsFit:
         assert np.all(fit.stderr == 0)
         assert np.isnan(fit.tstat).all() and np.isnan(fit.pvalue).all()
 
+    def test_fit_weighs_every_row_equally(self):
+        """Sample weights do not enter the fit: weights 1..50 fit the bits
+        of the unweighted sample."""
+        data = simulate(0.1, [1.0, -0.5], 0.8, GaussianFactorSpec(np.zeros(2), np.eye(2)), 50,
+                        seed=2)
+        weighted = ols_fit(JointSample(data.loss, data.factors, np.arange(1.0, 51.0)))
+        plain = ols_fit(data)
+        for name in ("coef", "stderr", "residuals"):
+            assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert weighted.sigma.hex() == plain.sigma.hex()
+
 
 def _block_route_coef(W, y):
     """The block route through ``scipy.linalg.qr``: R of [1 | W | y] per
@@ -928,3 +939,51 @@ class TestWorkOnEveryCore:
             W = rng.standard_normal((rows, 2))
             _threads_after(lambda: ols_fit(JointSample(W @ [1.0, -0.5] + rng.random(rows), W)))
         assert len(started) == 2  # the two-block fit's helper, once per pass
+
+
+def test_each_call_is_two_flat_passes(monkeypatch):
+    """``gaussian_rho``, ``plain_var``, ``diff_grid`` and ``find_matching_q``
+    make at most two ``_map`` calls each, at four CPUs with no floor on rows
+    per item, and none starts inside another's item, on the caller or a
+    helper (a nested map's threads would open heap arenas of their own).  A
+    model grid sorts its index in the second call, beside its drawn levels."""
+    data = _gaussian_sample()
+    fit = ols_fit(data)
+    monkeypatch.setattr(regression, "_MIN_ITEM_ROWS", 0)
+    monkeypatch.setattr(core, "_cpus", lambda: 4)
+    maps, nested, index_sorts = [], [], []
+    running = threading.local()  # the map whose item this thread runs
+
+    def spy_map(fn, items, inline=False):
+        nested.append(getattr(running, "map", None))
+        maps.append(None)
+        number = len(maps)
+
+        def item(x):
+            outer, running.map = getattr(running, "map", None), number
+            try:
+                return fn(x)
+            finally:
+                running.map = outer
+        return _map(item, items, inline)
+
+    quantiles = scalar.quantiles
+
+    def spy_quantiles(values, weights, levels):
+        if np.ndim(levels) == 1 and values is not data.loss:  # the index's sort
+            index_sorts.append(getattr(running, "map", None))
+        return quantiles(values, weights, levels)
+    monkeypatch.setattr(regression, "_map", spy_map)
+    monkeypatch.setattr(scalar, "quantiles", spy_quantiles)
+    calls = {"gaussian_rho": lambda mode: gaussian_rho(fit, data, 0.9, 0.5),
+             "plain_var": lambda mode: plain_var(fit, data, 0.9, mode),
+             "diff_grid": lambda mode: diff_grid(fit, data, [0.9, 0.95, 0.99], [0.5, 0.9], mode),
+             "find_matching_q": lambda mode: find_matching_q(fit, data, 0.9, mode)}
+    for name, call in calls.items():
+        for mode in ("model", "empirical"):
+            maps.clear(), nested.clear(), index_sorts.clear()
+            _threads_after(lambda: call(mode))
+            assert len(maps) <= 2, (name, mode, len(maps))
+            assert nested == [None] * len(maps), (name, mode, nested)
+            if name == "diff_grid":
+                assert index_sorts == [2], (mode, index_sorts)

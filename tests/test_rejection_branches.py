@@ -20,7 +20,7 @@ from factorrisk import (ConditionalLawFamily, DensityFamily, DiffGrid, DiscreteF
                         ScenarioWeighting, StepCDF, ValidationError, VarBox,
                         allocation_value_check, coherent_sup, covar, diff_grid, es_composition,
                         es_on_event, es_tail_density, find_matching_q, gaussian_rho, hl_bound,
-                        inf_convolution, ols_fit, piecewise_linear_distortion, plain_var,
+                        inf_convolution, norm_inv, ols_fit, piecewise_linear_distortion, plain_var,
                         pred_custom, pred_single_scenario, psi_mean, quantile_factor, simulate)
 from factorrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main, read_csv
 from factorrisk.sharing import transform_family
@@ -163,6 +163,13 @@ REJECTIONS = {
         lambda: DiffGrid(np.array([0.9]), np.array([0.5]), np.array([2.0]), np.array([1.0]),
                          np.array([0.5])),
         ValidationError, "diff column is inconsistent with its definition"),
+    # a NaN diff passed the tolerance test, and inf - inf warned and passed
+    "regression.py diff column NaN": (
+        lambda: DiffGrid([0.9], [0.5], [1.0], [2.0], [np.nan]),
+        ValidationError, "diff column is inconsistent with its definition"),
+    "regression.py diff column inf": (
+        lambda: DiffGrid([0.9], [0.5], [np.inf], [2.0], [np.inf]),
+        ValidationError, "diff column is inconsistent with its definition"),
     "regression.py:335 empty levels": (
         lambda: diff_grid(FIT, SAMPLE, [], [0.5]), ValidationError, "level lists must be nonempty"),
     "regression.py:374 zero plain VaR": (
@@ -207,6 +214,29 @@ REJECTIONS = {
     "sharing.py transform_family agent above": (
         lambda: transform_family(FAMILY, TWO_AGENTS, np.int64(5)), ValidationError,
         "agent must be < n_agents = 2, got 5"),
+    # a level of the wrong shape: a list where one level is asked for was
+    # read at each of its levels or raised numpy's TypeError, and a scalar or
+    # a nested list where a level list is asked for raised a TypeError
+    **{f"regression.py {name} shape": (call, ValidationError, message)
+       for name, call, message in (
+           ("plain_var p", lambda: plain_var(FIT, SAMPLE, [0.9]),
+            "level p must be a single level, got shape (1,)"),
+           ("empirical plain_var p", lambda: plain_var(FIT, SAMPLE, [0.9], "empirical"),
+            "level p must be a single level, got shape (1,)"),
+           ("gaussian_rho q", lambda: gaussian_rho(FIT, SAMPLE, 0.9, [0.5]),
+            "level q must be a single level, got shape (1,)"),
+           ("gaussian_rho p", lambda: gaussian_rho(FIT, SAMPLE, [0.9], 0.5),
+            "level p must be a single level, got shape (1,)"),
+           ("find_matching_q p", lambda: find_matching_q(FIT, SAMPLE, [0.9]),
+            "level p must be a single level, got shape (1,)"),
+           ("norm_inv p", lambda: norm_inv([0.9]),
+            "level p must be a single level, got shape (1,)"),
+           ("diff_grid nested p", lambda: diff_grid(FIT, SAMPLE, [[0.9]], [0.5]),
+            "p levels must be one-dimensional, got shape (1, 1)"),
+           ("diff_grid nested q", lambda: diff_grid(FIT, SAMPLE, [0.9], [[0.5]]),
+            "q levels must be one-dimensional, got shape (1, 1)"),
+           ("diff_grid scalar p", lambda: diff_grid(FIT, SAMPLE, 0.9, [0.5]),
+            "p levels must be one-dimensional, got shape ()"))},
     # numpy's "matmul: Input operand 1 has a mismatch in its core dimension 0"
     **{f"regression.py {name} factor count": (
         call, ValidationError, "the sample has 3 factors but the fit has 2")
