@@ -109,7 +109,7 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
     Per scenario the density takes the value 1 / (1-p) with probability
     1-p (the conditional tail) and 0 otherwise.
     """
-    p = _level(p, "ES level", "[0, 1)")
+    p = _level(p, "ES level", "[0, 1)", 0)
     support, cum = ([1.0], [1.0]) if p == 0 else ([0.0, 1.0 / (1.0 - p)], [p, 1.0])
     n = family.n_scenarios
     return ConditionalLawFamily._from_flat(family.pis, np.tile(support, n), np.tile(cum, n),
@@ -119,10 +119,11 @@ def es_tail_density(family: ConditionalLawFamily, p: float) -> ConditionalLawFam
 def es_composition(family: ConditionalLawFamily, p: float, outer: str = "esssup",
                    q: float | None = None) -> float:
     """Coherent composition: esssup or ES_q of the per-scenario ES_p values."""
+    p = _level(p, "ES level", "[0, 1)", 0)
     values = _segment_es(family.support, family.cum, family.offsets, np.full(family.n_scenarios, p))
     law = StepCDF.from_values(values, family.pis)
     if outer == "esssup":
         return scalar.esssup(law)
     if outer == "es":
-        return scalar.es(law, _level(q, "outer ES level", "[0, 1)"))
+        return scalar.es(law, _level(q, "outer ES level", "[0, 1)", 0))
     raise ValidationError("outer must be 'esssup' or 'es'")

@@ -119,7 +119,7 @@ def psi_mean_of_es(levels) -> ScenarioDistortion:
 
 def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
     """Conditional ES on a scenario subevent: rho = ES_p(X | W in B)."""
-    p = _level(p, "ES level", "[0, 1)")
+    p = _level(p, "ES level", "[0, 1)", 0)
     idx = np.unique(np.array([_count(i, "scenario index", 0) for i in subset], dtype=np.int64))
     if idx.size == 0:
         raise ValidationError("scenario subset must be nonempty")
@@ -135,7 +135,7 @@ def psi_es_on_box(p: float, subset: Sequence[int]) -> ScenarioDistortion:
 
 def psi_indicator_var_var(p: float, q: float) -> ScenarioDistortion:
     """The 0/1 distortion whose Choquet integral is VaR_q(VaR_p(X | W))."""
-    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1]")
+    p, q = _level(p, "level p", "(0, 1)", 0), _level(q, "level q", "(0, 1]", 0)
     tails = _pi_weighted(lambda n, labels: np.full(n, 1.0 - p), 1.0 - q)
     return ScenarioDistortion(_exceeds, tails, lambda s, cut: np.where(s > cut, 1.0, 0.0))
 

@@ -63,7 +63,7 @@ def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
 
     The induced measure is VaR_q(VaR_p(X | W)).
     """
-    p, q = _level(p, "level p", "(0, 1)"), _level(q, "level q", "(0, 1]")
+    p, q = _level(p, "level p", "(0, 1)", 0), _level(q, "level q", "(0, 1]", 0)
     # the float sum of all weights may land under q = 1; every scenario
     # still makes total weight, so the all-ones profile is accepted
     return _counting(p, lambda pi, labels: pi, lambda pi: min(q, pi.sum()))
@@ -71,13 +71,13 @@ def pred_var_of_var(p: float, q: float) -> IncreasingSetPredicate:
 
 def pred_esssup_var(p: float) -> IncreasingSetPredicate:
     """Accept once every scenario has F_i(x) >= p: esssup VaR_p(X | W)."""
-    p = _level(p, "level p", "(0, 1)")
+    p = _level(p, "level p", "(0, 1)", 0)
     return _counting(p, lambda pi, labels: np.ones(pi.size), lambda pi: float(pi.size))
 
 
 def pred_single_scenario(scenario, p: float) -> IncreasingSetPredicate:
     """Accept on one scenario's CDF alone: VaR_p(X | scenario)."""
-    p = _level(p, "level p", "(0, 1]")
+    p = _level(p, "level p", "(0, 1]", 0)
 
     def weights(pi, labels):
         w = np.zeros(pi.size)
@@ -167,10 +167,12 @@ def covar(sample: JointSample, alpha, beta_level: float, mode: str = "tail",
     VarBox event, and ``mode='equal'`` on W == VaR_alpha(W) (discrete
     factors only).
     """
-    return scalar.var(_event_cdf(sample, alpha, mode, box), beta_level)
+    return scalar.var(_event_cdf(sample, alpha, mode, box),
+                      _level(beta_level, "VaR level", "(0, 1]", 0))
 
 
 def coes(sample: JointSample, alpha, beta_level: float, mode: str = "tail",
          box: VarBox | None = None) -> float:
     """CoES: expected shortfall of X at ``beta_level`` on a distress event."""
-    return scalar.es(_event_cdf(sample, alpha, mode, box), beta_level)
+    return scalar.es(_event_cdf(sample, alpha, mode, box),
+                     _level(beta_level, "ES level", "[0, 1)", 0))

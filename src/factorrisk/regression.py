@@ -19,12 +19,14 @@ helper thread per further usable CPU (``core._map``, which also runs a
 custom distortion's dense chunks): ``ols_fit``'s block QRs and then its
 residual blocks, and the two passes that ``gaussian_rho``, model
 ``plain_var``, ``diff_grid`` and ``find_matching_q`` each make, one
-``_passes`` call: first the factor index beta . W over row ranges, with a
-lone drawn level's noise beside it; then all that reads the index or the
-loss, the index's sort at the q levels, each drawn p level, or one sort of
-the loss at the p levels.  numpy, BLAS and LAPACK release the GIL, each
-piece writes only its own output, and the outputs are the sequential ones
-bit for bit; no option selects this.  A call with fewer than
+``_passes`` call: first the factor index beta . W over row ranges, and
+the fitted values beside it where a level is drawn, with a lone drawn
+level's noise drawn in two halves, the first read on the helper as the
+caller draws the second (``_split_var``); then all that reads the index or
+the loss, the index's sort at the q levels, each drawn p level, or one
+sort of the loss at the p levels.  numpy, BLAS and LAPACK release the GIL,
+each piece writes only its own output, and the outputs are the sequential
+ones bit for bit; no option selects this.  A call with fewer than
 ``_MIN_ITEM_ROWS`` rows per item (a grid or a draw on fewer rows, a fit or
 an index whose second block is shorter) runs inline, where a thread costs
 more than it saves.  A vectorized ``psi_custom`` callable may therefore be
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -301,7 +304,11 @@ def plain_var(fit: RegressionFit, data: JointSample, p: float, mode: str = "mode
     values, ``empirical`` takes the weighted quantile of the observed
     target column.  Each is the left quantile of its values
     (``scalar.quantiles``): with equal weights, the order statistic of rank
-    min{C : C / n >= p}.
+    min{C : C / n >= p} (``scalar._rank``, the one rank rule).  On equally
+    weighted rows the model's noise is drawn in two halves of its one
+    stream, each read on its own thread as the other is drawn or the index
+    built (:func:`_split_var`); the value is the one-array quantile's, bit
+    for bit.
     """
     p = _level(p, "level p", "(0, 1)", 0)
     if mode == "empirical":  # the loss alone: no index, and no seed read
@@ -318,25 +325,38 @@ def _passes(fit: RegressionFit, data: JointSample, q_values, p_values, mode: str
     model ``plain_var``, ``diff_grid`` and ``find_matching_q``.
 
     The first writes the index, W[a:b] @ beta over :func:`_row_ranges`
-    (the bits of W @ beta), and the noise of a lone drawn level beside it,
-    into arrays allocated here: glibc keeps what a helper thread frees in
-    its own arena, and a nested map's thread would open one.  The second
-    runs what reads them: the index's sort at ``q_values``; each drawn
-    level's fitted + sigma * z, built in place from the index
-    (``fit.fitted``'s bits), and its quantile; or one sort of the loss at
+    (the bits of W @ beta), and where a level is drawn the fitted values
+    beta0 + index beside it (``fit.fitted``'s bits), into arrays allocated
+    here: glibc keeps what a helper thread frees in its own arena, and a
+    nested map's thread would open one.  A lone drawn level on equally
+    weighted rows is then read in :func:`_split_var`'s one pass; on other
+    weights its noise is drawn beside the index.  The second pass runs what
+    reads them: the index's sort at ``q_values``; each drawn level's
+    fitted + sigma * z, built in place, and its quantile (in place, through
+    ``scalar._rank``, under equal weights); or one sort of the loss at
     every p.  A pass with a drawn level or a sort runs inline under
     ``_MIN_ITEM_ROWS`` rows, the index alone as :func:`_row_ranges` says."""
     if mode not in PLAIN_MODES:
         raise ValidationError(f"plain-var mode must be one of {PLAIN_MODES}")
     W, n = _fit_factors(fit, data.factors, "the sample"), data.n_rows
     index, (ranges, inline) = np.empty(n), _row_ranges(n)
-    first = [partial(np.matmul, W[a:b], fit.beta, out=index[a:b]) for a, b in ranges]
     second = [] if q_values is None else [partial(scalar.quantiles, index, data.weights, q_values)]
-    draws = []
+    gens, fitted, equal = [], None, False
     if mode == "empirical":
         second.append(partial(scalar.quantiles, data.loss, data.weights, p_values))
-    else:  # the generators are built in row order, here; their draws run on the cores
-        draws = [partial(_rng(master_seed, row).standard_normal, n) for row in rows]
+    elif p_values:  # the generators are built in row order, here; their draws run on the cores
+        gens, fitted = [_rng(master_seed, row) for row in rows], np.empty(n)
+        equal = bool((data.weights == data.weights[0]).all())
+
+    def index_rows(a, b):
+        np.matmul(W[a:b], fit.beta, out=index[a:b])
+        if fitted is not None:
+            np.add(fit.beta0, index[a:b], out=fitted[a:b])
+
+    first = [partial(index_rows, a, b) for a, b in ranges]
+    if len(gens) == 1 and equal and q_values is None:
+        return index, None, [_split_var(fit.sigma, gens[0], p_values[0], first, fitted)]
+    draws = [partial(gen.standard_normal, n) for gen in gens]
     if len(draws) == 1:
         z = np.empty(n)
         first, draws, inline = [partial(draws[0], out=z), *first], [lambda: z], n < _MIN_ITEM_ROWS
@@ -345,14 +365,72 @@ def _passes(fit: RegressionFit, data: JointSample, q_values, p_values, mode: str
         values = draw()
         values *= fit.sigma
         values += fitted
+        if equal:  # the values are this level's own: ordered in place, not copied
+            return scalar._order_statistics(values, p, scalar._finite_ends(values, values), True)
         return scalar.quantiles(values, data.weights, p)
 
     _map(_call, first, inline)
-    fitted = fit.beta0 + index if draws else None
     out = _map(_call, second + [partial(level_var, *d) for d in zip(draws, p_values)],
                n < _MIN_ITEM_ROWS)
     index_vars = None if q_values is None else out.pop(0)
     return index, index_vars, out.pop().tolist() if mode == "empirical" else out
+
+
+def _split_var(sigma: float, gen, p: float, index_rows, fitted: np.ndarray) -> float:
+    """``scalar.quantiles(fitted + sigma * z, None, p)``, bit for bit, z the
+    next ``fitted.size`` normals of ``gen``, in one :func:`_map` of two
+    items: the index item runs ``index_rows`` (which write ``fitted``).
+
+    ``gen`` draws z in two consecutive halves, the one stream bit for bit.
+    The index item waits until the first half is drawn and reads it in
+    place while the draw item draws the second; the caller reads the second
+    half after.  To read a half is to make it sigma * z + fitted, take its
+    min and max and move its M = n - k largest values to its end by
+    ``np.partition``, k the rank of ``scalar._rank``.  The M largest of all
+    n are among the two kept sets, whatever the ties, so the order
+    statistic of rank k is that of rank size - M in their union.  At k = 0
+    or n - 1 it is an end; + 0.0 reads -0.0 as 0.0.  A non-finite end goes
+    to ``scalar.quantiles``, which raises its error: a half holding a
+    non-finite value is not reordered, so it names the same value.  Inline
+    (one CPU, or under ``_MIN_ITEM_ROWS`` rows) the draw item runs first,
+    so the wait returns at once."""
+    n = fitted.size
+    z, half, first_half = np.empty(n), n // 2, threading.Event()
+    k = scalar._rank(p, n).item()
+    keep = n - k
+
+    def read(a, b):
+        part = z[a:b]
+        part *= sigma
+        part += fitted[a:b]
+        ends = part.min(initial=np.inf), part.max(initial=-np.inf)  # an empty half adds none
+        if b - a > keep and np.isfinite(ends).all():
+            part.partition(b - a - keep)
+        return ends, part[max(b - a - keep, 0):]
+
+    def draw():
+        try:
+            gen.standard_normal(half, out=z[:half])
+        finally:  # a failed draw still wakes the index item; _map raises its error
+            first_half.set()
+        gen.standard_normal(n - half, out=z[half:])
+
+    def index_and_first_half():
+        for item in index_rows:
+            item()
+        first_half.wait()
+        return read(0, half)
+
+    halves = [_map(_call, [draw, index_and_first_half], n < _MIN_ITEM_ROWS)[1], read(half, n)]
+    ends = np.array([e for e, _ in halves])
+    lo, hi = ends[:, 0].min(), ends[:, 1].max()
+    if not np.isfinite((lo, hi)).all():
+        return scalar.quantiles(z, None, p)
+    if k in (0, n - 1):
+        return float((lo, hi)[k > 0] + 0.0)
+    kept = np.concatenate([part for _, part in halves])
+    kept.partition(kept.size - keep)
+    return float(kept[kept.size - keep] + 0.0)
 
 
 @dataclass(frozen=True)
@@ -379,12 +457,16 @@ class DiffGrid:
             if getattr(self, name).size != size:
                 raise ValidationError(f"grid column {name} must have {size} rows")
         ok = self.rho_plain != 0
+        rf, rp, diff = self.rho_factor[ok], self.rho_plain[ok], self.diff[ok]
         with np.errstate(all="ignore"):
-            expected = self.rho_factor[ok] / self.rho_plain[ok] - 1.0
-            gap = np.abs(self.diff[ok] - expected)
-        # tolerance admits a diff by another float expression, as (rf - rp) / rp;
-        # a NaN gap (a NaN diff, or inf - inf) admits none
-        if not np.all(gap <= 1e-7 * (1.0 + np.abs(expected))) or np.any(~np.isnan(self.diff[~ok])):
+            expected = rf / rp - 1.0
+            gap = np.abs(diff - expected)
+        # tolerance admits a diff by another float expression, as (rf - rp) / rp,
+        # where the definition is finite (a NaN gap, from a NaN diff, admits none);
+        # a quotient of finite rhos that overflows admits its own infinity alone
+        within = np.where(np.isfinite(expected), gap <= 1e-7 * (1.0 + np.abs(expected)),
+                          np.isfinite(rf) & np.isfinite(rp) & (diff == expected))
+        if not within.all() or np.any(~np.isnan(self.diff[~ok])):
             raise ValidationError("diff column is inconsistent with its definition")
 
     @property
@@ -444,8 +526,11 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
     because IEEE rounding is: it rises in x when plain > 0 and falls when
     plain < 0.  So the values where diff keeps its sign are those below one
     float t, which a bisection over the floats' bit patterns finds in at
-    most 64 scalar evaluations, and one comparison pass over the index (or
-    the law's support) counts them.  The result is a Python float.
+    most 64 scalar evaluations (sigma * Ninv(p) taken once, outside them),
+    and one comparison pass over the index (or the law's support) counts
+    them.  The bisection starts from the index's ends, one ``min`` and one
+    ``max`` of it under equal weights.  The plain VaR is :func:`plain_var`'s,
+    drawn in two halves under equal weights.  The result is a Python float.
 
     Requires diff to change sign between q = 1e-9 and 1 - 1e-9; otherwise
     the boundary diffs are reported in the error (a factor-free model is
@@ -460,13 +545,18 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
         raise ValidationError("plain VaR is zero; diff is undefined")
     if (data.weights == data.weights[0]).all():
         points, cum = index, None
-        # ranks 1 and T below 1e9 rows: a min and a max, cheaper than one sort
-        ends = np.array([scalar.quantiles(index, None, lo), scalar.quantiles(index, None, hi)])
+        # ranks 1 and T below 1e9 rows: one min and one max of the index
+        ends = np.array(scalar._finite_ends(index, index)) + 0.0
     else:
         law = StepCDF.from_values(index, data.weights)
         points, cum = law.support, law.cum
         ends = scalar.var(law, [lo, hi])
-    d_lo, d_hi = (_rho(fit, ends, p) / plain - 1.0).tolist()
+    shift = fit.sigma * norm_inv(p)  # _rho's last term, taken once
+
+    def diff(x):  # the float expression of _rho(fit, x, p) / plain - 1
+        return (fit.beta0 + x + shift) / plain - 1.0
+
+    d_lo, d_hi = diff(ends).tolist()
     if not (d_lo < 0 < d_hi or d_hi < 0 < d_lo):
         raise ValidationError(
             f"diff does not change sign over q: diff({lo:g})={d_lo:.6g}, "
@@ -474,8 +564,7 @@ def find_matching_q(fit: RegressionFit, data: JointSample, p: float,
         )
 
     def keeps_sign(x):  # diff at x has the sign of d_lo
-        diff = _rho(fit, x, p) / plain - 1.0
-        return diff < 0 if d_lo < 0 else diff > 0
+        return diff(x) < 0 if d_lo < 0 else diff(x) > 0
 
     count = int(np.count_nonzero(points < _threshold(keeps_sign, *ends.tolist())))
     return count / points.size if cum is None else float(cum[count - 1])

@@ -111,36 +111,58 @@ def quantiles(values, weights, levels):
     with no law built where the weights are equal (None, or all one value).
 
     The left quantile of n equally weighted values at p is then the order
-    statistic of rank k = min{C : C / n >= p}, the division correctly
-    rounded, whatever the ties.  ceil(p * n) is within one of k, and one
-    step each way corrects it.  One level is read by ``min`` or ``max`` of
-    the values as given at rank 1 or n, else by an in-place ``np.partition``
-    of a copy; several by one ``np.sort`` of a copy.
+    statistic of rank :func:`_rank` (``_order_statistics``): one level is
+    read by ``min`` or ``max`` of the values as given at rank 1 or n, else
+    by an in-place ``np.partition`` of a copy; several by one ``np.sort`` of
+    a copy.
     """
     levels = _level(levels, "VaR level", "(0, 1]")
     x = np.asarray(values, dtype=float)  # not copied where values is a float array
-    ends = (x.min(), x.max()) if x.ndim == 1 and x.size else (np.nan,)
-    if not np.isfinite(ends).all():  # finite ends: every value is finite
-        _as_1d(values, "values")  # raises, naming the rule that fails
+    ends = _finite_ends(x, values)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         # equal, finite and positive, or from_values checks them and decides
         if not (w.shape == x.shape and 0 < w[0] < np.inf and (w == w[0]).all()):
             return var(StepCDF.from_values(values, weights), levels)
-    n = x.size
+    return _order_statistics(x, levels, ends)
+
+
+def _rank(levels, n: int):
+    """The 0-based rank of the left quantile of n equally weighted values at
+    each of ``levels``: k - 1, k = min{C : C / n >= p}, the division
+    correctly rounded, whatever the ties.  ceil(p * n) is within one of k,
+    and one step each way corrects it."""
     k = np.ceil(np.multiply(levels, n)).astype(np.int64)
     k -= (k - 1) / n >= levels
     k += k / n < levels
-    k -= 1
-    if k.size == 1 and k.item() in (0, n - 1):  # an end: no copy; + 0.0 reads -0.0 as 0.0
+    return k - 1
+
+
+def _finite_ends(x: np.ndarray, values) -> tuple:
+    """The min and max of ``x``, ``values`` as a float array; where one is
+    not finite (so where a value is not), the error ``_as_1d(values)``
+    raises, naming the rule that fails."""
+    ends = (x.min(), x.max()) if x.ndim == 1 and x.size else (np.nan,)
+    if not np.isfinite(ends).all():
+        _as_1d(values, "values")
+    return ends
+
+
+def _order_statistics(x: np.ndarray, levels, ends, owned: bool = False):
+    """:func:`quantiles` of the finite 1-D float array ``x`` under equal
+    weights, ``ends`` its min and max.  Unless ``owned``, the sort or
+    partition is of a copy; an owned ``x`` is its caller's to reorder in
+    place.  + 0.0 reads -0.0 as 0.0, the one zero."""
+    k = _rank(levels, x.size)
+    if k.size == 1 and k.item() in (0, x.size - 1):  # an end: no copy
         out = np.full(k.shape, ends[k.item() > 0] + 0.0)
     else:
-        x = _entered(x)  # a copy with one zero, sorted or partitioned in place
+        x = x if owned else _entered(x)
         if k.size != 1:
             x.sort()
         else:
             x.partition(k.item())
-        out = x[k]
+        out = x[k] + 0.0
     return out if out.ndim else float(out)
 
 

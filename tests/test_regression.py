@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +695,87 @@ def test_matching_q_equals_the_vectorized_count(weighted, sign, data):
     assert type(got) is float and got.hex() == want.hex()
 
 
+def _one_array_quantile(fitted, sigma, seed, p):
+    """scalar.quantiles(fitted + sigma * z, None, p), z the (seed, row 0)
+    stream drawn at once, as bytes, or the error it raises."""
+    values = fitted + sigma * core._rng(seed, 0).standard_normal(fitted.size)
+    try:
+        return np.float64(scalar.quantiles(values, None, p)).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _lone_level(data, n):
+    """A level p near the rank the test draws: k = 0, k = n - 1 or between,
+    each at its boundary (C / n) or just above it; and 1, 2 or 4 CPUs."""
+    c = data.draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+                  | st.integers(max(n - 5, 0), n - 1), label="rank")
+    p = data.draw(st.sampled_from([c / n, float(np.nextafter(c / n, 1.0))])
+                  .filter(lambda x: 0 < x < 1), label="p")
+    return p, data.draw(st.sampled_from([1, 2, 4]), label="cpus")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_lone_drawn_level_is_the_one_array_quantile(data):
+    """Model plain_var on equally weighted rows draws its noise in two
+    halves and reads them on two threads (regression._split_var); it is
+    scalar.quantiles(fit.fitted(W) + sigma * z, None, p) of the same stream
+    bit for bit: odd and even T, 1, 2 and 4 CPUs with no floor on rows per
+    item, k = 0, k = n - 1 and between, heavy ties (sigma = 0 on integer
+    factors), and a non-finite end (beta0 = +-inf or NaN), which raises the
+    one array's error."""
+    n = data.draw(st.integers(1, 64), label="rows")
+    ties = data.draw(st.booleans(), label="ties")
+    factor = data.draw(st.lists(st.integers(-3, 3).map(float) if ties else st.floats(-8, 8),
+                                min_size=n, max_size=n))
+    beta0 = data.draw(st.sampled_from([0.0, 1.0, -0.5, np.inf, -np.inf, np.nan]), label="beta0")
+    fit = _index_fit(beta0, data.draw(st.sampled_from([1.0, -2.0])),
+                     0.0 if ties else data.draw(st.sampled_from([0.25, 3.0])))
+    sample = JointSample(np.zeros(n), factor)
+    p, cpus = _lone_level(data, n)
+    seed = data.draw(st.integers(0, 2**32))
+    want = _one_array_quantile(fit.fitted(sample.factors), fit.sigma, seed, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regression, "_MIN_ITEM_ROWS", 0)
+        mp.setattr(core, "_cpus", lambda: cpus)
+        try:
+            got = np.float64(_threads_after(
+                lambda: plain_var(fit, sample, p, "model", seed))).tobytes()
+        except ValidationError as exc:
+            got = str(exc)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_split_read_keeps_both_zeros_and_the_first_bad_value(data):
+    """regression._split_var on fitted values that a fit cannot make, written
+    by its index item: -0.0 beside 0.0 (sigma = 0 keeps both signs), heavy
+    ties, and infinities and NaN in either half.  Each is the one array's
+    quantile bit for bit, or the one array's error, naming the same first
+    non-finite value."""
+    n = data.draw(st.integers(1, 64), label="rows")
+    specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    values = np.array(data.draw(st.lists(specials | st.floats(-1e6, 1e6), min_size=n,
+                                         max_size=n)))
+    sigma = data.draw(st.sampled_from([0.0, 1.0]), label="sigma")
+    p, cpus = _lone_level(data, n)
+    seed = data.draw(st.integers(0, 2**32))
+    want = _one_array_quantile(values, sigma, seed, p)
+    fitted = np.empty(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regression, "_MIN_ITEM_ROWS", 0)
+        mp.setattr(core, "_cpus", lambda: cpus)
+        try:
+            got = np.float64(_threads_after(lambda: regression._split_var(
+                sigma, core._rng(seed, 0), p, [partial(np.copyto, fitted, values)],
+                fitted))).tobytes()
+        except ValidationError as exc:
+            got = str(exc)
+    assert got == want
+
+
 def _gaussian_sample():
     spec = GaussianFactorSpec(np.zeros(3), np.eye(3))
     return simulate(0.5, [1.0, -0.5, 0.25], 0.8, spec, 4000, seed=61)
@@ -774,7 +856,8 @@ def _threads_after(call):
 
 class TestWorkOnEveryCore:
     """``ols_fit``'s row blocks, the index's row ranges, a grid's p rows,
-    the one level's draw beside the index and an empirical grid's two sorts
+    the one level's draw beside the index (in two halves, the first read on
+    the helper, under equal weights) and an empirical grid's two sorts
     run on the caller and helper threads (``core._map``), with the bits of
     one thread: the process's usable CPUs, and four CPUs (three helpers on
     any host), give the bytes of one CPU.  The floor on rows per item is
@@ -846,6 +929,25 @@ class TestWorkOnEveryCore:
         for cpus in (2, 4):
             monkeypatch.setattr(core, "_cpus", lambda: cpus)
             assert _threads_after(outputs) == want, cpus
+
+    def test_split_draw_under_stress(self, monkeypatch):
+        """The index item reads the first half of the noise only once it is
+        drawn, and the caller reads the second only once the index item has
+        written the fitted values: under a 1 us switch interval, model
+        plain_var at 100 seeds (so no half can hold the last call's draw)
+        is the one-array quantile, bit for bit."""
+        self._cpus(monkeypatch, 4)
+        data = _gaussian_sample()
+        fit = ols_fit(data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [np.float64(_threads_after(lambda: plain_var(fit, data, 0.95, "model", seed)))
+                   .tobytes() for seed in range(100)]
+        finally:
+            sys.setswitchinterval(interval)
+        fitted = fit.fitted(data.factors)
+        assert got == [_one_array_quantile(fitted, fit.sigma, seed, 0.95) for seed in range(100)]
 
     def test_map_keeps_order_and_reraises_a_helper_error(self, monkeypatch):
         """The results come back in item order; an error that only a helper

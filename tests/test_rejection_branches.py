@@ -18,10 +18,12 @@ from factorrisk import (ConditionalLawFamily, DensityFamily, DiffGrid, DiscreteF
                         DiscreteJointDistribution, DistortionFunction,
                         GaussianFactorSpec, JointSample, LevelMap, PiecewiseLinearAllocation,
                         ScenarioWeighting, StepCDF, ValidationError, VarBox,
-                        allocation_value_check, coherent_sup, covar, diff_grid, es_composition,
-                        es_on_event, es_tail_density, find_matching_q, gaussian_rho, hl_bound,
-                        inf_convolution, norm_inv, ols_fit, piecewise_linear_distortion, plain_var,
-                        pred_custom, pred_single_scenario, psi_mean, quantile_factor, simulate)
+                        allocation_value_check, coes, coherent_sup, covar, diff_grid,
+                        es_composition, es_on_event, es_tail_density, find_matching_q,
+                        gaussian_rho, hl_bound, inf_convolution, norm_inv, ols_fit,
+                        piecewise_linear_distortion, plain_var, pred_custom, pred_esssup_var,
+                        pred_single_scenario, pred_var_of_var, psi_es_on_box,
+                        psi_indicator_var_var, psi_mean, quantile_factor, simulate)
 from factorrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main, read_csv
 from factorrisk.sharing import transform_family
 
@@ -170,6 +172,10 @@ REJECTIONS = {
     "regression.py diff column inf": (
         lambda: DiffGrid([0.9], [0.5], [np.inf], [2.0], [np.inf]),
         ValidationError, "diff column is inconsistent with its definition"),
+    # rho_factor / rho_plain - 1 overflows, and its tolerance did too
+    "regression.py diff column overflow": (
+        lambda: DiffGrid([0.9], [0.5], [1e308], [1e-10], [1e308]),
+        ValidationError, "diff column is inconsistent with its definition"),
     "regression.py:335 empty levels": (
         lambda: diff_grid(FIT, SAMPLE, [], [0.5]), ValidationError, "level lists must be nonempty"),
     "regression.py:374 zero plain VaR": (
@@ -237,6 +243,35 @@ REJECTIONS = {
             "q levels must be one-dimensional, got shape (1, 1)"),
            ("diff_grid scalar p", lambda: diff_grid(FIT, SAMPLE, 0.9, [0.5]),
             "p levels must be one-dimensional, got shape ()"))},
+    # a list where one level is asked for, outside the regression API: the
+    # predicates and distortions were built, covar returned an array, and coes,
+    # es_tail_density and es_composition's q raised numpy's TypeError or ValueError
+    **{f"{name} shape": (call, ValidationError, message)
+       for name, call, message in (
+           ("quantile.py pred_var_of_var p", lambda: pred_var_of_var([0.9], 0.5),
+            "level p must be a single level, got shape (1,)"),
+           ("quantile.py pred_var_of_var q", lambda: pred_var_of_var(0.9, [0.5]),
+            "level q must be a single level, got shape (1,)"),
+           ("quantile.py pred_esssup_var p", lambda: pred_esssup_var([0.9]),
+            "level p must be a single level, got shape (1,)"),
+           ("quantile.py pred_single_scenario p", lambda: pred_single_scenario(0, [0.9]),
+            "level p must be a single level, got shape (1,)"),
+           ("quantile.py covar beta_level", lambda: covar(SAMPLE, 0.5, [0.9]),
+            "VaR level must be a single level, got shape (1,)"),
+           ("quantile.py coes beta_level", lambda: coes(SAMPLE, 0.5, [0.9]),
+            "ES level must be a single level, got shape (1,)"),
+           ("distortion.py psi_es_on_box p", lambda: psi_es_on_box([0.9], [0]),
+            "ES level must be a single level, got shape (1,)"),
+           ("distortion.py psi_indicator_var_var p", lambda: psi_indicator_var_var([0.9], 0.5),
+            "level p must be a single level, got shape (1,)"),
+           ("distortion.py psi_indicator_var_var q", lambda: psi_indicator_var_var(0.9, [0.5]),
+            "level q must be a single level, got shape (1,)"),
+           ("coherent.py es_tail_density p", lambda: es_tail_density(FAMILY, [0.5]),
+            "ES level must be a single level, got shape (1,)"),
+           ("coherent.py es_composition p", lambda: es_composition(FAMILY, [0.5]),
+            "ES level must be a single level, got shape (1,)"),
+           ("coherent.py es_composition q", lambda: es_composition(FAMILY, 0.5, "es", [0.5]),
+            "outer ES level must be a single level, got shape (1,)"))},
     # numpy's "matmul: Input operand 1 has a mismatch in its core dimension 0"
     **{f"regression.py {name} factor count": (
         call, ValidationError, "the sample has 3 factors but the fit has 2")
@@ -283,6 +318,16 @@ def test_diff_grid_takes_lists():
     grid = DiffGrid(*columns)
     assert all(getattr(grid, name) is column for name, column in zip(
         ("p_values", "q_values", "rho_factor", "rho_plain", "diff"), columns))
+
+
+def test_an_overflowing_quotient_is_its_own_diff():
+    """Finite rhos whose quotient overflows admit the diff that diff_grid
+    computes, that infinity, and no other value."""
+    assert DiffGrid([0.9], [0.5], [1e308], [1e-10], [np.inf]).diff.tolist() == [np.inf]
+    assert DiffGrid([0.9], [0.5], [1e308], [-1e-10], [-np.inf]).diff.tolist() == [-np.inf]
+    for diff in (-np.inf, 1e308, np.nan):
+        with pytest.raises(ValidationError, match="^diff column is inconsistent"):
+            DiffGrid([0.9], [0.5], [1e308], [1e-10], [diff])
 
 
 def test_a_small_mass_shortfall_is_renormalized():
